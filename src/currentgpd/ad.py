@@ -87,10 +87,6 @@ def value(x):
     return x
 
 
-def values(xs):
-    return [value(x) for x in xs]
-
-
 def _lift(f, df):
     """Build a dual-aware elementwise function from f and its derivative."""
 
@@ -158,17 +154,6 @@ def where(cond, a, b):
     return a if cond else b
 
 
-def is_batch(x):
-    return isinstance(x, np.ndarray) and x.ndim > 0
-
-
-def dot(xs, ys):
-    acc = xs[0] * ys[0]
-    for a, b in zip(xs[1:], ys[1:]):
-        acc = acc + a * b
-    return acc
-
-
 def jvp(fn, xs, vs):
     """Directional derivative: returns (fn(xs), d fn(xs)[vs]) component lists."""
     seeded = [Dual(x, v) for x, v in zip(xs, vs)]
@@ -184,20 +169,23 @@ def jvp(fn, xs, vs):
     return vals, eps
 
 
-def jacobian(fn, xs):
-    """Dense Jacobian of fn: R^k -> R^m at xs (lists of floats) as an (m, k) array."""
+def jacobian_columns(fn, xs):
+    """Columns of the Jacobian of fn at xs, one jvp each; entries keep duals."""
     k = len(xs)
     cols = []
-    m = None
     for j in range(k):
         vs = [0.0] * k
         vs[j] = 1.0
-        _, eps = jvp(fn, xs, vs)
-        m = len(eps)
-        cols.append([value(e) for e in eps])
-    out = np.zeros((m or 0, k))
+        cols.append(jvp(fn, xs, vs)[1])
+    return cols
+
+
+def jacobian(fn, xs):
+    """Dense Jacobian of fn: R^k -> R^m at xs (lists of floats) as an (m, k) array."""
+    cols = jacobian_columns(fn, xs)
+    out = np.zeros((len(cols[0]) if cols else 0, len(xs)))
     for j, col in enumerate(cols):
-        out[:, j] = col
+        out[:, j] = [value(e) for e in col]
     return out
 
 

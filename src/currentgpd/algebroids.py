@@ -24,16 +24,29 @@ from .manifolds import (Point, ProductManifold, SmoothMap, Tangent,
 from .tolerances import DEFAULT
 
 
-def _dual_jacobian_cols(fn, xs):
-    """Columns of the Jacobian of fn at xs; entries stay dual-friendly."""
-    k = len(xs)
-    cols = []
-    for j in range(k):
-        vs = [0.0] * k
-        vs[j] = 1.0
-        _, eps = ad.jvp(fn, xs, vs)
-        cols.append(eps)
-    return cols
+def _chart_commutator(chart, V, W, u):
+    """[V, W] at chart coords u, in chart coords, for ambient-velocity fields.
+
+    Each field is read in the chart as w -> d fwd(V(inv(w))); the bracket is
+    the commutator dW[V] - dV[W] of the two chart fields.
+    """
+
+    def chart_field(field):
+        def rep(w):
+            amb = chart.inv(w)
+            vel = field(amb)
+            _, out = ad.jvp(chart.fwd, amb, vel)
+            return out
+
+        return rep
+
+    FV = chart_field(V)
+    FW = chart_field(W)
+    vv = FV(list(u))
+    ww = FW(list(u))
+    _, dWv = ad.jvp(FW, list(u), vv)
+    _, dVw = ad.jvp(FV, list(u), ww)
+    return [a - c for a, c in zip(dWv, dVw)]
 
 
 class AlgebroidSection:
@@ -115,7 +128,7 @@ class LieAlgebroid:
             return [[1.0 if i == j else 0.0 for j in range(dG)]
                     for i in range(dG)]
         rep = self._alpha_rep(cg, cm)
-        cols = _dual_jacobian_cols(rep, list(u_coords))  # dG columns of len dM
+        cols = ad.jacobian_columns(rep, list(u_coords))  # dG columns of len dM
         J = [[cols[j][i] for j in range(dG)] for i in range(dM)]
         JJt = [[dot_list(J[i], J[k]) for k in range(dM)] for i in range(dM)]
         # Z = (J J^T)^(-1) J, one solve per column of J
@@ -272,23 +285,7 @@ class LieAlgebroid:
             cg, cm = self._unit_chart_context(x_comps)
             chart = g.arrows.charts[cg]
             u = self._unit_coords(x_comps, cg)
-
-            def chart_field(field):
-                def rep(w):
-                    g_amb = chart.inv(w)
-                    vel = field(g_amb)
-                    _, out = ad.jvp(chart.fwd, g_amb, vel)
-                    return out
-
-                return rep
-
-            FX = chart_field(fX)
-            FY = chart_field(fY)
-            vx = FX(list(u))
-            vy = FY(list(u))
-            _, dYx = ad.jvp(FY, list(u), vx)
-            _, dXy = ad.jvp(FX, list(u), vy)
-            b = [a - c for a, c in zip(dYx, dXy)]
+            b = _chart_commutator(chart, fX, fY, u)
             # project onto the kernel; the out-of-kernel residual must be noise
             P = self.kernel_projector(u, cg, cm)
             pb = [dot_list(P[i], b) for i in range(len(b))]
@@ -343,24 +340,8 @@ def vector_field_bracket(m, V_fn, W_fn):
         xf = np.asarray([value(c) for c in x_comps], dtype=float)
         cid = int(m.best_chart(xf))
         chart = m.charts[cid]
-
-        def chart_field(field):
-            def rep(w):
-                amb = chart.inv(w)
-                vel = field(amb)
-                _, out = ad.jvp(chart.fwd, amb, vel)
-                return out
-
-            return rep
-
-        FV = chart_field(V_fn)
-        FW = chart_field(W_fn)
         u = chart.fwd(list(x_comps))
-        vv = FV(list(u))
-        ww = FW(list(u))
-        _, dWv = ad.jvp(FW, list(u), vv)
-        _, dVw = ad.jvp(FV, list(u), ww)
-        b = [a - c for a, c in zip(dWv, dVw)]
+        b = _chart_commutator(chart, V_fn, W_fn, u)
         _, vel_amb = ad.jvp(chart.inv, list(u), b)
         return vel_amb
 
@@ -419,17 +400,6 @@ class CurrentAlgebroid:
         """Nodewise bracket values along a grid map, as ambient velocities."""
         br = self.base_algebroid.bracket(X, Y)
         rows = [merge_components(br.vector_fn(list(base.ambient[i])))
-                for i in range(self.grid.n)]
-        return np.stack(rows)
-
-    def anchor_values(self, X, base: GridMap):
-        alg = self.base_algebroid
-        rows = [merge_components(alg.anchor_vector(X, list(base.ambient[i])))
-                for i in range(self.grid.n)]
-        return np.stack(rows)
-
-    def section_values(self, X, base: GridMap):
-        rows = [merge_components(X.vector_fn(list(base.ambient[i])))
                 for i in range(self.grid.n)]
         return np.stack(rows)
 

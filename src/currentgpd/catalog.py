@@ -401,25 +401,6 @@ class Torus(ProductManifold):
     def __init__(self):
         super().__init__([Circle(), Circle()], name="torus")
 
-    def exp_amb(self, p, v):
-        out = []
-        for i, f in enumerate(self.factors):
-            lo, hi = self.amb_offsets[i], self.amb_offsets[i + 1]
-            out.extend(f.exp_amb(p[lo:hi], v[lo:hi]))
-        return out
-
-    def log_amb(self, p, q):
-        out = []
-        for i, f in enumerate(self.factors):
-            lo, hi = self.amb_offsets[i], self.amb_offsets[i + 1]
-            out.extend(f.log_amb(p[lo:hi], q[lo:hi]))
-        return out
-
-    def speed(self, p, v):
-        return max(f.speed(p[self.amb_offsets[i]:self.amb_offsets[i + 1]],
-                           v[self.amb_offsets[i]:self.amb_offsets[i + 1]])
-                   for i, f in enumerate(self.factors))
-
 
 MANIFOLDS = {
     "real1": lambda: Euclidean(1),

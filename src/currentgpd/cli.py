@@ -1,8 +1,8 @@
 """Verification command line: run suites, list them, dump grid maps.
 
 Reports are deterministic for a fixed (config, seed) up to the wall-time
-fields; suites execute in parallel with per-suite derived seeds, so the
-partitioning cannot change any result.
+fields: suites run one after another, each from its own derived seed, so
+neither their order nor their selection changes any result.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .catalog import Circle
 from .errors import ConfigError, UnknownId
@@ -22,6 +21,25 @@ from .tolerances import DEFAULT, TOLERANCE_KEYS
 _CONFIG_KEYS = {"suites", "grid", "tolerances", "seed", "instances",
                 "samples", "out"}
 _GRID_KEYS = {"kind", "n", "ell"}
+
+
+def _typed(val, types):
+    """isinstance, except that JSON true/false are not numbers."""
+    return isinstance(val, types) and not isinstance(val, bool)
+
+
+def _mapping(raw, key, default):
+    val = raw.get(key, default)
+    if not isinstance(val, dict):
+        raise ConfigError(f"'{key}' must be a JSON object")
+    return val
+
+
+def _id_list(raw, key, known):
+    val = raw.get(key, sorted(known))
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise ConfigError(f"'{key}' must be a list of ids")
+    return val
 
 
 def load_config(path) -> dict:
@@ -39,38 +57,41 @@ def load_config(path) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "seed" not in raw:
         raise ConfigError("config key 'seed' is mandatory")
-    if not isinstance(raw["seed"], int):
+    if not _typed(raw["seed"], int):
         raise ConfigError("'seed' must be an integer")
-    grid = raw.get("grid", {"kind": "circle", "n": 64, "ell": 1})
+    grid = _mapping(raw, "grid", {"kind": "circle", "n": 64, "ell": 1})
     unknown = set(grid) - _GRID_KEYS
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    tols = raw.get("tolerances", {})
+    for key in ("n", "ell"):
+        if key in grid and not _typed(grid[key], int):
+            raise ConfigError(f"grid {key} must be an integer")
+    tols = _mapping(raw, "tolerances", {})
     unknown = set(tols) - set(TOLERANCE_KEYS)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     for key, val in tols.items():
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _typed(val, (int, float)) or not val > 0:
             raise ConfigError(f"tolerance {key} must be positive")
-    suites = raw.get("suites", sorted(SUITES))
+    suites = _id_list(raw, "suites", SUITES)
     for sid in suites:
         if sid not in SUITES:
             raise ConfigError(f"unknown suite id {sid!r}")
     from .groupoids import GROUPOIDS
-    instances = raw.get("instances", sorted(GROUPOIDS))
+    instances = _id_list(raw, "instances", GROUPOIDS)
     for inst in instances:
         if inst not in GROUPOIDS:
             raise ConfigError(f"unknown catalog instance {inst!r}")
-    samples = raw.get("samples", {})
+    samples = _mapping(raw, "samples", {})
     for key, val in samples.items():
         if key not in SUITES:
             raise ConfigError(f"unknown suite id in samples: {key!r}")
-        if not isinstance(val, int) or val <= 0:
+        if not _typed(val, int) or val <= 0:
             raise ConfigError(f"sample count for {key} must be a positive int")
     return {
         "suites": list(suites),
         "grid": {"kind": grid.get("kind", "circle"),
-                 "n": int(grid.get("n", 64)), "ell": int(grid.get("ell", 1))},
+                 "n": grid.get("n", 64), "ell": grid.get("ell", 1)},
         "tolerances": dict(tols),
         "seed": raw["seed"],
         "instances": list(instances),
@@ -92,13 +113,8 @@ def execute(config: dict) -> dict:
         instances=config["instances"],
         samples=config.get("samples", {}),
     )
-    results = {}
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = {sid: pool.submit(run_suite, sid, ctx)
-                   for sid in config["suites"]}
-        for sid, fut in futures.items():
-            results[sid] = fut.result()
-    records = [r for sid in sorted(results) for r in results[sid]]
+    records = [r for sid in sorted(set(config["suites"]))
+               for r in run_suite(sid, ctx)]
     records.sort(key=lambda r: r.check_name)
     overall = all(r.status in ("pass", "obstructed-as-expected")
                   for r in records)

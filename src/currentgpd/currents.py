@@ -17,8 +17,8 @@ from .errors import NotComposable, SamplingFailure
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        constant_grid_map, degree, local_diffeo_inverse,
                        seminorm_distance)
-from .groupoids import AxiomReport, LieGroupoid, axiom_violations, restrict
-from .manifolds import map_jacobian
+from .groupoids import (AxiomReport, LieGroupoid, axiom_violations,
+                        etale_index, restrict, worst_rank_ratio)
 from .report import Certificate
 from .tolerances import DEFAULT
 
@@ -74,8 +74,8 @@ class CurrentGroupoid:
         return self._wrap_arrow(amb)
 
     def sample_with_beta(self, obj: GridMap, rng) -> GridMap:
-        amb = self.base_gpd.sample_arrow_path_with_beta(obj.ambient, rng,
-                                                        self.grid.closed)
+        amb = self.base_gpd.sample_arrow_path_with_beta(
+            obj.ambient, self.grid.params(), rng, self.grid.closed)
         return self._wrap_arrow(amb)
 
     def sample_object(self, rng) -> GridMap:
@@ -100,10 +100,12 @@ class CurrentGroupoid:
             g = np.stack([gpd.sample_arrow_path(params, rng, closed)
                           for _ in range(m)])
             ag = gpd.alpha_batch(g)
-            h = np.stack([gpd.sample_arrow_path_with_beta(ag[i], rng, closed)
+            h = np.stack([gpd.sample_arrow_path_with_beta(ag[i], params, rng,
+                                                          closed)
                           for i in range(m)])
             ah = gpd.alpha_batch(h)
-            k = np.stack([gpd.sample_arrow_path_with_beta(ah[i], rng, closed)
+            k = np.stack([gpd.sample_arrow_path_with_beta(ah[i], params, rng,
+                                                          closed)
                           for i in range(m)])
             xs = np.stack([gpd.base.sample_path(params, rng, closed)
                            for _ in range(m)])
@@ -226,9 +228,9 @@ def restriction_subgroupoid(cur: CurrentGroupoid, omega) -> CurrentGroupoid:
                 return amb
         raise SamplingFailure(f"{out.name}: path sampling exhausted")
 
-    def sample_path_with_beta(tgt, rng, closed, max_tries=5000):
+    def sample_path_with_beta(tgt, params, rng, closed, max_tries=5000):
         for _ in range(max_tries):
-            amb = with_beta(tgt, rng, closed)
+            amb = with_beta(tgt, params, rng, closed)
             if np.all(omega(cur.base_gpd.alpha_batch(amb))):
                 return amb
         raise SamplingFailure(f"{out.name}: fiber path sampling exhausted")
@@ -424,33 +426,25 @@ def proper_etale_fiber_bound(gpd: LieGroupoid, grid: GridSpec, n_pairs=200,
     )
 
 
+def _arrow_paths(gpd: LieGroupoid, grid: GridSpec, n_arrows, seed):
+    rng = np.random.default_rng(seed)
+    return [gpd.sample_arrow_path(grid.params(), rng, grid.closed)
+            for _ in range(n_arrows)]
+
+
 def current_etale_nodes(gpd: LieGroupoid, grid: GridSpec, n_arrows=200,
                         seed=0, tol_rank=DEFAULT.tol_rank):
     """Per-node invertibility of the source Jacobian along sampled arrows."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_arrows):
-        amb = gpd.sample_arrow_path(grid.params(), rng, grid.closed)
-        for i in range(grid.n):
-            p = gpd.arrows.point_from_ambient(amb[i])
-            J, _ = map_jacobian(gpd.alpha, p)
-            s = np.linalg.svd(J, compute_uv=False)
-            worst = min(worst, float(s[-1] / max(s[0], 1.0)))
+    worst, _ = worst_rank_ratio(gpd.alpha,
+                                _arrow_paths(gpd, grid, n_arrows, seed),
+                                etale_index(gpd))
     return worst > tol_rank, worst
 
 
 def current_anchor_rank_nodes(gpd: LieGroupoid, grid: GridSpec, n_arrows=50,
                               seed=0, tol_rank=DEFAULT.tol_rank):
     """Per-node full row rank of the anchor Jacobian along sampled arrows."""
-    anchor_m = gpd.anchor_map()
-    need = 2 * gpd.base.dim
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_arrows):
-        amb = gpd.sample_arrow_path(grid.params(), rng, grid.closed)
-        for i in range(grid.n):
-            p = gpd.arrows.point_from_ambient(amb[i])
-            J, _ = map_jacobian(anchor_m, p)
-            s = np.linalg.svd(J, compute_uv=False)
-            worst = min(worst, float(s[need - 1] / max(s[0], 1.0)))
+    worst, _ = worst_rank_ratio(gpd.anchor_map(),
+                                _arrow_paths(gpd, grid, n_arrows, seed),
+                                2 * gpd.base.dim - 1)
     return worst > tol_rank, worst

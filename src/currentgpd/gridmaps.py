@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ad
-from .ad import Dual, value
+from .ad import Dual
 from .errors import (BranchAmbiguity, CoherenceLost, GraphOutsideDomain,
                      NotDifferentiable, NotInDomainU, NotInThetaImage,
                      OutOfChart, OutsideNeighborhood)
-from .linalg import rank_floor
+from .linalg import newton, rank_floor
 from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
                         map_jacobian, merge_components, split_components,
@@ -340,9 +339,6 @@ class PushforwardClassification:
     node_ranks: list
     node_min_sv: list
 
-    def per_node(self, i):
-        return self.node_ranks[i], self.node_min_sv[i]
-
 
 def classify_pushforward(f: SmoothMap, gamma: GridMap,
                          tol_rank=DEFAULT.tol_rank) -> PushforwardClassification:
@@ -388,22 +384,10 @@ def _preimage_newton(f, target: Point, seed: Point, tol, max_iter=50):
     def residual(xc):
         return [a - b for a, b in zip(qc.fwd(f.fn(chart.inv(xc))), q_target)]
 
-    x = [float(c) for c in seed.coords]
-    from .linalg import linsolve
-    from .errors import SingularNormalization
-    for _ in range(max_iter):
-        r = [value(c) for c in residual(x)]
-        if max((abs(c) for c in r), default=0.0) < tol:
-            return m.point_from_coords(seed.chart_id, np.asarray(x))
-        J = ad.jacobian(residual, x)
-        try:
-            step = linsolve([list(row) for row in J], r)
-        except SingularNormalization:
-            return None
-        x = [xi - si for xi, si in zip(x, step)]
-        if max(abs(xi) for xi in x) > 1e8:
-            return None
-    return None
+    x = newton(residual, [float(c) for c in seed.coords], tol, max_iter, 1e8)
+    if x is None:
+        return None
+    return m.point_from_coords(seed.chart_id, np.asarray(x))
 
 
 def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,

@@ -42,7 +42,7 @@ class LieGroupoid:
         self.sample_with_beta = None            # ((n, ambM), rng) -> (n, ambG)
         self.project_to_beta = None             # ((n, ambG), (n, ambM)) -> (n, ambG)
         self.sample_arrow_path = None           # (params, rng, closed) -> (nodes, ambG)
-        self.sample_arrow_path_with_beta = None  # (target, rng, closed) -> (nodes, ambG)
+        self.sample_arrow_path_with_beta = None  # (target, params, rng, closed) -> same
         self.finite_group = None                # FiniteGroup for etale action groupoids
 
     # -- batched structure maps ----------------------------------------------
@@ -185,26 +185,45 @@ class ClassifyReport:
     witness: list | None = None
 
 
+def worst_rank_ratio(fmap: SmoothMap, ambients, index):
+    """Smallest s[index] / max(s[0], 1) over the Jacobians of fmap, s sorted.
+
+    `ambients` stacks source points along its leading axes; they are walked
+    in row-major order.  Returns (worst, witness ambient).  Two cases need no
+    Jacobian: a negative index asks for no singular value, so (inf, None);
+    when a dimension of fmap does not exceed `index`, that singular value
+    vanishes everywhere, so (0.0, None).
+    """
+    if index < 0:
+        return np.inf, None
+    if index >= min(fmap.source.dim, fmap.target.dim):
+        return 0.0, None
+    worst = np.inf
+    witness = None
+    for amb in np.reshape(ambients, (-1, fmap.source.ambient_dim)):
+        J, _ = map_jacobian(fmap, fmap.source.point_from_ambient(amb))
+        s = np.linalg.svd(J, compute_uv=False)
+        crit = float(s[index] / max(s[0], 1.0))
+        if crit < worst:
+            worst, witness = crit, list(map(float, amb))
+    return worst, witness
+
+
+def etale_index(gpd: LieGroupoid):
+    """Index of the singular value that is nonzero iff the source is etale."""
+    return max(gpd.arrows.dim, gpd.base.dim) - 1
+
+
 def classify_etale(gpd: LieGroupoid, n_samples=100, seed=0,
                    tol_rank=DEFAULT.tol_rank) -> ClassifyReport:
     """Source map is a local diffeomorphism: equal dims + invertible Jacobians."""
-    if gpd.arrows.dim != gpd.base.dim:
-        return ClassifyReport(False, "dim G != dim M", 0, seed,
-                              float(gpd.arrows.dim - gpd.base.dim))
     rng = np.random.default_rng(seed)
     arrows = gpd.sample_arrows(rng, n_samples)
-    worst = np.inf
-    witness = None
-    for amb in arrows:
-        p = gpd.arrows.point_from_ambient(amb)
-        J, _ = map_jacobian(gpd.alpha, p)
-        s = np.linalg.svd(J, compute_uv=False)
-        crit = float(s[-1] / max(s[0], 1.0)) if len(s) else 1.0
-        if crit < worst:
-            worst, witness = crit, list(map(float, amb))
+    worst, witness = worst_rank_ratio(gpd.alpha, arrows, etale_index(gpd))
     ok = worst > tol_rank
-    return ClassifyReport(ok, "invertible on samples" if ok else
-                          "singular source Jacobian", n_samples, seed, worst,
+    note = ("invertible on samples" if ok else "dim G != dim M"
+            if witness is None else "singular source Jacobian")
+    return ClassifyReport(ok, note, n_samples, seed, worst,
                           None if ok else witness)
 
 
@@ -215,25 +234,14 @@ def classify_locally_transitive(gpd: LieGroupoid, n_samples=100, seed=0,
     Full surjectivity of the anchor cannot be certified by sampling; the
     verdict means "submersion at all sampled arrows".
     """
-    need = 2 * gpd.base.dim
-    if gpd.arrows.dim < need:
-        return ClassifyReport(False, "anchor rank bounded by dim G", 0, seed,
-                              float(gpd.arrows.dim - need))
-    anchor_m = gpd.anchor_map()
     rng = np.random.default_rng(seed)
     arrows = gpd.sample_arrows(rng, n_samples)
-    worst = np.inf
-    witness = None
-    for amb in arrows:
-        p = gpd.arrows.point_from_ambient(amb)
-        J, _ = map_jacobian(anchor_m, p)
-        s = np.linalg.svd(J, compute_uv=False)
-        crit = float(s[need - 1] / max(s[0], 1.0))
-        if crit < worst:
-            worst, witness = crit, list(map(float, amb))
+    worst, witness = worst_rank_ratio(gpd.anchor_map(), arrows,
+                                      2 * gpd.base.dim - 1)
     ok = worst > tol_rank
-    return ClassifyReport(ok, "submersion on samples" if ok else
-                          "anchor rank deficient", n_samples, seed, worst,
+    note = ("submersion on samples" if ok else "anchor rank bounded by dim G"
+            if witness is None else "anchor rank deficient")
+    return ClassifyReport(ok, note, n_samples, seed, worst,
                           None if ok else witness)
 
 
@@ -412,7 +420,8 @@ def unit_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
     gpd.sample_with_beta = lambda x, rng: np.asarray(x, dtype=float).copy()
     gpd.project_to_beta = lambda h, x: np.asarray(x, dtype=float).copy()
     gpd.sample_arrow_path = lambda params, rng, closed: m.sample_path(params, rng, closed)
-    gpd.sample_arrow_path_with_beta = lambda tgt, rng, closed: np.asarray(tgt, dtype=float).copy()
+    gpd.sample_arrow_path_with_beta = (
+        lambda tgt, params, rng, closed: np.asarray(tgt, dtype=float).copy())
     return gpd
 
 
@@ -458,16 +467,10 @@ def pair_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
     gpd.sample_arrow_path = lambda params, rng, closed: np.concatenate(
         [m.sample_path(params, rng, closed), m.sample_path(params, rng, closed)],
         axis=-1)
-    gpd.sample_arrow_path_with_beta = lambda tgt, rng, closed: np.concatenate(
-        [np.asarray(tgt, dtype=float),
-         m.sample_path(_params_of(tgt), rng, closed)], axis=-1)
+    gpd.sample_arrow_path_with_beta = lambda tgt, params, rng, closed: (
+        np.concatenate([np.asarray(tgt, dtype=float),
+                        m.sample_path(params, rng, closed)], axis=-1))
     return gpd
-
-
-def _params_of(tgt):
-    # helper for path samplers that only need the node count
-    n = len(tgt)
-    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
 
 def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
@@ -529,9 +532,9 @@ def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
         return np.concatenate([Gm.sample_path(params, rng, closed),
                                m.sample_path(params, rng, closed)], axis=-1)
 
-    def sample_arrow_path_with_beta(tgt, rng, closed):
+    def sample_arrow_path_with_beta(tgt, params, rng, closed):
         tgt = np.asarray(tgt, dtype=float)
-        g = Gm.sample_path(_params_of(tgt), rng, closed)
+        g = Gm.sample_path(params, rng, closed)
         return np.concatenate([g, act_batch(inv_batch(g), tgt)], axis=-1)
 
     gpd.sample_arrow_path = sample_arrow_path
@@ -599,9 +602,9 @@ def circle_bundle_groupoid() -> LieGroupoid:
     gpd.sample_arrow_path = lambda params, rng, closed: np.concatenate(
         [circle.sample_path(params, rng, closed),
          circle.sample_path(params, rng, closed)], axis=-1)
-    gpd.sample_arrow_path_with_beta = lambda tgt, rng, closed: np.concatenate(
-        [np.asarray(tgt, dtype=float),
-         circle.sample_path(_params_of(tgt), rng, closed)], axis=-1)
+    gpd.sample_arrow_path_with_beta = lambda tgt, params, rng, closed: (
+        np.concatenate([np.asarray(tgt, dtype=float),
+                        circle.sample_path(params, rng, closed)], axis=-1))
     return gpd
 
 
@@ -699,7 +702,7 @@ def finite_action_groupoid(group: FiniteGroup, m: ChartedManifold,
         idx = np.full((len(params), 1), float(rng.integers(k)))
         return np.concatenate([idx, m.sample_path(params, rng, closed)], axis=-1)
 
-    def sample_arrow_path_with_beta(tgt, rng, closed):
+    def sample_arrow_path_with_beta(tgt, params, rng, closed):
         tgt = np.asarray(tgt, dtype=float)
         kk = int(rng.integers(k))
         idx = np.full((len(tgt), 1), float(kk))
@@ -736,8 +739,8 @@ def group_groupoid(group: LieGroupOps, name=None) -> LieGroupoid:
     gpd.sample_with_beta = lambda x, rng: np.atleast_2d(
         Gm.sample(rng, np.atleast_2d(x).shape[0]))
     gpd.sample_arrow_path = lambda params, rng, closed: Gm.sample_path(params, rng, closed)
-    gpd.sample_arrow_path_with_beta = lambda tgt, rng, closed: Gm.sample_path(
-        _params_of(tgt), rng, closed)
+    gpd.sample_arrow_path_with_beta = (
+        lambda tgt, params, rng, closed: Gm.sample_path(params, rng, closed))
     return gpd
 
 

@@ -1,15 +1,13 @@
 """Small dense linear algebra that also runs on dual scalars.
 
-Float-only rank/null-space queries go through numpy's SVD; the generic
-routines here exist so that solves and orthonormalisation can sit inside
-AD-evaluated code paths.
+Float-only rank queries go through numpy's SVD; the generic routines here
+exist so that solves and orthonormalisation can sit inside AD-evaluated
+code paths.  Newton's method sits next to the solve it steps with.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .ad import sqrt, value
+from .ad import jacobian, sqrt, value
 from .errors import SingularNormalization
 
 
@@ -43,6 +41,29 @@ def linsolve(A, b):
     return x
 
 
+def newton(residual, x0, tol, max_iter, bound):
+    """Newton's method for residual(x) = 0 from x0, with AD Jacobians.
+
+    Returns the first iterate whose residual is below tol in max norm, or
+    None if a step is singular, an iterate leaves the box |x_i| <= bound,
+    or max_iter steps do not converge.
+    """
+    x = list(x0)
+    for _ in range(max_iter):
+        r = [value(c) for c in residual(x)]
+        if max((abs(c) for c in r), default=0.0) < tol:
+            return x
+        J = jacobian(residual, x)
+        try:
+            step = linsolve([list(row) for row in J], r)
+        except SingularNormalization:
+            return None
+        x = [xi - si for xi, si in zip(x, step)]
+        if max(abs(xi) for xi in x) > bound:
+            return None
+    return None
+
+
 def dot_list(a, b):
     acc = a[0] * b[0]
     for x, y in zip(a[1:], b[1:]):
@@ -65,44 +86,8 @@ def gram_schmidt(vectors, drop_tol=1e-12):
     return out
 
 
-def det(A):
-    """Determinant via the generic LU; dual entries allowed."""
-    n = len(A)
-    M = [list(row) for row in A]
-    sign = 1.0
-    d = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value(M[r][col])))
-        if abs(value(M[piv][col])) == 0.0:
-            return 0.0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        inv = 1.0 / M[col][col]
-        for r in range(col + 1, n):
-            f = M[r][col] * inv
-            for c in range(col, n):
-                M[r][c] = M[r][c] - f * M[col][c]
-        d = d * M[col][col]
-    return d * sign
-
-
 def rank_floor(singular_values, rel=1e-8):
     """Scale-invariant rank threshold: rel * max(largest singular value, 1)."""
     smax = float(singular_values[0]) if len(singular_values) else 0.0
     return rel * max(smax, 1.0)
 
-
-def svd_rank(J, rel=1e-8):
-    s = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
-    thr = rank_floor(s, rel)
-    return int(np.sum(s > thr)), s
-
-
-def null_space(J, rel=1e-8):
-    """Orthonormal kernel basis (columns) of a float matrix via SVD."""
-    J = np.asarray(J, dtype=float)
-    u, s, vt = np.linalg.svd(J)
-    thr = rank_floor(s, rel)
-    r = int(np.sum(s > thr))
-    return vt[r:].T.copy()

@@ -16,11 +16,10 @@ from . import ad
 from .ad import Dual, value
 from .errors import (DomainViolation, NotInThetaImage, SingularNormalization,
                      Unsupported)
-from .linalg import linsolve
+from .linalg import linsolve, newton
 from .manifolds import (ChartedManifold, DiscreteManifold, Point,
-                        ProductManifold, SmoothMap, Tangent,
-                        merge_components, split_components,
-                        tangent_from_ambient)
+                        ProductManifold, Tangent, merge_components,
+                        split_components, tangent_from_ambient)
 from .tolerances import DEFAULT
 
 
@@ -54,10 +53,6 @@ class LocalAddition:
             split_components(np.asarray(vel_amb, dtype=float))
         return merge_components(self.sigma_fn(comps))
 
-    def as_smooth_map(self) -> SmoothMap:
-        tm = self.manifold.tangent_bundle()
-        return SmoothMap(tm, self.manifold, self.sigma_fn, name=self.name)
-
     def theta(self, t: Tangent):
         return t.base, self.sigma(t)
 
@@ -74,10 +69,6 @@ class LocalAddition:
             if res > tol:
                 raise NotInThetaImage(f"{self.name}: closed-form residual {res:.2e}")
             return t
-        return self._newton_inverse(p, q, tol, max_iter)
-
-    def _newton_inverse(self, p, q, tol, max_iter):
-        m = self.manifold
         chart = m.charts[p.chart_id]
         x = list(p.coords)
         qc = m.charts[q.chart_id]
@@ -89,24 +80,14 @@ class LocalAddition:
             yc = qc.fwd(out)
             return [a - b for a, b in zip(yc, q_target)]
 
-        w = [0.0] * m.dim
-        for _ in range(max_iter):
-            r = [value(c) for c in residual(w)]
-            if max((abs(c) for c in r), default=0.0) < tol:
-                _, v = ad.jvp(chart.inv, x, w)
-                v = np.asarray([value(c) for c in v], dtype=float)
-                if not self.domain_fn(p.ambient, v):
-                    raise NotInThetaImage(f"{self.name}: Newton left domain U")
-                return Tangent(p, np.asarray(w, dtype=float))
-            J = ad.jacobian(residual, w)
-            try:
-                step = linsolve([list(row) for row in J], r)
-            except SingularNormalization as e:
-                raise NotInThetaImage(f"{self.name}: singular Newton step") from e
-            w = [wi - si for wi, si in zip(w, step)]
-            if max(abs(wi) for wi in w) > 1e6:
-                break
-        raise NotInThetaImage(f"{self.name}: Newton did not converge")
+        w = newton(residual, [0.0] * m.dim, tol, max_iter, 1e6)
+        if w is None:
+            raise NotInThetaImage(f"{self.name}: Newton did not converge")
+        _, v = ad.jvp(chart.inv, x, w)
+        v = np.asarray([value(c) for c in v], dtype=float)
+        if not self.domain_fn(p.ambient, v):
+            raise NotInThetaImage(f"{self.name}: Newton left domain U")
+        return Tangent(p, np.asarray(w, dtype=float))
 
 
 def _radius_domain(manifold, radius):
@@ -121,7 +102,7 @@ def riemannian_local_addition(m: ChartedManifold) -> LocalAddition:
     """Closed-form geodesic exponential restricted to the injectivity ball."""
     if isinstance(m, DiscreteManifold):
         return _discrete_local_addition(m)
-    if isinstance(m, ProductManifold) and not hasattr(m, "exp_amb"):
+    if isinstance(m, ProductManifold):
         return product_local_addition(
             m, [riemannian_local_addition(f) for f in m.factors])
     if not hasattr(m, "exp_amb"):

@@ -191,10 +191,6 @@ class SecondTangent:
     def tuple4(self):
         return (self.x, self.y, self.z, self.w)
 
-    def base_tangent(self):
-        p = self.manifold.point_from_coords(self.chart_id, self.x)
-        return Tangent(p, np.asarray(self.y, dtype=float))
-
 
 def canonical_flip(s: SecondTangent) -> SecondTangent:
     """Swap the two middle chart slots; an exact coordinate permutation."""
@@ -391,15 +387,6 @@ class TangentBundleManifold(ChartedManifold):
 
         return Chart(f"T{c.name}", margin, fwd, inv)
 
-    def point_of_tangent(self, t: Tangent) -> Point:
-        amb = np.concatenate([t.base.ambient, t.ambient_vel()])
-        return self.point_from_ambient(amb, t.base.chart_id)
-
-    def tangent_of_point(self, p: Point) -> Tangent:
-        m = self.base_manifold.ambient_dim
-        return tangent_from_ambient(self.base_manifold, p.ambient[:m],
-                                    p.ambient[m:])
-
     def geodesic_distance(self, a, b):
         m = self.base_manifold.ambient_dim
         a = np.asarray(a, dtype=float)
@@ -476,9 +463,6 @@ class ProductManifold(ChartedManifold):
         amb = np.asarray(amb, dtype=float)
         return [amb[..., self.amb_offsets[i]:self.amb_offsets[i + 1]]
                 for i in range(len(self.factors))]
-
-    def join_ambient(self, parts):
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts], axis=-1)
 
     def geodesic_distance(self, a, b):
         pa = self.split_ambient(a)

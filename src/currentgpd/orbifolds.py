@@ -44,13 +44,6 @@ class OrbitSpacePath:
     def __post_init__(self):
         self.representatives = np.asarray(self.representatives, dtype=float)
 
-    def consecutive_orbit_gaps(self):
-        a = self.representatives
-        if self.grid.closed:
-            b = np.roll(a, -1, axis=0)
-            return orbit_distance(self.group, a, b)
-        return orbit_distance(self.group, a[:-1], a[1:])
-
 
 @dataclass
 class LocalActionForm:
@@ -61,10 +54,6 @@ class LocalActionForm:
     action_law_residual: float
     phi_bijectivity_residual: float
     phi_multiplicativity_residual: float
-
-    def delta(self, iso_member: int, y):
-        """The reconstructed local action of the isotropy group."""
-        return self.isotropy_elements[iso_member].act(y)
 
 
 def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
@@ -118,7 +107,6 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
                 f"{gpd.name}: no valid neighborhood after {max_halvings} halvings")
 
     ys = ball_samples(r)
-    iso_els = [grp.elements[i] for i in iso.element_indices]
     # (i) the reconstructed maps compose like the group
     act_res = 0.0
     for a, ga in enumerate(iso.element_indices):
@@ -146,10 +134,8 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
             lifted = grp.elements[gg].act(ys)
             two_step = grp.elements[ga].act(grp.elements[gb].act(ys))
             mult_res = max(mult_res, float(np.max(np.abs(lifted - two_step))))
-    form = LocalActionForm(x, iso, float(r), halvings, act_res, bij_res,
+    return LocalActionForm(x, iso, float(r), halvings, act_res, bij_res,
                            mult_res)
-    form.isotropy_elements = iso_els
-    return form
 
 
 def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,

@@ -84,7 +84,7 @@ def suite_groupoid_axioms(ctx: SuiteContext):
         rep = check_axioms(make_groupoid(name), n_samples=n, seed=seed)
         status = "pass" if rep.passed(ctx.tol.tol_chart) else "fail"
         records.append(_record(f"groupoid-axioms/{name}", "groupoid definition",
-                               status, rep.max_violation, 1000, seed,
+                               status, rep.max_violation, n, seed,
                                details=rep.violations))
     return records
 
@@ -96,13 +96,12 @@ def suite_current_groupoid_axioms(ctx: SuiteContext):
         for n in (8, 64, 256):
             seed = ctx.seed_for("current-groupoid-axioms", name, n)
             cur = build_current(gpd, GridSpec("circle", n, ctx.grid.ell))
-            rep = cur.check_axioms(
-                n_samples=ctx.count("current-groupoid-axioms", 1000),
-                seed=seed)
+            count = ctx.count("current-groupoid-axioms", 1000)
+            rep = cur.check_axioms(n_samples=count, seed=seed)
             status = "pass" if rep.passed(ctx.tol.tol_chart) else "fail"
             records.append(_record(f"current-groupoid-axioms/{name}/n{n}",
                                    "Theorem A", status, rep.max_violation,
-                                   1000, seed, details=rep.violations))
+                                   count, seed, details=rep.violations))
     return records
 
 
@@ -235,7 +234,7 @@ def suite_tangent_diagram(ctx: SuiteContext):
             worst = max(worst, float(np.max(np.abs(eps - direct.vel_ambient))))
     status = "pass" if worst <= ctx.tol.tol_fd else "fail"
     return [_record("tangent-diagram", "tangent identification", status,
-                    worst, 150, seed)]
+                    worst, len(chosen) * reps, seed)]
 
 
 def suite_pushforward_classifiers(ctx: SuiteContext):
@@ -260,7 +259,7 @@ def suite_pushforward_classifiers(ctx: SuiteContext):
             ok = ok and got.verdict == want
         records.append(_record(f"pushforward-classifiers/{name}",
                                "Theorem E", "pass" if ok else "fail",
-                               0.0, 100, seed, details={"expected": want}))
+                               0.0, reps, seed, details={"expected": want}))
     return records
 
 
@@ -273,7 +272,8 @@ def suite_local_inverse(ctx: SuiteContext):
     worst = 0.0
     x = grid.params()
     gamma0 = GridMap(grid, line, np.zeros((grid.n, 1)))
-    for _ in range(ctx.count("local-inverse", 100)):
+    count = ctx.count("local-inverse", 100)
+    for _ in range(count):
         amp = rng.uniform(0.1, 0.8)
         ph = rng.uniform(0, 2 * math.pi)
         off = rng.uniform(-3, 3)
@@ -287,18 +287,21 @@ def suite_local_inverse(ctx: SuiteContext):
                     float(np.max(seminorm_distance(back, eta).order0)),
                     float(np.max(np.abs(got.ambient - truth.ambient))))
     rec_ok = worst <= ctx.tol.tol_theta
-    # the winding-1 target admits no lift from any starting branch
-    idloop = circle_identity_loop(grid, f.target)
+    # the winding-1 target admits no lift from any starting branch; a
+    # winding number needs a loop, so the control runs on a circle grid
+    loop_grid = GridSpec("circle", grid.n, grid.ell)
+    idloop = circle_identity_loop(loop_grid, f.target)
+    loop0 = GridMap(loop_grid, line, np.zeros((grid.n, 1)))
     rejections = 0
     for k in range(32):
         start = line.point_from_ambient([2 * math.pi * (k - 16)])
         try:
-            local_diffeo_inverse(f, gamma0, idloop, start=start)
+            local_diffeo_inverse(f, loop0, idloop, start=start)
         except (OutsideNeighborhood, BranchAmbiguity):
             rejections += 1
     status = "pass" if rec_ok and rejections == 32 else "fail"
-    return [_record("local-inverse", "Theorem E(c)", status, worst, 132, seed,
-                    details={"rejections": rejections})]
+    return [_record("local-inverse", "Theorem E(c)", status, worst, count + 32,
+                    seed, details={"rejections": rejections})]
 
 
 def suite_not_tra_certificate(ctx: SuiteContext):
@@ -357,7 +360,7 @@ def suite_proper_etale_lifting(ctx: SuiteContext):
             == n_arrows)
     status = "pass" if ok_nodes and bounded and full else "fail"
     return [_record("proper-etale-lifting", "Theorem C", status,
-                    cert.max_residual, 400, seed,
+                    cert.max_residual, 2 * n_arrows, seed,
                     details={"min_source_jacobian": worst,
                              "max_lifts": cert.witness_data["max_lifts"]},
                     certs=[cert])]
@@ -372,14 +375,15 @@ def suite_theorem_d(ctx: SuiteContext):
         seed = ctx.seed_for("theorem-D-pointwise-bracket", name)
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(ctx.count("theorem-D-pointwise-bracket", 50)):
+        count = ctx.count("theorem-D-pointwise-bracket", 50)
+        for _ in range(count):
             base = random_grid_map(grid, gpd.base, rng)
             X = alg.random_polynomial_section(rng, "X")
             Y = alg.random_polynomial_section(rng, "Y")
             worst = max(worst, current_bracket_two_ways(gpd, grid, X, Y, base))
         status = "pass" if worst <= ctx.tol.tol_bracket else "fail"
         records.append(_record(f"theorem-D-pointwise-bracket/{name}",
-                               "Theorem D", status, worst, 50, seed))
+                               "Theorem D", status, worst, count, seed))
     return records
 
 
@@ -470,7 +474,8 @@ def suite_path_lifting(ctx: SuiteContext):
     grid = GridSpec("interval", max(16, ctx.grid.n // 4))
     worst = 0.0
     equein = 0.0
-    for _ in range(ctx.count("path-lifting", 100)):
+    count = ctx.count("path-lifting", 100)
+    for _ in range(count):
         # fixed-point-free path: radius bounded away from the origin
         t = grid.params()
         r = 1.0 + 0.3 * np.sin(2 * math.pi * t * rng.uniform(0.5, 1.5))
@@ -494,8 +499,8 @@ def suite_path_lifting(ctx: SuiteContext):
     cert256 = atlas_connectivity_negative_test(GridSpec("circle", 256))
     stable = cert64.verdict == cert256.verdict == "obstructed"
     return [_record("path-lifting", "path lifting",
-                    "pass" if ok and stable else "fail", worst, 200, seed,
-                    details={"equivariance": equein},
+                    "pass" if ok and stable else "fail", worst, 2 * count,
+                    seed, details={"equivariance": equein},
                     certs=[cert64, cert256])]
 
 

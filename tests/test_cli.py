@@ -31,10 +31,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(cfg)
 
-    def test_negative_tolerance_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, seed=1,
-                           tolerances={"tol_chart": -1e-9})
-        assert main(["run", "--config", cfg]) == 2
+    def test_bad_config_exits_2(self, tmp_path, capsys):
+        bad = [({"tolerances": {"tol_chart": -1e-9}}, "tol_chart"),
+               ({"grid": 5}, "grid"),
+               ({"samples": "x"}, "samples"),
+               ({"seed": True}, "seed"),
+               ({"grid": {"n": "64"}}, "grid n"),
+               ({"tolerances": {"tol_chart": True}}, "tol_chart"),
+               ({"suites": "atlas-negative"}, "suites"),
+               ({"instances": "z4-plane"}, "instances")]
+        for change, named in bad:
+            cfg = write_config(tmp_path, **{"seed": 1,
+                                            "suites": ["flip-identities"],
+                                            **change})
+            assert main(["run", "--config", cfg]) == 2, change
+            assert named in capsys.readouterr().err, change
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
@@ -77,6 +88,36 @@ class TestRun:
         assert report["seed"] == 9
         assert all(r["check_name"].startswith("atlas-negative")
                    for r in report["records"])
+
+    def test_reported_sample_counts_follow_overrides(self, tmp_path):
+        counts = {"groupoid-axioms": 3, "current-groupoid-axioms": 2,
+                  "tangent-diagram": 2, "pushforward-classifiers": 4,
+                  "local-inverse": 5, "path-lifting": 6,
+                  "proper-etale-lifting": 7,
+                  "theorem-D-pointwise-bracket": 1}
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path, seed=3, instances=["z2-line"],
+                           suites=sorted(counts), samples=counts)
+        main(["run", "--config", cfg, "--out", str(out)])
+        reported = {r["check_name"]: r["n_samples"]
+                    for r in json.loads(out.read_text())["records"]}
+        assert reported["groupoid-axioms/z2-line"] == 3
+        assert reported["current-groupoid-axioms/z2-line/n8"] == 2
+        assert reported["tangent-diagram"] == 3 * 2
+        assert reported["pushforward-classifiers/exp-cover"] == 4
+        assert reported["local-inverse"] == 5 + 32
+        assert reported["path-lifting"] == 2 * 6
+        assert reported["proper-etale-lifting"] == 2 * 7
+        assert reported["theorem-D-pointwise-bracket/rot-action"] == 1
+
+    def test_local_inverse_passes_on_interval_grid(self, tmp_path):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path, seed=1, grid={"kind": "interval"},
+                           suites=["local-inverse"])
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads(out.read_text())["records"][0]
+        assert record["status"] == "pass"
+        assert record["details"]["rejections"] == 32
 
     def test_unknown_suite_flag_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)

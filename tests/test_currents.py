@@ -29,6 +29,13 @@ class TestBuildCurrent:
         assert np.allclose(cur.beta_star(a).ambient, a.ambient)
         assert np.allclose(cur.mu_star(a, a).ambient, a.ambient)
 
+    def test_interval_fiber_paths_stay_coherent(self):
+        cur = build_current(make_groupoid("so3-action"),
+                            GridSpec("interval", 24))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            cur.sample_with_beta(cur.alpha_star(cur.sample_arrow(rng)), rng)
+
     def test_group_current_is_a_group_of_loops(self):
         # over the one-point base every pair of loops composes
         cur = build_current(make_groupoid("so3-group"), GridSpec("circle", 8))
@@ -191,3 +198,21 @@ class TestPerNodeClassifiers:
                                           GridSpec("circle", 8),
                                           n_arrows=10, seed=14)
         assert ok
+
+    def test_etale_needs_equal_dimensions(self):
+        grid = GridSpec("circle", 8)
+        for name in ("pair-real1", "circle-bundle", "rot-action"):
+            ok, _ = current_etale_nodes(make_groupoid(name), grid,
+                                        n_arrows=3, seed=15)
+            assert not ok, name
+        assert current_etale_nodes(make_groupoid("z4-plane"), grid,
+                                   n_arrows=3, seed=15)[0]
+
+    def test_anchor_rank_dimension_guards(self):
+        grid = GridSpec("circle", 8)
+        # rank 2 needs two arrow dimensions; over a point no rank is needed
+        ok, worst = current_anchor_rank_nodes(make_groupoid("unit-circle"),
+                                              grid, n_arrows=3, seed=16)
+        assert not ok and worst == 0.0
+        assert current_anchor_rank_nodes(make_groupoid("so3-group"), grid,
+                                         n_arrows=3, seed=16)[0]
