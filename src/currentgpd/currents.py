@@ -56,9 +56,7 @@ class CurrentGroupoid:
             raise NotComposable(
                 f"{self.name}: endpoint gap {float(np.max(gaps)):.3e} "
                 f"at node {int(np.argmax(gaps))}")
-        b_amb = b.ambient
-        if self.base_gpd.project_to_beta is not None:
-            b_amb = self.base_gpd.project_to_beta(b_amb, aa)
+        b_amb = self.base_gpd.project_to_beta(b.ambient, aa)
         return self._wrap_arrow(self.base_gpd.mu_batch(a.ambient, b_amb))
 
     def iota_star(self, a: GridMap) -> GridMap:
@@ -69,8 +67,8 @@ class CurrentGroupoid:
 
     # -- sampling ---------------------------------------------------------------
     def sample_arrow(self, rng) -> GridMap:
-        amb = self.base_gpd.sample_arrow_path(self.grid.params(), rng,
-                                              self.grid.closed)
+        amb = self.base_gpd.arrows.sample_path(self.grid.params(), rng,
+                                               self.grid.closed)
         return self._wrap_arrow(amb)
 
     def sample_with_beta(self, obj: GridMap, rng) -> GridMap:
@@ -97,7 +95,7 @@ class CurrentGroupoid:
         done = 0
         while done < n_samples:
             m = min(chunk, n_samples - done)
-            g = np.stack([gpd.sample_arrow_path(params, rng, closed)
+            g = np.stack([gpd.arrows.sample_path(params, rng, closed)
                           for _ in range(m)])
             ag = gpd.alpha_batch(g)
             h = np.stack([gpd.sample_arrow_path_with_beta(ag[i], params, rng,
@@ -119,8 +117,6 @@ class CurrentGroupoid:
 
 
 def build_current(gpd: LieGroupoid, grid: GridSpec) -> CurrentGroupoid:
-    if gpd.sample_arrow_path is None:
-        raise SamplingFailure(f"{gpd.name}: no arrow path sampler registered")
     return CurrentGroupoid(gpd, grid)
 
 
@@ -214,30 +210,7 @@ def restriction_subgroupoid(cur: CurrentGroupoid, omega) -> CurrentGroupoid:
     is the same set as the restriction of the current groupoid to the open
     set of maps with image in omega.
     """
-    sub = restrict(cur.base_gpd, omega)
-    out = CurrentGroupoid(sub, cur.grid)
-
-    base_sampler = cur.base_gpd.sample_arrow_path
-    with_beta = cur.base_gpd.sample_arrow_path_with_beta
-
-    def sample_path(params, rng, closed, max_tries=5000):
-        for _ in range(max_tries):
-            amb = base_sampler(params, rng, closed)
-            if (np.all(omega(cur.base_gpd.alpha_batch(amb)))
-                    and np.all(omega(cur.base_gpd.beta_batch(amb)))):
-                return amb
-        raise SamplingFailure(f"{out.name}: path sampling exhausted")
-
-    def sample_path_with_beta(tgt, params, rng, closed, max_tries=5000):
-        for _ in range(max_tries):
-            amb = with_beta(tgt, params, rng, closed)
-            if np.all(omega(cur.base_gpd.alpha_batch(amb))):
-                return amb
-        raise SamplingFailure(f"{out.name}: fiber path sampling exhausted")
-
-    sub.sample_arrow_path = sample_path
-    sub.sample_arrow_path_with_beta = sample_path_with_beta
-    return out
+    return CurrentGroupoid(restrict(cur.base_gpd, omega), cur.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +401,7 @@ def proper_etale_fiber_bound(gpd: LieGroupoid, grid: GridSpec, n_pairs=200,
 
 def _arrow_paths(gpd: LieGroupoid, grid: GridSpec, n_arrows, seed):
     rng = np.random.default_rng(seed)
-    return [gpd.sample_arrow_path(grid.params(), rng, grid.closed)
+    return [gpd.arrows.sample_path(grid.params(), rng, grid.closed)
             for _ in range(n_arrows)]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,45 @@ from .localadd import (LieGroupOps, product_local_addition,
 from .tolerances import DEFAULT
 
 
+@dataclass
+class Fiber:
+    """The beta-fibers of a groupoid, described once for points and paths.
+
+    ``build(x, f)`` is the arrow with target ``x`` and free coordinates
+    ``f``; on stacked targets and coordinates it gives stacked arrows.  The
+    free coordinates range over ``manifold`` (None when every fiber is a
+    single arrow) and sit at ``h[..., cols]`` in an arrow's ambient ``h``.
+    """
+    manifold: ChartedManifold | None
+    cols: slice
+    build: Callable
+
+    def points(self, x, rng):
+        """Random arrows with targets x: ((n, ambM), rng) -> (n, ambG)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        free = (None if self.manifold is None
+                else np.atleast_2d(self.manifold.sample(rng, x.shape[0])))
+        return self.build(x, free)
+
+    def path(self, tgt, params, rng, closed):
+        """Random grid path of arrows over the target path tgt."""
+        free = (None if self.manifold is None
+                else self.manifold.sample_path(params, rng, closed))
+        return self.build(np.asarray(tgt, dtype=float), free)
+
+
 class LieGroupoid:
+    """Structure maps plus the fiber description that samples arrows.
+
+    Arrows are drawn by ``arrows.sample`` / ``arrows.sample_path``.  Arrows
+    with a prescribed target come from ``fiber``; ``sample_with_beta`` and
+    ``sample_arrow_path_with_beta`` are instance attributes so that
+    :func:`restrict` can replace them by rejection samplers.  A groupoid
+    without a fiber (``fiber=None``) raises SamplingFailure when asked for one.
+    """
+
     def __init__(self, name, arrows, base, alpha, beta, mu_fn, iota, unit,
-                 local_addition_G=None, local_addition_M=None):
+                 local_addition_G=None, local_addition_M=None, fiber=None):
         self.name = name
         self.arrows = arrows
         self.base = base
@@ -37,13 +74,23 @@ class LieGroupoid:
         self.unit = unit              # SmoothMap M -> G
         self.local_addition_G = local_addition_G
         self.local_addition_M = local_addition_M
-        # hooks filled in by catalog constructors
-        self.sample_arrows = None               # (rng, n) -> (n, ambG)
-        self.sample_with_beta = None            # ((n, ambM), rng) -> (n, ambG)
-        self.project_to_beta = None             # ((n, ambG), (n, ambM)) -> (n, ambG)
-        self.sample_arrow_path = None           # (params, rng, closed) -> (nodes, ambG)
-        self.sample_arrow_path_with_beta = None  # (target, params, rng, closed) -> same
-        self.finite_group = None                # FiniteGroup for etale action groupoids
+        self.fiber = fiber            # Fiber of beta, or None
+        self.finite_group = None      # FiniteGroup for etale action groupoids
+        self.sample_with_beta = lambda x, rng: self._fiber().points(x, rng)
+        self.sample_arrow_path_with_beta = (
+            lambda tgt, params, rng, closed:
+            self._fiber().path(tgt, params, rng, closed))
+
+    def _fiber(self) -> Fiber:
+        if self.fiber is None:
+            raise SamplingFailure(f"{self.name}: no fiber description")
+        return self.fiber
+
+    def project_to_beta(self, h, x):
+        """The arrows with targets x and the free coordinates of h."""
+        fib = self._fiber()
+        return fib.build(np.asarray(x, dtype=float),
+                         np.asarray(h, dtype=float)[..., fib.cols])
 
     # -- batched structure maps ----------------------------------------------
     def alpha_batch(self, g):
@@ -89,10 +136,8 @@ def compose(gpd: LieGroupoid, g: Point, h: Point,
         raise NotComposable(
             f"{gpd.name}: alpha(g) and beta(h) differ by "
             f"{float(gpd.base.distance(ag, bh)):.3e}")
-    h_amb = h.ambient
-    if gpd.project_to_beta is not None:
-        h_amb = gpd.project_to_beta(h.ambient[None], ag[None])[0]
-    out = gpd.mu_batch(g.ambient[None], h_amb[None])[0]
+    h_amb = gpd.project_to_beta(h.ambient[None], ag[None])
+    out = gpd.mu_batch(g.ambient[None], h_amb)[0]
     return gpd.arrows.point_from_ambient(out)
 
 
@@ -154,9 +199,7 @@ def axiom_violations(gpd, g, h, k, xs):
 
 
 def sample_composable_triple(gpd, rng, n):
-    if gpd.sample_arrows is None or gpd.sample_with_beta is None:
-        raise SamplingFailure(f"{gpd.name}: no arrow samplers registered")
-    g = gpd.sample_arrows(rng, n)
+    g = gpd.arrows.sample(rng, n)
     h = gpd.sample_with_beta(gpd.alpha_batch(g), rng)
     k = gpd.sample_with_beta(gpd.alpha_batch(h), rng)
     return g, h, k
@@ -218,7 +261,7 @@ def classify_etale(gpd: LieGroupoid, n_samples=100, seed=0,
                    tol_rank=DEFAULT.tol_rank) -> ClassifyReport:
     """Source map is a local diffeomorphism: equal dims + invertible Jacobians."""
     rng = np.random.default_rng(seed)
-    arrows = gpd.sample_arrows(rng, n_samples)
+    arrows = gpd.arrows.sample(rng, n_samples)
     worst, witness = worst_rank_ratio(gpd.alpha, arrows, etale_index(gpd))
     ok = worst > tol_rank
     note = ("invertible on samples" if ok else "dim G != dim M"
@@ -235,7 +278,7 @@ def classify_locally_transitive(gpd: LieGroupoid, n_samples=100, seed=0,
     verdict means "submersion at all sampled arrows".
     """
     rng = np.random.default_rng(seed)
-    arrows = gpd.sample_arrows(rng, n_samples)
+    arrows = gpd.arrows.sample(rng, n_samples)
     worst, witness = worst_rank_ratio(gpd.anchor_map(), arrows,
                                       2 * gpd.base.dim - 1)
     ok = worst > tol_rank
@@ -351,7 +394,11 @@ def isotropy_group(gpd: LieGroupoid, x: Point,
 def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
     """Restriction to an open set: arrows with both endpoints inside omega.
 
-    `omega` is a vectorized predicate on stacked base-ambient arrays.
+    `omega` is a vectorized predicate on stacked base-ambient arrays.  The
+    arrow manifold rejects arrows and arrow paths leaving omega; the fiber
+    samplers reject arrows (row by row) and fiber paths (whole paths) whose
+    source leaves omega.  For paths this is the groupoid of grid maps whose
+    endpoint maps have image inside omega.
     """
     base = OpenSubManifold(gpd.base, omega, name=f"{gpd.base.name}|omega")
 
@@ -369,19 +416,8 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
                       gpd.mu_fn,
                       SmoothMap(arrows, arrows, gpd.iota.fn, name="iota"),
                       SmoothMap(base, arrows, gpd.unit.fn, name="unit"),
-                      gpd.local_addition_G, gpd.local_addition_M)
-    out.project_to_beta = gpd.project_to_beta
+                      gpd.local_addition_G, gpd.local_addition_M, gpd.fiber)
     out.finite_group = gpd.finite_group
-
-    def sample_arrows(rng, n, max_rounds=200):
-        rows = []
-        for _ in range(max_rounds):
-            cand = np.atleast_2d(gpd.sample_arrows(rng, n))
-            keep = arrow_pred(cand)
-            rows.extend(cand[keep])
-            if len(rows) >= n:
-                return np.stack(rows[:n])
-        raise SamplingFailure(f"{out.name}: arrow sampling exhausted")
 
     def sample_with_beta(x, rng, max_rounds=200):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -397,8 +433,15 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
                 return res
         raise SamplingFailure(f"{out.name}: fiber sampling exhausted")
 
-    out.sample_arrows = sample_arrows
+    def sample_arrow_path_with_beta(tgt, params, rng, closed, max_tries=5000):
+        for _ in range(max_tries):
+            amb = gpd.sample_arrow_path_with_beta(tgt, params, rng, closed)
+            if np.all(omega(gpd.alpha_batch(amb))):
+                return amb
+        raise SamplingFailure(f"{out.name}: fiber path sampling exhausted")
+
     out.sample_with_beta = sample_with_beta
+    out.sample_arrow_path_with_beta = sample_arrow_path_with_beta
     return out
 
 
@@ -409,20 +452,19 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
 def unit_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
     ident = lambda comps: list(comps)
     add = riemannian_local_addition(m)
-    gpd = LieGroupoid(name or f"unit({m.name})", m, m,
-                      SmoothMap(m, m, ident, name="alpha"),
-                      SmoothMap(m, m, ident, name="beta"),
-                      lambda g, h: list(g),
-                      SmoothMap(m, m, ident, name="iota"),
-                      SmoothMap(m, m, ident, name="unit"),
-                      add, add)
-    gpd.sample_arrows = lambda rng, n: m.sample(rng, n)
-    gpd.sample_with_beta = lambda x, rng: np.asarray(x, dtype=float).copy()
-    gpd.project_to_beta = lambda h, x: np.asarray(x, dtype=float).copy()
-    gpd.sample_arrow_path = lambda params, rng, closed: m.sample_path(params, rng, closed)
-    gpd.sample_arrow_path_with_beta = (
-        lambda tgt, params, rng, closed: np.asarray(tgt, dtype=float).copy())
-    return gpd
+    return LieGroupoid(name or f"unit({m.name})", m, m,
+                       SmoothMap(m, m, ident, name="alpha"),
+                       SmoothMap(m, m, ident, name="beta"),
+                       lambda g, h: list(g),
+                       SmoothMap(m, m, ident, name="iota"),
+                       SmoothMap(m, m, ident, name="unit"),
+                       add, add,
+                       Fiber(None, slice(0, 0), lambda x, f: x.copy()))
+
+
+def _target_then_free(x, f):
+    """Arrows whose ambient is (target, free coordinates)."""
+    return np.concatenate([x, f], axis=-1)
 
 
 def pair_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
@@ -446,31 +488,14 @@ def pair_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
 
     add_m = riemannian_local_addition(m)
     add_g = product_local_addition(G, [add_m, add_m])
-    gpd = LieGroupoid(name or f"pair({m.name})", G, m,
-                      SmoothMap(G, m, alpha_fn, name="alpha"),
-                      SmoothMap(G, m, beta_fn, name="beta"),
-                      mu_fn,
-                      SmoothMap(G, G, iota_fn, name="iota"),
-                      SmoothMap(m, G, unit_fn, name="unit"),
-                      add_g, add_m)
-    gpd.sample_arrows = lambda rng, n: np.concatenate(
-        [np.atleast_2d(m.sample(rng, n)), np.atleast_2d(m.sample(rng, n))], axis=-1)
-
-    def sample_with_beta(x, rng):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.concatenate([x, np.atleast_2d(m.sample(rng, x.shape[0]))], axis=-1)
-
-    gpd.sample_with_beta = sample_with_beta
-    gpd.project_to_beta = lambda h, x: np.concatenate(
-        [np.atleast_2d(np.asarray(x, dtype=float)),
-         np.atleast_2d(np.asarray(h, dtype=float))[:, am:]], axis=-1)
-    gpd.sample_arrow_path = lambda params, rng, closed: np.concatenate(
-        [m.sample_path(params, rng, closed), m.sample_path(params, rng, closed)],
-        axis=-1)
-    gpd.sample_arrow_path_with_beta = lambda tgt, params, rng, closed: (
-        np.concatenate([np.asarray(tgt, dtype=float),
-                        m.sample_path(params, rng, closed)], axis=-1))
-    return gpd
+    return LieGroupoid(name or f"pair({m.name})", G, m,
+                       SmoothMap(G, m, alpha_fn, name="alpha"),
+                       SmoothMap(G, m, beta_fn, name="beta"),
+                       mu_fn,
+                       SmoothMap(G, G, iota_fn, name="iota"),
+                       SmoothMap(m, G, unit_fn, name="unit"),
+                       add_g, add_m,
+                       Fiber(m, slice(am, 2 * am), _target_then_free))
 
 
 def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
@@ -497,18 +522,6 @@ def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
         probe = comps[0] * 0.0
         return [probe + e for e in group.manifold.identity] + list(comps)
 
-    add_m = riemannian_local_addition(m)
-    add_g = product_local_addition(G, [riemannian_local_addition(Gm), add_m])
-    gpd = LieGroupoid(name, G, m,
-                      SmoothMap(G, m, alpha_fn, name="alpha"),
-                      SmoothMap(G, m, beta_fn, name="beta"),
-                      mu_fn,
-                      SmoothMap(G, G, iota_fn, name="iota"),
-                      SmoothMap(m, G, unit_fn, name="unit"),
-                      add_g, add_m)
-    gpd.sample_arrows = lambda rng, n: np.concatenate(
-        [np.atleast_2d(Gm.sample(rng, n)), np.atleast_2d(m.sample(rng, n))], axis=-1)
-
     def act_batch(g, x):
         return merge_components(act_fn(split_components(np.asarray(g, dtype=float)),
                                        split_components(np.asarray(x, dtype=float))))
@@ -517,28 +530,18 @@ def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
         return merge_components(group.invert(
             split_components(np.asarray(g, dtype=float))))
 
-    def sample_with_beta(x, rng):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        g = np.atleast_2d(Gm.sample(rng, x.shape[0]))
+    def build(x, g):
         return np.concatenate([g, act_batch(inv_batch(g), x)], axis=-1)
 
-    gpd.sample_with_beta = sample_with_beta
-    gpd.project_to_beta = lambda h, x: np.concatenate(
-        [np.atleast_2d(np.asarray(h, dtype=float))[:, :ag],
-         act_batch(inv_batch(np.atleast_2d(np.asarray(h, dtype=float))[:, :ag]),
-                   np.atleast_2d(np.asarray(x, dtype=float)))], axis=-1)
-
-    def sample_arrow_path(params, rng, closed):
-        return np.concatenate([Gm.sample_path(params, rng, closed),
-                               m.sample_path(params, rng, closed)], axis=-1)
-
-    def sample_arrow_path_with_beta(tgt, params, rng, closed):
-        tgt = np.asarray(tgt, dtype=float)
-        g = Gm.sample_path(params, rng, closed)
-        return np.concatenate([g, act_batch(inv_batch(g), tgt)], axis=-1)
-
-    gpd.sample_arrow_path = sample_arrow_path
-    gpd.sample_arrow_path_with_beta = sample_arrow_path_with_beta
+    add_m = riemannian_local_addition(m)
+    add_g = product_local_addition(G, [riemannian_local_addition(Gm), add_m])
+    gpd = LieGroupoid(name, G, m,
+                      SmoothMap(G, m, alpha_fn, name="alpha"),
+                      SmoothMap(G, m, beta_fn, name="beta"),
+                      mu_fn,
+                      SmoothMap(G, G, iota_fn, name="iota"),
+                      SmoothMap(m, G, unit_fn, name="unit"),
+                      add_g, add_m, Fiber(Gm, slice(0, ag), build))
     gpd.act_batch = act_batch
     gpd.group_ops = group
     return gpd
@@ -579,33 +582,14 @@ def circle_bundle_groupoid() -> LieGroupoid:
 
     add_m = riemannian_local_addition(circle)
     add_g = riemannian_local_addition(G)
-    gpd = LieGroupoid("circle-bundle(S1xS1)", G, circle,
-                      SmoothMap(G, circle, alpha_fn, name="alpha"),
-                      SmoothMap(G, circle, alpha_fn, name="beta"),
-                      mu_fn,
-                      SmoothMap(G, G, iota_fn, name="iota"),
-                      SmoothMap(circle, G, unit_fn, name="unit"),
-                      add_g, add_m)
-    gpd.sample_arrows = lambda rng, n: np.concatenate(
-        [np.atleast_2d(circle.sample(rng, n)), np.atleast_2d(circle.sample(rng, n))],
-        axis=-1)
-
-    def sample_with_beta(x, rng):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.concatenate([x, np.atleast_2d(circle.sample(rng, x.shape[0]))],
-                              axis=-1)
-
-    gpd.sample_with_beta = sample_with_beta
-    gpd.project_to_beta = lambda h, x: np.concatenate(
-        [np.atleast_2d(np.asarray(x, dtype=float)),
-         np.atleast_2d(np.asarray(h, dtype=float))[:, 2:]], axis=-1)
-    gpd.sample_arrow_path = lambda params, rng, closed: np.concatenate(
-        [circle.sample_path(params, rng, closed),
-         circle.sample_path(params, rng, closed)], axis=-1)
-    gpd.sample_arrow_path_with_beta = lambda tgt, params, rng, closed: (
-        np.concatenate([np.asarray(tgt, dtype=float),
-                        circle.sample_path(params, rng, closed)], axis=-1))
-    return gpd
+    return LieGroupoid("circle-bundle(S1xS1)", G, circle,
+                       SmoothMap(G, circle, alpha_fn, name="alpha"),
+                       SmoothMap(G, circle, alpha_fn, name="beta"),
+                       mu_fn,
+                       SmoothMap(G, G, iota_fn, name="iota"),
+                       SmoothMap(circle, G, unit_fn, name="unit"),
+                       add_g, add_m,
+                       Fiber(circle, slice(2, 4), _target_then_free))
 
 
 def _indexed_action(elements, idx, mcomps):
@@ -660,21 +644,6 @@ def finite_action_groupoid(group: FiniteGroup, m: ChartedManifold,
         probe = comps[0] * 0.0
         return [probe + float(group.identity_index)] + list(comps)
 
-    add_m = riemannian_local_addition(m)
-    add_g = product_local_addition(G, [riemannian_local_addition(D), add_m])
-    gpd = LieGroupoid(name, G, m,
-                      SmoothMap(G, m, alpha_fn, name="alpha"),
-                      SmoothMap(G, m, beta_fn, name="beta"),
-                      mu_fn,
-                      SmoothMap(G, G, iota_fn, name="iota"),
-                      SmoothMap(m, G, unit_fn, name="unit"),
-                      add_g, add_m)
-    gpd.finite_group = group
-
-    def sample_arrows(rng, n):
-        idx = rng.integers(k, size=(n, 1)).astype(float)
-        return np.concatenate([idx, np.atleast_2d(m.sample(rng, n))], axis=-1)
-
     def act_indexed(idx, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
@@ -685,33 +654,20 @@ def finite_action_groupoid(group: FiniteGroup, m: ChartedManifold,
                 out[mask] = el.act(x[mask])
         return out
 
-    def sample_with_beta(x, rng):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        idx = rng.integers(k, size=(x.shape[0], 1)).astype(float)
-        minv = act_indexed(inv[idx.astype(int).reshape(-1)], x)
-        return np.concatenate([idx, minv], axis=-1)
+    def build(x, idx):
+        return np.concatenate(
+            [idx, act_indexed(inv[np.rint(idx[..., 0]).astype(int)], x)], axis=-1)
 
-    gpd.sample_arrows = sample_arrows
-    gpd.sample_with_beta = sample_with_beta
-    gpd.project_to_beta = lambda h, x: np.concatenate(
-        [np.atleast_2d(np.asarray(h, dtype=float))[:, :1],
-         act_indexed(inv[np.rint(np.atleast_2d(np.asarray(h, dtype=float))[:, 0]).astype(int)],
-                     np.atleast_2d(np.asarray(x, dtype=float)))], axis=-1)
-
-    def sample_arrow_path(params, rng, closed):
-        idx = np.full((len(params), 1), float(rng.integers(k)))
-        return np.concatenate([idx, m.sample_path(params, rng, closed)], axis=-1)
-
-    def sample_arrow_path_with_beta(tgt, params, rng, closed):
-        tgt = np.asarray(tgt, dtype=float)
-        kk = int(rng.integers(k))
-        idx = np.full((len(tgt), 1), float(kk))
-        minv = group.elements[int(inv[kk])].act(tgt)
-        return np.concatenate([idx, minv], axis=-1)
-
-    gpd.sample_arrow_path = sample_arrow_path
-    gpd.sample_arrow_path_with_beta = sample_arrow_path_with_beta
-    gpd.act_indexed = act_indexed
+    add_m = riemannian_local_addition(m)
+    add_g = product_local_addition(G, [riemannian_local_addition(D), add_m])
+    gpd = LieGroupoid(name, G, m,
+                      SmoothMap(G, m, alpha_fn, name="alpha"),
+                      SmoothMap(G, m, beta_fn, name="beta"),
+                      mu_fn,
+                      SmoothMap(G, G, iota_fn, name="iota"),
+                      SmoothMap(m, G, unit_fn, name="unit"),
+                      add_g, add_m, Fiber(D, slice(0, 1), build))
+    gpd.finite_group = group
     return gpd
 
 
@@ -727,21 +683,15 @@ def group_groupoid(group: LieGroupOps, name=None) -> LieGroupoid:
         probe = comps[0] * 0.0
         return [probe + e for e in Gm.identity]
 
-    gpd = LieGroupoid(name or f"group({group.name})", Gm, star,
-                      SmoothMap(Gm, star, const_fn, name="alpha"),
-                      SmoothMap(Gm, star, const_fn, name="beta"),
-                      lambda g, h: group.mul(list(g), list(h)),
-                      SmoothMap(Gm, Gm, lambda c: group.invert(list(c)), name="iota"),
-                      SmoothMap(star, Gm, unit_fn, name="unit"),
-                      riemannian_local_addition(Gm),
-                      riemannian_local_addition(star))
-    gpd.sample_arrows = lambda rng, n: Gm.sample(rng, n)
-    gpd.sample_with_beta = lambda x, rng: np.atleast_2d(
-        Gm.sample(rng, np.atleast_2d(x).shape[0]))
-    gpd.sample_arrow_path = lambda params, rng, closed: Gm.sample_path(params, rng, closed)
-    gpd.sample_arrow_path_with_beta = (
-        lambda tgt, params, rng, closed: Gm.sample_path(params, rng, closed))
-    return gpd
+    return LieGroupoid(name or f"group({group.name})", Gm, star,
+                       SmoothMap(Gm, star, const_fn, name="alpha"),
+                       SmoothMap(Gm, star, const_fn, name="beta"),
+                       lambda g, h: group.mul(list(g), list(h)),
+                       SmoothMap(Gm, Gm, lambda c: group.invert(list(c)), name="iota"),
+                       SmoothMap(star, Gm, unit_fn, name="unit"),
+                       riemannian_local_addition(Gm),
+                       riemannian_local_addition(star),
+                       Fiber(Gm, slice(0, Gm.ambient_dim), lambda x, f: f))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestRightInvariantExtension:
         alg = algebroid_of_groupoid(pg)
         Z = AlgebroidSection(alg, lambda xc: [0.0 * c for c in xc] * 2)
         rng = np.random.default_rng(3)
-        g = pg.arrows.point_from_ambient(pg.sample_arrows(rng, 1)[0])
+        g = pg.arrows.point_from_ambient(pg.arrows.sample(rng, 1)[0])
         assert float(np.max(np.abs(
             alg.extension_at(Z, g).ambient_vel()))) < 1e-12
 
@@ -108,7 +108,7 @@ class TestRightInvariantExtension:
         X = field_section(alg, V)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            amb = pg.sample_arrows(rng, 1)[0]
+            amb = pg.arrows.sample(rng, 1)[0]
             g = pg.arrows.point_from_ambient(amb)
             got = alg.extension_at(X, g).ambient_vel()
             a = amb[:2]
@@ -123,7 +123,7 @@ class TestRightInvariantExtension:
         X = alg.random_polynomial_section(rng)
         field = alg.right_invariant_extension(X)
         for _ in range(10):
-            h_amb = gpd.sample_arrows(rng, 1)[0]
+            h_amb = gpd.arrows.sample(rng, 1)[0]
             g_amb = gpd.sample_with_beta(gpd.alpha_batch(h_amb[None]), rng)[0]
             hg = gpd.mu_batch(h_amb[None], g_amb[None])[0]
             lhs = merge_components(field(list(hg)))
@@ -301,7 +301,7 @@ class TestCurrentAlgebroid:
         gpd = make_groupoid("pair-real1")
         power = groupoid_power(gpd, 4)
         rng = np.random.default_rng(17)
-        g = np.concatenate([gpd.sample_arrows(rng, 4).reshape(-1)])[None]
+        g = np.concatenate([gpd.arrows.sample(rng, 4).reshape(-1)])[None]
         h = np.concatenate(
             [gpd.sample_with_beta(gpd.alpha_batch(g.reshape(4, 2)), rng)
              .reshape(-1)])[None]

@@ -62,7 +62,7 @@ class TestInverseAndUnits:
         rng = np.random.default_rng(0)
         for name in GROUPOIDS:
             gpd = make_groupoid(name)
-            for amb in gpd.sample_arrows(rng, 10):
+            for amb in gpd.arrows.sample(rng, 10):
                 g = gpd.arrows.point_from_ambient(amb)
                 a, b = anchor(gpd, g)
                 left = compose(gpd, inverse(gpd, g), g)
@@ -97,7 +97,7 @@ class TestAnchor:
         rng = np.random.default_rng(1)
         for name in GROUPOIDS:
             gpd = make_groupoid(name)
-            for amb in gpd.sample_arrows(rng, 5):
+            for amb in gpd.arrows.sample(rng, 5):
                 g = gpd.arrows.point_from_ambient(amb)
                 a, b = anchor(gpd, g)
                 ai, bi = anchor(gpd, inverse(gpd, g))
@@ -122,18 +122,18 @@ class TestCheckAxioms:
             return [out[0], out[1] + 0.1]
 
         bad = LieGroupoid("corrupted-pair", good.arrows, good.base,
-                          good.alpha, good.beta, bad_mu, good.iota, good.unit)
-        bad.sample_arrows = good.sample_arrows
-        bad.sample_with_beta = good.sample_with_beta
+                          good.alpha, good.beta, bad_mu, good.iota, good.unit,
+                          fiber=good.fiber)
         rep = check_axioms(bad, 200, seed=4)
         assert rep.violations["left_unit"] > 0.05 \
             or rep.violations["associativity"] > 0.05
 
     def test_missing_samplers(self):
         ug = unit_groupoid(Circle())
-        ug.sample_arrows = None
+        bare = LieGroupoid("no-fiber", ug.arrows, ug.base, ug.alpha, ug.beta,
+                           ug.mu_fn, ug.iota, ug.unit)
         with pytest.raises(SamplingFailure):
-            check_axioms(ug, 10, 0)
+            check_axioms(bare, 10, 0)
 
 
 class TestClassifiers:
@@ -196,7 +196,7 @@ class TestRestrict:
         pg = make_groupoid("pair-real1")
         sub = restrict(pg, lambda amb: np.ones(amb.shape[:-1], dtype=bool))
         rng = np.random.default_rng(6)
-        arrows = sub.sample_arrows(rng, 50)
+        arrows = sub.arrows.sample(rng, 50)
         assert arrows.shape == (50, 2)
         rep = check_axioms(sub, 100, seed=7)
         assert rep.max_violation <= 1e-9
@@ -206,7 +206,7 @@ class TestRestrict:
         sub = restrict(pg, lambda amb: np.zeros(amb.shape[:-1], dtype=bool))
         rng = np.random.default_rng(8)
         with pytest.raises(SamplingFailure):
-            sub.sample_arrows(rng, 10, max_rounds=3)
+            sub.arrows.sample(rng, 10, max_tries=3)
 
     def test_membership_requires_both_endpoints(self):
         pg = make_groupoid("pair-real1")
