@@ -10,7 +10,6 @@ import math
 import re
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 

@@ -1,16 +1,14 @@
 import math
 
 import numpy as np
-import pytest
 
 from currentgpd import ad
 from currentgpd.algebroids import (AlgebroidSection, algebroid_of_groupoid,
                                    current_algebroid,
                                    current_bracket_two_ways, groupoid_power,
-                                   lift_section, sign_convention_check,
-                                   vector_field_bracket, LieAlgebroid)
-from currentgpd.catalog import Circle, Euclidean, RotationGroup
-from currentgpd.errors import Unsupported
+                                   sign_convention_check,
+                                   vector_field_bracket)
+from currentgpd.catalog import Circle, RotationGroup
 from currentgpd.gridmaps import GridSpec, random_grid_map
 from currentgpd.groupoids import make_groupoid
 from currentgpd.localadd import circle_group, so3_group
@@ -49,7 +47,6 @@ class TestAlgebroidOfGroupoid:
             gpd = make_groupoid(name)
             alg = algebroid_of_groupoid(gpd)
             rng = np.random.default_rng(1)
-            from currentgpd.manifolds import map_jacobian
             for _ in range(5):
                 x = gpd.base.point_from_ambient(gpd.base.sample(rng))
                 for t in alg.fiber_frame(x):

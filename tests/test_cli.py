@@ -1,7 +1,7 @@
 import json
 import re
+import time
 
-import numpy as np
 import pytest
 
 from currentgpd.cli import main, load_config, named_gridmap
@@ -118,6 +118,15 @@ class TestRun:
         record = json.loads(out.read_text())["records"][0]
         assert record["status"] == "pass"
         assert record["details"]["rejections"] == 32
+
+    def test_each_record_timed_where_it_is_made(self):
+        ctx = SuiteContext(seed=1, samples={"groupoid-axioms": 20})
+        t0 = time.perf_counter()
+        records = run_suite("groupoid-axioms", ctx)
+        elapsed = (time.perf_counter() - t0) * 1e3
+        times = [r.wall_time_ms for r in records]
+        assert min(times) >= 0.0 and sum(times) <= elapsed
+        assert len(set(times)) > 1
 
     def test_unknown_suite_flag_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -101,6 +99,23 @@ class TestRestriction:
         sub = restriction_subgroupoid(
             cur, lambda amb: (amb[..., 0] > -4.5) & (amb[..., 0] < 4.5))
         rep = sub.check_axioms(50, seed=8)
+        assert rep.max_violation <= 1e-9
+
+    def test_restriction_rejects_whole_paths(self):
+        # pair-real1 paths start uniformly in (-pi, pi), so most leave x > 0
+        cur = build_current(make_groupoid("pair-real1"), GridSpec("circle", 8))
+        omega = lambda amb: amb[..., 0] > 0.0
+        sub = restriction_subgroupoid(cur, omega)
+        rng = np.random.default_rng(9)
+        free = [cur.sample_arrow(rng) for _ in range(20)]
+        assert not all(members_all(cur.alpha_star(a), omega) for a in free)
+        for _ in range(50):
+            a = sub.sample_arrow(rng)
+            assert members_all(sub.alpha_star(a), omega)
+            assert members_all(sub.beta_star(a), omega)
+            b = sub.sample_with_beta(sub.alpha_star(a), rng)
+            assert members_all(sub.alpha_star(b), omega)
+        rep = sub.check_axioms(50, seed=10)
         assert rep.max_violation <= 1e-9
 
 

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from currentgpd.catalog import Circle, Euclidean
+from currentgpd.catalog import Circle
 from currentgpd.errors import NotComposable, SamplingFailure, Unsupported
+from currentgpd.gridmaps import GridSpec
 from currentgpd.groupoids import (GROUPOIDS, LieGroupoid, anchor, check_axioms,
                                   classify_etale, classify_locally_transitive,
                                   compose, cyclic_rotation_group, inverse,
                                   isotropy_group, make_groupoid,
-                                  pair_groupoid, reflection_group_1d, restrict,
-                                  unit_at, unit_groupoid)
-from currentgpd.manifolds import SmoothMap
+                                  reflection_group_1d, restrict, unit_at,
+                                  unit_groupoid)
 
 
 class TestCompose:
@@ -136,6 +136,25 @@ class TestCheckAxioms:
             check_axioms(bare, 10, 0)
 
 
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_fiber_contract(name):
+    """Fiber samples lie over their targets; projection fixes arrows."""
+    gpd = make_groupoid(name)
+    rng = np.random.default_rng(12)
+    x = gpd.base.sample(rng, 20)
+    h = gpd.sample_with_beta(x, rng)
+    assert np.max(gpd.base.distance(gpd.beta_batch(h), x)) <= 1e-12
+    for kind in ("circle", "interval"):
+        grid = GridSpec(kind, 16)
+        tgt = gpd.base.sample_path(grid.params(), rng, grid.closed)
+        path = gpd.sample_arrow_path_with_beta(tgt, grid.params(), rng,
+                                               grid.closed)
+        assert np.max(gpd.base.distance(gpd.beta_batch(path), tgt)) <= 1e-12
+    g = gpd.arrows.sample(rng, 20)
+    back = gpd.project_to_beta(g, gpd.beta_batch(g))
+    assert np.max(np.abs(back - g)) <= 1e-12
+
+
 class TestClassifiers:
     def test_etale_ground_truth(self):
         assert classify_etale(make_groupoid("z4-plane"), 50, 0).verdict
@@ -229,7 +248,7 @@ class TestFiniteGroups:
         assert grp.table[1, 1] == 0
 
     def test_unclosed_set_rejected(self):
-        from currentgpd.groupoids import AffineElement, FiniteGroup
+        from currentgpd.groupoids import FiniteGroup
         rot = cyclic_rotation_group(4).elements[1]
         with pytest.raises(Unsupported):
             FiniteGroup([cyclic_rotation_group(4).elements[0], rot])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
-                               DegenerateNeighborhood, StartNotInOrbit,
-                               Unsupported)
+                               StartNotInOrbit, Unsupported)
 from currentgpd.gridmaps import GridSpec
 from currentgpd.groupoids import make_groupoid
 from currentgpd.orbifolds import (OrbitSpacePath,
