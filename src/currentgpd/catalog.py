@@ -14,27 +14,28 @@ import numpy as np
 
 from . import ad
 from .ad import value, where
-from .manifolds import (Chart, ChartedManifold, ProductManifold, SmoothMap)
+from .manifolds import (Chart, ChartedManifold, ProductManifold, SmoothMap,
+                        path_sampler)
 
 TWO_PI = 2.0 * math.pi
 
 
-def _trig_path(params, rng, closed, amp=0.8, modes=3, winding=0.0):
-    """Random band-limited scalar path over `params` with |f'| <= |winding|+amp."""
+def _trig_path(params, rng, closed, n, amp=0.8, modes=3, winding=0.0):
+    """n random band-limited scalar paths over `params`, stacked as (n, nodes).
+
+    Each has |f'| <= |winding| + amp; `winding` is a scalar or an (n, 1)
+    column.  The n Dirichlet budgets are drawn first, then the n offsets.
+    """
     x = np.asarray(params, dtype=float)
-    budget = rng.dirichlet(np.ones(2 * modes)) * amp
-    out = np.full_like(x, rng.uniform(-math.pi, math.pi))
+    budget = rng.dirichlet(np.ones(2 * modes), size=n) * amp
+    out = np.full((n, x.size), rng.uniform(-math.pi, math.pi, size=(n, 1)))
     if closed:
         out = out + winding * x
-        for j in range(1, modes + 1):
-            a = budget[2 * j - 2] / j
-            b = budget[2 * j - 1] / j
-            out = out + a * np.cos(j * x) + b * np.sin(j * x)
-    else:
-        for j in range(1, modes + 1):
-            a = budget[2 * j - 2] / j
-            b = budget[2 * j - 1] / j
-            out = out + a * np.cos(j * x * TWO_PI) + b * np.sin(j * x * TWO_PI)
+    for j in range(1, modes + 1):
+        a = budget[:, 2 * j - 2, None] / j
+        b = budget[:, 2 * j - 1, None] / j
+        jx = j * x if closed else j * x * TWO_PI
+        out = out + a * np.cos(jx) + b * np.sin(jx)
     return out
 
 
@@ -67,10 +68,10 @@ class Euclidean(ChartedManifold):
         shape = (self.dim,) if n is None else (n, self.dim)
         return rng.uniform(-self.box, self.box, size=shape)
 
-    def sample_path(self, params, rng, closed):
-        cols = [_trig_path(params, rng, closed, amp=1.0)[:, None]
-                for _ in range(self.dim)]
-        return np.concatenate(cols, axis=-1)
+    @path_sampler
+    def sample_path(self, params, rng, closed, n):
+        return np.stack([_trig_path(params, rng, closed, n, amp=1.0)
+                         for _ in range(self.dim)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,10 @@ class Circle(ChartedManifold):
         th = rng.uniform(-math.pi, math.pi, size=() if n is None else (n,))
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
-    def sample_path(self, params, rng, closed):
-        w = float(rng.integers(-1, 2)) if closed else 0.0
-        th = _trig_path(params, rng, closed, amp=0.8, winding=w)
+    @path_sampler
+    def sample_path(self, params, rng, closed, n):
+        w = rng.integers(-1, 2, size=(n, 1)).astype(float) if closed else 0.0
+        th = _trig_path(params, rng, closed, n, amp=0.8, winding=w)
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     # group structure (unit complex numbers)
@@ -235,12 +237,13 @@ class Sphere(ChartedManifold):
         v = rng.normal(size=shape)
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    def sample_path(self, params, rng, closed):
+    @path_sampler
+    def sample_path(self, params, rng, closed, n):
         # demeaned perturbations keep the norm bounded away from zero
-        base = self.sample(rng)
-        cols = [_trig_path(params, rng, closed, amp=0.6) for _ in range(3)]
-        raw = base[None, :] + 0.3 * np.stack(
-            [c - np.mean(c) for c in cols], axis=-1)
+        base = self.sample(rng, n)
+        cols = [_trig_path(params, rng, closed, n, amp=0.6) for _ in range(3)]
+        raw = base[:, None, :] + 0.3 * np.stack(
+            [c - np.mean(c, axis=-1, keepdims=True) for c in cols], axis=-1)
         return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
 
@@ -368,14 +371,16 @@ class RotationGroup(ChartedManifold):
         ], axis=-1)
         return R
 
-    def sample_path(self, params, rng, closed):
-        base = self.sample(rng)
-        xi = np.stack([0.8 * _trig_path(params, rng, closed, amp=0.6)
+    @path_sampler
+    def sample_path(self, params, rng, closed, n):
+        base = self.sample(rng, n)
+        xi = np.stack([0.8 * _trig_path(params, rng, closed, n, amp=0.6)
                        for _ in range(3)], axis=-1)
-        xi = xi - np.mean(xi, axis=0, keepdims=True)
-        rot = _rodrigues([xi[:, 0], xi[:, 1], xi[:, 2]])
-        out = _mat9_mul(list(base), rot)
-        return np.stack([np.broadcast_to(c, (len(params),)) for c in out], axis=-1)
+        xi = xi - np.mean(xi, axis=-2, keepdims=True)
+        rot = _rodrigues([xi[..., 0], xi[..., 1], xi[..., 2]])
+        out = _mat9_mul([base[:, None, i] for i in range(9)], rot)
+        return np.stack([np.broadcast_to(c, xi.shape[:-1]) for c in out],
+                        axis=-1)
 
     # group structure
     @staticmethod

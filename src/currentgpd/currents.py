@@ -84,8 +84,12 @@ class CurrentGroupoid:
     def check_axioms(self, n_samples=1000, seed=0, chunk=250) -> AxiomReport:
         """Lifted axiom residuals over seeded composable grid-arrow samples.
 
-        Samples are stacked into (chunk, nodes, ambient) arrays so all node
-        and sample axes run through one vectorized structure-map call.
+        The samples are taken in chunks of at most ``chunk``.  Each chunk is
+        drawn in four batched calls: m arrow paths g, then one fiber path h
+        over each source path alpha(g) and one k over each alpha(h), then m
+        object paths for the unit laws.  Every draw is an (m, nodes,
+        ambient) array, so the structure maps run over the sample and node
+        axes at once, and the worst residual of each law is kept.
         """
         rng = np.random.default_rng(seed)
         gpd = self.base_gpd
@@ -95,18 +99,12 @@ class CurrentGroupoid:
         done = 0
         while done < n_samples:
             m = min(chunk, n_samples - done)
-            g = np.stack([gpd.arrows.sample_path(params, rng, closed)
-                          for _ in range(m)])
-            ag = gpd.alpha_batch(g)
-            h = np.stack([gpd.sample_arrow_path_with_beta(ag[i], params, rng,
-                                                          closed)
-                          for i in range(m)])
-            ah = gpd.alpha_batch(h)
-            k = np.stack([gpd.sample_arrow_path_with_beta(ah[i], params, rng,
-                                                          closed)
-                          for i in range(m)])
-            xs = np.stack([gpd.base.sample_path(params, rng, closed)
-                           for _ in range(m)])
+            g = gpd.arrows.sample_path(params, rng, closed, m)
+            h = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(g), params,
+                                                rng, closed)
+            k = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(h), params,
+                                                rng, closed)
+            xs = gpd.base.sample_path(params, rng, closed, m)
             viol = axiom_violations(gpd, g, h, k, xs)
             for key, val in viol.items():
                 worst[key] = max(worst.get(key, 0.0), val)
@@ -400,9 +398,9 @@ def proper_etale_fiber_bound(gpd: LieGroupoid, grid: GridSpec, n_pairs=200,
 
 
 def _arrow_paths(gpd: LieGroupoid, grid: GridSpec, n_arrows, seed):
+    """Seeded arrow paths, drawn as one (n_arrows, nodes, amb) batch."""
     rng = np.random.default_rng(seed)
-    return [gpd.arrows.sample_path(grid.params(), rng, grid.closed)
-            for _ in range(n_arrows)]
+    return gpd.arrows.sample_path(grid.params(), rng, grid.closed, n_arrows)
 
 
 def current_etale_nodes(gpd: LieGroupoid, grid: GridSpec, n_arrows=200,

@@ -18,7 +18,7 @@ from .ad import value
 from .errors import NotComposable, SamplingFailure, Unsupported
 from .manifolds import (ChartedManifold, DiscreteManifold, OpenSubManifold,
                         Point, ProductManifold, SmoothMap, map_jacobian,
-                        merge_components, split_components)
+                        merge_components, redraw_rejected, split_components)
 from .catalog import Circle, Euclidean, Torus
 from .localadd import (LieGroupOps, product_local_addition,
                        riemannian_local_addition, translation_group)
@@ -46,10 +46,16 @@ class Fiber:
         return self.build(x, free)
 
     def path(self, tgt, params, rng, closed):
-        """Random grid path of arrows over the target path tgt."""
+        """Random grid paths of arrows over the target paths tgt.
+
+        A (nodes, ambM) target gives one path; (m, nodes, ambM) targets
+        give m paths, whose free coordinates are drawn in one batch.
+        """
+        tgt = np.asarray(tgt, dtype=float)
+        n = None if tgt.ndim == 2 else tgt.shape[0]
         free = (None if self.manifold is None
-                else self.manifold.sample_path(params, rng, closed))
-        return self.build(np.asarray(tgt, dtype=float), free)
+                else self.manifold.sample_path(params, rng, closed, n))
+        return self.build(tgt, free)
 
 
 class LieGroupoid:
@@ -396,9 +402,10 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
 
     `omega` is a vectorized predicate on stacked base-ambient arrays.  The
     arrow manifold rejects arrows and arrow paths leaving omega; the fiber
-    samplers reject arrows (row by row) and fiber paths (whole paths) whose
-    source leaves omega.  For paths this is the groupoid of grid maps whose
-    endpoint maps have image inside omega.
+    samplers reject arrows and fiber paths whose source leaves omega, and
+    redraw only the rejected rows (a rejected path is redrawn whole).  For
+    paths this is the groupoid of grid maps whose endpoint maps have image
+    inside omega.
     """
     base = OpenSubManifold(gpd.base, omega, name=f"{gpd.base.name}|omega")
 
@@ -421,24 +428,22 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
 
     def sample_with_beta(x, rng, max_rounds=200):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        res = np.zeros((x.shape[0], gpd.arrows.ambient_dim))
-        todo = np.ones(x.shape[0], dtype=bool)
-        for _ in range(max_rounds):
-            cand = np.atleast_2d(gpd.sample_with_beta(x[todo], rng))
-            good = np.asarray(omega(gpd.alpha_batch(cand)), dtype=bool)
-            ids = np.flatnonzero(todo)[good]
-            res[ids] = cand[good]
-            todo[np.flatnonzero(todo)[good]] = False
-            if not todo.any():
-                return res
-        raise SamplingFailure(f"{out.name}: fiber sampling exhausted")
+        return redraw_rejected(
+            x.shape[0],
+            lambda rows: np.atleast_2d(gpd.sample_with_beta(x[rows], rng)),
+            lambda cand: omega(gpd.alpha_batch(cand)), max_rounds,
+            f"{out.name}: fiber sampling")
 
     def sample_arrow_path_with_beta(tgt, params, rng, closed, max_tries=5000):
-        for _ in range(max_tries):
-            amb = gpd.sample_arrow_path_with_beta(tgt, params, rng, closed)
-            if np.all(omega(gpd.alpha_batch(amb))):
-                return amb
-        raise SamplingFailure(f"{out.name}: fiber path sampling exhausted")
+        tgt = np.asarray(tgt, dtype=float)
+        stacked = tgt.reshape((-1,) + tgt.shape[-2:])
+        paths = redraw_rejected(
+            stacked.shape[0],
+            lambda rows: gpd.sample_arrow_path_with_beta(
+                stacked[rows], params, rng, closed),
+            lambda cand: np.all(omega(gpd.alpha_batch(cand)), axis=-1),
+            max_tries, f"{out.name}: fiber path sampling")
+        return paths.reshape(tgt.shape[:-1] + paths.shape[-1:])
 
     out.sample_with_beta = sample_with_beta
     out.sample_arrow_path_with_beta = sample_arrow_path_with_beta
@@ -645,14 +650,15 @@ def finite_action_groupoid(group: FiniteGroup, m: ChartedManifold,
         return [probe + float(group.identity_index)] + list(comps)
 
     def act_indexed(idx, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1, x.shape[-1])
+        out = np.zeros_like(flat)
         ii = np.rint(np.asarray(idx, dtype=float).reshape(-1)).astype(int)
         for kk, el in enumerate(group.elements):
             mask = ii == kk
             if mask.any():
-                out[mask] = el.act(x[mask])
-        return out
+                out[mask] = el.act(flat[mask])
+        return out.reshape(x.shape)
 
     def build(x, idx):
         return np.concatenate(

@@ -10,6 +10,7 @@ and on numpy arrays (whole grids at once).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import ad
 from .ad import Dual, value
-from .errors import NotDifferentiable, OutOfChart
+from .errors import NotDifferentiable, OutOfChart, SamplingFailure
 from .tolerances import DEFAULT
 
 
@@ -39,6 +40,44 @@ def merge_components(comps):
     if shape == ():
         return np.asarray(vals, dtype=float)
     return np.stack([np.broadcast_to(a, shape) for a in arrs], axis=-1)
+
+
+def path_sampler(draw):
+    """Make ``sample_path(params, rng, closed, n=None)`` from a batch sampler.
+
+    ``draw(self, params, rng, closed, n)`` returns n paths stacked as
+    (n, nodes, ambient).  ``n=None`` asks for one (nodes, ambient) path: it
+    is the only row of a batch of one, so a single path and the first row of
+    ``n=1`` consume the random stream identically.
+    """
+    @functools.wraps(draw)
+    def sample_path(self, params, rng, closed, n=None, **options):
+        paths = draw(self, params, rng, closed, 1 if n is None else n,
+                     **options)
+        return paths[0] if n is None else paths
+
+    return sample_path
+
+
+def redraw_rejected(n, draw, accept, max_rounds, what):
+    """n accepted rows, each redrawn until it is accepted.
+
+    ``draw(rows)`` proposes one candidate for each index in ``rows`` and
+    ``accept(cand)`` says which candidates to keep; rejected rows are
+    proposed again, in index order, for at most ``max_rounds`` rounds.
+    """
+    todo = np.arange(n)
+    out = None
+    for _ in range(max_rounds):
+        cand = draw(todo)
+        good = np.asarray(accept(cand), dtype=bool)
+        if out is None:
+            out = np.empty((n,) + cand.shape[1:])
+        out[todo[good]] = cand[good]
+        todo = todo[~good]
+        if todo.size == 0:
+            return out
+    raise SamplingFailure(f"{what} exhausted")
 
 
 class Chart:
@@ -113,8 +152,12 @@ class ChartedManifold:
     def sample(self, rng, n=None):
         raise NotImplementedError(self.name)
 
-    def sample_path(self, params, rng, closed):
-        """Coherent random path sampled at `params`; returns (n, ambient)."""
+    def sample_path(self, params, rng, closed, n=None):
+        """Coherent random paths sampled at `params`.
+
+        Returns one (nodes, ambient) path for ``n=None`` and n paths stacked
+        as (n, nodes, ambient) for an integer n; see :func:`path_sampler`.
+        """
         raise NotImplementedError(self.name)
 
     # -- derived manifolds ----------------------------------------------------
@@ -476,8 +519,9 @@ class ProductManifold(ChartedManifold):
         parts = [f.sample(rng, n) for f in self.factors]
         return np.concatenate([np.atleast_1d(p) for p in parts], axis=-1)
 
-    def sample_path(self, params, rng, closed):
-        parts = [f.sample_path(params, rng, closed) for f in self.factors]
+    @path_sampler
+    def sample_path(self, params, rng, closed, n):
+        parts = [f.sample_path(params, rng, closed, n) for f in self.factors]
         return np.concatenate(parts, axis=-1)
 
 
@@ -513,9 +557,10 @@ class DiscreteManifold(ChartedManifold):
             return np.asarray([float(rng.integers(self.size))])
         return rng.integers(self.size, size=(n, 1)).astype(float)
 
-    def sample_path(self, params, rng, closed):
-        k = float(rng.integers(self.size))
-        return np.full((len(params), 1), k)
+    @path_sampler
+    def sample_path(self, params, rng, closed, n):
+        k = rng.integers(self.size, size=(n, 1, 1)).astype(float)
+        return np.broadcast_to(k, (n, len(params), 1)).copy()
 
 
 class OpenSubManifold(ChartedManifold):
@@ -534,7 +579,6 @@ class OpenSubManifold(ChartedManifold):
         return self.base_manifold.geodesic_distance(a, b)
 
     def sample(self, rng, n=None, max_tries=200):
-        from .errors import SamplingFailure
         if n is None:
             for _ in range(max_tries):
                 amb = self.base_manifold.sample(rng)
@@ -550,10 +594,11 @@ class OpenSubManifold(ChartedManifold):
                 return np.stack(rows[:n])
         raise SamplingFailure(f"{self.name}: rejection sampling exhausted")
 
-    def sample_path(self, params, rng, closed, max_tries=5000):
-        from .errors import SamplingFailure
-        for _ in range(max_tries):
-            amb = self.base_manifold.sample_path(params, rng, closed)
-            if self.contains(amb):
-                return amb
-        raise SamplingFailure(f"{self.name}: path rejection sampling exhausted")
+    @path_sampler
+    def sample_path(self, params, rng, closed, n, max_tries=5000):
+        """Paths inside the subset; a path leaving it is redrawn whole."""
+        return redraw_rejected(
+            n, lambda rows: self.base_manifold.sample_path(
+                params, rng, closed, len(rows)),
+            lambda cand: np.all(self.pred(cand), axis=-1), max_tries,
+            f"{self.name}: path rejection sampling")

@@ -10,10 +10,12 @@ from currentgpd.currents import (action_iso, build_current,
                                  properness_failure_witness,
                                  restriction_subgroupoid,
                                  transitivity_obstruction)
-from currentgpd.errors import NotComposable
+from currentgpd.errors import NotComposable, SamplingFailure
 from currentgpd.gridmaps import (GridMap, GridSpec, circle_identity_loop,
                                  constant_grid_map)
-from currentgpd.groupoids import GROUPOIDS, make_groupoid
+from currentgpd.groupoids import (GROUPOIDS, LieGroupoid, make_groupoid,
+                                  restrict)
+from currentgpd.manifolds import OpenSubManifold
 
 CIRCLE = Circle()
 
@@ -51,6 +53,29 @@ class TestBuildCurrent:
             cur = build_current(make_groupoid(name), GridSpec("circle", 16))
             rep = cur.check_axioms(100, seed=2)
             assert rep.max_violation <= 1e-9, (name, rep.violations)
+
+    def test_batched_axioms_catch_a_rare_fault(self):
+        # mu is wrong only where the first arrow coordinate exceeds 3.5,
+        # which about 2 % of the arrow paths reach; every row of a chunk
+        # must be checked, including the 10 of the second chunk
+        good = make_groupoid("pair-real1")
+        grid = GridSpec("circle", 8)
+        thr = 3.5
+
+        def bad_mu(g, h):
+            out = good.mu_fn(g, h)
+            return [out[0] + np.where(np.asarray(g[0]) > thr, 1e-3, 0.0),
+                    out[1]]
+
+        paths = good.arrows.sample_path(grid.params(),
+                                        np.random.default_rng(1), True, 1000)
+        assert np.mean(np.max(paths, axis=(1, 2)) > thr) < 0.05
+        bad = LieGroupoid("rarely-wrong-pair", good.arrows, good.base,
+                          good.alpha, good.beta, bad_mu, good.iota,
+                          good.unit, fiber=good.fiber)
+        rep = build_current(bad, grid).check_axioms(n_samples=260, seed=0,
+                                                    chunk=250)
+        assert rep.max_violation > 1e-9
 
     def test_nodewise_composability_required(self):
         cur = build_current(make_groupoid("pair-real1"), GridSpec("circle", 8))
@@ -117,6 +142,35 @@ class TestRestriction:
             assert members_all(sub.alpha_star(b), omega)
         rep = sub.check_axioms(50, seed=10)
         assert rep.max_violation <= 1e-9
+
+    def test_batched_open_subset_paths(self):
+        grid = GridSpec("circle", 8)
+        line = make_groupoid("pair-real1").base
+        inside = OpenSubManifold(line, lambda amb: amb[..., 0] > 0.0)
+        rng = np.random.default_rng(17)
+        paths = inside.sample_path(grid.params(), rng, True, n=50)
+        assert paths.shape == (50, 8, 1)
+        assert np.all(paths[..., 0] > 0.0)
+        assert len({row.tobytes() for row in paths}) == 50
+        empty = OpenSubManifold(line, lambda amb: amb[..., 0] > 100.0)
+        with pytest.raises(SamplingFailure):
+            empty.sample_path(grid.params(), rng, True, n=5, max_tries=3)
+
+    def test_batched_restricted_fiber_paths(self):
+        gpd = make_groupoid("pair-real1")
+        grid = GridSpec("circle", 8)
+        omega = lambda amb: amb[..., 0] > 0.0
+        sub = restrict(gpd, omega)
+        rng = np.random.default_rng(18)
+        tgt = sub.base.sample_path(grid.params(), rng, True, n=40)
+        paths = sub.sample_arrow_path_with_beta(tgt, grid.params(), rng, True)
+        assert paths.shape == (40, 8, 2)
+        assert np.max(np.abs(sub.beta_batch(paths) - tgt)) <= 1e-12
+        assert np.all(omega(sub.alpha_batch(paths)))
+        empty = restrict(gpd, lambda amb: amb[..., 0] > 100.0)
+        with pytest.raises(SamplingFailure):
+            empty.sample_arrow_path_with_beta(tgt, grid.params(), rng, True,
+                                              max_tries=3)
 
 
 class TestTransitivityObstruction:

@@ -146,10 +146,13 @@ def test_fiber_contract(name):
     assert np.max(gpd.base.distance(gpd.beta_batch(h), x)) <= 1e-12
     for kind in ("circle", "interval"):
         grid = GridSpec(kind, 16)
-        tgt = gpd.base.sample_path(grid.params(), rng, grid.closed)
-        path = gpd.sample_arrow_path_with_beta(tgt, grid.params(), rng,
-                                               grid.closed)
-        assert np.max(gpd.base.distance(gpd.beta_batch(path), tgt)) <= 1e-12
+        for n in (None, 6):    # one target path, then six stacked ones
+            tgt = gpd.base.sample_path(grid.params(), rng, grid.closed, n)
+            path = gpd.sample_arrow_path_with_beta(tgt, grid.params(), rng,
+                                                   grid.closed)
+            assert path.shape == tgt.shape[:-1] + (gpd.arrows.ambient_dim,)
+            assert np.max(gpd.base.distance(gpd.beta_batch(path),
+                                            tgt)) <= 1e-12
     g = gpd.arrows.sample(rng, 20)
     back = gpd.project_to_beta(g, gpd.beta_batch(g))
     assert np.max(np.abs(back - g)) <= 1e-12

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from currentgpd.catalog import (Circle, Euclidean, catalog_maps, exp_cover)
+from currentgpd.catalog import (MANIFOLDS, Circle, Euclidean, catalog_maps,
+                                exp_cover)
 from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
                                GraphOutsideDomain, NotInDomainU,
                                NotInThetaImage, OutsideNeighborhood)
@@ -20,8 +21,9 @@ from currentgpd.gridmaps import (GridMap, GridSpec, SuperpositionMap,
                                  section_from_chart_coeffs,
                                  seminorm_distance, superposition,
                                  zero_section)
+from currentgpd.groupoids import GROUPOIDS
 from currentgpd.localadd import riemannian_local_addition
-from currentgpd.manifolds import SmoothMap
+from currentgpd.manifolds import DiscreteManifold, SmoothMap
 
 
 CIRCLE = Circle()
@@ -61,6 +63,35 @@ class TestGridMap:
         loop = circle_identity_loop(GridSpec("circle", 8), CIRCLE)
         assert len(loop.values) == 8
         assert loop.values[0].manifold is CIRCLE
+
+
+PATH_SAMPLERS = {**MANIFOLDS,
+                 "discrete4": lambda: DiscreteManifold(4),
+                 **{f"arrows:{name}": (lambda make=make: make().arrows)
+                    for name, make in GROUPOIDS.items()}}
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+@pytest.mark.parametrize("name", sorted(PATH_SAMPLERS))
+def test_batched_path_contract(name, kind):
+    """n stacked coherent paths; a single path is the first row of n=1."""
+    m = PATH_SAMPLERS[name]()
+    grid = GridSpec(kind, 16)
+    p, closed = grid.params(), grid.closed
+    paths = m.sample_path(p, np.random.default_rng(3), closed, n=5)
+    assert paths.shape == (5, 16, m.ambient_dim)
+    for row in paths:
+        GridMap(grid, m, row)
+        ids = np.asarray(m.best_chart(row))
+        assert ids.shape == (16,)
+        assert np.all((ids >= 0) & (ids < len(m.charts)))
+    distinct = len({row.tobytes() for row in paths})
+    # five constant paths into four points cannot all differ
+    assert distinct == 5 if m.dim > 0 else distinct > 1
+    for s in range(3):
+        one = m.sample_path(p, np.random.default_rng(s), closed)
+        first = m.sample_path(p, np.random.default_rng(s), closed, 1)[0]
+        assert one.shape == first.shape and np.array_equal(one, first)
 
 
 class TestPushforward:
