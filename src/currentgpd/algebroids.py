@@ -120,7 +120,14 @@ class LieAlgebroid:
         return g.arrows.charts[cg].fwd(u_amb)
 
     def kernel_projector(self, u_coords, cg, cm):
-        """P = I - J^T (J J^T)^(-1) J for the source Jacobian at the unit."""
+        """P = I - J^T (J J^T)^(-1) J for the source Jacobian at the unit.
+
+        J is the dM x dG chart Jacobian of alpha at the unit coordinates
+        ``u_coords``, with duals if they carry any.  J J^T is solved densely
+        (no block structure is used, so on a power groupoid this stays
+        independent of the nodewise bracket) and factored once for all dG
+        columns of J.
+        """
         g = self.gpd
         dG = g.arrows.dim
         dM = g.base.dim
@@ -131,11 +138,8 @@ class LieAlgebroid:
         cols = ad.jacobian_columns(rep, list(u_coords))  # dG columns of len dM
         J = [[cols[j][i] for j in range(dG)] for i in range(dM)]
         JJt = [[dot_list(J[i], J[k]) for k in range(dM)] for i in range(dM)]
-        # Z = (J J^T)^(-1) J, one solve per column of J
-        Z = []
-        for j in range(dG):
-            rhs = [J[i][j] for i in range(dM)]
-            Z.append(linsolve(JJt, rhs))  # length dM
+        # Z = (J J^T)^(-1) J: one factorisation, the dG columns of J as rhs
+        Z = linsolve(JJt, [[J[i][j] for i in range(dM)] for j in range(dG)])
         P = []
         for i in range(dG):
             row = []
@@ -308,7 +312,7 @@ class LieAlgebroid:
         wf = [value(c) for c in w]
         gram = [[value(dot_list(a, b)) for b in frame] for a in frame]
         rhs = [sum(value(f[i]) * wf[i] for i in range(len(wf))) for f in frame]
-        return np.asarray(linsolve(gram, rhs), dtype=float)
+        return np.asarray(linsolve(gram, [rhs])[0], dtype=float)
 
 
 def algebroid_of_groupoid(gpd: LieGroupoid, n_probe=5, seed=0,

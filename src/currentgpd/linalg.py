@@ -11,34 +11,37 @@ from .ad import jacobian, sqrt, value
 from .errors import SingularNormalization
 
 
-def linsolve(A, b):
-    """Solve A x = b by LU with partial pivoting; entries may be duals.
+def linsolve(A, rhs):
+    """Solve A x = b for each b in rhs; A is factored once.
 
-    A is a list of rows, b a list; pivoting compares underlying values.
+    LU with partial pivoting; entries may be duals.  A is a list of rows and
+    rhs a list of right-hand sides, each a list; the solutions come back in
+    the same order.  Pivoting compares underlying values, and each
+    right-hand side sees the same operations as if it were solved alone.
     """
-    n = len(b)
+    n = len(A)
     M = [list(row) for row in A]
-    rhs = list(b)
+    R = [[b[r] for b in rhs] for r in range(n)]  # row r: entry r of each b
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(value(M[r][col])))
         if abs(value(M[piv][col])) == 0.0:
             raise SingularNormalization("singular linear system")
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+            R[col], R[piv] = R[piv], R[col]
         inv = 1.0 / M[col][col]
         for r in range(col + 1, n):
             f = M[r][col] * inv
             for c in range(col, n):
                 M[r][c] = M[r][c] - f * M[col][c]
-            rhs[r] = rhs[r] - f * rhs[col]
-    x = [0.0] * n
+            R[r] = [a - f * p for a, p in zip(R[r], R[col])]
+    X = [None] * n
     for r in range(n - 1, -1, -1):
-        acc = rhs[r]
+        acc = R[r]
         for c in range(r + 1, n):
-            acc = acc - M[r][c] * x[c]
-        x[r] = acc / M[r][r]
-    return x
+            acc = [a - M[r][c] * x for a, x in zip(acc, X[c])]
+        X[r] = [a / M[r][r] for a in acc]
+    return [[X[r][k] for r in range(n)] for k in range(len(rhs))]
 
 
 def newton(residual, x0, tol, max_iter, bound):
@@ -55,7 +58,7 @@ def newton(residual, x0, tol, max_iter, bound):
             return x
         J = jacobian(residual, x)
         try:
-            step = linsolve([list(row) for row in J], r)
+            step, = linsolve([list(row) for row in J], [r])
         except SingularNormalization:
             return None
         x = [xi - si for xi, si in zip(x, step)]

@@ -324,7 +324,7 @@ def normalize(add: LocalAddition, shrink=0.9,
         x = chart.fwd(p)
         A = alpha_matrix(x, chart)
         _, w = ad.jvp(chart.fwd, p, v)
-        eta = linsolve(A, list(w))
+        eta, = linsolve(A, [list(w)])
         _, v2 = ad.jvp(chart.inv, x, eta)
         return list(p) + list(v2)
 

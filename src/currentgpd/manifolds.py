@@ -11,7 +11,8 @@ and on numpy arrays (whole grids at once).
 from __future__ import annotations
 
 import functools
-import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,51 @@ class Chart:
         self.inv = inv            # coordinate components -> ambient components
 
 
+class LazyCharts:
+    """Charts with ids 0..n-1, each built by ``build(id)`` on first use.
+
+    ``n`` is a Python int and may exceed ``sys.maxsize``, where ``len()``
+    raises OverflowError; use :func:`chart_count` instead.  Iterating builds
+    every chart, so only small sequences are iterated.
+    """
+
+    def __init__(self, n, build):
+        self.n = n
+        self._build = build
+        self._built = {}
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, chart_id):
+        i = operator.index(chart_id)
+        if not 0 <= i < self.n:
+            raise IndexError(f"chart id {i} not below {self.n}")
+        if i not in self._built:
+            self._built[i] = self._build(i)
+        return self._built[i]
+
+    def __iter__(self):
+        return (self[i] for i in range(self.n))
+
+
+def chart_count(m):
+    """Number of charts of m, as a Python int even past ``sys.maxsize``."""
+    return m.charts.n if isinstance(m.charts, LazyCharts) else len(m.charts)
+
+
 class ChartedManifold:
-    """Finite-dimensional manifold with finitely many explicit charts."""
+    """Finite-dimensional manifold with finitely many explicit charts.
+
+    ``charts`` is indexed by chart id: a list, or :class:`LazyCharts` when
+    there are too many charts to build up front.  It is kept, not copied.
+    """
 
     def __init__(self, name, dim, ambient_dim, charts, injectivity_radius=np.inf):
         self.name = name
         self.dim = dim
         self.ambient_dim = ambient_dim
-        self.charts = list(charts)
+        self.charts = charts
         self.injectivity_radius = injectivity_radius
         self._tangent_bundle = None
 
@@ -407,9 +445,8 @@ class TangentBundleManifold(ChartedManifold):
     def __init__(self, base: ChartedManifold):
         self.base_manifold = base
         m = base.ambient_dim
-        charts = []
-        for c in base.charts:
-            charts.append(self._lift_chart(c, m, base.dim))
+        charts = LazyCharts(chart_count(base), lambda i: self._lift_chart(
+            base.charts[i], m, base.dim))
         super().__init__(f"T({base.name})", 2 * base.dim, 2 * m, charts,
                          injectivity_radius=base.injectivity_radius)
 
@@ -454,7 +491,14 @@ class TangentBundleManifold(ChartedManifold):
 
 
 class ProductManifold(ChartedManifold):
-    """Finite product; ambient and charts are concatenations of the factors."""
+    """Finite product; ambient and charts are concatenations of the factors.
+
+    A product chart is one chart per factor.  Its id is the mixed-radix
+    number of the factor chart ids, the last factor varying fastest, so ids
+    follow ``itertools.product`` order.  The product of n factors with k
+    charts each has k^n charts; they are built on demand (see
+    :class:`LazyCharts`) and ``best_chart`` scores only factor charts.
+    """
 
     def __init__(self, factors, name=None):
         self.factors = list(factors)
@@ -462,21 +506,22 @@ class ProductManifold(ChartedManifold):
         ambs = [f.ambient_dim for f in self.factors]
         self.amb_offsets = np.concatenate([[0], np.cumsum(ambs)]).astype(int)
         self.dim_offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        charts = []
-        for combo in itertools.product(*[range(len(f.charts)) for f in self.factors]):
-            charts.append(self._product_chart(combo))
-        self.chart_combos = list(
-            itertools.product(*[range(len(f.charts)) for f in self.factors]))
+        self.radices = [chart_count(f) for f in self.factors]
+        charts = LazyCharts(math.prod(self.radices), self._chart_by_id)
         inj = min([f.injectivity_radius for f in self.factors], default=np.inf)
         super().__init__(name or "x".join(f.name for f in self.factors),
                          sum(dims), sum(ambs), charts, injectivity_radius=inj)
 
+    def _chart_by_id(self, chart_id):
+        combo = []
+        for r in reversed(self.radices):
+            chart_id, k = divmod(chart_id, r)
+            combo.append(k)
+        return self._product_chart(combo[::-1])
+
     def _product_chart(self, combo):
         factors = self.factors
-        dims = [f.dim for f in factors]
-        ambs = [f.ambient_dim for f in factors]
-        aoff = np.concatenate([[0], np.cumsum(ambs)]).astype(int)
-        doff = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        aoff, doff = self.amb_offsets, self.dim_offsets
         charts = [factors[i].charts[combo[i]] for i in range(len(factors))]
 
         def margin(comps):
@@ -501,6 +546,37 @@ class ProductManifold(ChartedManifold):
 
         name = "*".join(charts[i].name for i in range(len(factors)))
         return Chart(name, margin, fwd, inv)
+
+    def best_chart(self, amb):
+        """The id :meth:`ChartedManifold.best_chart` gives, ties included.
+
+        A product chart's margin is the least of its factor margins, so the
+        best margin is M* = min_i max_c m_i(c), and the first product chart
+        in id order that reaches M* takes, in each factor, the first chart
+        whose margin reaches M*.  Each factor chart is scored once.
+        """
+        comps = split_components(amb)
+        aoff = self.amb_offsets
+        scores = [np.stack([np.asarray(c.margin(comps[aoff[i]:aoff[i + 1]]),
+                                       dtype=float) for c in f.charts], axis=-1)
+                  for i, f in enumerate(self.factors)]
+        reach = functools.reduce(np.minimum, [s.max(axis=-1) for s in scores])
+        firsts = [np.argmax(s >= reach[..., None], axis=-1) for s in scores]
+        if np.ndim(reach) == 0:
+            if float(reach) <= 0.0:
+                raise OutOfChart(f"{self.name}: no chart contains the point")
+            chart_id = 0
+            for r, k in zip(self.radices, firsts):
+                chart_id = chart_id * r + int(k)
+            return chart_id
+        if np.any(reach <= 0.0):
+            raise OutOfChart(f"{self.name}: some sample lies in no chart")
+        # past int64, ids are Python ints in an object array
+        dtype = np.int64 if self.charts.n <= np.iinfo(np.int64).max else object
+        ids = np.zeros(reach.shape, dtype=dtype)
+        for r, k in zip(self.radices, firsts):
+            ids = ids * r + k.astype(dtype)
+        return ids
 
     def split_ambient(self, amb):
         amb = np.asarray(amb, dtype=float)

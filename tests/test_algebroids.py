@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from currentgpd import ad
-from currentgpd.algebroids import (AlgebroidSection, algebroid_of_groupoid,
-                                   current_algebroid,
+from currentgpd.algebroids import (AlgebroidSection, CurrentAlgebroid,
+                                   algebroid_of_groupoid, current_algebroid,
                                    current_bracket_two_ways, groupoid_power,
                                    sign_convention_check,
                                    vector_field_bracket)
@@ -12,7 +13,8 @@ from currentgpd.catalog import Circle, RotationGroup
 from currentgpd.gridmaps import GridSpec, random_grid_map
 from currentgpd.groupoids import make_groupoid
 from currentgpd.localadd import circle_group, so3_group
-from currentgpd.manifolds import merge_components
+from currentgpd.manifolds import chart_count, merge_components
+from currentgpd.suites import SuiteContext, run_suite
 
 
 def field_section(alg, V):
@@ -292,6 +294,38 @@ class TestCurrentAlgebroid:
             Y = alg.random_polynomial_section(rng, "Y")
             worst = max(worst, current_bracket_two_ways(gpd, grid, X, Y, base))
         assert worst <= 1e-5
+
+    # so3-action and pair-real2 at n = 64 wait for vector-mode AD (7.3 s and
+    # 1.5 s); circle-bundle's bracket vanishes, so it checks reach only
+    @pytest.mark.parametrize("name,n", [("so3-action", 8), ("circle-bundle", 8),
+                                        ("rot-action", 64),
+                                        ("circle-bundle", 64)])
+    def test_theorem_d_on_large_powers(self, name, n):
+        gpd = make_groupoid(name)
+        alg = algebroid_of_groupoid(gpd)
+        grid = GridSpec("circle", n)
+        rng = np.random.default_rng(18)
+        base = random_grid_map(grid, gpd.base, rng)
+        X = alg.random_polynomial_section(rng, "X")
+        Y = alg.random_polynomial_section(rng, "Y")
+        power = groupoid_power(gpd, n)
+        assert chart_count(power.arrows) == chart_count(gpd.arrows) ** n
+        assert current_bracket_two_ways(gpd, grid, X, Y, base) <= alg.tol_bracket
+        vals = current_algebroid(alg, grid).bracket_values(X, Y, base)
+        assert (float(np.max(np.abs(vals))) > 1e-3) == (name != "circle-bundle")
+
+    def test_theorem_d_suite_fails_on_a_wrong_nodewise_bracket(self,
+                                                                monkeypatch):
+        # a sign flip inside LieAlgebroid.bracket reaches both routes, so the
+        # nodewise route alone is negated
+        ctx = SuiteContext(seed=7, samples={"theorem-D-pointwise-bracket": 2})
+        records = run_suite("theorem-D-pointwise-bracket", ctx)
+        assert [r.status for r in records] == ["pass", "pass"]
+        values = CurrentAlgebroid.bracket_values
+        monkeypatch.setattr(CurrentAlgebroid, "bracket_values",
+                            lambda self, *args: -values(self, *args))
+        records = run_suite("theorem-D-pointwise-bracket", ctx)
+        assert [r.status for r in records] == ["fail", "fail"]
 
     def test_power_groupoid_passes_axioms(self):
         from currentgpd.groupoids import axiom_violations

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from currentgpd import ad
 from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
                                 Torus, catalog_maps)
 from currentgpd.errors import NotDifferentiable, OutOfChart
-from currentgpd.manifolds import (SecondTangent, SmoothMap, Tangent,
-                                  canonical_flip, identity_map, map_jacobian,
-                                  second_tangent_map,
-                                  second_tangent_projection, tangent_map,
+from currentgpd.manifolds import (DiscreteManifold, ProductManifold,
+                                  SecondTangent, SmoothMap, Tangent,
+                                  canonical_flip, chart_count, identity_map,
+                                  map_jacobian, second_tangent_map,
+                                  second_tangent_projection,
+                                  split_components, tangent_map,
                                   tangent_transition, transition)
 
 
@@ -238,3 +241,93 @@ class TestPointEquality:
         p = c.point_at_angle(0.2)
         with pytest.raises(ValueError):
             p.ambient[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# product charts
+# ---------------------------------------------------------------------------
+
+def combos_of(prod):
+    return list(itertools.product(*[range(len(f.charts)) for f in prod.factors]))
+
+
+def brute_best_chart(prod, amb):
+    """Argmax over every product chart in ``itertools.product`` order."""
+    comps = split_components(amb)
+    margins = np.stack([np.asarray(prod._product_chart(c).margin(comps),
+                                   dtype=float) for c in combos_of(prod)])
+    best = np.argmax(margins, axis=0)
+    if np.any(np.take_along_axis(margins, best[None], axis=0) <= 0.0):
+        raise OutOfChart("no product chart contains the point")
+    return best
+
+
+class TestProductCharts:
+    # 1, 2, 3 and 4 charts per factor, then a product where the circles tie
+    PRODUCTS = {
+        "1-2-3-4": lambda: ProductManifold(
+            [Euclidean(1), Circle(), DiscreteManifold(3), RotationGroup()]),
+        "circle-so3-circle": lambda: ProductManifold(
+            [Circle(), RotationGroup(), Circle()]),
+    }
+
+    @staticmethod
+    def points(prod, rng, n=60):
+        amb = np.concatenate([f.sample(rng, n) for f in prod.factors], axis=-1)
+        for i, f in enumerate(prod.factors):
+            if isinstance(f, Circle):
+                # at angle pi/2 both circle charts have margin pi/2 exactly
+                amb[::3, prod.amb_offsets[i]:prod.amb_offsets[i + 1]] = [0.0, 1.0]
+        return amb
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_best_chart_is_the_first_argmax(self, name):
+        prod = self.PRODUCTS[name]()
+        amb = self.points(prod, np.random.default_rng(21))
+        want = brute_best_chart(prod, amb)
+        assert np.array_equal(prod.best_chart(amb), want)
+        for row, w in zip(amb, want):
+            got = prod.best_chart(row)
+            assert type(got) is int and got == int(w)
+
+    def test_tied_circle_charts_pick_the_first(self):
+        prod = ProductManifold([Circle(), Circle()])
+        amb = np.asarray([0.0, 1.0, 0.0, 1.0])
+        assert prod.best_chart(amb) == int(brute_best_chart(prod, amb)) == 0
+
+    def test_point_in_no_chart(self):
+        prod = self.PRODUCTS["1-2-3-4"]()
+        amb = self.points(prod, np.random.default_rng(22), n=4)
+        amb[2, prod.amb_offsets[2]] = 0.5  # halfway between two discrete points
+        for pts in (amb, amb[2]):
+            with pytest.raises(OutOfChart):
+                brute_best_chart(prod, pts)
+            with pytest.raises(OutOfChart):
+                prod.best_chart(pts)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_chart_ids_are_product_order(self, name):
+        prod = self.PRODUCTS[name]()
+        combos = combos_of(prod)
+        assert chart_count(prod) == len(prod.charts) == len(combos)
+        for i, combo in enumerate(combos):
+            parts = [f.charts[k].name for f, k in zip(prod.factors, combo)]
+            assert prod.charts[i].name == "*".join(parts)
+            assert prod.charts[i] is prod.charts[i]
+        with pytest.raises(IndexError):
+            prod.charts[len(combos)]
+
+    def test_power_ids_past_int64(self):
+        prod = ProductManifold([Circle()] * 64)
+        assert chart_count(prod) == chart_count(prod.tangent_bundle()) == 2 ** 64
+        amb = prod.sample(np.random.default_rng(23), 6)
+        amb[0, :2] = [-1.0, 0.0]  # angle pi: only the second chart of factor 0
+        ids = prod.best_chart(amb)
+        assert ids[0] >= 2 ** 63
+        for row, cid in zip(amb, ids):
+            one = prod.best_chart(row)
+            assert type(one) is int and one == cid
+            reach = min(max(c.margin(list(row[2 * i:2 * i + 2]))
+                            for c in f.charts)
+                        for i, f in enumerate(prod.factors))
+            assert prod.charts[one].margin(list(row)) == reach

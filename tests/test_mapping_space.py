@@ -71,10 +71,38 @@ PATH_SAMPLERS = {**MANIFOLDS,
                     for name, make in GROUPOIDS.items()}}
 
 
+class RowZeroFrom:
+    """Draws of ``main`` with row 0 taken from ``other``'s equal draw.
+
+    A draw without a leading axis of ``rows`` comes whole from ``other``.
+    A sampler whose row i depends only on its own draws therefore changes
+    row 0 and keeps every other row.
+    """
+
+    def __init__(self, main, other, rows):
+        self.main, self.other, self.rows = main, other, rows
+
+    def __getattr__(self, method):
+        def draw(*args, **kwargs):
+            a = getattr(self.main, method)(*args, **kwargs)
+            b = getattr(self.other, method)(*args, **kwargs)
+            if np.ndim(a) == 0 or len(a) != self.rows:
+                return b
+            a = np.array(a)
+            a[0] = b[0]
+            return a
+
+        return draw
+
+
 @pytest.mark.parametrize("kind", ["circle", "interval"])
 @pytest.mark.parametrize("name", sorted(PATH_SAMPLERS))
 def test_batched_path_contract(name, kind):
-    """n stacked coherent paths; a single path is the first row of n=1."""
+    """n stacked coherent paths; a single path is the first row of n=1.
+
+    Each row depends only on its own draws: drawing row 0 differently
+    leaves rows 1..n-1 bit for bit.
+    """
     m = PATH_SAMPLERS[name]()
     grid = GridSpec(kind, 16)
     p, closed = grid.params(), grid.closed
@@ -88,6 +116,10 @@ def test_batched_path_contract(name, kind):
     distinct = len({row.tobytes() for row in paths})
     # five constant paths into four points cannot all differ
     assert distinct == 5 if m.dim > 0 else distinct > 1
+    rows = RowZeroFrom(np.random.default_rng(3), np.random.default_rng(4), 5)
+    other = m.sample_path(p, rows, closed, n=5)
+    assert np.array_equal(other[1:], paths[1:])
+    assert not np.array_equal(other[0], paths[0])
     for s in range(3):
         one = m.sample_path(p, np.random.default_rng(s), closed)
         first = m.sample_path(p, np.random.default_rng(s), closed, 1)[0]
