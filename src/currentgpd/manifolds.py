@@ -24,15 +24,25 @@ from .tolerances import DEFAULT
 
 
 def split_components(arr):
-    """(m,) array -> list of floats; (n, m) array -> list of (n,) columns."""
+    """(m,) array -> list of floats; (..., m) array -> list of m (...) arrays.
+
+    The arrays are views ``a[..., i]``, taken with ``np.moveaxis(a, -1, 0)``:
+    on a component-major array (see :func:`component_major`) each one is a
+    contiguous block of memory, on a C-order array a strided column.
+    """
     a = np.asarray(arr, dtype=float)
     if a.ndim == 1:
         return [float(x) for x in a]
-    return [a[..., i] for i in range(a.shape[-1])]
+    return list(np.moveaxis(a, -1, 0))
 
 
 def merge_components(comps):
-    """Inverse of :func:`split_components`; strips dual parts."""
+    """Inverse of :func:`split_components`; strips dual parts.
+
+    The components are stacked on a leading axis, so each one stays a
+    contiguous block, and the (..., m) result is a component-major view of
+    that stack.
+    """
     vals = [value(c) for c in comps]
     if not vals:
         return np.zeros(0)
@@ -40,7 +50,42 @@ def merge_components(comps):
     shape = np.broadcast_shapes(*[a.shape for a in arrs])
     if shape == ():
         return np.asarray(vals, dtype=float)
-    return np.stack([np.broadcast_to(a, shape) for a in arrs], axis=-1)
+    return np.moveaxis(
+        np.stack([np.broadcast_to(a, shape) for a in arrs], axis=0), 0, -1)
+
+
+def component_major(a):
+    """A copy of the (..., m) array a whose m components are contiguous blocks.
+
+    The shape and the values are those of a; only the memory order changes,
+    so :func:`split_components` hands out contiguous components and the
+    structure maps stop walking memory with stride m.
+    """
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def _pairwise_sum(terms):
+    """The sum numpy's ``np.sum(..., axis=-1)`` gives on a contiguous last axis.
+
+    numpy adds fewer than 8 terms in sequence, up to 128 terms as 8 running
+    partial sums combined pairwise, and splits a longer run in two halves
+    (the first a multiple of 8) summed recursively.  Following that order
+    term by term gives the same bits on whole arrays of terms.
+    """
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(operator.add, terms)
+    if n <= 128:
+        tail = n - n % 8
+        r = list(terms[:8])
+        for i in range(8, tail, 8):
+            r = [r[j] + terms[i + j] for j in range(8)]
+        return functools.reduce(operator.add, terms[tail:],
+                                ((r[0] + r[1]) + (r[2] + r[3]))
+                                + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def path_sampler(draw):
@@ -173,9 +218,16 @@ class ChartedManifold:
 
     # -- metric helpers ------------------------------------------------------
     def distance(self, a, b):
-        """Ambient Euclidean distance; accepts arrays of stacked points."""
+        """Ambient Euclidean distance; accepts arrays of stacked points.
+
+        The squared components of the difference d are added component by
+        component in numpy's pairwise order (:func:`_pairwise_sum`).  The
+        result has the bits of ``np.sqrt(np.sum(d * d, axis=-1))`` on a
+        C-order d, and the same bits on a component-major d, whose
+        contiguous components it adds without a strided reduction.
+        """
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        return np.sqrt(np.sum(d * d, axis=-1))
+        return np.sqrt(_pairwise_sum([c * c for c in np.moveaxis(d, -1, 0)]))
 
     def geodesic_distance(self, a, b):
         """Intrinsic distance; the default falls back to the ambient one."""
@@ -647,6 +699,10 @@ class OpenSubManifold(ChartedManifold):
         self.pred = pred
         super().__init__(name or f"{base.name}|open", base.dim, base.ambient_dim,
                          base.charts, injectivity_radius=base.injectivity_radius)
+
+    def best_chart(self, amb):
+        """The base's best chart: the subset shares its chart sequence and ids."""
+        return self.base_manifold.best_chart(amb)
 
     def contains(self, amb):
         return bool(np.all(self.pred(np.asarray(amb, dtype=float))))

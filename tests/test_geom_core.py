@@ -9,10 +9,12 @@ from currentgpd import ad
 from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
                                 Torus, catalog_maps)
 from currentgpd.errors import NotDifferentiable, OutOfChart
-from currentgpd.manifolds import (DiscreteManifold, ProductManifold,
-                                  SecondTangent, SmoothMap, Tangent,
-                                  canonical_flip, chart_count, identity_map,
-                                  map_jacobian, second_tangent_map,
+from currentgpd.manifolds import (DiscreteManifold, OpenSubManifold,
+                                  ProductManifold, SecondTangent, SmoothMap,
+                                  Tangent, canonical_flip, chart_count,
+                                  component_major, identity_map,
+                                  map_jacobian, merge_components,
+                                  second_tangent_map,
                                   second_tangent_projection,
                                   split_components, tangent_map,
                                   tangent_transition, transition)
@@ -331,3 +333,59 @@ class TestProductCharts:
                             for c in f.charts)
                         for i, f in enumerate(prod.factors))
             assert prod.charts[one].margin(list(row)) == reach
+
+    def test_open_subset_of_a_power_uses_the_base_ids(self):
+        prod = ProductManifold([Circle()] * 64)
+        sub = OpenSubManifold(prod, lambda amb: amb[..., 0] > -0.5)
+        assert sub.charts is prod.charts
+
+        def build(chart_id):  # fails at once instead of building 2^64 charts
+            raise AssertionError(f"built product chart {chart_id}")
+
+        prod.charts._build = build
+        amb = prod.sample(np.random.default_rng(24), 6)
+        amb[0, :2] = [-1.0, 0.0]  # angle pi in factor 0: an id past int64
+        ids = sub.best_chart(amb)
+        assert np.array_equal(ids, prod.best_chart(amb))
+        for row, cid in zip(amb, ids):
+            one = sub.best_chart(row)
+            assert type(one) is int and one == prod.best_chart(row) == cid
+
+
+# ---------------------------------------------------------------------------
+# component-major batches
+# ---------------------------------------------------------------------------
+
+class TestComponentMajor:
+    @staticmethod
+    def manifold(amb):
+        if amb == 81:
+            return ProductManifold([RotationGroup()] * 9)
+        if amb == 130:
+            return ProductManifold([Circle()] * 65)
+        return Euclidean(amb)
+
+    def test_layout(self):
+        a = np.random.default_rng(25).normal(size=(4, 6, 3))
+        cm = component_major(a)
+        assert np.array_equal(cm, a) and not cm.flags.c_contiguous
+        comps = split_components(cm)
+        assert all(c.flags.c_contiguous for c in comps)
+        merged = merge_components(comps)
+        assert np.array_equal(merged, a)
+        assert np.moveaxis(merged, -1, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("amb", list(range(1, 21)) + [81, 130])
+    def test_distance_has_the_bits_of_numpy_sum(self, amb):
+        m = self.manifold(amb)
+        assert m.ambient_dim == amb
+        rng = np.random.default_rng(amb)
+        a, b = m.sample(rng, 400), m.sample(rng, 400)
+        d = a - b
+        want = np.sqrt(np.sum(d * d, axis=-1))
+        for x, y in ((a, b), (component_major(a), component_major(b))):
+            assert np.array_equal(m.distance(x, y), want)
+        paths = (a.reshape(20, 20, amb), b.reshape(20, 20, amb))
+        assert np.array_equal(m.distance(*map(component_major, paths)),
+                              want.reshape(20, 20))
+        assert m.distance(a[0], b[0]) == want[0]

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from currentgpd.catalog import Circle
+from currentgpd.currents import build_current
 from currentgpd.errors import NotComposable, SamplingFailure, Unsupported
 from currentgpd.gridmaps import GridSpec
 from currentgpd.groupoids import (GROUPOIDS, LieGroupoid, anchor, check_axioms,
                                   classify_etale, classify_locally_transitive,
                                   compose, cyclic_rotation_group, inverse,
                                   isotropy_group, make_groupoid,
-                                  reflection_group_1d, restrict, unit_at,
+                                  reflection_group_1d, restrict,
+                                  sample_composable_triple, unit_at,
                                   unit_groupoid)
+from currentgpd.manifolds import component_major
 
 
 class TestCompose:
@@ -156,6 +159,107 @@ def test_fiber_contract(name):
     g = gpd.arrows.sample(rng, 20)
     back = gpd.project_to_beta(g, gpd.beta_batch(g))
     assert np.max(np.abs(back - g)) <= 1e-12
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_structure_maps_ignore_memory_order(name):
+    """C-order and component-major inputs give the same bits."""
+    gpd = make_groupoid(name)
+    rng = np.random.default_rng(13)
+    grid = GridSpec("circle", 16)
+    g, h, _ = sample_composable_triple(gpd, rng, 40)
+    gp = gpd.arrows.sample_path(grid.params(), rng, grid.closed, 5)
+    hp = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(gp), grid.params(),
+                                         rng, grid.closed)
+    for g, h in ((g, h), (gp, hp)):
+        x = gpd.alpha_batch(g)
+        for fn, args in ((gpd.mu_batch, (g, h)), (gpd.alpha_batch, (g,)),
+                         (gpd.beta_batch, (g,)), (gpd.iota_batch, (g,)),
+                         (gpd.unit_batch, (x,))):
+            c_order = [np.ascontiguousarray(a) for a in args]
+            want = fn(*c_order)
+            assert same_bits(fn(*[component_major(a) for a in c_order]), want)
+
+
+LAWS = ("associativity", "left_unit", "right_unit", "left_inverse",
+        "right_inverse", "alpha_of_mu", "beta_of_mu", "alpha_of_unit",
+        "beta_of_unit")
+
+# float.hex of every residual of the seeded axiom checks in
+# test_axiom_residuals_are_pinned; a law left out of an entry is exactly 0.
+# A change of memory order or of summation order that moves one bit of a
+# residual fails here.
+PINNED_RESIDUALS = {
+    "circle/circle-bundle": {"associativity": "0x1.4000000000000p-52",
+        "left_inverse": "0x1.0000000000000p-52",
+        "right_inverse": "0x1.0000000000000p-52"},
+    "circle/pair-real1": {},
+    "circle/pair-real2": {},
+    "circle/rot-action": {"associativity": "0x1.0000000000000p-49",
+        "beta_of_mu": "0x1.4000000000000p-51"},
+    "circle/so3-action": {"associativity": "0x1.f627c54f1e0abp-52",
+        "beta_of_mu": "0x1.3498c97b10540p-48",
+        "left_inverse": "0x1.ff27d25cbd171p-50",
+        "right_inverse": "0x1.fee7b346048acp-50"},
+    "circle/so3-group": {"associativity": "0x1.11e039f40ee66p-51",
+        "left_inverse": "0x1.ff27d25cbd171p-50",
+        "right_inverse": "0x1.fee7b346048acp-50"},
+    "circle/unit-circle": {},
+    "circle/z2-line": {},
+    "circle/z4-plane": {"beta_of_mu": "0x1.6a09e667f3bcdp-51"},
+    "flat/circle-bundle": {"associativity": "0x1.6a09e667f3bcdp-52",
+        "left_inverse": "0x1.0000000000000p-52",
+        "right_inverse": "0x1.0000000000000p-52"},
+    "flat/pair-real1": {},
+    "flat/pair-real2": {},
+    "flat/rot-action": {"associativity": "0x1.0000000000000p-50",
+        "beta_of_mu": "0x1.2706821902e9ap-51"},
+    "flat/so3-action": {"associativity": "0x1.3000000000000p-51",
+        "beta_of_mu": "0x1.f4904d7b11f1dp-49",
+        "left_inverse": "0x1.535c1579caa21p-49",
+        "right_inverse": "0x1.467cc4009a71ap-49"},
+    "flat/so3-group": {"associativity": "0x1.0a7b13a596cbap-51",
+        "left_inverse": "0x1.535c1579caa21p-49",
+        "right_inverse": "0x1.467cc4009a71ap-49"},
+    "flat/unit-circle": {},
+    "flat/z2-line": {},
+    "flat/z4-plane": {"beta_of_mu": "0x1.94c583ada5b53p-51"},
+    "interval/circle-bundle": {"associativity": "0x1.4000000000000p-52",
+        "left_inverse": "0x1.0000000000000p-52",
+        "right_inverse": "0x1.0000000000000p-52"},
+    "interval/pair-real1": {},
+    "interval/pair-real2": {},
+    "interval/rot-action": {"associativity": "0x1.0000000000000p-50",
+        "beta_of_mu": "0x1.65c55827df1d2p-51"},
+    "interval/so3-action": {"associativity": "0x1.20e33499a21a9p-51",
+        "beta_of_mu": "0x1.2ae79842f2858p-48",
+        "left_inverse": "0x1.de76d6730a41ep-50",
+        "right_inverse": "0x1.007fe00ff6070p-49"},
+    "interval/so3-group": {"associativity": "0x1.1a9dc8f6df104p-51",
+        "left_inverse": "0x1.de76d6730a41ep-50",
+        "right_inverse": "0x1.007fe00ff6070p-49"},
+    "interval/unit-circle": {},
+    "interval/z2-line": {},
+    "interval/z4-plane": {"beta_of_mu": "0x1.6a09e667f3bcdp-51"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_axiom_residuals_are_pinned(name):
+    gpd = make_groupoid(name)
+    reports = {"flat": check_axioms(gpd, 500, seed=0)}
+    for kind in ("circle", "interval"):
+        reports[kind] = build_current(gpd, GridSpec(kind, 16)).check_axioms(
+            30, seed=0)
+    for where, rep in reports.items():
+        pinned = PINNED_RESIDUALS[f"{where}/{name}"]
+        got = {law: float(v).hex() for law, v in rep.violations.items()}
+        assert got == {law: pinned.get(law, float(0).hex()) for law in LAWS}
 
 
 class TestClassifiers:
