@@ -1,53 +1,87 @@
 """Negative controls: a broken input must turn a suite's records to fail.
 
-Each row breaks one catalog groupoid for one suite and shrinks the sample
-counts.  The suite must report ``fail`` for every record of the broken
-groupoid and keep ``pass`` for the others.
+Each row patches one input of one suite and shrinks the sample counts.
+The suite must report ``fail`` for every record that names the broken
+input and keep ``pass`` for the others.
 """
 
 import numpy as np
 import pytest
 
+from currentgpd import suites
 from currentgpd.ad import value
+from currentgpd.catalog import catalog_maps
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.suites import SuiteContext, run_suite
 
 INSTANCES = ["pair-real1", "rot-action", "so3-group"]
 
 
-def rarely_wrong(make, thr):
-    """``make`` with a multiplication off by 1e-3 where g[0] exceeds thr."""
+def rarely_wrong(name, thr):
+    """Patch groupoid ``name``: multiplication off by 1e-3 where g[0] > thr."""
+    def patch(monkeypatch):
+        make = GROUPOIDS[name]
+
+        def make_broken():
+            gpd = make()
+            mu_fn = gpd.mu_fn
+
+            def broken(g, h):
+                out = mu_fn(g, h)
+                off = np.where(np.asarray(value(g[0])) > thr, 1e-3, 0.0)
+                return [out[0] + off] + list(out[1:])
+
+            gpd.mu_fn = broken
+            return gpd
+
+        monkeypatch.setitem(GROUPOIDS, name, make_broken)
+
+    return patch
+
+
+def repeated_identity(monkeypatch):
+    """z4-plane's element list with the identity listed twice."""
+    make = GROUPOIDS["z4-plane"]
+
     def make_broken():
         gpd = make()
-        mu_fn = gpd.mu_fn
-
-        def broken(g, h):
-            out = mu_fn(g, h)
-            off = np.where(np.asarray(value(g[0])) > thr, 1e-3, 0.0)
-            return [out[0] + off] + list(out[1:])
-
-        gpd.mu_fn = broken
+        grp = gpd.finite_group
+        grp.elements = grp.elements + [grp.elements[grp.identity_index]]
         return gpd
 
-    return make_broken
+    monkeypatch.setitem(GROUPOIDS, "z4-plane", make_broken)
 
 
-# suite id -> (broken groupoid, threshold, sample override).  At seed 7,
-# 2 of the 400 flat pair-real1 triples and 1-3 of the 200 arrow paths on
-# each grid reach the broken region, so a check that skips rows misses it.
+def squaring_embedding(monkeypatch):
+    """The double cover z -> z^2 in place of the circle embedding."""
+    def maps():
+        out = catalog_maps()
+        out["circle-embed"] = out["circle-square"]
+        return out
+
+    monkeypatch.setattr(suites, "catalog_maps", maps)
+
+
+# suite id -> (patch, name in the broken records' check names, sample
+# override or None).  At seed 7, 2 of the 400 flat pair-real1 triples and
+# 1-3 of the 200 arrow paths on each grid reach the broken region, so a
+# check that skips rows misses it.
 CONTROLS = {
-    "groupoid-axioms": ("pair-real1", 1.99, 400),
-    "current-groupoid-axioms": ("pair-real1", 3.5, 200),
+    "groupoid-axioms": (rarely_wrong("pair-real1", 1.99), "pair-real1", 400),
+    "current-groupoid-axioms": (rarely_wrong("pair-real1", 3.5), "pair-real1",
+                                200),
+    "proper-etale-lifting": (repeated_identity, "proper-etale-lifting", 20),
+    "embedding": (squaring_embedding, "embedding", None),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(CONTROLS))
 def test_suite_fails_under_its_control(suite, monkeypatch):
-    broken, thr, count = CONTROLS[suite]
-    ctx = SuiteContext(seed=7, instances=INSTANCES, samples={suite: count})
+    patch, broken, count = CONTROLS[suite]
+    ctx = SuiteContext(seed=7, instances=INSTANCES,
+                       samples={suite: count} if count else {})
     assert {r.status for r in run_suite(suite, ctx)} == {"pass"}
-    monkeypatch.setitem(GROUPOIDS, broken, rarely_wrong(GROUPOIDS[broken], thr))
-    records = run_suite(suite, ctx)
-    for r in records:
-        want = "fail" if r.check_name.split("/")[1] == broken else "pass"
+    patch(monkeypatch)
+    for r in run_suite(suite, ctx):
+        want = "fail" if broken in r.check_name.split("/") else "pass"
         assert r.status == want, r.check_name
