@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -140,6 +141,20 @@ class TestRun:
 
 
 class TestDeterminism:
+    def test_reports_byte_identical_modulo_timing(self, tmp_path):
+        cfg = write_config(tmp_path, seed=123,
+                           suites=["flip-identities", "pair-action-iso",
+                                   "not-tra-certificate", "local-action-form"])
+        texts = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            text = out.read_text()
+            text = re.sub(r'"wall_time_ms": [0-9.e+-]+', '"wall_time_ms": 0',
+                          text)
+            texts.append(text)
+        assert texts[0] == texts[1]
+
     def test_derived_seeds_are_stable(self):
         assert derived_seed(1, "suite", 0) == derived_seed(1, "suite", 0)
         assert derived_seed(1, "suite", 0) != derived_seed(2, "suite", 0)
