@@ -130,12 +130,14 @@ def atan(x):
     return math.atan(x)
 
 
+def _parts(x):
+    """(value, derivative) of x; a plain value has derivative 0."""
+    return (x.re, x.ep) if isinstance(x, Dual) else (x, 0.0)
+
+
 def atan2(y, x):
     if isinstance(y, Dual) or isinstance(x, Dual):
-        yr = y.re if isinstance(y, Dual) else y
-        xr = x.re if isinstance(x, Dual) else x
-        ye = y.ep if isinstance(y, Dual) else 0.0
-        xe = x.ep if isinstance(x, Dual) else 0.0
+        (yr, ye), (xr, xe) = _parts(y), _parts(x)
         den = xr * xr + yr * yr
         return Dual(atan2(yr, xr), (xr * ye - yr * xe) / den)
     if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
@@ -146,12 +148,16 @@ def atan2(y, x):
 def where(cond, a, b):
     """Select elementwise for arrays, by plain truth value otherwise.
 
-    With dual scalars the branch is chosen by the underlying value; both
-    branches must agree smoothly at the switching locus.
+    Under an array condition, values and derivatives of dual branches are
+    selected separately.  With a scalar condition the branch is chosen
+    whole; both branches must agree smoothly at the switching locus.
     """
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        (ar, ae), (br, be) = _parts(a), _parts(b)
+        return Dual(where(cond, ar, br), where(cond, ae, be))
+    return np.where(cond, a, b)
 
 
 def jvp(fn, xs, vs):
@@ -171,21 +177,21 @@ def jvp(fn, xs, vs):
 
 def jacobian_columns(fn, xs):
     """Columns of the Jacobian of fn at xs, one jvp each; entries keep duals."""
-    k = len(xs)
-    cols = []
-    for j in range(k):
-        vs = [0.0] * k
-        vs[j] = 1.0
-        cols.append(jvp(fn, xs, vs)[1])
-    return cols
+    k = range(len(xs))
+    return [jvp(fn, xs, [float(i == j) for i in k])[1] for j in k]
 
 
 def jacobian(fn, xs):
-    """Dense Jacobian of fn: R^k -> R^m at xs (lists of floats) as an (m, k) array."""
+    """Dense Jacobian of fn: R^k -> R^m at xs as an (..., m, k) array.
+
+    xs is k floats, or k arrays of one shape (...); one jvp per direction.
+    """
     cols = jacobian_columns(fn, xs)
-    out = np.zeros((len(cols[0]) if cols else 0, len(xs)))
+    out = np.zeros(np.shape(xs[0] if len(xs) else 0.0)
+                   + (len(cols[0]) if cols else len(fn(xs)), len(xs)))
     for j, col in enumerate(cols):
-        out[:, j] = [value(e) for e in col]
+        for i, e in enumerate(col):
+            out[..., i, j] = value(e)
     return out
 
 

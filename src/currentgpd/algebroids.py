@@ -18,9 +18,9 @@ from .ad import Dual, value
 from .errors import FrameProjectionError, RankDrop, Unsupported
 from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid
-from .linalg import dot_list, gram_schmidt, linsolve
+from .linalg import dot_list, gram_schmidt, linsolve, numerical_ranks
 from .manifolds import (Point, ProductManifold, SmoothMap, Tangent,
-                        merge_components, tangent_from_ambient)
+                        map_jacobian, merge_components, tangent_from_ambient)
 from .tolerances import DEFAULT
 
 
@@ -318,16 +318,11 @@ class LieAlgebroid:
 def algebroid_of_groupoid(gpd: LieGroupoid, n_probe=5, seed=0,
                           tol_rank=DEFAULT.tol_rank) -> LieAlgebroid:
     """Kernel rank is probed at sample points and must be constant."""
-    from .manifolds import map_jacobian
     rng = np.random.default_rng(seed)
-    ranks = []
-    for _ in range(n_probe):
-        x = gpd.base.point_from_ambient(gpd.base.sample(rng))
-        u = gpd.unit.at(x)
-        J, _ = map_jacobian(gpd.alpha, u)
-        s = np.linalg.svd(J, compute_uv=False) if J.size else np.zeros(0)
-        thr = tol_rank * max(float(s[0]) if len(s) else 0.0, 1.0)
-        ranks.append(gpd.arrows.dim - int(np.sum(s > thr)))
+    xs = np.stack([gpd.base.sample(rng) for _ in range(n_probe)])
+    J = map_jacobian(gpd.alpha, gpd.unit.apply_batch(xs))
+    s = np.linalg.svd(J, compute_uv=False)
+    ranks = (gpd.arrows.dim - numerical_ranks(s, tol_rank)).tolist()
     if len(set(ranks)) != 1:
         raise RankDrop(f"{gpd.name}: kernel dimension varies across samples: {ranks}")
     return LieAlgebroid(gpd, ranks[0])

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ad import Dual
+from . import ad
 from .errors import (BranchAmbiguity, CoherenceLost, GraphOutsideDomain,
                      NotDifferentiable, NotInDomainU, NotInThetaImage,
                      OutOfChart, OutsideNeighborhood)
-from .linalg import newton, rank_floor
+from .linalg import newton, numerical_ranks
 from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
                         map_jacobian, merge_components, split_components,
@@ -283,12 +283,10 @@ def pushforward_tangent(f: SmoothMap, gamma: GridMap,
         raise NotDifferentiable(f"{f.name} is not declared C^1")
     if tau.base is not gamma and not tau.base.close_to(gamma):
         raise ValueError("section is not based over the given grid map")
-    seeded = [Dual(p, v) for p, v in zip(split_components(gamma.ambient),
-                                         split_components(tau.vel_ambient))]
-    out = f.fn(seeded)
-    vals = merge_components([o.re if isinstance(o, Dual) else o for o in out])
-    eps = merge_components([o.ep if isinstance(o, Dual) else o * 0.0 for o in out])
-    return GridSection(GridMap(gamma.grid, f.target, vals), eps)
+    vals, eps = ad.jvp(f.fn, split_components(gamma.ambient),
+                       split_components(tau.vel_ambient))
+    return GridSection(GridMap(gamma.grid, f.target, merge_components(vals)),
+                       merge_components(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +335,6 @@ class PushforwardClassification:
     dim_source: int
     dim_target: int
     node_ranks: list
-    node_min_sv: list
 
 
 def classify_pushforward(f: SmoothMap, gamma: GridMap,
@@ -346,20 +343,14 @@ def classify_pushforward(f: SmoothMap, gamma: GridMap,
 
     The tangent map of the push-forward is block diagonal with one Jacobian
     of f per node, so the lifted verdict is the conjunction over blocks.
+    The node Jacobians come from one :func:`map_jacobian` call on the whole
+    grid map, and their ranks from one stacked SVD.
     """
     dm, dn = f.source.dim, f.target.dim
-    ranks, min_svs = [], []
-    sub = imm = True
-    for i in range(gamma.grid.n):
-        p = f.source.point_from_ambient(gamma.ambient[i])
-        J, _ = map_jacobian(f, p)
-        s = np.linalg.svd(J, compute_uv=False)
-        thr = rank_floor(s, tol_rank)
-        r = int(np.sum(s > thr))
-        ranks.append(r)
-        min_svs.append(float(s[-1]) if len(s) else 0.0)
-        sub = sub and (r == dn)
-        imm = imm and (r == dm)
+    s = np.linalg.svd(map_jacobian(f, gamma.ambient), compute_uv=False)
+    ranks = numerical_ranks(s, tol_rank)
+    sub = bool(np.all(ranks == dn))
+    imm = bool(np.all(ranks == dm))
     if sub and imm and dm == dn:
         verdict = "local_diffeo_on_trace"
     elif sub:
@@ -368,7 +359,7 @@ def classify_pushforward(f: SmoothMap, gamma: GridMap,
         verdict = "immersion_on_trace"
     else:
         verdict = "neither"
-    return PushforwardClassification(verdict, dm, dn, ranks, min_svs)
+    return PushforwardClassification(verdict, dm, dn, ranks.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -241,25 +241,22 @@ class ClassifyReport:
 def worst_rank_ratio(fmap: SmoothMap, ambients, index):
     """Smallest s[index] / max(s[0], 1) over the Jacobians of fmap, s sorted.
 
-    `ambients` stacks source points along its leading axes; they are walked
-    in row-major order.  Returns (worst, witness ambient).  Two cases need no
-    Jacobian: a negative index asks for no singular value, so (inf, None);
-    when a dimension of fmap does not exceed `index`, that singular value
-    vanishes everywhere, so (0.0, None).
+    `ambients` stacks source points along its leading axes, all handled by
+    one :func:`map_jacobian` call and one SVD.  Returns (worst, witness),
+    the witness being the first worst point in row-major order.  Two cases
+    need no Jacobian: a negative index asks for no singular value, so
+    (inf, None); when a dimension of fmap does not exceed `index`, that
+    singular value vanishes everywhere, so (0.0, None).
     """
     if index < 0:
         return np.inf, None
     if index >= min(fmap.source.dim, fmap.target.dim):
         return 0.0, None
-    worst = np.inf
-    witness = None
-    for amb in np.reshape(ambients, (-1, fmap.source.ambient_dim)):
-        J, _ = map_jacobian(fmap, fmap.source.point_from_ambient(amb))
-        s = np.linalg.svd(J, compute_uv=False)
-        crit = float(s[index] / max(s[0], 1.0))
-        if crit < worst:
-            worst, witness = crit, list(map(float, amb))
-    return worst, witness
+    amb = np.reshape(ambients, (-1, fmap.source.ambient_dim))
+    s = np.linalg.svd(map_jacobian(fmap, amb), compute_uv=False)
+    crit = s[:, index] / np.maximum(s[:, 0], 1.0)
+    k = int(np.argmin(crit))
+    return float(crit[k]), list(map(float, amb[k]))
 
 
 def etale_index(gpd: LieGroupoid):

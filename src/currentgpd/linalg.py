@@ -89,8 +89,10 @@ def gram_schmidt(vectors, drop_tol=1e-12):
     return out
 
 
-def rank_floor(singular_values, rel=1e-8):
-    """Scale-invariant rank threshold: rel * max(largest singular value, 1)."""
-    smax = float(singular_values[0]) if len(singular_values) else 0.0
-    return rel * max(smax, 1.0)
+def numerical_ranks(s, rel):
+    """Ranks from stacked singular values s (..., k), each row descending.
+
+    A singular value counts above the floor rel * max(s[..., 0], 1).
+    """
+    return (s > rel * s[..., :1].clip(1.0)).sum(axis=-1)
 

@@ -357,12 +357,7 @@ def tangent_local_addition(add: LocalAddition) -> LocalAddition:
         v = list(comps[am:2 * am])
         a = list(comps[2 * am:3 * am])
         b = list(comps[3 * am:])
-        base = p + a
-        velo = v + b
-        seeded = [Dual(x, dx) for x, dx in zip(base, velo)]
-        out = add.sigma_fn(seeded)
-        q = [o.re if isinstance(o, Dual) else o for o in out]
-        dq = [o.ep if isinstance(o, Dual) else 0.0 * value(o) for o in out]
+        q, dq = ad.jvp(add.sigma_fn, p + a, v + b)
         return q + dq
 
     def domain(p_amb, v_amb):

@@ -479,12 +479,24 @@ def second_tangent_map(f: SmoothMap, s: SecondTangent, target_chart=None) -> Sec
                          np.asarray(zs), np.asarray(ws))
 
 
-def map_jacobian(f: SmoothMap, p: Point, target_chart=None):
-    """Jacobian of the chart representative of f at p."""
-    q_amb = merge_components(f.fn(split_components(p.ambient)))
-    cj = f.target.best_chart(q_amb) if target_chart is None else target_chart
-    rep = f.local(p.chart_id, cj)
-    return ad.jacobian(rep, list(p.coords)), int(cj)
+def map_jacobian(f: SmoothMap, amb):
+    """Chart Jacobians of f at stacked source points, (..., m) -> (..., n, k).
+
+    Points are read in their best source chart and their images in their
+    best target chart, as in :func:`tangent_map`.  The points of one
+    (source chart, target chart) pair are one batch for :func:`ad.jacobian`.
+    """
+    flat = np.reshape(amb, (-1, f.source.ambient_dim))
+    pairs = zip(f.source.best_chart(flat).tolist(),
+                f.target.best_chart(f.apply_batch(flat)).tolist())
+    batches = {}
+    for row, pair in enumerate(pairs):
+        batches.setdefault(pair, []).append(row)
+    out = np.empty((len(flat), f.target.dim, f.source.dim))
+    for (i, j), rows in batches.items():
+        coords = f.source.charts[i].fwd(split_components(flat[rows]))
+        out[rows] = ad.jacobian(f.local(i, j), coords)
+    return out.reshape(np.shape(amb)[:-1] + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------

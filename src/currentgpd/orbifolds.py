@@ -125,15 +125,17 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
         if np.any(inside):
             bij_res = max(bij_res, float(r - np.min(
                 np.linalg.norm(img[inside] - c, axis=-1))))
-    # (iii) the identification intertwines the multiplications
+    # (iii) the identification intertwines the multiplications: the groupoid
+    # composes the arrows (ga, gb.y) and (gb, y) to one from y to ga.gb.y
     mult_res = 0.0
-    for a, ga in enumerate(iso.element_indices):
-        for b, gb in enumerate(iso.element_indices):
-            gg = int(grp.table[ga, gb])
-            # arrow pair ((ga, gb.y), (gb, y)) composes to (ga gb, y)
-            lifted = grp.elements[gg].act(ys)
-            two_step = grp.elements[ga].act(grp.elements[gb].act(ys))
-            mult_res = max(mult_res, float(np.max(np.abs(lifted - two_step))))
+    for ga in iso.element_indices:
+        for gb in iso.element_indices:
+            mid = grp.elements[gb].act(ys)
+            prod = gpd.mu_batch(np.insert(mid, 0, ga, axis=1),
+                                np.insert(ys, 0, gb, axis=1))
+            err = [gpd.alpha_batch(prod) - ys,
+                   gpd.beta_batch(prod) - grp.elements[ga].act(mid)]
+            mult_res = max(mult_res, float(np.max(np.abs(err))))
     return LocalActionForm(x, iso, float(r), halvings, act_res, bij_res,
                            mult_res)
 

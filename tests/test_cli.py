@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -169,6 +173,15 @@ class TestListSuites:
         assert "groupoid-axioms" in out
         for sid, (anchor, _) in SUITES.items():
             assert sid in out and anchor in out
+
+    def test_module_entry_point(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "currentgpd",
+                               "list-suites"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == len(SUITES)
 
 
 class TestDumpGridmap:

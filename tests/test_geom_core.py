@@ -9,6 +9,8 @@ from currentgpd import ad
 from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
                                 Torus, catalog_maps)
 from currentgpd.errors import NotDifferentiable, OutOfChart
+from currentgpd.gridmaps import GridSpec
+from currentgpd.groupoids import GROUPOIDS
 from currentgpd.manifolds import (DiscreteManifold, OpenSubManifold,
                                   ProductManifold, SecondTangent, SmoothMap,
                                   Tangent, canonical_flip, chart_count,
@@ -121,15 +123,33 @@ class TestTangentMap:
             assert float(np.max(np.abs(moved.vel - out1.vel))) < 1e-9
 
     def test_ad_fd_agreement_all_catalog_maps(self):
+        # one batched call per map on (5, 16) path nodes; each node checked
+        # against finite differences of the representative in its own charts
+        maps = dict(catalog_maps())
+        for gname, make in GROUPOIDS.items():
+            gpd = make()
+            maps[f"{gname}/alpha"] = gpd.alpha
+            maps[f"{gname}/anchor"] = gpd.anchor_map()
         rng = np.random.default_rng(3)
-        for name, f in catalog_maps().items():
-            for _ in range(100):
-                p = f.source.point_from_ambient(f.source.sample(rng))
-                J, cj = map_jacobian(f, p)
-                rep = f.local(p.chart_id, cj)
-                Jfd = ad.fd_jacobian(rep, list(p.coords), 1e-5)
-                scale = max(float(np.max(np.abs(J))), 1.0)
-                assert float(np.max(np.abs(J - Jfd))) / scale < 1e-6, name
+        params = GridSpec("circle", 16).params()
+        most_pairs = 0
+        for name, f in maps.items():
+            paths = f.source.sample_path(params, rng, True, 5)
+            J = map_jacobian(f, paths)
+            assert J.shape == (5, 16, f.target.dim, f.source.dim), name
+            pairs = set()
+            for amb, Jn in zip(paths.reshape(80, -1),
+                               J.reshape((80,) + J.shape[2:])):
+                p = f.source.point_from_ambient(amb)
+                cj = int(f.target.best_chart(f.apply_batch(amb)))
+                pairs.add((p.chart_id, cj))
+                Jfd = ad.fd_jacobian(f.local(p.chart_id, cj), list(p.coords),
+                                     1e-5)
+                scale = max(float(np.max(np.abs(Jn), initial=0.0)), 1.0)
+                err = float(np.max(np.abs(Jn - Jfd), initial=0.0))
+                assert err / scale < 1e-6, name
+            most_pairs = max(most_pairs, len(pairs))
+        assert most_pairs >= 2
 
 
 # ---------------------------------------------------------------------------

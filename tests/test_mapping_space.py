@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from currentgpd.catalog import (MANIFOLDS, Circle, Euclidean, catalog_maps,
-                                exp_cover)
+from currentgpd.catalog import (MANIFOLDS, Circle, Euclidean, RotationGroup,
+                                catalog_maps, exp_cover)
 from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
                                GraphOutsideDomain, NotInDomainU,
                                NotInThetaImage, OutsideNeighborhood)
@@ -23,7 +23,8 @@ from currentgpd.gridmaps import (GridMap, GridSpec, SuperpositionMap,
                                  zero_section)
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.localadd import riemannian_local_addition
-from currentgpd.manifolds import DiscreteManifold, SmoothMap
+from currentgpd.manifolds import (DiscreteManifold, SmoothMap,
+                                  tangent_from_ambient, tangent_map)
 
 
 CIRCLE = Circle()
@@ -247,6 +248,21 @@ class TestPushforwardTangent:
         speeds = np.linalg.norm(out.vel_ambient, axis=-1)
         assert np.allclose(speeds, 2.0, atol=1e-12)
 
+    def test_so3_exponential_matches_nodewise_tangent_map(self):
+        # ad.where on dual arrays: node 0 sits at xi = 0, on the series branch
+        space = Euclidean(3)
+        f = SmoothMap(space, RotationGroup(), RotationGroup.exp_chart)
+        th = 2 * math.pi * np.arange(16) / 16
+        amb = 0.6 * np.stack([np.sin(th), 1 - np.cos(th), np.sin(2 * th)], -1)
+        gamma = GridMap(GridSpec("circle", 16), space, amb)
+        tau = random_section(gamma, np.random.default_rng(9))
+        out = pushforward_tangent(f, gamma, tau)
+        for i in range(16):
+            t = tangent_map(f, tangent_from_ambient(space, amb[i],
+                                                    tau.vel_ambient[i]))
+            assert np.max(np.abs(out.base.ambient[i] - t.base.ambient)) < 1e-12
+            assert np.max(np.abs(out.vel_ambient[i] - t.ambient_vel())) < 1e-12
+
 
 class TestClassify:
     def test_submersion(self):
@@ -272,6 +288,13 @@ class TestClassify:
         loop = circle_identity_loop(GRID, CIRCLE)
         got = classify_pushforward(MAPS["circle-constant"], loop)
         assert got.verdict == "neither"
+
+    def test_zero_dimensional_source(self):
+        # no chart directions: each node Jacobian is 1 x 0, an immersion
+        f = SmoothMap(DiscreteManifold(2), CIRCLE,
+                      lambda c: [c[0] * 0.0 + 1.0, c[0] * 0.0])
+        gamma = GridMap(GRID, f.source, np.zeros((GRID.n, 1)))
+        assert classify_pushforward(f, gamma).verdict == "immersion_on_trace"
 
     def test_matches_rank_oracle(self):
         # numpy matrix rank of the explicit Jacobians as the oracle

@@ -8,10 +8,11 @@ input and keep ``pass`` for the others.
 import numpy as np
 import pytest
 
-from currentgpd import suites
+from currentgpd import ad, suites
 from currentgpd.ad import value
-from currentgpd.catalog import catalog_maps
+from currentgpd.catalog import Euclidean, catalog_maps
 from currentgpd.groupoids import GROUPOIDS
+from currentgpd.manifolds import SmoothMap
 from currentgpd.suites import SuiteContext, run_suite
 
 INSTANCES = ["pair-real1", "rot-action", "so3-group"]
@@ -62,6 +63,47 @@ def squaring_embedding(monkeypatch):
     monkeypatch.setattr(suites, "catalog_maps", maps)
 
 
+def flat_projection(monkeypatch):
+    """plane-projection made constant where x > 2.5, so its rank drops there."""
+    def fn(comps):
+        x = comps[0]
+        return [ad.where(np.asarray(value(x)) > 2.5, 2.5, x)]
+
+    def maps():
+        out = catalog_maps()
+        out["plane-projection"] = SmoothMap(Euclidean(2), Euclidean(1), fn,
+                                            name="plane-projection")
+        return out
+
+    monkeypatch.setattr(suites, "catalog_maps", maps)
+
+
+def unnormalized_addition(monkeypatch):
+    """Local additions whose velocity is scaled by 1.001."""
+    make = suites.riemannian_local_addition
+
+    def scaled(m):
+        add = make(m)
+        sigma_fn, am = add.sigma_fn, m.ambient_dim
+        add.sigma_fn = lambda c: sigma_fn(list(c[:am])
+                                          + [1.001 * v for v in c[am:]])
+        return add
+
+    monkeypatch.setattr(suites, "riemannian_local_addition", scaled)
+
+
+def forgetful_multiplication(monkeypatch):
+    """z4-plane composes (g, x) and (h, y) to (g, y), dropping h."""
+    make = GROUPOIDS["z4-plane"]
+
+    def make_broken():
+        gpd = make()
+        gpd.mu_fn = lambda g, h: [g[0]] + list(h[1:])
+        return gpd
+
+    monkeypatch.setitem(GROUPOIDS, "z4-plane", make_broken)
+
+
 # suite id -> (patch, name in the broken records' check names, sample
 # override or None).  At seed 7, 2 of the 400 flat pair-real1 triples and
 # 1-3 of the 200 arrow paths on each grid reach the broken region, so a
@@ -72,6 +114,9 @@ CONTROLS = {
                                 200),
     "proper-etale-lifting": (repeated_identity, "proper-etale-lifting", 20),
     "embedding": (squaring_embedding, "embedding", None),
+    "pushforward-classifiers": (flat_projection, "plane-projection", 20),
+    "tangent-diagram": (unnormalized_addition, "tangent-diagram", None),
+    "local-action-form": (forgetful_multiplication, "local-action-form", None),
 }
 
 
