@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from currentgpd import ad
 from currentgpd.algebroids import (AlgebroidSection, CurrentAlgebroid,
-                                   algebroid_of_groupoid, current_algebroid,
-                                   current_bracket_two_ways, groupoid_power,
+                                   LieAlgebroid, algebroid_of_groupoid,
+                                   current_algebroid, current_bracket_two_ways,
+                                   groupoid_power, lift_section,
                                    sign_convention_check,
                                    vector_field_bracket)
 from currentgpd.catalog import Circle, RotationGroup
 from currentgpd.gridmaps import GridSpec, random_grid_map
-from currentgpd.groupoids import make_groupoid
+from currentgpd.groupoids import GROUPOIDS, make_groupoid
 from currentgpd.localadd import circle_group, so3_group
 from currentgpd.manifolds import chart_count, merge_components
 from currentgpd.suites import SuiteContext, run_suite
@@ -342,6 +344,58 @@ class TestCurrentAlgebroid:
         xs = np.concatenate([gpd.base.sample(rng, 4).reshape(-1)])[None]
         viol = axiom_violations(power, g, h, k, xs)
         assert max(viol.values()) <= 1e-12
+
+
+# name -> (digest of route one's power bracket, digest of route two's
+# bracket_values, float.hex of coefficients_in_frame at node 0) for
+# test_bracket_values_are_pinned.  A digest is the first 16 hex digits of the
+# sha256 of the values' float.hex strings joined by spaces.  A change of
+# summation order or of operand order that moves one bit of a bracket fails
+# here.
+PINNED_BRACKETS = {
+    "circle-bundle": ("ee02eb3d1a04faaa", "ee02eb3d1a04faaa", ["0x0.0p+0"]),
+    "pair-real1": ("f5ca198e3c0690e4", "f5ca198e3c0690e4",
+                   ["-0x1.eec0b0120be6cp+0"]),
+    "pair-real2": ("2d2905c77b1fab40", "2d2905c77b1fab40",
+                   ["0x1.14938914201cfp+2", "-0x1.1fdcfef1c2a75p+3"]),
+    "rot-action": ("59403c1912f4fcc4", "59403c1912f4fcc4",
+                   ["-0x1.862fcc8bb442cp-3"]),
+    "so3-action": ("2c5b549e9a80f457", "2c5b549e9a80f457",
+                   ["-0x1.492e6a15ca6bcp+3", "0x1.fc715de1a4698p+5",
+                    "0x1.f225f4dc7cd58p+3"]),
+    "so3-group": ("f03607827c2ecf2c", "f03607827c2ecf2c",
+                  ["0x1.c21d0a0082232p-4", "-0x1.03296eee0311bp-1",
+                   "-0x1.85dd936168f16p-1"]),
+    "unit-circle": ("fec919ef1e9765d3", "fec919ef1e9765d3", []),
+    "z2-line": ("eedd089961c37072", "eedd089961c37072", []),
+    "z4-plane": ("5e7b18ee6294efe0", "5e7b18ee6294efe0", []),
+}
+
+
+def _digest(values):
+    text = " ".join(float(v).hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_bracket_values_are_pinned(name):
+    n = 8
+    gpd = make_groupoid(name)
+    alg = algebroid_of_groupoid(gpd)
+    grid = GridSpec("circle", n)
+    rng = np.random.default_rng(19)
+    base = random_grid_map(grid, gpd.base, rng)
+    X = alg.random_polynomial_section(rng, "X")
+    Y = alg.random_polynomial_section(rng, "Y")
+    am = gpd.base.ambient_dim
+    big = LieAlgebroid(groupoid_power(gpd, n), alg.rank * n)
+    one = big.bracket(lift_section(big, X, n, am),
+                      lift_section(big, Y, n, am)).vector_fn(
+        list(np.concatenate(list(base.ambient))))
+    two = current_algebroid(alg, grid).bracket_values(X, Y, base).ravel()
+    coeffs = alg.coefficients_in_frame(alg.bracket(X, Y), base.point(0))
+    assert (_digest(one), _digest(two),
+            [float(c).hex() for c in coeffs]) == PINNED_BRACKETS[name]
 
 
 class TestSignConvention:
