@@ -1,15 +1,26 @@
 """Forward-mode automatic differentiation with nestable dual numbers.
 
-A ``Dual`` carries a value and one derivative coefficient.  Coefficients may
-themselves be duals (second and higher order via nesting) or numpy arrays
-(batched tangents).  Chart maps and structure maps throughout the library are
-written against the dispatching math functions below, so the same code path
-evaluates on floats, on ``Dual`` seeds, and on arrays of grid samples.
+A ``Dual`` carries a value ``re`` and a derivative part ``ep``.  Either part
+may itself be a dual (second and higher order via nesting) or a numpy array:
+an array ``re`` holds a batch of points, and an ``ep`` may add a leading
+direction axis, so that ``ep`` has shape ``(k,) + shape(re)`` and carries k
+directional derivatives at once (vector forward mode).  The leading axis
+broadcasts against scalar and batched values alike, so the arithmetic below
+needs no case for it, and direction j sees the same operations as a pass
+seeded with that direction alone.  Chart maps and structure maps throughout
+the library are written against the dispatching math functions below, so
+the same code path evaluates on floats, on ``Dual`` seeds, and on arrays of
+grid samples.
+
+A matrix whose entries carry duals is held as one ``Dual`` whose parts are
+arrays (:func:`pack`, :func:`unpack`); indexing and assignment act on every
+part, so dense algebra runs whole rows at a time on floats and duals alike.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -26,6 +37,14 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.re!r}, {self.ep!r})"
+
+    def __getitem__(self, idx):
+        return Dual(self.re[idx], self.ep[idx])
+
+    def __setitem__(self, idx, v):
+        re, ep = _parts(v)
+        self.re[idx] = re
+        self.ep[idx] = ep
 
     def __add__(self, o):
         if isinstance(o, Dual):
@@ -175,16 +194,49 @@ def jvp(fn, xs, vs):
     return vals, eps
 
 
+def _columns(e, k, nd):
+    """The k directional parts of a derivative e about a point of ndim nd.
+
+    An array with one axis more than the point carries the directions on
+    its leading axis; anything else is the same in every direction.
+    """
+    if isinstance(e, Dual):
+        return [Dual(r, p) for r, p in zip(_columns(e.re, k, nd),
+                                           _columns(e.ep, k, nd))]
+    if np.ndim(e) == nd + 1:
+        return e.tolist() if nd == 0 else list(e)
+    return [e] * k
+
+
 def jacobian_columns(fn, xs):
-    """Columns of the Jacobian of fn at xs, one jvp each; entries keep duals."""
-    k = range(len(xs))
-    return [jvp(fn, xs, [float(i == j) for i in k])[1] for j in k]
+    """Columns of the Jacobian of fn at xs; entries keep duals.
+
+    One vector-mode pass: xs[i] is seeded with the i-th unit vector on a
+    leading direction axis of length k, and each output's derivative is
+    split into its k columns afterwards.  Column j equals the derivative
+    part of ``jvp`` along the j-th unit vector, bit for bit.
+    """
+    k = len(xs)
+    if not k:
+        return []
+    seeded = []
+    for i, x in enumerate(xs):
+        e = np.zeros((k,) + np.shape(value(x)))
+        e[i] = 1.0
+        seeded.append(Dual(x, e))
+    rows = []
+    for o in fn(seeded):
+        if isinstance(o, Dual):
+            rows.append(_columns(o.ep, k, np.ndim(value(o))))
+        else:
+            rows.append([o * 0.0 if isinstance(o, np.ndarray) else 0.0] * k)
+    return [[r[j] for r in rows] for j in range(k)]
 
 
 def jacobian(fn, xs):
     """Dense Jacobian of fn: R^k -> R^m at xs as an (..., m, k) array.
 
-    xs is k floats, or k arrays of one shape (...); one jvp per direction.
+    xs is k floats, or k arrays of one shape (...).
     """
     cols = jacobian_columns(fn, xs)
     out = np.zeros(np.shape(xs[0] if len(xs) else 0.0)
@@ -212,3 +264,28 @@ def fd_jacobian(fn, xs, h):
     for j, col in enumerate(cols):
         out[:, j] = col
     return out
+
+
+def pack(rows):
+    """A matrix given as rows of entries, as an array or a Dual of arrays.
+
+    Entries may be floats or duals of any depth; a float entry of a dual
+    matrix gets derivative 0.
+    """
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    return _pack([e for row in rows for e in row], shape)
+
+
+def _pack(flat, shape):
+    if not any(map(isinstance, flat, repeat(Dual))):
+        return np.array(flat, dtype=float).reshape(shape)
+    re, ep = zip(*(_parts(e) for e in flat))
+    return Dual(_pack(re, shape), _pack(ep, shape))
+
+
+def unpack(a):
+    """Rows of entries of a packed matrix, the inverse of :func:`pack`."""
+    if isinstance(a, Dual):
+        return [[Dual(r, e) for r, e in zip(rr, er)]
+                for rr, er in zip(unpack(a.re), unpack(a.ep))]
+    return a.tolist()

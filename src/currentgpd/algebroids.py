@@ -93,16 +93,23 @@ class LieAlgebroid:
         self.base = gpd.base
         self.rank = rank
         self.tol_bracket = tol_bracket
+        self._charts = {}  # float point bytes -> (arrow chart, base chart)
 
     # -- local kernel frames ---------------------------------------------------
     def _unit_chart_context(self, x_comps):
-        """Chart ids for the unit point of x, branch chosen on float values."""
+        """Chart ids for the unit point of x, branch chosen on float values.
+
+        Memoised on the exact bytes of the float point, so -0.0 and 0.0 stay
+        apart.
+        """
         g = self.gpd
         xf = np.asarray([value(c) for c in x_comps], dtype=float)
-        u_f = merge_components(g.unit.fn(list(xf)))
-        cg = int(g.arrows.best_chart(u_f))
-        cm = int(g.base.best_chart(xf))
-        return cg, cm
+        key = xf.tobytes()
+        if key not in self._charts:
+            u_f = merge_components(g.unit.fn(list(xf)))
+            self._charts[key] = (int(g.arrows.best_chart(u_f)),
+                                 int(g.base.best_chart(xf)))
+        return self._charts[key]
 
     def _alpha_rep(self, cg, cm):
         g = self.gpd
@@ -134,22 +141,18 @@ class LieAlgebroid:
         if dM == 0:
             return [[1.0 if i == j else 0.0 for j in range(dG)]
                     for i in range(dG)]
-        rep = self._alpha_rep(cg, cm)
-        cols = ad.jacobian_columns(rep, list(u_coords))  # dG columns of len dM
-        J = [[cols[j][i] for j in range(dG)] for i in range(dM)]
-        JJt = [[dot_list(J[i], J[k]) for k in range(dM)] for i in range(dM)]
+        cols = ad.jacobian_columns(self._alpha_rep(cg, cm), list(u_coords))
+        J = ad.pack([list(row) for row in zip(*cols)])  # dM x dG
+        # J J^T as a sum of outer products of J's columns, in column order
+        JJt = J[:, :1] * J[:, 0]
+        for j in range(1, dG):
+            JJt += J[:, j:j + 1] * J[:, j]
         # Z = (J J^T)^(-1) J: one factorisation, the dG columns of J as rhs
-        Z = linsolve(JJt, [[J[i][j] for i in range(dM)] for j in range(dG)])
-        P = []
-        for i in range(dG):
-            row = []
-            for j in range(dG):
-                acc = 1.0 if i == j else 0.0
-                for k in range(dM):
-                    acc = acc - J[k][i] * Z[j][k]
-                row.append(acc)
-            P.append(row)
-        return P
+        Z = ad.pack(linsolve(ad.unpack(JJt), [list(c) for c in cols]))
+        P = np.eye(dG) - J[0, :, None] * Z[:, 0]
+        for k in range(1, dM):
+            P -= J[k, :, None] * Z[:, k]
+        return ad.unpack(P)
 
     def _select_axes(self, P_float):
         """Greedy chart axes whose projections stay independent."""

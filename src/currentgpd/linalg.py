@@ -2,12 +2,18 @@
 
 Float-only rank queries go through numpy's SVD; the generic routines here
 exist so that solves and orthonormalisation can sit inside AD-evaluated
-code paths.  Newton's method sits next to the solve it steps with.
+code paths.  :func:`linsolve` works on whole rows: its matrices are numpy
+arrays, or ``Dual``s whose parts are arrays when the entries carry duals
+(see :func:`ad.pack`), and every entry sees the same operations in the same
+order as in a solve entry by entry.  Newton's method sits next to the solve
+it steps with.
 """
 
 from __future__ import annotations
 
-from .ad import jacobian, sqrt, value
+import numpy as np
+
+from .ad import jacobian, pack, sqrt, unpack, value
 from .errors import SingularNormalization
 
 
@@ -16,32 +22,32 @@ def linsolve(A, rhs):
 
     LU with partial pivoting; entries may be duals.  A is a list of rows and
     rhs a list of right-hand sides, each a list; the solutions come back in
-    the same order.  Pivoting compares underlying values, and each
-    right-hand side sees the same operations as if it were solved alone.
+    the same order.  The right-hand sides ride along as extra columns of A.
+    The pivot is the first entry of largest magnitude in its column,
+    compared on underlying values.  Each pivot eliminates the rows below it
+    in one slice update, and back-substitution runs on the vector of all
+    right-hand sides, so each right-hand side sees the same operations as
+    if it were solved alone.
     """
     n = len(A)
-    M = [list(row) for row in A]
-    R = [[b[r] for b in rhs] for r in range(n)]  # row r: entry r of each b
+    M = pack([list(A[r]) + [b[r] for b in rhs] for r in range(n)])  # [A | b..]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value(M[r][col])))
-        if abs(value(M[piv][col])) == 0.0:
+        mag = np.abs(value(M)[col:, col])
+        piv = col + int(np.argmax(mag))
+        if mag[piv - col] == 0.0:
             raise SingularNormalization("singular linear system")
         if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            R[col], R[piv] = R[piv], R[col]
-        inv = 1.0 / M[col][col]
-        for r in range(col + 1, n):
-            f = M[r][col] * inv
-            for c in range(col, n):
-                M[r][c] = M[r][c] - f * M[col][c]
-            R[r] = [a - f * p for a, p in zip(R[r], R[col])]
-    X = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = R[r]
+            M[[col, piv]] = M[[piv, col]]
+        if col + 1 < n:
+            f = M[col + 1:, col:col + 1] * (1.0 / M[col, col])
+            M[col + 1:, col:] = M[col + 1:, col:] - f * M[col, col:]
+    for r in range(n - 1, -1, -1):  # row c > r holds solution entry c
+        acc = M[r, n:]
         for c in range(r + 1, n):
-            acc = [a - M[r][c] * x for a, x in zip(acc, X[c])]
-        X[r] = [a / M[r][r] for a in acc]
-    return [[X[r][k] for r in range(n)] for k in range(len(rhs))]
+            acc = acc - M[r, c] * M[c, n:]
+        M[r, n:] = acc / M[r, r]
+    X = unpack(M[:, n:])
+    return [[row[k] for row in X] for k in range(len(rhs))]
 
 
 def newton(residual, x0, tol, max_iter, bound):

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from currentgpd import ad
 from currentgpd.ad import Dual
+from currentgpd.catalog import catalog_maps
+from currentgpd.groupoids import GROUPOIDS
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -95,3 +97,65 @@ def test_sqrt_and_log_chain():
     y = ad.log(ad.sqrt(x))
     assert y.re == pytest.approx(0.5 * math.log(2.0))
     assert y.ep == pytest.approx(0.5 / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# vector mode: one pass with a direction axis equals k scalar jvp passes
+# ---------------------------------------------------------------------------
+
+def _leaves(e):
+    """The float arrays inside a (nested) dual entry, depth first."""
+    if isinstance(e, Dual):
+        return _leaves(e.re) + _leaves(e.ep)
+    return [np.asarray(e, dtype=float)]
+
+
+def assert_columns_match_jvp(fn, xs, shape=()):
+    """jacobian_columns(fn, xs) against one jvp per unit vector, bit for bit."""
+    k = len(xs)
+    cols = ad.jacobian_columns(fn, xs)
+    assert len(cols) == k
+    for j, col in enumerate(cols):
+        _, want = ad.jvp(fn, xs, [float(i == j) for i in range(k)])
+        assert len(col) == len(want)
+        for got, ref in zip(col, want):
+            g, r = _leaves(got), _leaves(ref)
+            assert len(g) == len(r)
+            for a, b in zip(g, r):
+                assert (np.broadcast_to(a, shape).tobytes()
+                        == np.broadcast_to(b, shape).tobytes()), (j, a, b)
+
+
+def _chart_representatives():
+    """A chart representative and float chart coords for every catalog map
+    and every groupoid's source map, at one sampled point each."""
+    maps = dict(catalog_maps())
+    for gname, make in GROUPOIDS.items():
+        maps[f"{gname}/alpha"] = make().alpha
+    rng = np.random.default_rng(5)
+    for name, f in sorted(maps.items()):
+        p = f.source.point_from_ambient(f.source.sample(rng))
+        cj = int(f.target.best_chart(f.apply_batch(p.ambient)))
+        yield pytest.param(f.local(p.chart_id, cj),
+                           [float(c) for c in p.coords], id=name)
+
+
+@pytest.mark.parametrize("rep,coords", list(_chart_representatives()))
+def test_jacobian_columns_match_jvp_passes(rep, coords):
+    rng = np.random.default_rng(6)
+    assert_columns_match_jvp(rep, coords)
+    nested = [Dual(x, c) for x, c in zip(coords, rng.normal(size=len(coords)))]
+    assert_columns_match_jvp(rep, nested)
+    batch = [x + 1e-3 * rng.normal(size=(5, 16)) for x in coords]
+    assert_columns_match_jvp(rep, batch, (5, 16))
+
+
+def test_jacobian_columns_of_constant_outputs_and_no_directions():
+    def fn(xs):
+        return [xs[0] * xs[1], -1.5, np.full((5, 16), -1.5)]
+
+    assert_columns_match_jvp(fn, [0.3, -0.7], (5, 16))
+    batch = [np.linspace(-1.0, 1.0, 80).reshape(5, 16), np.ones((5, 16))]
+    assert_columns_match_jvp(fn, batch, (5, 16))
+    assert ad.jacobian_columns(fn, []) == []
+    assert ad.jacobian(lambda xs: [1.0, 2.0], []).shape == (2, 0)
