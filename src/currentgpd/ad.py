@@ -204,32 +204,28 @@ def _columns(e, k, nd):
         return [Dual(r, p) for r, p in zip(_columns(e.re, k, nd),
                                            _columns(e.ep, k, nd))]
     if np.ndim(e) == nd + 1:
-        return e.tolist() if nd == 0 else list(e)
+        return e.tolist() if nd == 0 else list(e)  # floats, as a scalar pass
     return [e] * k
 
 
 def jacobian_columns(fn, xs):
     """Columns of the Jacobian of fn at xs; entries keep duals.
 
-    One vector-mode pass: xs[i] is seeded with the i-th unit vector on a
+    One vector-mode ``jvp``: xs[i] is seeded with the i-th unit vector on a
     leading direction axis of length k, and each output's derivative is
     split into its k columns afterwards.  Column j equals the derivative
-    part of ``jvp`` along the j-th unit vector, bit for bit.
+    part of ``jvp`` along the j-th unit vector alone, bit for bit.
     """
     k = len(xs)
     if not k:
         return []
-    seeded = []
+    seeds = []
     for i, x in enumerate(xs):
         e = np.zeros((k,) + np.shape(value(x)))
         e[i] = 1.0
-        seeded.append(Dual(x, e))
-    rows = []
-    for o in fn(seeded):
-        if isinstance(o, Dual):
-            rows.append(_columns(o.ep, k, np.ndim(value(o))))
-        else:
-            rows.append([o * 0.0 if isinstance(o, np.ndarray) else 0.0] * k)
+        seeds.append(e)
+    vals, eps = jvp(fn, xs, seeds)
+    rows = [_columns(e, k, np.ndim(value(v))) for v, e in zip(vals, eps)]
     return [[r[j] for r in rows] for j in range(k)]
 
 

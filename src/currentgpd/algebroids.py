@@ -142,13 +142,13 @@ class LieAlgebroid:
             return [[1.0 if i == j else 0.0 for j in range(dG)]
                     for i in range(dG)]
         cols = ad.jacobian_columns(self._alpha_rep(cg, cm), list(u_coords))
-        J = ad.pack([list(row) for row in zip(*cols)])  # dM x dG
+        J = ad.pack(list(zip(*cols)))  # dM x dG
         # J J^T as a sum of outer products of J's columns, in column order
         JJt = J[:, :1] * J[:, 0]
         for j in range(1, dG):
             JJt += J[:, j:j + 1] * J[:, j]
         # Z = (J J^T)^(-1) J: one factorisation, the dG columns of J as rhs
-        Z = ad.pack(linsolve(ad.unpack(JJt), [list(c) for c in cols]))
+        Z = ad.pack(linsolve(ad.unpack(JJt), cols))
         P = np.eye(dG) - J[0, :, None] * Z[:, 0]
         for k in range(1, dM):
             P -= J[k, :, None] * Z[:, k]

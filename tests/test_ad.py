@@ -8,6 +8,7 @@ from currentgpd import ad
 from currentgpd.ad import Dual
 from currentgpd.catalog import catalog_maps
 from currentgpd.groupoids import GROUPOIDS
+from currentgpd.linalg import linsolve
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -159,3 +160,24 @@ def test_jacobian_columns_of_constant_outputs_and_no_directions():
     assert_columns_match_jvp(fn, batch, (5, 16))
     assert ad.jacobian_columns(fn, []) == []
     assert ad.jacobian(lambda xs: [1.0, 2.0], []).shape == (2, 0)
+
+
+def test_linsolve_pivots_and_differentiates_packed_duals():
+    # A(t) x = b with d/dt carried by duals; column 0 pivots on row 2
+    def system(t):
+        A = [[0.0 * t, 1.0 + t, 2.0], [3.0 * t, 1.0, -1.0], [4.0, t * t, 0.5]]
+        return A, [[1.0, t, -2.0], [0.5, 0.0, 1.0 - t]]
+
+    t0, h = 0.3, 1e-6
+    A, rhs = system(Dual(t0, 1.0))
+    both = linsolve(A, rhs)
+    for b, x in zip(rhs, both):
+        alone, = linsolve(A, [b])
+        assert [(v.re, v.ep) for v in alone] == [(v.re, v.ep) for v in x]
+        Af = [[ad.value(a) for a in row] for row in A]
+        bf = [ad.value(c) for c in b]
+        assert np.allclose([v.re for v in x], np.linalg.solve(Af, bf),
+                           atol=1e-13)
+    (xp, _), (xm, _) = (linsolve(*system(t0 + s)) for s in (h, -h))
+    fd = (np.asarray(xp) - np.asarray(xm)) / (2 * h)
+    assert np.allclose([v.ep for v in both[0]], fd, atol=1e-7)
