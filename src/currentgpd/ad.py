@@ -13,8 +13,10 @@ the same code path evaluates on floats, on ``Dual`` seeds, and on arrays of
 grid samples.
 
 A matrix whose entries carry duals is held as one ``Dual`` whose parts are
-arrays (:func:`pack`, :func:`unpack`); indexing and assignment act on every
-part, so dense algebra runs whole rows at a time on floats and duals alike.
+arrays (:func:`pack`, :func:`unpack`), each with the matrix axes last.
+Indexing and assignment, written ``d[..., i, j]``, act on the trailing axes
+of every part, so dense algebra runs whole rows at a time on floats and
+duals alike.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ class Dual:
         return f"Dual({self.re!r}, {self.ep!r})"
 
     def __getitem__(self, idx):
+        idx = _trailing(idx)
         return Dual(self.re[idx], self.ep[idx])
 
     def __setitem__(self, idx, v):
+        idx = _trailing(idx)
         re, ep = _parts(v)
         self.re[idx] = re
         self.ep[idx] = ep
@@ -97,6 +101,14 @@ class Dual:
             base = base * base
             k >>= 1
         return out
+
+
+def _trailing(idx):
+    """Check that idx starts with ``...``, which skips direction axes."""
+    if type(idx) is not tuple or not idx or idx[0] is not Ellipsis:
+        raise TypeError("index a Dual as d[..., i, j], past the leading "
+                        "direction axes of its parts")
+    return idx
 
 
 def value(x):
@@ -194,6 +206,11 @@ def jvp(fn, xs, vs):
     return vals, eps
 
 
+def _leaves(x):
+    """The floats and arrays inside a (nested) dual, depth first."""
+    return _leaves(x.re) + _leaves(x.ep) if isinstance(x, Dual) else [x]
+
+
 def _columns(e, k, nd):
     """The k directional parts of a derivative e about a point of ndim nd.
 
@@ -214,11 +231,17 @@ def jacobian_columns(fn, xs):
     One vector-mode ``jvp``: xs[i] is seeded with the i-th unit vector on a
     leading direction axis of length k, and each output's derivative is
     split into its k columns afterwards.  Column j equals the derivative
-    part of ``jvp`` along the j-th unit vector alone, bit for bit.
+    part of ``jvp`` along the j-th unit vector alone, bit for bit.  Points
+    whose derivative parts already carry a direction axis are refused: the
+    two axes would meet in one place.
     """
     k = len(xs)
     if not k:
         return []
+    if any(np.ndim(e) > np.ndim(value(x))
+           for x in xs if isinstance(x, Dual) for e in _leaves(x.ep)):
+        raise ValueError("jacobian_columns of a point that already carries "
+                         "a direction axis")
     seeds = []
     for i, x in enumerate(xs):
         e = np.zeros((k,) + np.shape(value(x)))
@@ -266,17 +289,26 @@ def pack(rows):
     """A matrix given as rows of entries, as an array or a Dual of arrays.
 
     Entries may be floats or duals of any depth; a float entry of a dual
-    matrix gets derivative 0.
+    matrix gets derivative 0.  Each part is an array of shape
+    ``lead + (rows, columns)``, where ``lead`` holds the direction axes that
+    entries carry in that part; an entry without them is broadcast.
     """
     shape = (len(rows), len(rows[0]) if rows else 0)
     return _pack([e for row in rows for e in row], shape)
 
 
 def _pack(flat, shape):
-    if not any(map(isinstance, flat, repeat(Dual))):
-        return np.array(flat, dtype=float).reshape(shape)
-    re, ep = zip(*(_parts(e) for e in flat))
-    return Dual(_pack(re, shape), _pack(ep, shape))
+    if any(map(isinstance, flat, repeat(Dual))):
+        re, ep = zip(*map(_parts, flat))
+        return Dual(_pack(re, shape), _pack(ep, shape))
+    try:
+        a = np.array(flat, dtype=float)
+    except ValueError:  # some entries carry direction axes, others do not
+        lead = np.broadcast_shapes(*map(np.shape, flat))
+        a = np.array([np.broadcast_to(e, lead) for e in flat])
+    if a.ndim == 1:
+        return a.reshape(shape)
+    return np.moveaxis(a.reshape(shape + a.shape[1:]), (0, 1), (-2, -1))
 
 
 def unpack(a):
@@ -284,4 +316,13 @@ def unpack(a):
     if isinstance(a, Dual):
         return [[Dual(r, e) for r, e in zip(rr, er)]
                 for rr, er in zip(unpack(a.re), unpack(a.ep))]
-    return a.tolist()
+    if a.ndim == 2:
+        return a.tolist()
+    return [list(row) for row in np.moveaxis(a, (-2, -1), (0, 1))]
+
+
+def copy(a):
+    """A packed matrix with parts of its own."""
+    if isinstance(a, Dual):
+        return Dual(copy(a.re), copy(a.ep))
+    return np.array(a, dtype=float)

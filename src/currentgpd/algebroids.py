@@ -18,7 +18,8 @@ from .ad import Dual, value
 from .errors import FrameProjectionError, RankDrop, Unsupported
 from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid
-from .linalg import dot_list, gram_schmidt, linsolve, numerical_ranks
+from .linalg import (dot_list, gram_schmidt, linsolve, lu_solve,
+                     numerical_ranks)
 from .manifolds import (Point, ProductManifold, SmoothMap, Tangent,
                         map_jacobian, merge_components, tangent_from_ambient)
 from .tolerances import DEFAULT
@@ -144,14 +145,14 @@ class LieAlgebroid:
         cols = ad.jacobian_columns(self._alpha_rep(cg, cm), list(u_coords))
         J = ad.pack(list(zip(*cols)))  # dM x dG
         # J J^T as a sum of outer products of J's columns, in column order
-        JJt = J[:, :1] * J[:, 0]
+        JJt = J[..., :, :1] * J[..., None, :, 0]
         for j in range(1, dG):
-            JJt += J[:, j:j + 1] * J[:, j]
+            JJt += J[..., :, j:j + 1] * J[..., None, :, j]
         # Z = (J J^T)^(-1) J: one factorisation, the dG columns of J as rhs
-        Z = ad.pack(linsolve(ad.unpack(JJt), cols))
-        P = np.eye(dG) - J[0, :, None] * Z[:, 0]
+        Z = lu_solve(JJt, J)  # dM x dG
+        P = np.eye(dG) - J[..., 0, :, None] * Z[..., :1, :]
         for k in range(1, dM):
-            P -= J[k, :, None] * Z[:, k]
+            P -= J[..., k, :, None] * Z[..., k:k + 1, :]
         return ad.unpack(P)
 
     def _select_axes(self, P_float):

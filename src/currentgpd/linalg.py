@@ -2,51 +2,81 @@
 
 Float-only rank queries go through numpy's SVD; the generic routines here
 exist so that solves and orthonormalisation can sit inside AD-evaluated
-code paths.  :func:`linsolve` works on whole rows: its matrices are numpy
+code paths.  :func:`lu_solve` works on whole rows of packed matrices: numpy
 arrays, or ``Dual``s whose parts are arrays when the entries carry duals
-(see :func:`ad.pack`), and every entry sees the same operations in the same
-order as in a solve entry by entry.  Newton's method sits next to the solve
-it steps with.
+(see :func:`ad.pack`).  :func:`linsolve` is its list-of-rows form.  Newton's
+method sits next to the solve it steps with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ad import jacobian, pack, sqrt, unpack, value
+from .ad import Dual, copy, jacobian, pack, sqrt, unpack, value
 from .errors import SingularNormalization
+
+
+def lu_solve(A, B):
+    """Solve A X = B for packed matrices A (n x n) and B (n x m).
+
+    LU with partial pivoting; A and B are left as they are.  The pivot is
+    the first entry of largest magnitude in its column, compared on
+    underlying values.  Each pivot eliminates the rows below it in one
+    slice update, and back-substitution runs on whole rows of B.  Every
+    entry sees the operations of a solve entry by entry, in the same order,
+    and each column of B is solved as if it were alone.  Indices start
+    with ``...`` to pass over the leading direction axes of derivative
+    parts, and rows and columns are sliced, never indexed away, so that
+    those axes broadcast in step with both matrix axes.  B must carry
+    every derivative part that A does, since the elimination writes A's
+    into B; :func:`linsolve` packs a dual A together with B for this.
+    """
+    A, B = copy(A), copy(B)
+    n = len(value(A))
+    for col in range(n):
+        mag = np.abs(value(A)[col:, col])
+        piv = col + int(np.argmax(mag))
+        if mag[piv - col] == 0.0:
+            raise SingularNormalization("singular linear system")
+        if piv != col:
+            A[..., [col, piv], :] = A[..., [piv, col], :]
+            B[..., [col, piv], :] = B[..., [piv, col], :]
+        p = slice(col, col + 1)  # pivot row or column, kept as an axis
+        if col + 1 < n:
+            f = A[..., col + 1:, p] * (1.0 / A[..., p, p])
+            A[..., col + 1:, col:] = (A[..., col + 1:, col:]
+                                      - f * A[..., p, col:])
+            B[..., col + 1:, :] = B[..., col + 1:, :] - f * B[..., p, :]
+    for r in range(n - 1, -1, -1):  # row c > r holds solution row c
+        q = slice(r, r + 1)
+        acc = B[..., q, :]
+        for c in range(r + 1, n):
+            acc = acc - A[..., q, c:c + 1] * B[..., c:c + 1, :]
+        B[..., q, :] = acc / A[..., q, q]
+    return B
 
 
 def linsolve(A, rhs):
     """Solve A x = b for each b in rhs; A is factored once.
 
-    LU with partial pivoting; entries may be duals.  A is a list of rows and
-    rhs a list of right-hand sides, each a list; the solutions come back in
-    the same order.  The right-hand sides ride along as extra columns of A.
-    The pivot is the first entry of largest magnitude in its column,
-    compared on underlying values.  Each pivot eliminates the rows below it
-    in one slice update, and back-substitution runs on the vector of all
-    right-hand sides, so each right-hand side sees the same operations as
-    if it were solved alone.
+    A is a list of rows and rhs a list of right-hand sides, each a list;
+    entries may be duals, and the solutions come back in the same order.
+    A float A stays a float array, so every pivot divides as a float and
+    each entry keeps the bits of a solve entry by entry; a float entry of b
+    among dual ones comes back as a dual, whose zero derivative may differ
+    in sign.  A dual A is packed with the right-hand sides as extra
+    columns, and a float entry in it becomes a dual with derivative 0.  Its
+    quotients then round as dual ones do (``x * (1 / a)`` for ``x / a``),
+    so a value may differ in the last bit from a solve entry by entry.
     """
     n = len(A)
-    M = pack([list(A[r]) + [b[r] for b in rhs] for r in range(n)])  # [A | b..]
-    for col in range(n):
-        mag = np.abs(value(M)[col:, col])
-        piv = col + int(np.argmax(mag))
-        if mag[piv - col] == 0.0:
-            raise SingularNormalization("singular linear system")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        if col + 1 < n:
-            f = M[col + 1:, col:col + 1] * (1.0 / M[col, col])
-            M[col + 1:, col:] = M[col + 1:, col:] - f * M[col, col:]
-    for r in range(n - 1, -1, -1):  # row c > r holds solution entry c
-        acc = M[r, n:]
-        for c in range(r + 1, n):
-            acc = acc - M[r, c] * M[c, n:]
-        M[r, n:] = acc / M[r, r]
-    X = unpack(M[:, n:])
+    cols = [[b[r] for b in rhs] for r in range(n)]  # row r: entry r of each b
+    if any(isinstance(e, Dual) for row in A for e in row):
+        M = pack([list(A[r]) + cols[r] for r in range(n)])  # [A | b..]
+        X = lu_solve(M[..., :n], M[..., n:])
+    else:
+        X = lu_solve(pack(A), pack(cols))
+    X = unpack(X)
     return [[row[k] for row in X] for k in range(len(rhs))]
 
 

@@ -8,7 +8,7 @@ from currentgpd import ad
 from currentgpd.ad import Dual
 from currentgpd.catalog import catalog_maps
 from currentgpd.groupoids import GROUPOIDS
-from currentgpd.linalg import linsolve
+from currentgpd.linalg import linsolve, lu_solve
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -181,3 +181,105 @@ def test_linsolve_pivots_and_differentiates_packed_duals():
     (xp, _), (xm, _) = (linsolve(*system(t0 + s)) for s in (h, -h))
     fd = (np.asarray(xp) - np.asarray(xm)) / (2 * h)
     assert np.allclose([v.ep for v in both[0]], fd, atol=1e-7)
+
+
+def _solve_entry_by_entry(A, rhs):
+    """Reference LU: the scalar loops that linsolve's whole rows replace."""
+    n = len(A)
+    M = [list(row) for row in A]
+    R = [[b[r] for b in rhs] for r in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(ad.value(M[r][col])))
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            R[col], R[piv] = R[piv], R[col]
+        inv = 1.0 / M[col][col]
+        for r in range(col + 1, n):
+            f = M[r][col] * inv
+            for c in range(col, n):
+                M[r][c] = M[r][c] - f * M[col][c]
+            R[r] = [a - f * p for a, p in zip(R[r], R[col])]
+    X = [None] * n
+    for r in range(n - 1, -1, -1):
+        acc = R[r]
+        for c in range(r + 1, n):
+            acc = [a - M[r][c] * x for a, x in zip(acc, X[c])]
+        X[r] = [a / M[r][r] for a in acc]
+    return [[X[r][k] for r in range(n)] for k in range(len(rhs))]
+
+
+def _bits(x):
+    return [a.tobytes() for a in _leaves(x)]
+
+
+def _random_system(rng, n, m, dual_a, dual_rhs, k=None):
+    """A random system whose duals carry a scalar or k-direction part."""
+    def entry(dual):
+        x = float(rng.normal())
+        if not dual:
+            return x
+        return Dual(x, float(rng.normal()) if k is None else rng.normal(size=k))
+
+    A = [[entry(dual_a) for _ in range(n)] for _ in range(n)]
+    return A, [[entry(dual_rhs) for _ in range(n)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("dual_a,dual_rhs", [(False, False), (False, True),
+                                             (True, True)])
+def test_linsolve_keeps_the_bits_of_a_solve_entry_by_entry(dual_a, dual_rhs):
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5):
+        A, rhs = _random_system(rng, n, 3, dual_a, dual_rhs)
+        got, want = linsolve(A, rhs), _solve_entry_by_entry(A, rhs)
+        assert [[_bits(x) for x in b] for b in got] == \
+            [[_bits(x) for x in b] for b in want]
+
+
+def test_linsolve_with_float_matrix_and_mixed_right_hand_sides():
+    # a float pivot that is not a power of two divides as a float
+    x, = linsolve([[3.0]], [[Dual(5.0, 1.0)]])[0]
+    assert (x.re, x.ep) == (5.0 / 3.0, 1.0 / 3.0)
+    # value parts keep their bits; a float entry of b comes back as a dual
+    # with derivative 0
+    rng = np.random.default_rng(9)
+    A, rhs = _random_system(rng, 4, 2, False, True)
+    rhs[1][2] = 0.7
+    got, want = linsolve(A, rhs), _solve_entry_by_entry(A, rhs)
+    for b, w in zip(got, want):
+        assert [ad.value(x) for x in b] == [ad.value(x) for x in w]
+        assert [x.ep for x in b] == [getattr(x, "ep", 0.0) for x in w]
+
+
+@pytest.mark.parametrize("dual_a", [False, True])
+def test_linsolve_on_direction_axes_equals_one_solve_per_direction(dual_a):
+    rng = np.random.default_rng(10)
+    k = 3
+    A, rhs = _random_system(rng, 4, 2, dual_a, True, k)
+    rhs[0][1] = Dual(0.25, 0.0)  # one entry without a direction axis
+    got = linsolve(A, rhs)
+    for j in range(k):
+        def pick(e):
+            return Dual(e.re, e.ep if np.ndim(e.ep) == 0 else e.ep[j]) \
+                if isinstance(e, Dual) else e
+
+        Aj = [[pick(e) for e in row] for row in A]
+        want = linsolve(Aj, [[pick(e) for e in b] for b in rhs])
+        for b, w in zip(got, want):
+            assert [(x.re, x.ep[j]) for x in b] == [(x.re, x.ep) for x in w]
+
+
+def test_lu_solve_leaves_its_inputs_alone():
+    A = ad.pack([[Dual(1.0, 0.5), Dual(2.0, 0.0)], [Dual(3.0, 1.0), 4.0]])
+    B = ad.pack([[1.0, Dual(0.5, 1.0)], [2.0, 0.0]])
+    before = _bits(A) + _bits(B)
+    X = lu_solve(A, B)
+    assert _bits(A) + _bits(B) == before
+    assert np.allclose(ad.value(X), np.linalg.solve(ad.value(A), ad.value(B)))
+
+
+def test_jacobian_columns_refuses_points_with_direction_axes():
+    def fn(xs):
+        return [xs[0] * xs[1]]
+
+    with pytest.raises(ValueError, match="direction axis"):
+        ad.jacobian_columns(fn, [Dual(0.3, np.array([1.0, 0.0])), 0.7])

@@ -219,6 +219,22 @@ class TestThetaInverse:
             b = newton.theta_inverse(p, q)
             assert float(np.max(np.abs(a.vel - b.vel))) < 1e-9
 
+    @pytest.mark.parametrize("m", [Circle(), Sphere()], ids=["circle", "sphere"])
+    def test_normalized_newton_matches_closed_form(self, m):
+        # normalize solves a linear system inside the residual that Newton
+        # differentiates, so the solve runs on duals with a direction axis
+        closed = riemannian_local_addition(m)
+        newton = normalize(closed)
+        assert newton.closed_log is None
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            p = m.point_from_ambient(m.sample(rng))
+            xi = rng.normal(size=m.dim) * 0.3
+            q = closed.sigma(Tangent(p, xi))
+            a = closed.theta_inverse(p, q)
+            b = newton.theta_inverse(p, q)
+            assert float(np.max(np.abs(a.vel - b.vel))) < 1e-9
+
 
 class TestTangentLift:
     def test_zero_tangent_of_tangent(self):
