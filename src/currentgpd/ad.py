@@ -41,11 +41,11 @@ class Dual:
         return f"Dual({self.re!r}, {self.ep!r})"
 
     def __getitem__(self, idx):
-        idx = _trailing(idx)
+        _past_directions(idx)
         return Dual(self.re[idx], self.ep[idx])
 
     def __setitem__(self, idx, v):
-        idx = _trailing(idx)
+        _past_directions(idx)
         re, ep = _parts(v)
         self.re[idx] = re
         self.ep[idx] = ep
@@ -103,12 +103,11 @@ class Dual:
         return out
 
 
-def _trailing(idx):
+def _past_directions(idx):
     """Check that idx starts with ``...``, which skips direction axes."""
     if type(idx) is not tuple or not idx or idx[0] is not Ellipsis:
         raise TypeError("index a Dual as d[..., i, j], past the leading "
                         "direction axes of its parts")
-    return idx
 
 
 def value(x):
@@ -320,9 +319,3 @@ def unpack(a):
         return a.tolist()
     return [list(row) for row in np.moveaxis(a, (-2, -1), (0, 1))]
 
-
-def copy(a):
-    """A packed matrix with parts of its own."""
-    if isinstance(a, Dual):
-        return Dual(copy(a.re), copy(a.ep))
-    return np.array(a, dtype=float)

@@ -18,8 +18,7 @@ from .ad import Dual, value
 from .errors import FrameProjectionError, RankDrop, Unsupported
 from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid
-from .linalg import (dot_list, gram_schmidt, linsolve, lu_solve,
-                     numerical_ranks)
+from .linalg import dot_list, gram_schmidt, linsolve, numerical_ranks
 from .manifolds import (Point, ProductManifold, SmoothMap, Tangent,
                         map_jacobian, merge_components, tangent_from_ambient)
 from .tolerances import DEFAULT
@@ -149,10 +148,10 @@ class LieAlgebroid:
         for j in range(1, dG):
             JJt += J[..., :, j:j + 1] * J[..., None, :, j]
         # Z = (J J^T)^(-1) J: one factorisation, the dG columns of J as rhs
-        Z = lu_solve(JJt, J)  # dM x dG
-        P = np.eye(dG) - J[..., 0, :, None] * Z[..., :1, :]
+        Z = ad.pack(linsolve(ad.unpack(JJt), cols))  # dG x dM
+        P = np.eye(dG) - J[..., 0, :, None] * Z[..., None, :, 0]
         for k in range(1, dM):
-            P -= J[..., k, :, None] * Z[..., k:k + 1, :]
+            P -= J[..., k, :, None] * Z[..., None, :, k]
         return ad.unpack(P)
 
     def _select_axes(self, P_float):

@@ -2,82 +2,95 @@
 
 Float-only rank queries go through numpy's SVD; the generic routines here
 exist so that solves and orthonormalisation can sit inside AD-evaluated
-code paths.  :func:`lu_solve` works on whole rows of packed matrices: numpy
+code paths.  :func:`linsolve` works on whole rows: its matrices are numpy
 arrays, or ``Dual``s whose parts are arrays when the entries carry duals
-(see :func:`ad.pack`).  :func:`linsolve` is its list-of-rows form.  Newton's
-method sits next to the solve it steps with.
+(see :func:`ad.pack`).  Newton's method sits next to the solve it steps
+with.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .ad import Dual, copy, jacobian, pack, sqrt, unpack, value
+from .ad import Dual, jacobian, pack, sqrt, unpack, value
 from .errors import SingularNormalization
 
 
-def lu_solve(A, B):
-    """Solve A X = B for packed matrices A (n x n) and B (n x m).
+def linsolve(A, rhs):
+    """Solve A x = b for each b in rhs; A is factored once per part.
 
-    LU with partial pivoting; A and B are left as they are.  The pivot is
-    the first entry of largest magnitude in its column, compared on
-    underlying values.  Each pivot eliminates the rows below it in one
-    slice update, and back-substitution runs on whole rows of B.  Every
-    entry sees the operations of a solve entry by entry, in the same order,
-    and each column of B is solved as if it were alone.  Indices start
-    with ``...`` to pass over the leading direction axes of derivative
-    parts, and rows and columns are sliced, never indexed away, so that
-    those axes broadcast in step with both matrix axes.  B must carry
-    every derivative part that A does, since the elimination writes A's
-    into B; :func:`linsolve` packs a dual A together with B for this.
+    LU with partial pivoting.  A is a list of rows and rhs a list of
+    right-hand sides, each a list; entries may be duals, and the solutions
+    come back in the same order.  The right-hand sides ride along as extra
+    columns of A.  The pivot is the first entry of largest magnitude in its
+    column, compared on underlying values.  Each pivot eliminates the rows
+    below it in one slice update, and back-substitution runs on whole rows
+    of right-hand sides, so each is solved as if it were alone.
+
+    Every entry sees the operations of a solve entry by entry, in the same
+    order.  In a dual A, a float entry becomes a dual with derivative 0;
+    its quotients then round as dual ones do (``x * (1 / a)`` for
+    ``x / a``), so a value may differ in the last bit from a solve entry by
+    entry.  A float A stays float, and each part of dual right-hand sides
+    is solved with it on its own (see :func:`_solve_parts`), which is what
+    dual arithmetic does with a float factor.  A float entry of b among
+    dual ones comes back as a dual, whose zero derivative may differ in
+    sign.
     """
-    A, B = copy(A), copy(B)
-    n = len(value(A))
+    n = len(A)
+    cols = [[b[r] for b in rhs] for r in range(n)]  # row r: entry r of each b
+    M = pack([list(A[r]) + cols[r] for r in range(n)])  # [A | b..]
+    if isinstance(M, Dual) and not any(isinstance(e, Dual)
+                                       for row in A for e in row):
+        X = _solve_parts(value(M)[:, :n], M[..., n:])
+    else:
+        X = _lu(M, n)
+    X = unpack(X)
+    return [[row[k] for row in X] for k in range(len(rhs))]
+
+
+def _solve_parts(A, B):
+    """Solve float A X = B part by part of a packed B.
+
+    The leading direction axes of a part ride along as extra columns.
+    """
+    if isinstance(B, Dual):
+        return Dual(_solve_parts(A, B.re), _solve_parts(A, B.ep))
+    if B.ndim == 2:
+        return _lu(np.concatenate([A, B], axis=1), len(A))
+    n, lead, m = len(A), B.shape[:-2], B.shape[-1]
+    X = _solve_parts(A, np.moveaxis(B, -2, 0).reshape(n, math.prod(lead) * m))
+    return np.moveaxis(X.reshape((n,) + lead + (m,)), 0, -2)
+
+
+def _lu(M, n):
+    """Overwrite a packed [A | B] with its elimination; returns X of A X = B.
+
+    Indices start with ``...`` to pass over the leading direction axes of
+    derivative parts, and rows and columns are sliced, never indexed away,
+    so that those axes broadcast in step with both matrix axes.
+    """
     for col in range(n):
-        mag = np.abs(value(A)[col:, col])
+        mag = np.abs(value(M)[col:, col])
         piv = col + int(np.argmax(mag))
         if mag[piv - col] == 0.0:
             raise SingularNormalization("singular linear system")
         if piv != col:
-            A[..., [col, piv], :] = A[..., [piv, col], :]
-            B[..., [col, piv], :] = B[..., [piv, col], :]
+            M[..., [col, piv], :] = M[..., [piv, col], :]
         p = slice(col, col + 1)  # pivot row or column, kept as an axis
         if col + 1 < n:
-            f = A[..., col + 1:, p] * (1.0 / A[..., p, p])
-            A[..., col + 1:, col:] = (A[..., col + 1:, col:]
-                                      - f * A[..., p, col:])
-            B[..., col + 1:, :] = B[..., col + 1:, :] - f * B[..., p, :]
+            f = M[..., col + 1:, p] * (1.0 / M[..., p, p])
+            M[..., col + 1:, col:] = (M[..., col + 1:, col:]
+                                      - f * M[..., p, col:])
     for r in range(n - 1, -1, -1):  # row c > r holds solution row c
         q = slice(r, r + 1)
-        acc = B[..., q, :]
+        acc = M[..., q, n:]
         for c in range(r + 1, n):
-            acc = acc - A[..., q, c:c + 1] * B[..., c:c + 1, :]
-        B[..., q, :] = acc / A[..., q, q]
-    return B
-
-
-def linsolve(A, rhs):
-    """Solve A x = b for each b in rhs; A is factored once.
-
-    A is a list of rows and rhs a list of right-hand sides, each a list;
-    entries may be duals, and the solutions come back in the same order.
-    A float A stays a float array, so every pivot divides as a float and
-    each entry keeps the bits of a solve entry by entry; a float entry of b
-    among dual ones comes back as a dual, whose zero derivative may differ
-    in sign.  A dual A is packed with the right-hand sides as extra
-    columns, and a float entry in it becomes a dual with derivative 0.  Its
-    quotients then round as dual ones do (``x * (1 / a)`` for ``x / a``),
-    so a value may differ in the last bit from a solve entry by entry.
-    """
-    n = len(A)
-    cols = [[b[r] for b in rhs] for r in range(n)]  # row r: entry r of each b
-    if any(isinstance(e, Dual) for row in A for e in row):
-        M = pack([list(A[r]) + cols[r] for r in range(n)])  # [A | b..]
-        X = lu_solve(M[..., :n], M[..., n:])
-    else:
-        X = lu_solve(pack(A), pack(cols))
-    X = unpack(X)
-    return [[row[k] for row in X] for k in range(len(rhs))]
+            acc = acc - M[..., q, c:c + 1] * M[..., c:c + 1, n:]
+        M[..., q, n:] = acc / M[..., q, q]
+    return M[..., n:]
 
 
 def newton(residual, x0, tol, max_iter, bound):

@@ -8,7 +8,7 @@ from currentgpd import ad
 from currentgpd.ad import Dual
 from currentgpd.catalog import catalog_maps
 from currentgpd.groupoids import GROUPOIDS
-from currentgpd.linalg import linsolve, lu_solve
+from currentgpd.linalg import linsolve
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -266,15 +266,6 @@ def test_linsolve_on_direction_axes_equals_one_solve_per_direction(dual_a):
         want = linsolve(Aj, [[pick(e) for e in b] for b in rhs])
         for b, w in zip(got, want):
             assert [(x.re, x.ep[j]) for x in b] == [(x.re, x.ep) for x in w]
-
-
-def test_lu_solve_leaves_its_inputs_alone():
-    A = ad.pack([[Dual(1.0, 0.5), Dual(2.0, 0.0)], [Dual(3.0, 1.0), 4.0]])
-    B = ad.pack([[1.0, Dual(0.5, 1.0)], [2.0, 0.0]])
-    before = _bits(A) + _bits(B)
-    X = lu_solve(A, B)
-    assert _bits(A) + _bits(B) == before
-    assert np.allclose(ad.value(X), np.linalg.solve(ad.value(A), ad.value(B)))
 
 
 def test_jacobian_columns_refuses_points_with_direction_axes():
