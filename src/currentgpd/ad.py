@@ -318,4 +318,3 @@ def unpack(a):
     if a.ndim == 2:
         return a.tolist()
     return [list(row) for row in np.moveaxis(a, (-2, -1), (0, 1))]
-
