@@ -89,9 +89,9 @@ class CurrentGroupoid:
         drawn in four batched calls: m arrow paths g, then one fiber path h
         over each source path alpha(g) and one k over each alpha(h), then m
         object paths for the unit laws.  Every draw is an (m, nodes,
-        ambient) array, copied once to component-major memory, so the
-        structure maps run over the sample and node axes at once on
-        contiguous components, and the worst residual of each law is kept.
+        ambient) array, copied once to component-major memory; G's component
+        functions then run over the sample and node axes at once (Theorem A,
+        :func:`axiom_violations`), and the worst residual of each law is kept.
         """
         rng = np.random.default_rng(seed)
         gpd = self.base_gpd
@@ -110,7 +110,7 @@ class CurrentGroupoid:
             g, h, k, xs = (component_major(a) for a in (g, h, k, xs))
             viol = axiom_violations(gpd, g, h, k, xs)
             for key, val in viol.items():
-                worst[key] = max(worst.get(key, 0.0), val)
+                worst[key] = float(np.maximum(worst.get(key, 0.0), val))
             done += m
         report = AxiomReport(self.name, n_samples, seed)
         report.violations = worst

@@ -26,7 +26,8 @@ from .tolerances import DEFAULT
 def split_components(arr):
     """(m,) array -> list of floats; (..., m) array -> list of m (...) arrays.
 
-    The arrays are views ``a[..., i]``, taken with ``np.moveaxis(a, -1, 0)``:
+    Structure maps and chart maps take and return such lists.  The arrays
+    are views ``a[..., i]``, taken with ``np.moveaxis(a, -1, 0)``:
     on a component-major array (see :func:`component_major`) each one is a
     contiguous block of memory, on a C-order array a strided column.
     """
@@ -86,6 +87,13 @@ def _pairwise_sum(terms):
     half = n // 2
     half -= half % 8
     return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def squared_distance(a, b):
+    """Sum of (a_i - b_i)**2 over two component lists of floats or arrays,
+    in numpy's pairwise order (:func:`_pairwise_sum`)."""
+    diffs = (x - y for x, y in zip(a, b, strict=True))
+    return _pairwise_sum([d * d for d in diffs])
 
 
 def path_sampler(draw):
@@ -220,14 +228,11 @@ class ChartedManifold:
     def distance(self, a, b):
         """Ambient Euclidean distance; accepts arrays of stacked points.
 
-        The squared components of the difference d are added component by
-        component in numpy's pairwise order (:func:`_pairwise_sum`).  The
-        result has the bits of ``np.sqrt(np.sum(d * d, axis=-1))`` on a
-        C-order d, and the same bits on a component-major d, whose
-        contiguous components it adds without a strided reduction.
+        It has the bits of ``np.sqrt(np.sum(d * d, axis=-1))`` for the
+        difference d in any memory order (:func:`squared_distance`).
         """
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        return np.sqrt(_pairwise_sum([c * c for c in np.moveaxis(d, -1, 0)]))
+        return np.sqrt(squared_distance(split_components(a),
+                                        split_components(b)))
 
     def geodesic_distance(self, a, b):
         """Intrinsic distance; the default falls back to the ambient one."""

@@ -479,6 +479,7 @@ def suite_path_lifting(ctx: SuiteContext):
     grid = GridSpec("interval", max(16, ctx.grid.n // 4))
     worst = 0.0
     equein = 0.0
+    coherent = True
     count = ctx.count("path-lifting", 100)
     for _ in range(count):
         # fixed-point-free path: radius bounded away from the origin
@@ -499,7 +500,10 @@ def suite_path_lifting(ctx: SuiteContext):
         lift2 = path_lift(gpd, path, start2)
         equein = max(equein, float(np.max(np.abs(lift2.ambient
                                                  - g.act(lift.ambient)))))
-    ok = worst <= ctx.tol.tol_theta and equein <= 1e-12
+        # a lift that jumps to another translate stays in the orbits
+        coherent = coherent and all(float(np.max(lf.step_sizes()))
+                                    < lf.delta_coh for lf in (lift, lift2))
+    ok = worst <= ctx.tol.tol_theta and equein <= 1e-12 and coherent
     return [_record("path-lifting", "path lifting", "pass" if ok else "fail",
                     worst, 2 * count, seed, details={"equivariance": equein})]
 

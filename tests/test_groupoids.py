@@ -7,7 +7,9 @@ from currentgpd.catalog import Circle
 from currentgpd.currents import build_current
 from currentgpd.errors import NotComposable, SamplingFailure, Unsupported
 from currentgpd.gridmaps import GridSpec
-from currentgpd.groupoids import (GROUPOIDS, LieGroupoid, anchor, check_axioms,
+from currentgpd import groupoids, manifolds
+from currentgpd.groupoids import (GROUPOIDS, AxiomReport, LieGroupoid,
+                                  anchor, axiom_violations, check_axioms,
                                   classify_etale, classify_locally_transitive,
                                   compose, cyclic_rotation_group, inverse,
                                   isotropy_group, make_groupoid,
@@ -166,29 +168,88 @@ def same_bits(a, b):
                                    == np.ascontiguousarray(b).tobytes())
 
 
+def axiom_batches(gpd, rng):
+    """C-order (g, h, k, xs): 40 flat triples, then 5 paths on 16 nodes."""
+    grid = GridSpec("circle", 16)
+    flat = sample_composable_triple(gpd, rng, 40) + (gpd.base.sample(rng, 40),)
+    params, closed = grid.params(), grid.closed
+    g = gpd.arrows.sample_path(params, rng, closed, 5)
+    h = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(g), params, rng, closed)
+    k = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(h), params, rng, closed)
+    paths = (g, h, k, gpd.base.sample_path(params, rng, closed, 5))
+    return [[np.ascontiguousarray(a) for a in b] for b in (flat, paths)]
+
+
+def hexed(viol):
+    return {law: float(v).hex() for law, v in viol.items()}
+
+
 @pytest.mark.parametrize("name", sorted(GROUPOIDS))
 def test_structure_maps_ignore_memory_order(name):
-    """C-order and component-major inputs give the same bits."""
+    """C-order and component-major inputs give the same bits, both from the
+    structure maps and from the law residuals of axiom_violations."""
     gpd = make_groupoid(name)
-    rng = np.random.default_rng(13)
-    grid = GridSpec("circle", 16)
-    g, h, _ = sample_composable_triple(gpd, rng, 40)
-    gp = gpd.arrows.sample_path(grid.params(), rng, grid.closed, 5)
-    hp = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(gp), grid.params(),
-                                         rng, grid.closed)
-    for g, h in ((g, h), (gp, hp)):
-        x = gpd.alpha_batch(g)
+    for batch in axiom_batches(gpd, np.random.default_rng(13)):
+        g, h, _, x = batch
         for fn, args in ((gpd.mu_batch, (g, h)), (gpd.alpha_batch, (g,)),
                          (gpd.beta_batch, (g,)), (gpd.iota_batch, (g,)),
                          (gpd.unit_batch, (x,))):
-            c_order = [np.ascontiguousarray(a) for a in args]
-            want = fn(*c_order)
-            assert same_bits(fn(*[component_major(a) for a in c_order]), want)
+            want = fn(*args)
+            assert same_bits(fn(*map(component_major, args)), want)
+        want = hexed(axiom_violations(gpd, *batch))
+        assert hexed(axiom_violations(gpd, *map(component_major, batch))) == want
 
 
 LAWS = ("associativity", "left_unit", "right_unit", "left_inverse",
         "right_inverse", "alpha_of_mu", "beta_of_mu", "alpha_of_unit",
         "beta_of_unit")
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_axiom_violations_never_stack(name, monkeypatch):
+    """The law checks run on component lists; none merges a batch again."""
+    gpd = make_groupoid(name)
+    batches = axiom_batches(gpd, np.random.default_rng(15))
+
+    def refuse(comps):
+        raise AssertionError("a law check stacked its components")
+
+    for mod in (groupoids, manifolds):
+        monkeypatch.setattr(mod, "merge_components", refuse)
+    for batch in batches:
+        viol = axiom_violations(gpd, *map(component_major, batch))
+        assert set(viol) == set(LAWS) and max(viol.values()) <= 1e-12
+
+
+def test_a_nan_product_makes_its_laws_nan():
+    """mu writing one NaN at one node turns every law that reads it to NaN."""
+    gpd = make_groupoid("pair-real1")
+    mu_fn = gpd.mu_fn
+
+    def one_nan(g, h):
+        out = mu_fn(g, h)
+        first = np.array(out[0], dtype=float)
+        first.flat[3] = np.nan
+        return [first] + out[1:]
+
+    gpd.mu_fn = one_nan
+    # mu = (target of g, source of h): its first component is beta(mu)
+    nan_laws = {"associativity", "left_unit", "right_unit", "left_inverse",
+                "right_inverse", "beta_of_mu"}
+    reports = [check_axioms(gpd, 50, seed=1),
+               build_current(gpd, GridSpec("circle", 16)).check_axioms(
+                   20, seed=1, chunk=8)]
+    for viol in ([axiom_violations(gpd, *b)
+                  for b in axiom_batches(gpd, np.random.default_rng(16))]
+                 + [rep.violations for rep in reports]):
+        assert {law for law, v in viol.items() if math.isnan(v)} == nan_laws
+        assert all(viol[law] == 0.0 for law in set(LAWS) - nan_laws)
+        assert not all(v <= 1e-9 for v in viol.values())
+    assert not any(rep.passed(1e-9) for rep in reports)
+    late = AxiomReport("late", 1, 0,
+                       {"associativity": 0.0, "beta_of_mu": math.nan})
+    assert math.isnan(late.max_violation) and not late.passed(1e-9)
+
 
 # float.hex of every residual of the seeded axiom checks in
 # test_axiom_residuals_are_pinned; a law left out of an entry is exactly 0.

@@ -41,6 +41,34 @@ def rarely_wrong(name, thr):
     return patch
 
 
+def shifted_action(monkeypatch):
+    """rot-action's act_batch off by 1e-3 where the angle exceeds 3.5."""
+    make = GROUPOIDS["rot-action"]
+
+    def make_broken():
+        gpd = make()
+        act = gpd.act_batch
+        gpd.act_batch = lambda g, x: act(g, x) + np.where(g[..., :1] > 3.5,
+                                                          1e-3, 0.0)
+        return gpd
+
+    monkeypatch.setitem(GROUPOIDS, "rot-action", make_broken)
+
+
+def half_turn_lift(monkeypatch):
+    """Lifts that jump to the half-turned translate -x halfway along: the
+    jump stays in the orbits and commutes with z4, so only coherence sees it."""
+    lift = suites.path_lift
+
+    def jumped(*args, **kwargs):
+        out = lift(*args, **kwargs)
+        amb = out.ambient.copy()
+        amb[len(amb) // 2:] *= -1.0
+        return out.replace_ambient(amb, check=False)
+
+    monkeypatch.setattr(suites, "path_lift", jumped)
+
+
 def repeated_identity(monkeypatch):
     """z4-plane's element list with the identity listed twice."""
     make = GROUPOIDS["z4-plane"]
@@ -123,9 +151,10 @@ def scaled_bracket(monkeypatch):
 
 
 # suite id -> (patch, names in the broken records' check names, sample
-# override or None).  At seed 7, 2 of the 400 flat pair-real1 triples and
-# 1-3 of the 200 arrow paths on each grid reach the broken region, so a
-# check that skips rows misses it.
+# override or None).  At seed 7, 2 of the 400 flat pair-real1 triples,
+# 1-3 of the 200 arrow paths on each grid and 2 of the 100 rot-action paths
+# of pair-action-iso reach the broken region, so a check that skips rows
+# misses it.
 CONTROLS = {
     "groupoid-axioms": (rarely_wrong("pair-real1", 1.99), {"pair-real1"}, 400),
     "current-groupoid-axioms": (rarely_wrong("pair-real1", 3.5),
@@ -139,7 +168,20 @@ CONTROLS = {
     "theorem-D-pointwise-bracket": (negated_nodewise_bracket,
                                     {"pair-real2", "rot-action"}, 2),
     "algebroid-laws": (scaled_bracket, {"pair-real2", "rot-action"}, None),
+    "pair-action-iso": (shifted_action, {"pair-action-iso"}, None),
+    "path-lifting": (half_turn_lift, {"path-lifting"}, 5),
 }
+
+# Suites with no control yet.  A suite added to SUITES fails the test below
+# until it has a row in CONTROLS or here; this set should only shrink.
+WITHOUT_CONTROL = {"flip-identities", "local-addition", "local-inverse",
+                   "not-tra-certificate", "not-proper-certificate",
+                   "atlas-negative"}
+
+
+def test_every_suite_has_a_control_or_is_listed_without():
+    assert not set(CONTROLS) & WITHOUT_CONTROL
+    assert set(CONTROLS) | WITHOUT_CONTROL == set(suites.SUITES)
 
 
 @pytest.mark.parametrize("suite", sorted(CONTROLS))
