@@ -21,6 +21,7 @@ from .groupoids import LieGroupoid
 from .linalg import dot_list, gram_schmidt, linsolve, numerical_ranks
 from .manifolds import (Point, ProductManifold, SmoothMap, Tangent,
                         map_jacobian, merge_components, tangent_from_ambient)
+from .report import worst_residual
 from .tolerances import DEFAULT
 
 
@@ -256,10 +257,6 @@ class LieAlgebroid:
         _, out = ad.jvp(g.beta.fn, list(u), list(v))
         return out
 
-    def anchor_of(self, section: AlgebroidSection, x: Point) -> Tangent:
-        vel = merge_components(self.anchor_vector(section, list(x.ambient)))
-        return tangent_from_ambient(self.base, x.ambient, vel)
-
     # -- right-invariant extension and bracket ------------------------------------
     def right_invariant_extension(self, section: AlgebroidSection):
         """The field g -> T(R_g) section(beta(g)) as an ambient-velocity rule."""
@@ -276,14 +273,13 @@ class LieAlgebroid:
 
         return field
 
-    def extension_at(self, section, gpt: Point) -> Tangent:
-        vel = merge_components(self.right_invariant_extension(section)(
-            list(gpt.ambient)))
-        return tangent_from_ambient(self.gpd.arrows, gpt.ambient, vel)
+    def bracket(self, X: AlgebroidSection,
+                Y: AlgebroidSection) -> AlgebroidSection:
+        """Commutator of the right-invariant extensions, restricted to units.
 
-    def bracket(self, X: AlgebroidSection, Y: AlgebroidSection,
-                check_kernel=True) -> AlgebroidSection:
-        """Commutator of the right-invariant extensions, restricted to units."""
+        Raises :class:`FrameProjectionError` where the commutator leaves the
+        kernel by more than ``tol_bracket``, or by NaN.
+        """
         g = self.gpd
         fX = self.right_invariant_extension(X)
         fY = self.right_invariant_extension(Y)
@@ -296,11 +292,11 @@ class LieAlgebroid:
             # project onto the kernel; the out-of-kernel residual must be noise
             P = self.kernel_projector(u, cg, cm)
             pb = [dot_list(P[i], b) for i in range(len(b))]
-            if check_kernel:
-                resid = max(abs(value(a) - value(c)) for a, c in zip(b, pb))
-                if resid > self.tol_bracket:
-                    raise FrameProjectionError(
-                        f"bracket leaves the kernel by {resid:.2e}")
+            resid = worst_residual(*[value(a) - value(c)
+                                     for a, c in zip(b, pb)])
+            if not resid <= self.tol_bracket:
+                raise FrameProjectionError(
+                    f"bracket leaves the kernel by {resid:.2e}")
             _, vel_amb = ad.jvp(chart.inv, list(u), pb)
             return vel_amb
 
@@ -447,7 +443,7 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
     cur = current_algebroid(alg_small, grid)
     node_val = cur.bracket_values(X, Y, base)
     big_rows = big_val.reshape(n, gpd.arrows.ambient_dim)
-    return float(np.max(np.abs(big_rows - node_val)))
+    return worst_residual(big_rows - node_val)
 
 
 # ---------------------------------------------------------------------------

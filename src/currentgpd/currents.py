@@ -20,7 +20,7 @@ from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
 from .groupoids import (AxiomReport, LieGroupoid, axiom_violations,
                         etale_index, restrict, worst_rank_ratio)
 from .manifolds import component_major
-from .report import Certificate
+from .report import Certificate, worst_residual
 from .tolerances import DEFAULT
 
 TWO_PI = 2.0 * math.pi
@@ -110,7 +110,7 @@ class CurrentGroupoid:
             g, h, k, xs = (component_major(a) for a in (g, h, k, xs))
             viol = axiom_violations(gpd, g, h, k, xs)
             for key, val in viol.items():
-                worst[key] = float(np.maximum(worst.get(key, 0.0), val))
+                worst[key] = worst_residual(worst.get(key, 0.0), val)
             done += m
         report = AxiomReport(self.name, n_samples, seed)
         report.violations = worst
@@ -142,21 +142,20 @@ def pair_iso(grid: GridSpec, m, n_samples=100, seed=0) -> float:
         b = cur.sample_with_beta(cur.alpha_star(a), rng)
         first = lambda gm: gm.ambient[:, :am]
         second = lambda gm: gm.ambient[:, am:]
-        # source/target under reindexing
-        worst = max(worst, float(np.max(np.abs(cur.alpha_star(a).ambient - second(a)))))
-        worst = max(worst, float(np.max(np.abs(cur.beta_star(a).ambient - first(a)))))
-        # multiplication: (f1, f2) . (f2, f3) = (f1, f3)
-        mu = cur.mu_star(a, b)
-        joined = np.concatenate([first(a), second(b)], axis=-1)
-        worst = max(worst, float(np.max(np.abs(mu.ambient - joined))))
-        # inversion and units
-        worst = max(worst, float(np.max(np.abs(
-            cur.iota_star(a).ambient
-            - np.concatenate([second(a), first(a)], axis=-1)))))
         obj = cur.sample_object(rng)
-        worst = max(worst, float(np.max(np.abs(
+        worst = worst_residual(
+            worst,
+            # source/target under reindexing
+            cur.alpha_star(a).ambient - second(a),
+            cur.beta_star(a).ambient - first(a),
+            # multiplication: (f1, f2) . (f2, f3) = (f1, f3)
+            cur.mu_star(a, b).ambient
+            - np.concatenate([first(a), second(b)], axis=-1),
+            # inversion and units
+            cur.iota_star(a).ambient
+            - np.concatenate([second(a), first(a)], axis=-1),
             cur.unit_star(obj).ambient
-            - np.concatenate([obj.ambient, obj.ambient], axis=-1)))))
+            - np.concatenate([obj.ambient, obj.ambient], axis=-1))
     return worst
 
 
@@ -176,33 +175,23 @@ def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
     for _ in range(n_samples):
         a = cur.sample_arrow(rng)
         b = cur.sample_with_beta(cur.alpha_star(a), rng)
-        # source / target match the pointwise action picture
-        worst = max(worst, float(np.max(np.abs(cur.alpha_star(a).ambient - m_part(a)))))
-        worst = max(worst, float(np.max(np.abs(
-            cur.beta_star(a).ambient
-            - action_gpd.act_batch(gm_part(a), m_part(a))))))
         # multiplication: group parts multiply pointwise, base from the right
-        mu = cur.mu_star(a, b)
         lifted_g = merge_components(ops.mul(split_components(gm_part(a)),
                                             split_components(gm_part(b))))
-        lifted = np.concatenate([lifted_g, m_part(b)], axis=-1)
-        worst = max(worst, float(np.max(np.abs(mu.ambient - lifted))))
+        worst = worst_residual(
+            worst,
+            # source / target match the pointwise action picture
+            cur.alpha_star(a).ambient - m_part(a),
+            cur.beta_star(a).ambient
+            - action_gpd.act_batch(gm_part(a), m_part(a)),
+            cur.mu_star(a, b).ambient
+            - np.concatenate([lifted_g, m_part(b)], axis=-1))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # restriction to open object sets
 # ---------------------------------------------------------------------------
-
-def members_all(gm: GridMap, omega) -> bool:
-    """Membership in the space of maps with image inside omega."""
-    return bool(np.all(omega(gm.ambient)))
-
-
-def members_meets(gm: GridMap, omega) -> bool:
-    """Membership in the set of maps whose image meets omega."""
-    return bool(np.any(omega(gm.ambient)))
-
 
 def restriction_subgroupoid(cur: CurrentGroupoid, omega) -> CurrentGroupoid:
     """Current groupoid of the restricted base groupoid.
@@ -255,15 +244,14 @@ def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
         arrow = np.concatenate([t[:, None], a1], axis=-1)
         from .groupoids import rotation_action_groupoid
         gpd = rotation_action_groupoid()
-        res_a = np.max(gpd.base.distance(gpd.alpha_batch(arrow), a1))
-        res_b = np.max(gpd.base.distance(gpd.beta_batch(arrow), a2))
-        residual = float(max(res_a, res_b))
         return Certificate(
             kind="anchor-solve",
             inputs=inputs,
             witness_data={"angle_path": t},
             verdict="solvable",
-            max_residual=residual,
+            max_residual=worst_residual(
+                gpd.base.distance(gpd.alpha_batch(arrow), a1),
+                gpd.base.distance(gpd.beta_batch(arrow), a2)),
         )
     # obstructed: no continuous angle exists; confirm by exhaustive lifting
     cover = exp_cover(circle)
@@ -312,22 +300,19 @@ def properness_failure_witness(grid: GridSpec, k_max=8,
         arrow = GridMap(grid, gpd.arrows,
                         np.concatenate([eta.ambient, wk.ambient], axis=-1),
                         delta_coh=wk.delta_coh)
-        res = max(
-            float(np.max(circle.distance(gpd.alpha_batch(arrow.ambient),
-                                         eta.ambient))),
-            float(np.max(circle.distance(gpd.beta_batch(arrow.ambient),
-                                         eta.ambient))))
-        anchor_residual = max(anchor_residual, res)
+        res = worst_residual(
+            circle.distance(gpd.alpha_batch(arrow.ambient), eta.ambient),
+            circle.distance(gpd.beta_batch(arrow.ambient), eta.ambient))
+        anchor_residual = worst_residual(anchor_residual, res)
         prof = seminorm_distance(arrow, unit_arrow)
         family[k] = {"order1_seminorm": prof[1] if grid.ell >= 1 else None,
                      "anchor_residual": res}
-    pair_min = np.inf
-    for i, k in enumerate(windings):
-        for j in windings[i + 1:]:
-            wk = circle_winding_loop(grid, circle, k)
-            wj = circle_winding_loop(grid, circle, j)
-            d0 = float(np.max(circle.distance(wk.ambient, wj.ambient)))
-            pair_min = min(pair_min, d0)
+    # order-0 separation: the closest pair's largest nodewise distance
+    loops = [circle_winding_loop(grid, circle, k).ambient for k in windings]
+    pair_min = float(np.min(
+        [np.max(circle.distance(a, b))
+         for i, a in enumerate(loops) for b in loops[i + 1:]],
+        initial=np.inf))
     growth_ok = all(
         abs(family[k]["order1_seminorm"] - k) <= 0.05 * k for k in windings
     ) if grid.ell >= 1 else False
@@ -376,7 +361,7 @@ def proper_etale_fiber_bound(gpd: LieGroupoid, grid: GridSpec, n_pairs=200,
                  for e in grp.elements]), axis=0)
             if float(np.max(orbit_gap)) < tol:
                 lifts.append(gi)
-                worst_res = max(worst_res, float(np.max(orbit_gap)))
+                worst_res = worst_residual(worst_res, orbit_gap)
             if float(np.max(np.abs(img - tgt))) < tol:
                 exact.append(gi)
         counts.append(len(lifts))

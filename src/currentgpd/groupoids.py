@@ -23,6 +23,7 @@ from .manifolds import (ChartedManifold, DiscreteManifold, OpenSubManifold,
 from .catalog import Circle, Euclidean, Torus
 from .localadd import (LieGroupOps, product_local_addition,
                        riemannian_local_addition, translation_group)
+from .report import worst_residual
 from .tolerances import DEFAULT
 
 
@@ -173,7 +174,7 @@ class AxiomReport:
 
     @property
     def max_violation(self):
-        return float(np.max([0.0, *self.violations.values()]))
+        return worst_residual(*self.violations.values())
 
     def passed(self, tol):
         return self.max_violation <= tol

@@ -16,6 +16,7 @@ import numpy as np
 
 from .ad import Dual, jacobian, pack, sqrt, unpack, value
 from .errors import SingularNormalization
+from .report import worst_residual
 
 
 def linsolve(A, rhs):
@@ -97,13 +98,14 @@ def newton(residual, x0, tol, max_iter, bound):
     """Newton's method for residual(x) = 0 from x0, with AD Jacobians.
 
     Returns the first iterate whose residual is below tol in max norm, or
-    None if a step is singular, an iterate leaves the box |x_i| <= bound,
-    or max_iter steps do not converge.
+    None if a step is singular, an iterate leaves the box |x_i| <= bound
+    or is NaN, or max_iter steps do not converge.  A NaN residual is never
+    below tol.
     """
     x = list(x0)
     for _ in range(max_iter):
         r = [value(c) for c in residual(x)]
-        if max((abs(c) for c in r), default=0.0) < tol:
+        if worst_residual(*r) < tol:
             return x
         J = jacobian(residual, x)
         try:
@@ -111,7 +113,7 @@ def newton(residual, x0, tol, max_iter, bound):
         except SingularNormalization:
             return None
         x = [xi - si for xi, si in zip(x, step)]
-        if max(abs(xi) for xi in x) > bound:
+        if not worst_residual(*x) <= bound:
             return None
     return None
 

@@ -399,18 +399,6 @@ def identity_map(m: ChartedManifold) -> SmoothMap:
     return SmoothMap(m, m, lambda c: list(c), name=f"id_{m.name}")
 
 
-def constant_map(source, target_point: Point) -> SmoothMap:
-    amb = [float(x) for x in target_point.ambient]
-
-    def fn(comps):
-        probe = comps[0] if comps else 0.0
-        zero = probe * 0.0
-        return [zero + a for a in amb]
-
-    return SmoothMap(source, target_point.manifold, fn,
-                     name=f"const_{target_point.manifold.name}")
-
-
 def transition(p: Point, chart_j: int) -> Point:
     """Express the same point in another chart of its manifold."""
     m = p.manifold
@@ -418,20 +406,6 @@ def transition(p: Point, chart_j: int) -> Point:
         raise OutOfChart(f"{m.name}: point outside chart {chart_j}")
     coords = merge_components(m.charts[chart_j].fwd(split_components(p.ambient)))
     return Point(m, int(chart_j), coords, p.ambient)
-
-
-def tangent_transition(t: Tangent, chart_j: int) -> Tangent:
-    """Chart change for tangents: velocity transforms by the transition Jacobian."""
-    m = t.manifold
-    p = transition(t.base, chart_j)
-    chart_i = m.charts[t.base.chart_id]
-    chart_j_ = m.charts[chart_j]
-
-    def trans(coords):
-        return chart_j_.fwd(chart_i.inv(coords))
-
-    _, eps = ad.jvp(trans, list(t.base.coords), list(t.vel))
-    return Tangent(p, np.asarray([value(e) for e in eps], dtype=float))
 
 
 def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:

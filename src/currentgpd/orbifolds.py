@@ -18,7 +18,7 @@ from .errors import (BranchAmbiguity, CoherenceLost, DegenerateNeighborhood,
 from .gridmaps import GridMap, GridSpec
 from .groupoids import FiniteGroup, IsotropyGroup, LieGroupoid, isotropy_group
 from .manifolds import Point
-from .report import Certificate
+from .report import Certificate, worst_residual
 from .tolerances import DEFAULT
 
 TWO_PI = 2.0 * math.pi
@@ -108,34 +108,28 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
 
     ys = ball_samples(r)
     # (i) the reconstructed maps compose like the group
-    act_res = 0.0
-    for a, ga in enumerate(iso.element_indices):
-        for b, gb in enumerate(iso.element_indices):
-            gg = int(grp.table[ga, gb])
-            left = grp.elements[ga].act(grp.elements[gb].act(ys))
-            right = grp.elements[gg].act(ys)
-            act_res = max(act_res, float(np.max(np.abs(left - right))))
-    ident = grp.elements[grp.identity_index].act(ys)
-    act_res = max(act_res, float(np.max(np.abs(ident - ys))))
+    act = lambda i, y: grp.elements[i].act(y)
+    iso_idx = iso.element_indices
+    act_res = worst_residual(
+        act(grp.identity_index, ys) - ys,
+        *(act(ga, act(gb, ys)) - act(int(grp.table[ga, gb]), ys)
+          for ga in iso_idx for gb in iso_idx))
     # (ii) arrows over the neighborhood decompose along isotropy elements
     bij_res = 0.0
     for i in outside:
-        img = grp.elements[i].act(ys)
-        inside = np.linalg.norm(img - c, axis=-1) < r
-        if np.any(inside):
-            bij_res = max(bij_res, float(r - np.min(
-                np.linalg.norm(img[inside] - c, axis=-1))))
+        dist = np.linalg.norm(act(i, ys) - c, axis=-1)
+        bij_res = worst_residual(
+            bij_res, r - np.min(dist, initial=r, where=dist < r))
     # (iii) the identification intertwines the multiplications: the groupoid
     # composes the arrows (ga, gb.y) and (gb, y) to one from y to ga.gb.y
     mult_res = 0.0
-    for ga in iso.element_indices:
-        for gb in iso.element_indices:
-            mid = grp.elements[gb].act(ys)
+    for ga in iso_idx:
+        for gb in iso_idx:
+            mid = act(gb, ys)
             prod = gpd.mu_batch(np.insert(mid, 0, ga, axis=1),
                                 np.insert(ys, 0, gb, axis=1))
-            err = [gpd.alpha_batch(prod) - ys,
-                   gpd.beta_batch(prod) - grp.elements[ga].act(mid)]
-            mult_res = max(mult_res, float(np.max(np.abs(err))))
+            mult_res = worst_residual(mult_res, gpd.alpha_batch(prod) - ys,
+                                      gpd.beta_batch(prod) - act(ga, mid))
     return LocalActionForm(x, iso, float(r), halvings, act_res, bij_res,
                            mult_res)
 
@@ -191,8 +185,8 @@ def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
 def lift_projection_residual(gpd: LieGroupoid, path: OrbitSpacePath,
                              lift: GridMap) -> float:
     """Max nodewise orbit distance between the lift and the input path."""
-    return float(np.max(orbit_distance(gpd.finite_group, lift.ambient,
-                                       path.representatives)))
+    return worst_residual(orbit_distance(gpd.finite_group, lift.ambient,
+                                         path.representatives))
 
 
 # ---------------------------------------------------------------------------

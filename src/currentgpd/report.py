@@ -8,12 +8,33 @@ sharpest computable content and must survive serialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def worst_residual(*residuals) -> float:
+    """Largest magnitude over any mix of numbers and arrays; 0.0 for none.
+
+    NaN in gives NaN out: one NaN entry anywhere makes the result NaN, so
+    a check ``worst_residual(...) <= tol`` fails on it.  Values that are
+    not NaN keep their bits.  Numbers take a plain Python path, which keeps
+    the per-node checks cheap; arrays reduce with numpy.
+    """
+    out = 0.0
+    for r in residuals:
+        m = (abs(r) if isinstance(r, (float, int))
+             else np.max(np.abs(r), initial=0.0))
+        if m != m:
+            return math.nan
+        if m > out:
+            out = m
+    return float(out)
 
 
 def _plain(obj):
     """Recursively convert numpy scalars/arrays to JSON-safe values."""
-    import numpy as np
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -36,7 +36,7 @@ from .manifolds import (SecondTangent, SmoothMap, Tangent, canonical_flip,
 from .orbifolds import (OrbitSpacePath, atlas_connectivity_negative_test,
                         lift_projection_residual, local_action_form,
                         path_lift)
-from .report import CheckRecord
+from .report import CheckRecord, worst_residual
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -132,10 +132,9 @@ def suite_flip_identities(ctx: SuiteContext):
             t = Tangent(base, np.concatenate([fl.z, fl.w]))
             lhs = second_tangent_projection(s)
             rhs = tangent_map(proj, t, target_chart=s.chart_id)
-            worst_proj = max(worst_proj,
-                             float(np.max(np.abs(lhs.vel - rhs.vel))),
-                             float(m.distance(lhs.base.ambient,
-                                              rhs.base.ambient)))
+            worst_proj = worst_residual(
+                worst_proj, lhs.vel - rhs.vel,
+                m.distance(lhs.base.ambient, rhs.base.ambient))
             n_total += 1
     status = "pass" if exact and worst_proj <= 1e-12 else "fail"
     return [_record("flip-identities", "canonical flip", status, worst_proj,
@@ -155,8 +154,7 @@ def suite_local_addition(ctx: SuiteContext):
     adds = _catalog_additions()
     seed = ctx.seed_for("local-addition")
     rng = np.random.default_rng(seed)
-    worst_round = 0.0
-    worst_zero = 0.0
+    worst = 0.0
     checked = 0
     for name, (m, add) in adds.items():
         for _ in range(100):
@@ -167,14 +165,13 @@ def suite_local_addition(ctx: SuiteContext):
                 continue
             q = add.sigma(t)
             back = add.theta_inverse(p, q, tol=ctx.tol.tol_theta)
-            worst_round = max(worst_round, float(np.max(np.abs(back.vel - xi)))
-                              if m.dim else 0.0)
             z = add.sigma(Tangent(p, np.zeros(m.dim)))
-            worst_zero = max(worst_zero, float(m.distance(z.ambient, p.ambient)))
+            worst = worst_residual(worst, back.vel - xi,
+                                   m.distance(z.ambient, p.ambient))
             checked += 1
-    status = "pass" if max(worst_round, worst_zero) <= ctx.tol.tol_theta else "fail"
+    status = "pass" if worst <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/round-trip", "local addition",
-                           status, max(worst_round, worst_zero), checked, seed))
+                           status, worst, checked, seed))
 
     # normalization, including a deliberately scaled input
     circle = Circle()
@@ -189,8 +186,7 @@ def suite_local_addition(ctx: SuiteContext):
         for _ in range(100):
             p = circle.point_from_ambient(circle.sample(rng))
             D = fiber_derivative(add, p, h=ctx.tol.h_fd)
-            worst_norm = max(worst_norm,
-                             float(np.max(np.abs(D - np.eye(circle.dim)))))
+            worst_norm = worst_residual(worst_norm, D - np.eye(circle.dim))
     status = "pass" if worst_norm <= 1e-6 else "fail"
     records.append(_record("local-addition/normalization", "local addition",
                            status, worst_norm, 200, seed))
@@ -204,7 +200,8 @@ def suite_local_addition(ctx: SuiteContext):
         for _ in range(50):
             v = tm.point_from_ambient(tm.sample(rng))
             z = lifted.sigma(Tangent(v, np.zeros(tm.dim)))
-            worst_lift = max(worst_lift, float(tm.distance(z.ambient, v.ambient)))
+            worst_lift = worst_residual(worst_lift,
+                                        tm.distance(z.ambient, v.ambient))
     status = "pass" if worst_lift <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/tangent-lift", "local addition",
                            status, worst_lift, 100, seed))
@@ -233,8 +230,8 @@ def suite_tangent_diagram(ctx: SuiteContext):
             _, eps = ad.jvp(lambda c: f.fn(add.sigma_fn(c)),
                             base + [0.0 * c for c in vel],
                             [0.0 * c for c in base] + vel)
-            worst = max(worst, float(np.max(np.abs(
-                merge_components(eps) - direct.vel_ambient))))
+            worst = worst_residual(worst, merge_components(eps)
+                                   - direct.vel_ambient)
     status = "pass" if worst <= ctx.tol.tol_fd else "fail"
     return [_record("tangent-diagram", "tangent identification", status,
                     worst, len(chosen) * reps, seed)]
@@ -286,9 +283,8 @@ def suite_local_inverse(ctx: SuiteContext):
         got = local_diffeo_inverse(f, gamma0, eta, start=start,
                                    tol=ctx.tol.tol_theta)
         back = pushforward(f, got)
-        worst = max(worst,
-                    float(np.max(seminorm_distance(back, eta).order0)),
-                    float(np.max(np.abs(got.ambient - truth.ambient))))
+        worst = worst_residual(worst, seminorm_distance(back, eta).order0,
+                               got.ambient - truth.ambient)
     rec_ok = worst <= ctx.tol.tol_theta
     # the winding-1 target admits no lift from any starting branch; a
     # winding number needs a loop, so the control runs on a circle grid
@@ -318,7 +314,7 @@ def suite_not_tra_certificate(ctx: SuiteContext):
         cert = transitivity_obstruction(grid, target=(
             constant_grid_map(grid, circle.point_at_angle(0.0)),
             constant_grid_map(grid, circle.point_at_angle(theta))))
-        worst = max(worst, cert.max_residual)
+        worst = worst_residual(worst, cert.max_residual)
         if cert.verdict != "solvable":
             return [_record("not-tra-certificate", "winding obstruction",
                             "fail", worst, 3, seed)]
@@ -385,7 +381,8 @@ def suite_theorem_d(ctx: SuiteContext):
             base = random_grid_map(grid, gpd.base, rng)
             X = alg.random_polynomial_section(rng, "X")
             Y = alg.random_polynomial_section(rng, "Y")
-            worst = max(worst, current_bracket_two_ways(gpd, grid, X, Y, base))
+            worst = worst_residual(
+                worst, current_bracket_two_ways(gpd, grid, X, Y, base))
         status = "pass" if worst <= ctx.tol.tol_bracket else "fail"
         records.append(_record(f"theorem-D-pointwise-bracket/{name}",
                                "Theorem D", status, worst, count, seed))
@@ -409,14 +406,14 @@ def suite_algebroid_laws(ctx: SuiteContext):
             for x in xs:
                 a = merge_components(XY.vector_fn(list(x)))
                 b = merge_components(alg.bracket(Y, X).vector_fn(list(x)))
-                anti = max(anti, float(np.max(np.abs(a + b))))
+                anti = worst_residual(anti, a + b)
                 s = (merge_components(
                         alg.bracket(X, alg.bracket(Y, Z)).vector_fn(list(x)))
                      + merge_components(
                         alg.bracket(Z, XY).vector_fn(list(x)))
                      + merge_components(
                         alg.bracket(Y, alg.bracket(Z, X)).vector_fn(list(x))))
-                jac = max(jac, float(np.max(np.abs(s))))
+                jac = worst_residual(jac, s)
                 # Leibniz in the second argument with a polynomial function
                 fscal = lambda xc: 0.5 + xc[0] * xc[0] - 0.25 * xc[1]
                 fY = Y.times_function(fscal)
@@ -426,16 +423,16 @@ def suite_algebroid_laws(ctx: SuiteContext):
                               merge_components(alg.anchor_vector(X, list(x)))])[1][0]
                 rhs = (fscal(list(x)) * merge_components(XY.vector_fn(list(x)))
                        + aXf * merge_components(Y.vector_fn(list(x))))
-                leib = max(leib, float(np.max(np.abs(lhs - rhs))))
+                leib = worst_residual(leib, lhs - rhs)
                 # anchor is a morphism into vector fields
                 aXY = merge_components(alg.anchor_vector(XY, list(x)))
                 vf = vector_field_bracket(
                     gpd.base,
                     lambda c: alg.anchor_vector(X, list(c)),
                     lambda c: alg.anchor_vector(Y, list(c)))
-                morph = max(morph, float(np.max(np.abs(
-                    aXY - merge_components(vf(list(x)))))))
-        worst = max(anti, jac, leib, morph)
+                morph = worst_residual(morph,
+                                       aXY - merge_components(vf(list(x))))
+        worst = worst_residual(anti, jac, leib, morph)
         status = "pass" if worst <= ctx.tol.tol_bracket else "fail"
         records.append(_record(f"algebroid-laws/{name}",
                                "algebroid definition", status, worst, 30,
@@ -457,8 +454,9 @@ def suite_local_action_form(ctx: SuiteContext):
     seed = ctx.seed_for("local-action-form")
     x = gpd.base.point_from_ambient([0.0, 0.0])
     form = local_action_form(gpd, x, n_check=500, seed=seed)
-    worst = max(form.action_law_residual, form.phi_bijectivity_residual,
-                form.phi_multiplicativity_residual)
+    worst = worst_residual(form.action_law_residual,
+                           form.phi_bijectivity_residual,
+                           form.phi_multiplicativity_residual)
     ok = worst <= 1e-9 and len(form.isotropy) == 4
     z2 = make_groupoid("z2-line")
     form2 = local_action_form(z2, z2.base.point_from_ambient([0.0]),
@@ -494,12 +492,11 @@ def suite_path_lifting(ctx: SuiteContext):
         path = OrbitSpacePath(grid, reps, grp)
         start = gpd.base.point_from_ambient(pts[0])
         lift = path_lift(gpd, path, start)
-        worst = max(worst, lift_projection_residual(gpd, path, lift))
+        worst = worst_residual(worst, lift_projection_residual(gpd, path, lift))
         g = grp.elements[int(rng.integers(1, 4))]
         start2 = gpd.base.point_from_ambient(g.act(pts[0]))
         lift2 = path_lift(gpd, path, start2)
-        equein = max(equein, float(np.max(np.abs(lift2.ambient
-                                                 - g.act(lift.ambient)))))
+        equein = worst_residual(equein, lift2.ambient - g.act(lift.ambient))
         # a lift that jumps to another translate stays in the orbits
         coherent = coherent and all(float(np.max(lf.step_sizes()))
                                     < lf.delta_coh for lf in (lift, lift2))
@@ -524,7 +521,7 @@ def suite_pair_action_iso(ctx: SuiteContext):
     r1 = pair_iso(grid, Circle(), n_samples=100, seed=seed)
     r2 = action_iso(grid, make_groupoid("rot-action"), n_samples=100,
                     seed=seed)
-    worst = max(r1, r2)
+    worst = worst_residual(r1, r2)
     return [_record("pair-action-iso", "structural isomorphisms",
                     "pass" if worst <= 1e-10 else "fail", worst, 200, seed,
                     details={"pair": r1, "action": r2})]
@@ -545,7 +542,7 @@ def suite_embedding(ctx: SuiteContext):
         # retraction onto the unit circle recovers the input
         norm = np.linalg.norm(img.ambient, axis=-1, keepdims=True)
         back = img.ambient / norm
-        worst = max(worst, float(np.max(e.source.distance(back, gamma.ambient))))
+        worst = worst_residual(worst, e.source.distance(back, gamma.ambient))
         # the antipodal map -gamma differs from gamma at every node
         anti = pushforward(e, GridMap(grid, e.source, -gamma.ambient),
                            delta_coh=np.inf)

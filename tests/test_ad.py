@@ -8,7 +8,7 @@ from currentgpd import ad
 from currentgpd.ad import Dual
 from currentgpd.catalog import catalog_maps
 from currentgpd.groupoids import GROUPOIDS
-from currentgpd.linalg import linsolve
+from currentgpd.linalg import linsolve, newton
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -160,6 +160,13 @@ def test_jacobian_columns_of_constant_outputs_and_no_directions():
     assert_columns_match_jvp(fn, batch, (5, 16))
     assert ad.jacobian_columns(fn, []) == []
     assert ad.jacobian(lambda xs: [1.0, 2.0], []).shape == (2, 0)
+
+
+def test_newton_does_not_accept_a_nan_residual():
+    # at x0 the residual is [0, nan]; a NaN after the first entry is no root
+    residual = lambda x: [x[0] - 1.0, x[1] + math.nan]
+    assert newton(residual, [1.0, 0.0], 1e-12, 20, 1e8) is None
+    assert newton(lambda x: [x[0] - 1.0], [0.0], 1e-12, 20, 1e8) == [1.0]
 
 
 def test_linsolve_pivots_and_differentiates_packed_duals():

@@ -2,7 +2,8 @@
 
 Each row patches one input of one suite and shrinks the sample counts.
 The suite must report ``fail`` for every record that names the broken
-input and keep ``pass`` for the others.
+input and keep ``pass`` for the others.  The NaN rows write a single NaN
+into one input, which a check that reduces with Python's ``max`` drops.
 """
 
 import numpy as np
@@ -53,6 +54,50 @@ def shifted_action(monkeypatch):
         return gpd
 
     monkeypatch.setitem(GROUPOIDS, "rot-action", make_broken)
+
+
+def nan_action(monkeypatch):
+    """rot-action's act_batch NaN in one entry: at the first node whose
+    angle exceeds 3.5, the region shifted_action breaks."""
+    make = GROUPOIDS["rot-action"]
+
+    def make_broken():
+        gpd = make()
+        act = gpd.act_batch
+
+        def broken(g, x):
+            out = act(g, x)
+            hit = np.argwhere(g[..., 0] > 3.5)
+            if len(hit):
+                out[tuple(hit[0]) + (0,)] = np.nan
+            return out
+
+        gpd.act_batch = broken
+        return gpd
+
+    monkeypatch.setitem(GROUPOIDS, "rot-action", make_broken)
+
+
+def nan_quarter_turn(monkeypatch):
+    """z4-plane's quarter turn NaN in one entry, at the first node of each
+    batch of points it moves; single points move exactly."""
+    make = GROUPOIDS["z4-plane"]
+
+    def make_broken():
+        gpd = make()
+        turn = gpd.finite_group.elements[1]
+        act = turn.act
+
+        def broken(amb):
+            out = act(amb)
+            if out.ndim > 1:
+                out[0, 0] = np.nan
+            return out
+
+        turn.act = broken
+        return gpd
+
+    monkeypatch.setitem(GROUPOIDS, "z4-plane", make_broken)
 
 
 def half_turn_lift(monkeypatch):
@@ -172,6 +217,18 @@ CONTROLS = {
     "path-lifting": (half_turn_lift, {"path-lifting"}, 5),
 }
 
+# Rows with a single NaN.  A check that folds residuals with Python's max
+# drops it (max(0.0, nan) is 0.0) and keeps ``pass``.
+NAN_CONTROLS = {
+    "pair-action-iso": (nan_action, {"pair-action-iso"}, None),
+    "path-lifting": (nan_quarter_turn, {"path-lifting"}, 5),
+    "local-action-form": (nan_quarter_turn, {"local-action-form"}, None),
+}
+
+ROWS = ([pytest.param(s, *CONTROLS[s], id=s) for s in sorted(CONTROLS)]
+        + [pytest.param(s, *NAN_CONTROLS[s], id=f"{s}-nan")
+           for s in sorted(NAN_CONTROLS)])
+
 # Suites with no control yet.  A suite added to SUITES fails the test below
 # until it has a row in CONTROLS or here; this set should only shrink.
 WITHOUT_CONTROL = {"flip-identities", "local-addition", "local-inverse",
@@ -184,9 +241,9 @@ def test_every_suite_has_a_control_or_is_listed_without():
     assert set(CONTROLS) | WITHOUT_CONTROL == set(suites.SUITES)
 
 
-@pytest.mark.parametrize("suite", sorted(CONTROLS))
-def test_suite_fails_under_its_control(suite, monkeypatch):
-    patch, broken, count = CONTROLS[suite]
+@pytest.mark.parametrize("suite, patch, broken, count", ROWS)
+def test_suite_fails_under_its_control(suite, patch, broken, count,
+                                       monkeypatch):
     ctx = SuiteContext(seed=7, instances=INSTANCES,
                        samples={suite: count} if count else {})
     assert {r.status for r in run_suite(suite, ctx)} == {"pass"}
