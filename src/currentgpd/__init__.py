@@ -1,28 +1,8 @@
-"""Finite-dimensional groupoids, mapping-space grids, and verification suites."""
+"""Finite-dimensional groupoids, mapping-space grids, and verification suites.
 
-from .tolerances import DEFAULT, Tolerances
-from .manifolds import (ChartedManifold, Point, Tangent, SecondTangent,
-                        SmoothMap, canonical_flip, identity_map,
-                        second_tangent_map, tangent_map, transition)
-from .catalog import (Circle, Euclidean, RotationGroup, Sphere, Torus,
-                      catalog_maps, make_manifold)
-from .localadd import (LocalAddition, lie_group_local_addition, normalize,
-                       riemannian_local_addition, tangent_local_addition)
-from .groupoids import (LieGroupoid, anchor, check_axioms, classify_etale,
-                        classify_locally_transitive, compose, inverse,
-                        isotropy_group, make_groupoid, restrict, unit_at)
-from .gridmaps import (GridMap, GridSection, GridSpec, SeminormProfile,
-                       chart_phi, chart_phi_inverse, classify_pushforward,
-                       degree, evaluation, local_diffeo_inverse, pushforward,
-                       pushforward_tangent, seminorm_distance, superposition)
-from .currents import (CurrentGroupoid, build_current, pair_iso, action_iso,
-                       proper_etale_fiber_bound, properness_failure_witness,
-                       restriction_subgroupoid, transitivity_obstruction)
-from .algebroids import (AlgebroidSection, LieAlgebroid, algebroid_of_groupoid,
-                         current_algebroid, current_bracket_two_ways,
-                         sign_convention_check)
-from .orbifolds import (OrbitSpacePath, atlas_connectivity_negative_test,
-                        local_action_form, path_lift)
-from .report import Certificate, CheckRecord
+The package is used through its submodules (``currentgpd.groupoids``,
+``currentgpd.gridmaps``, ``currentgpd.suites``, ...); this module re-exports
+nothing.
+"""
 
 __version__ = "0.1.0"

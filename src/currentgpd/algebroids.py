@@ -70,13 +70,6 @@ class AlgebroidSection:
             lambda xc: [c * v for v in self.vector_fn(xc)],
             name=f"{c}*{self.name}")
 
-    def plus(self, other):
-        return AlgebroidSection(
-            self.algebroid,
-            lambda xc: [a + b for a, b in
-                        zip(self.vector_fn(xc), other.vector_fn(xc))],
-            name=f"{self.name}+{other.name}")
-
     def times_function(self, f):
         """Multiply by a scalar function of the base ambient coordinates."""
         return AlgebroidSection(
@@ -192,21 +185,6 @@ class LieAlgebroid:
         if len(frame) != self.rank:
             raise RankDrop(f"{self.gpd.name}: frame rank drop at a sample")
         return frame, cg, u
-
-    def fiber_frame(self, x: Point):
-        """Frame as tangent vectors on the arrow manifold at the unit."""
-        frame, cg, u = self.frame_fields(list(x.ambient))
-        g = self.gpd
-        out = []
-        for f in frame:
-            _, v_amb = ad.jvp(g.arrows.charts[cg].inv,
-                              [value(c) for c in u], [value(c) for c in f])
-            u_amb = merge_components(g.arrows.charts[cg].inv(
-                [value(c) for c in u]))
-            out.append(tangent_from_ambient(g.arrows, u_amb,
-                                            np.asarray([value(c) for c in v_amb]),
-                                            chart_id=cg))
-        return out
 
     # -- sections ------------------------------------------------------------------
     def section_from_coeffs(self, coeff_fns, name="section"):
@@ -387,23 +365,12 @@ def groupoid_power(gpd: LieGroupoid, n: int) -> LieGroupoid:
 # current algebroids
 # ---------------------------------------------------------------------------
 
-class CurrentAlgebroid:
-    """Sections along grid maps with nodewise anchor and bracket."""
-
-    def __init__(self, algebroid: LieAlgebroid, grid: GridSpec):
-        self.base_algebroid = algebroid
-        self.grid = grid
-
-    def bracket_values(self, X, Y, base: GridMap):
-        """Nodewise bracket values along a grid map, as ambient velocities."""
-        br = self.base_algebroid.bracket(X, Y)
-        rows = [merge_components(br.vector_fn(list(base.ambient[i])))
-                for i in range(self.grid.n)]
-        return np.stack(rows)
-
-
-def current_algebroid(alg: LieAlgebroid, grid: GridSpec) -> CurrentAlgebroid:
-    return CurrentAlgebroid(alg, grid)
+def current_bracket_values(alg: LieAlgebroid, X, Y, base: GridMap):
+    """Nodewise bracket values along a grid map, as ambient velocities."""
+    br = alg.bracket(X, Y)
+    rows = [merge_components(br.vector_fn(list(base.ambient[i])))
+            for i in range(base.grid.n)]
+    return np.stack(rows)
 
 
 def lift_section(power_alg: LieAlgebroid, base_section: AlgebroidSection,
@@ -440,8 +407,7 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
     stacked = np.concatenate(list(base.ambient))
     big_val = merge_components(
         alg_big.bracket(Xb, Yb).vector_fn(list(stacked)))
-    cur = current_algebroid(alg_small, grid)
-    node_val = cur.bracket_values(X, Y, base)
+    node_val = current_bracket_values(alg_small, X, Y, base)
     big_rows = big_val.reshape(n, gpd.arrows.ambient_dim)
     return worst_residual(big_rows - node_val)
 

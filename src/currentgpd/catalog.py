@@ -418,12 +418,6 @@ MANIFOLDS = {
 }
 
 
-def make_manifold(name):
-    if name not in MANIFOLDS:
-        raise KeyError(f"unknown manifold id {name!r}")
-    return MANIFOLDS[name]()
-
-
 # ---------------------------------------------------------------------------
 # catalog smooth maps (used by classifier suites and tests)
 # ---------------------------------------------------------------------------

@@ -53,9 +53,10 @@ class CurrentGroupoid:
         aa = self.base_gpd.alpha_batch(a.ambient)
         bb = self.base_gpd.beta_batch(b.ambient)
         gaps = np.asarray(self.base_gpd.base.distance(aa, bb))
-        if float(np.max(gaps)) >= tol:
+        gap = float(np.max(gaps))
+        if not gap < tol:  # a NaN gap is not composable either
             raise NotComposable(
-                f"{self.name}: endpoint gap {float(np.max(gaps)):.3e} "
+                f"{self.name}: endpoint gap {gap:.3e} "
                 f"at node {int(np.argmax(gaps))}")
         b_amb = self.base_gpd.project_to_beta(b.ambient, aa)
         return self._wrap_arrow(self.base_gpd.mu_batch(a.ambient, b_amb))

@@ -77,10 +77,10 @@ class GridMap:
         if not np.isfinite(self.delta_coh):
             return
         steps = self.step_sizes()
-        if steps.size and float(np.max(steps)) >= self.delta_coh:
-            i = int(np.argmax(steps))
+        step = float(np.max(steps))
+        if not step < self.delta_coh:  # a NaN step is not coherent either
             raise CoherenceLost(
-                f"step {float(np.max(steps)):.3f} at node {i} exceeds "
+                f"step {step:.3f} at node {int(np.argmax(steps))} exceeds "
                 f"coherence bound {self.delta_coh:.3f}")
 
     def step_sizes(self):
@@ -98,10 +98,6 @@ class GridMap:
         if self._points is None:
             self._points = tuple(self.point(i) for i in range(self.grid.n))
         return self._points
-
-    def replace_ambient(self, ambient, check=True):
-        return GridMap(self.grid, self.target, ambient,
-                       delta_coh=self.delta_coh, check=check)
 
     def close_to(self, other, tol=DEFAULT.tol_chart):
         return float(np.max(self.target.distance(self.ambient, other.ambient))) < tol
@@ -164,10 +160,6 @@ def section_from_chart_coeffs(gm: GridMap, coeffs) -> GridSection:
     return GridSection(gm, np.stack(rows))
 
 
-def zero_section(gm: GridMap) -> GridSection:
-    return GridSection(gm, np.zeros_like(gm.ambient))
-
-
 def random_section(gm: GridMap, rng, scale=0.1) -> GridSection:
     d = gm.target.dim
     n = gm.grid.n
@@ -183,7 +175,7 @@ def random_section(gm: GridMap, rng, scale=0.1) -> GridSection:
 
 
 # ---------------------------------------------------------------------------
-# seminorms and evaluation
+# seminorms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -234,10 +226,6 @@ def seminorm_distance(a: GridMap, b: GridMap) -> SeminormProfile:
             db = _finite_difference(b.ambient, h, j, b.grid.closed)
             entries.append(float(np.max(np.linalg.norm(da - db, axis=-1))))
     return SeminormProfile(tuple(entries))
-
-
-def evaluation(gamma: GridMap, i: int) -> Point:
-    return gamma.point(int(i))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +459,7 @@ def degree(loop: GridMap) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# CSV export (the ``dump-gridmap`` command)
 # ---------------------------------------------------------------------------
 
 def gridmap_to_csv(gm: GridMap, path):
@@ -480,28 +468,3 @@ def gridmap_to_csv(gm: GridMap, path):
         w.writerow(["index"] + [f"ambient_{i}" for i in range(gm.target.ambient_dim)])
         for i in range(gm.grid.n):
             w.writerow([i] + [f"{x:.17g}" for x in gm.ambient[i]])
-
-
-def gridmap_from_csv(path, grid: GridSpec, target: ChartedManifold) -> GridMap:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header[:1] != ["index"]:
-            raise ValueError("bad grid map header")
-        rows = sorted((int(row[0]), [float(x) for x in row[1:]]) for row in r)
-    amb = np.asarray([v for _, v in rows], dtype=float)
-    return GridMap(grid, target, amb)
-
-
-def gridmap_to_json(gm: GridMap) -> dict:
-    return {
-        "grid": {"kind": gm.grid.kind, "n": gm.grid.n, "ell": gm.grid.ell},
-        "target": gm.target.name,
-        "ambient": [[float(x) for x in row] for row in gm.ambient],
-    }
-
-
-def gridmap_from_json(data: dict, target: ChartedManifold) -> GridMap:
-    g = data["grid"]
-    grid = GridSpec(g["kind"], int(g["n"]), int(g.get("ell", 1)))
-    return GridMap(grid, target, np.asarray(data["ambient"], dtype=float))

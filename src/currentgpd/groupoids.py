@@ -153,10 +153,6 @@ def inverse(gpd: LieGroupoid, g: Point) -> Point:
     return gpd.iota.at(g)
 
 
-def unit_at(gpd: LieGroupoid, x: Point) -> Point:
-    return gpd.unit.at(x)
-
-
 def anchor(gpd: LieGroupoid, g: Point):
     return gpd.alpha.at(g), gpd.beta.at(g)
 

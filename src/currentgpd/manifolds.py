@@ -380,32 +380,8 @@ class SmoothMap:
 
         return rep
 
-    def then(self, other: "SmoothMap") -> "SmoothMap":
-        if other.source is not self.target:
-            raise ValueError("composition mismatch")
-
-        def fn(comps):
-            return other.fn(self.fn(comps))
-
-        return SmoothMap(self.source, other.target, fn,
-                         order=min(self.order, other.order),
-                         name=f"{other.name}.{self.name}")
-
     def __repr__(self):
         return f"<SmoothMap {self.name}: {self.source.name} -> {self.target.name}>"
-
-
-def identity_map(m: ChartedManifold) -> SmoothMap:
-    return SmoothMap(m, m, lambda c: list(c), name=f"id_{m.name}")
-
-
-def transition(p: Point, chart_j: int) -> Point:
-    """Express the same point in another chart of its manifold."""
-    m = p.manifold
-    if value(m.chart_margin(chart_j, p.ambient)) <= 0.0:
-        raise OutOfChart(f"{m.name}: point outside chart {chart_j}")
-    coords = merge_components(m.charts[chart_j].fwd(split_components(p.ambient)))
-    return Point(m, int(chart_j), coords, p.ambient)
 
 
 def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:

@@ -7,7 +7,6 @@ sharpest computable content and must survive serialization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -66,10 +65,6 @@ class Certificate:
             "verdict": self.verdict,
             "max_residual": float(self.max_residual),
         }
-
-    def to_json(self, **kwargs):
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 @dataclass

@@ -6,16 +6,18 @@ import pytest
 
 from currentgpd import ad
 from currentgpd.algebroids import (AlgebroidSection, LieAlgebroid,
-                                   algebroid_of_groupoid, current_algebroid,
-                                   current_bracket_two_ways, groupoid_power,
+                                   algebroid_of_groupoid,
+                                   current_bracket_two_ways,
+                                   current_bracket_values, groupoid_power,
                                    lift_section, sign_convention_check,
                                    vector_field_bracket)
 from currentgpd.catalog import Circle, RotationGroup
 from currentgpd.errors import FrameProjectionError
-from currentgpd.gridmaps import GridSpec, random_grid_map
+from currentgpd.gridmaps import GridMap, GridSpec, random_grid_map
 from currentgpd.groupoids import GROUPOIDS, make_groupoid
 from currentgpd.localadd import circle_group, so3_group
-from currentgpd.manifolds import chart_count, merge_components
+from currentgpd.manifolds import (Tangent, chart_count, merge_components,
+                                  tangent_map)
 
 
 def field_section(alg, V):
@@ -51,9 +53,12 @@ class TestAlgebroidOfGroupoid:
             alg = algebroid_of_groupoid(gpd)
             rng = np.random.default_rng(1)
             for _ in range(5):
-                x = gpd.base.point_from_ambient(gpd.base.sample(rng))
-                for t in alg.fiber_frame(x):
-                    from currentgpd.manifolds import tangent_map
+                x = gpd.base.sample(rng)
+                frame, cg, u = alg.frame_fields(list(x))
+                unit = gpd.arrows.point_from_coords(
+                    cg, [ad.value(c) for c in u])
+                for f in frame:
+                    t = Tangent(unit, np.array([ad.value(c) for c in f]))
                     out = tangent_map(gpd.alpha, t)
                     assert float(np.max(np.abs(out.vel))) < 1e-9
 
@@ -276,15 +281,12 @@ class TestCurrentAlgebroid:
         gpd = make_groupoid("so3-action")
         alg = algebroid_of_groupoid(gpd)
         grid = GridSpec("circle", 8)
-        cur = current_algebroid(alg, grid)
         rng = np.random.default_rng(14)
         X = alg.constant_section([1.0, 0.0, 0.0])
         Y = alg.constant_section([0.0, 1.0, 0.0])
-        base = GridSpec("circle", 8)
         gm = random_grid_map(grid, gpd.base, rng)
-        const_gm = gm.replace_ambient(np.tile(gm.ambient[:1], (grid.n, 1)),
-                                      check=False)
-        vals = cur.bracket_values(X, Y, const_gm)
+        const_gm = GridMap(grid, gpd.base, np.tile(gm.ambient[:1], (grid.n, 1)))
+        vals = current_bracket_values(alg, X, Y, const_gm)
         assert float(np.max(np.abs(vals - vals[0]))) < 1e-9
 
     def test_theorem_d_pair_groupoid(self):
@@ -330,7 +332,7 @@ class TestCurrentAlgebroid:
         power = groupoid_power(gpd, n)
         assert chart_count(power.arrows) == chart_count(gpd.arrows) ** n
         assert current_bracket_two_ways(gpd, grid, X, Y, base) <= alg.tol_bracket
-        vals = current_algebroid(alg, grid).bracket_values(X, Y, base)
+        vals = current_bracket_values(alg, X, Y, base)
         assert (float(np.max(np.abs(vals))) > 1e-3) == (name != "circle-bundle")
 
     def test_power_groupoid_passes_axioms(self):
@@ -351,7 +353,7 @@ class TestCurrentAlgebroid:
 
 
 # name -> (digest of route one's power bracket, digest of route two's
-# bracket_values, float.hex of coefficients_in_frame at node 0) for
+# current_bracket_values, float.hex of coefficients_in_frame at node 0) for
 # test_bracket_values_are_pinned.  A digest is the first 16 hex digits of the
 # sha256 of the values' float.hex strings joined by spaces.  A change of
 # summation order or of operand order that moves one bit of a bracket fails
@@ -396,7 +398,7 @@ def test_bracket_values_are_pinned(name):
     one = big.bracket(lift_section(big, X, n, am),
                       lift_section(big, Y, n, am)).vector_fn(
         list(np.concatenate(list(base.ambient))))
-    two = current_algebroid(alg, grid).bracket_values(X, Y, base).ravel()
+    two = current_bracket_values(alg, X, Y, base).ravel()
     coeffs = alg.coefficients_in_frame(alg.bracket(X, Y), base.point(0))
     assert (_digest(one), _digest(two),
             [float(c).hex() for c in coeffs]) == PINNED_BRACKETS[name]

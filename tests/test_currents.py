@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,16 @@ class TestBuildCurrent:
         rng = np.random.default_rng(3)
         a = cur.sample_arrow(rng)
         b = cur.sample_arrow(rng)  # endpoints do not match
+        with pytest.raises(NotComposable):
+            cur.mu_star(a, b)
+
+    def test_a_nan_endpoint_is_not_composable(self):
+        cur = build_current(make_groupoid("pair-real1"), GridSpec("circle", 8))
+        rng = np.random.default_rng(3)
+        a = cur.sample_arrow(rng)
+        b = cur.sample_with_beta(cur.alpha_star(a), rng)
+        cur.mu_star(a, b)
+        b.ambient[2, 0] = np.nan  # the target of b at node 2
         with pytest.raises(NotComposable):
             cur.mu_star(a, b)
 
@@ -201,7 +213,7 @@ class TestTransitivityObstruction:
         data = cert.to_dict()
         assert set(data) == {"kind", "inputs", "witness_data", "verdict",
                              "max_residual"}
-        cert.to_json()
+        json.dumps(data, sort_keys=True)
 
 
 class TestPropernessFailure:

@@ -14,8 +14,7 @@ from currentgpd.groupoids import (GROUPOIDS, AxiomReport, LieGroupoid,
                                   compose, cyclic_rotation_group, inverse,
                                   isotropy_group, make_groupoid,
                                   reflection_group_1d, restrict,
-                                  sample_composable_triple, unit_at,
-                                  unit_groupoid)
+                                  sample_composable_triple, unit_groupoid)
 from currentgpd.manifolds import component_major
 
 
@@ -56,7 +55,7 @@ class TestInverseAndUnits:
         assert np.allclose(ig.ambient, [2.0, 1.0])
         u = compose(pg, ig, g)
         src = anchor(pg, g)[0]
-        assert u.close_to(unit_at(pg, src))
+        assert u.close_to(pg.unit.at(src))
 
     def test_unit_groupoid_inverse_is_identity(self):
         ug = make_groupoid("unit-circle")
@@ -72,8 +71,8 @@ class TestInverseAndUnits:
                 a, b = anchor(gpd, g)
                 left = compose(gpd, inverse(gpd, g), g)
                 right = compose(gpd, g, inverse(gpd, g))
-                assert left.close_to(unit_at(gpd, a))
-                assert right.close_to(unit_at(gpd, b))
+                assert left.close_to(gpd.unit.at(a))
+                assert right.close_to(gpd.unit.at(b))
 
 
 class TestAnchor:

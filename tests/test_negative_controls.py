@@ -6,15 +6,18 @@ input and keep ``pass`` for the others.  The NaN rows write a single NaN
 into one input, which a check that reduces with Python's ``max`` drops.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from currentgpd import ad, suites
+from currentgpd import ad, algebroids, suites
 from currentgpd.ad import value
-from currentgpd.algebroids import CurrentAlgebroid, LieAlgebroid
+from currentgpd.algebroids import LieAlgebroid
 from currentgpd.catalog import Euclidean, catalog_maps
+from currentgpd.gridmaps import GridMap
 from currentgpd.groupoids import GROUPOIDS
-from currentgpd.manifolds import SmoothMap
+from currentgpd.manifolds import SecondTangent, SmoothMap
 from currentgpd.suites import SuiteContext, run_suite
 
 INSTANCES = ["pair-real1", "rot-action", "so3-group"]
@@ -109,9 +112,32 @@ def half_turn_lift(monkeypatch):
         out = lift(*args, **kwargs)
         amb = out.ambient.copy()
         amb[len(amb) // 2:] *= -1.0
-        return out.replace_ambient(amb, check=False)
+        return GridMap(out.grid, out.target, amb, delta_coh=out.delta_coh,
+                       check=False)
 
     monkeypatch.setattr(suites, "path_lift", jumped)
+
+
+def lopsided_flip(monkeypatch):
+    """A canonical flip that also scales the last slot by 1.001, so flipping
+    twice is no longer the identity."""
+    def flip(s):
+        return SecondTangent(s.manifold, s.chart_id, s.x, s.z, s.y, 1.001 * s.w)
+
+    monkeypatch.setattr(suites, "canonical_flip", flip)
+
+
+def lift_on_the_next_sheet(monkeypatch):
+    """Lifts through exp_cover moved up one sheet, by 2 pi: the push-forward
+    is unchanged, so only the comparison with the true lift sees it."""
+    lift = suites.local_diffeo_inverse
+
+    def shifted(*args, **kwargs):
+        out = lift(*args, **kwargs)
+        return GridMap(out.grid, out.target, out.ambient + 2 * math.pi,
+                       delta_coh=out.delta_coh)
+
+    monkeypatch.setattr(suites, "local_diffeo_inverse", shifted)
 
 
 def repeated_identity(monkeypatch):
@@ -181,9 +207,9 @@ def forgetful_multiplication(monkeypatch):
 def negated_nodewise_bracket(monkeypatch):
     """Route two of Theorem D negated; a sign flip inside LieAlgebroid.bracket
     would reach both routes, so only the nodewise values are negated."""
-    values = CurrentAlgebroid.bracket_values
-    monkeypatch.setattr(CurrentAlgebroid, "bracket_values",
-                        lambda self, *args: -values(self, *args))
+    values = algebroids.current_bracket_values
+    monkeypatch.setattr(algebroids, "current_bracket_values",
+                        lambda *args: -values(*args))
 
 
 def scaled_bracket(monkeypatch):
@@ -206,6 +232,8 @@ CONTROLS = {
                                 {"pair-real1"}, 200),
     "proper-etale-lifting": (repeated_identity, {"proper-etale-lifting"}, 20),
     "embedding": (squaring_embedding, {"embedding"}, None),
+    "flip-identities": (lopsided_flip, {"flip-identities"}, None),
+    "local-inverse": (lift_on_the_next_sheet, {"local-inverse"}, 10),
     "pushforward-classifiers": (flat_projection, {"plane-projection"}, 20),
     "tangent-diagram": (unnormalized_addition, {"tangent-diagram"}, None),
     "local-action-form": (forgetful_multiplication, {"local-action-form"},
@@ -231,9 +259,8 @@ ROWS = ([pytest.param(s, *CONTROLS[s], id=s) for s in sorted(CONTROLS)]
 
 # Suites with no control yet.  A suite added to SUITES fails the test below
 # until it has a row in CONTROLS or here; this set should only shrink.
-WITHOUT_CONTROL = {"flip-identities", "local-addition", "local-inverse",
-                   "not-tra-certificate", "not-proper-certificate",
-                   "atlas-negative"}
+WITHOUT_CONTROL = {"local-addition", "not-tra-certificate",
+                   "not-proper-certificate", "atlas-negative"}
 
 
 def test_every_suite_has_a_control_or_is_listed_without():
