@@ -10,7 +10,11 @@ needs no case for it, and direction j sees the same operations as a pass
 seeded with that direction alone.  Chart maps and structure maps throughout
 the library are written against the dispatching math functions below, so
 the same code path evaluates on floats, on ``Dual`` seeds, and on arrays of
-grid samples.
+grid samples.  There is one rounding path: each elementary function goes
+through one numpy ufunc, for a number as for an array, so a batch of points
+gives at each point the bits that point gives alone.  A batch of nodes sits
+on the trailing axis of every part, behind any direction axes
+(:func:`take`, :func:`scatter`).
 
 A matrix whose entries carry duals is held as one ``Dual`` whose parts are
 arrays (:func:`pack`, :func:`unpack`), each with the matrix axes last.
@@ -21,7 +25,6 @@ duals alike.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 
 import numpy as np
@@ -128,36 +131,42 @@ def _lift(f, df):
     return g
 
 
-def _np_or_math(np_fn, math_fn):
-    def f(x):
-        if isinstance(x, np.ndarray):
-            return np_fn(x)
-        return math_fn(x)
+def _ufunc(np_fn):
+    """np_fn on arrays, and on numbers through the same ufunc, as a float.
+
+    numpy's loops round an element the same way whether it comes alone or
+    in an array, contiguous or strided, while ``math`` rounds ``exp``,
+    ``log``, ``atan`` and ``atan2`` differently, so a number never goes
+    through ``math``.  A value outside the domain gives NaN or an infinity
+    with a RuntimeWarning, as it does in an array.
+    """
+    def f(*args):
+        out = np_fn(*args)
+        return out if isinstance(out, np.ndarray) else float(out)
 
     return f
 
 
-sin = _lift(_np_or_math(np.sin, math.sin), lambda x: cos(x))
-cos = _lift(_np_or_math(np.cos, math.cos), lambda x: -sin(x))
-exp = _lift(_np_or_math(np.exp, math.exp), lambda x: exp(x))
-log = _lift(_np_or_math(np.log, math.log), lambda x: 1.0 / x)
+sin = _lift(_ufunc(np.sin), lambda x: cos(x))
+cos = _lift(_ufunc(np.cos), lambda x: -sin(x))
+exp = _lift(_ufunc(np.exp), lambda x: exp(x))
+log = _lift(_ufunc(np.log), lambda x: 1.0 / x)
+_sqrt = _ufunc(np.sqrt)
+_atan = _ufunc(np.arctan)
+_atan2 = _ufunc(np.arctan2)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.re)
         return Dual(r, x.ep / (2.0 * r))
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    return math.sqrt(x)
+    return _sqrt(x)
 
 
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.re), x.ep / (1.0 + x.re * x.re))
-    if isinstance(x, np.ndarray):
-        return np.arctan(x)
-    return math.atan(x)
+    return _atan(x)
 
 
 def _parts(x):
@@ -170,9 +179,7 @@ def atan2(y, x):
         (yr, ye), (xr, xe) = _parts(y), _parts(x)
         den = xr * xr + yr * yr
         return Dual(atan2(yr, xr), (xr * ye - yr * xe) / den)
-    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
-        return np.arctan2(y, x)
-    return math.atan2(y, x)
+    return _atan2(y, x)
 
 
 def where(cond, a, b):
@@ -188,6 +195,31 @@ def where(cond, a, b):
         (ar, ae), (br, be) = _parts(a), _parts(b)
         return Dual(where(cond, ar, br), where(cond, ae, be))
     return np.where(cond, a, b)
+
+
+def take(x, rows):
+    """The entries of x at ``rows`` of its trailing node axis.
+
+    A part without axes is the same at every node and is kept whole.
+    """
+    if isinstance(x, Dual):
+        return Dual(take(x.re, rows), take(x.ep, rows))
+    return x[..., rows] if isinstance(x, np.ndarray) and x.ndim else x
+
+
+def scatter(parts, rows, n):
+    """The inverse of :func:`take`: ``parts[i]`` placed at ``rows[i]``.
+
+    The result has a trailing node axis of length n; a dual part makes the
+    result a dual, whose other parts get derivative 0.
+    """
+    if any(map(isinstance, parts, repeat(Dual))):
+        re, ep = zip(*map(_parts, parts))
+        return Dual(scatter(re, rows, n), scatter(ep, rows, n))
+    out = np.empty(max((np.shape(p)[:-1] for p in parts), key=len) + (n,))
+    for p, r in zip(parts, rows):
+        out[..., r] = p
+    return out
 
 
 def jvp(fn, xs, vs):

@@ -5,6 +5,12 @@ along the unit embedding; the anchor is the target derivative and the
 bracket is the commutator of right-invariant extensions restricted to
 units.  Everything below is written dual-friendly, so brackets can be
 nested (Jacobi) and evaluated inside other derivatives.
+
+Sections and brackets also evaluate on many base points at once: each
+ambient component then carries a trailing node axis.  The nodes share
+every operation except the chart maps, which gather the nodes of each
+chart, map them and scatter them back (:func:`_node_chart`), so a node
+gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -19,10 +25,38 @@ from .errors import FrameProjectionError, RankDrop, Unsupported
 from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid
 from .linalg import dot_list, gram_schmidt, linsolve, numerical_ranks
-from .manifolds import (Point, ProductManifold, SmoothMap, Tangent,
-                        map_jacobian, merge_components, tangent_from_ambient)
+from .manifolds import (Chart, Point, ProductManifold, SmoothMap, Tangent,
+                        map_jacobian, merge_components, split_components,
+                        tangent_from_ambient)
 from .report import worst_residual
 from .tolerances import DEFAULT
+
+
+def _node_chart(m, ids):
+    """The chart of each node, as one chart of m.
+
+    ids is a chart id, or an array of chart ids along a trailing node axis.
+    Where the nodes lie in several charts, a chart map gathers the nodes of
+    each chart (:func:`ad.take`), maps them together and scatters the
+    results back (:func:`ad.scatter`).
+    """
+    if isinstance(ids, int):
+        return m.charts[ids]
+    groups = np.unique(ids)
+    if groups.size == 1:
+        return m.charts[int(groups[0])]
+    rows = [np.flatnonzero(ids == c) for c in groups]
+    charts = [m.charts[int(c)] for c in groups]
+
+    def per_node(which):
+        def fn(comps):
+            outs = [getattr(chart, which)([ad.take(c, r) for c in comps])
+                    for chart, r in zip(charts, rows)]
+            return [ad.scatter(parts, rows, len(ids)) for parts in zip(*outs)]
+
+        return fn
+
+    return Chart("per-node", None, per_node("fwd"), per_node("inv"))
 
 
 def _chart_commutator(chart, V, W, u):
@@ -93,22 +127,29 @@ class LieAlgebroid:
     def _unit_chart_context(self, x_comps):
         """Chart ids for the unit point of x, branch chosen on float values.
 
-        Memoised on the exact bytes of the float point, so -0.0 and 0.0 stay
-        apart.
+        On a batch of nodes, arrays of ids from one ``best_chart`` call per
+        manifold.  A single point is memoised on the exact bytes of its
+        float value, so -0.0 and 0.0 stay apart; a batch is not.
         """
         g = self.gpd
-        xf = np.asarray([value(c) for c in x_comps], dtype=float)
-        key = xf.tobytes()
+        xf = [value(c) for c in x_comps]
+        if any(isinstance(c, np.ndarray) and c.ndim for c in xf):
+            xf, key = merge_components(xf), None
+        else:
+            xf = np.asarray(xf, dtype=float)
+            key = xf.tobytes()
         if key not in self._charts:
-            u_f = merge_components(g.unit.fn(list(xf)))
-            self._charts[key] = (int(g.arrows.best_chart(u_f)),
-                                 int(g.base.best_chart(xf)))
+            u_f = merge_components(g.unit.fn(split_components(xf)))
+            ids = g.arrows.best_chart(u_f), g.base.best_chart(xf)
+            if key is None:
+                return ids
+            self._charts[key] = ids
         return self._charts[key]
 
     def _alpha_rep(self, cg, cm):
         g = self.gpd
-        chart_g = g.arrows.charts[cg]
-        chart_m = g.base.charts[cm]
+        chart_g = _node_chart(g.arrows, cg)
+        chart_m = _node_chart(g.base, cm)
 
         def rep(w):
             return chart_m.fwd(g.alpha.fn(chart_g.inv(w)))
@@ -118,13 +159,14 @@ class LieAlgebroid:
     def _unit_coords(self, x_comps, cg):
         g = self.gpd
         u_amb = g.unit.fn(list(x_comps))
-        return g.arrows.charts[cg].fwd(u_amb)
+        return _node_chart(g.arrows, cg).fwd(u_amb)
 
     def kernel_projector(self, u_coords, cg, cm):
         """P = I - J^T (J J^T)^(-1) J for the source Jacobian at the unit.
 
         J is the dM x dG chart Jacobian of alpha at the unit coordinates
-        ``u_coords``, with duals if they carry any.  J J^T is solved densely
+        ``u_coords``, with duals if they carry any, or a stack of them when
+        the coordinates carry a node axis.  J J^T is solved densely
         (no block structure is used, so on a power groupoid this stays
         independent of the nodewise bracket) and factored once for all dG
         columns of J.
@@ -149,23 +191,38 @@ class LieAlgebroid:
         return ad.unpack(P)
 
     def _select_axes(self, P_float):
-        """Greedy chart axes whose projections stay independent."""
+        """Greedy chart axes whose projections stay independent.
+
+        Entries are numbers, or arrays over nodes, where each node chooses
+        its own axes with the operations it would use alone
+        (:func:`ad.where` picks per node).  Returns the axis of each frame
+        slot: an int, or an int array over the nodes.
+        """
         dG = len(P_float)
-        chosen = []
-        basis = []
+        count, active = 0, True  # per node: axes chosen, still choosing
+        chosen = [0] * self.rank  # slot s: per node, its s-th axis
+        basis = [[0.0] * dG for _ in range(self.rank)]  # and its vector
+        filled = 0  # slots that some node has filled
         for i in range(dG):
-            v = [P_float[r][i] for r in range(dG)]
-            w = list(v)
-            for u in basis:
+            w = [P_float[r][i] for r in range(dG)]
+            for s, u in enumerate(basis[:filled]):
                 c = sum(a * b for a, b in zip(w, u))
-                w = [a - c * b for a, b in zip(w, u)]
-            nrm = float(np.sqrt(sum(a * a for a in w)))
-            if nrm > 0.3:
-                basis.append([a / nrm for a in w])
-                chosen.append(i)
-            if len(chosen) == self.rank:
+                w = [ad.where(count > s, a - c * b, a) for a, b in zip(w, u)]
+            nrm = ad.sqrt(sum(a * a for a in w))
+            new = active & (nrm > 0.3)
+            if _any_node(new):
+                safe = ad.where(new, nrm, 1.0)
+                for s in range(min(filled + 1, self.rank)):
+                    put = new & (count == s)
+                    basis[s] = [ad.where(put, a / safe, b)
+                                for a, b in zip(w, basis[s])]
+                    chosen[s] = ad.where(put, i, chosen[s])
+                count = count + new
+                filled = min(filled + 1, self.rank)
+            active = active & (count < self.rank)
+            if not _any_node(active):
                 break
-        if len(chosen) != self.rank:
+        if _any_node(count != self.rank):
             raise RankDrop(f"{self.gpd.name}: kernel frame selection failed")
         return chosen
 
@@ -173,14 +230,14 @@ class LieAlgebroid:
         """Orthonormal kernel frame at the unit of x, as chart velocities.
 
         Returns (frame, cg, u_coords): the frame is a list of chart-velocity
-        component lists in chart cg of the arrow manifold.
+        component lists in chart cg of the arrow manifold (on a batch of
+        nodes, cg holds the chart id of each node).
         """
         cg, cm = self._unit_chart_context(x_comps)
         u = self._unit_coords(x_comps, cg)
         P = self.kernel_projector(u, cg, cm)
         Pf = [[value(c) for c in row] for row in P]
-        axes = self._select_axes(Pf)
-        raw = [[P[r][i] for r in range(len(P))] for i in axes]
+        raw = [[_pick(row, i) for row in P] for i in self._select_axes(Pf)]
         frame = gram_schmidt(raw)
         if len(frame) != self.rank:
             raise RankDrop(f"{self.gpd.name}: frame rank drop at a sample")
@@ -196,8 +253,8 @@ class LieAlgebroid:
             vel_chart = [0.0] * self.gpd.arrows.dim
             for c, f in zip(cs, frame):
                 vel_chart = [a + c * b for a, b in zip(vel_chart, f)]
-            _, vel_amb = ad.jvp(self.gpd.arrows.charts[cg].inv, list(u),
-                                vel_chart)
+            _, vel_amb = ad.jvp(_node_chart(self.gpd.arrows, cg).inv,
+                                list(u), vel_chart)
             return vel_amb
 
         return AlgebroidSection(self, vector_fn, name=name)
@@ -264,7 +321,7 @@ class LieAlgebroid:
 
         def vector_fn(x_comps):
             cg, cm = self._unit_chart_context(x_comps)
-            chart = g.arrows.charts[cg]
+            chart = _node_chart(g.arrows, cg)
             u = self._unit_coords(x_comps, cg)
             b = _chart_commutator(chart, fX, fY, u)
             # project onto the kernel; the out-of-kernel residual must be noise
@@ -290,6 +347,23 @@ class LieAlgebroid:
         gram = [[value(dot_list(a, b)) for b in frame] for a in frame]
         rhs = [sum(value(f[i]) * wf[i] for i in range(len(wf))) for f in frame]
         return np.asarray(linsolve(gram, [rhs])[0], dtype=float)
+
+
+def _any_node(flags):
+    """Whether flags, a bool or a bool array over nodes, holds at a node."""
+    return flags.any() if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def _pick(entries, axes):
+    """entries[axes] at each node, for axes an int or an int array over
+    the nodes."""
+    if not isinstance(axes, np.ndarray):
+        return entries[axes]
+    choices = np.unique(axes)
+    out = entries[int(choices[0])]
+    for i in choices[1:]:
+        out = ad.where(axes == i, entries[int(i)], out)
+    return out
 
 
 def algebroid_of_groupoid(gpd: LieGroupoid, n_probe=5, seed=0,
@@ -366,26 +440,43 @@ def groupoid_power(gpd: LieGroupoid, n: int) -> LieGroupoid:
 # ---------------------------------------------------------------------------
 
 def current_bracket_values(alg: LieAlgebroid, X, Y, base: GridMap):
-    """Nodewise bracket values along a grid map, as ambient velocities."""
+    """Nodewise bracket values along a grid map, as ambient velocities.
+
+    One evaluation of the bracket on all nodes at once, each ambient
+    component carrying the node axis; each node gets the bits of the
+    bracket evaluated at that node alone.
+    """
     br = alg.bracket(X, Y)
-    rows = [merge_components(br.vector_fn(list(base.ambient[i])))
-            for i in range(base.grid.n)]
-    return np.stack(rows)
+    return merge_components(br.vector_fn(list(base.ambient.T)))
 
 
 def lift_section(power_alg: LieAlgebroid, base_section: AlgebroidSection,
                  n: int, am: int) -> AlgebroidSection:
-    """Pointwise lift of a base section to the n-fold power algebroid."""
+    """Pointwise lift of a base section to the n-fold power algebroid.
+
+    The base section is evaluated once on all n nodes: each of its am
+    components is the row of that component over the nodes (:func:`ad.pack`),
+    and each output component is split back into nodes (:func:`ad.unpack`).
+    """
 
     def vector_fn(x_comps):
-        out = []
-        for i in range(n):
-            out.extend(base_section.vector_fn(
-                list(x_comps[i * am:(i + 1) * am])))
-        return out
+        nodes = [ad.pack([x_comps[j::am]])[..., 0, :] for j in range(am)]
+        out = [_node_entries(o, n) for o in base_section.vector_fn(nodes)]
+        return [o[i] for i in range(n) for o in out]
 
     return AlgebroidSection(power_alg, vector_fn,
                             name=f"lift({base_section.name})")
+
+
+def _node_entries(x, n):
+    """The n entries of x along its trailing node axis; a number is the
+    same at every node."""
+    if isinstance(x, Dual):
+        return [Dual(r, e) for r, e in zip(_node_entries(x.re, n),
+                                           _node_entries(x.ep, n))]
+    if np.ndim(x) == 0:
+        return [x] * n
+    return ad.unpack(x[..., None, :])[0]
 
 
 def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
@@ -393,9 +484,13 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
     """Compare the bracket through the big groupoid against the nodewise one.
 
     Route one: the groupoid of grid maps is the n-fold power of the base
-    groupoid; take its algebroid and bracket the lifted sections.  Route
-    two: bracket in the base algebroid and evaluate node by node.  Returns
-    the maximum nodewise discrepancy of the resulting ambient velocities.
+    groupoid; take its algebroid and bracket the lifted sections.  Its
+    kernel projector solves the dense J J^T of the power groupoid, with no
+    block shortcut, so it stays an independent cross-check; only the
+    lifted sections evaluate the base sections on all nodes at once.
+    Route two: bracket in the base algebroid, evaluated on all nodes in one
+    batch (:func:`current_bracket_values`).  Returns the maximum nodewise
+    discrepancy of the resulting ambient velocities.
     """
     n = grid.n
     am = gpd.base.ambient_dim

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ad
 from .ad import value
-from .errors import NotComposable, SamplingFailure, Unsupported
+from .errors import SamplingFailure, Unsupported
 from .manifolds import (ChartedManifold, DiscreteManifold, OpenSubManifold,
                         Point, ProductManifold, SmoothMap, component_major,
                         map_jacobian, merge_components, redraw_rejected,
@@ -129,32 +129,6 @@ class LieGroupoid:
 
     def __repr__(self):
         return f"<LieGroupoid {self.name}: {self.arrows.name} over {self.base.name}>"
-
-
-# ---------------------------------------------------------------------------
-# pointwise operations
-# ---------------------------------------------------------------------------
-
-def compose(gpd: LieGroupoid, g: Point, h: Point,
-            tol=DEFAULT.tol_chart) -> Point:
-    """mu(g, h); defined when alpha(g) = beta(h) within tolerance."""
-    ag = gpd.alpha.at(g).ambient
-    bh = gpd.beta.at(h).ambient
-    if float(gpd.base.distance(ag, bh)) >= tol:
-        raise NotComposable(
-            f"{gpd.name}: alpha(g) and beta(h) differ by "
-            f"{float(gpd.base.distance(ag, bh)):.3e}")
-    h_amb = gpd.project_to_beta(h.ambient[None], ag[None])
-    out = gpd.mu_batch(g.ambient[None], h_amb)[0]
-    return gpd.arrows.point_from_ambient(out)
-
-
-def inverse(gpd: LieGroupoid, g: Point) -> Point:
-    return gpd.iota.at(g)
-
-
-def anchor(gpd: LieGroupoid, g: Point):
-    return gpd.alpha.at(g), gpd.beta.at(g)
 
 
 # ---------------------------------------------------------------------------

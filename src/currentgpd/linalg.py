@@ -10,12 +10,10 @@ with.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .ad import Dual, jacobian, pack, sqrt, unpack, value
-from .errors import SingularNormalization
+from .errors import RankDrop, SingularNormalization
 from .report import worst_residual
 
 
@@ -29,6 +27,10 @@ def linsolve(A, rhs):
     column, compared on underlying values.  Each pivot eliminates the rows
     below it in one slice update, and back-substitution runs on whole rows
     of right-hand sides, so each is solved as if it were alone.
+
+    Entries may carry a trailing node axis (see :func:`ad.take`): then A is
+    a stack of matrices, one per node, and each is pivoted on its own, so
+    every node sees the operations of its own solve, bit for bit.
 
     Every entry sees the operations of a solve entry by entry, in the same
     order.  In a dual A, a float entry becomes a dual with derivative 0;
@@ -45,7 +47,7 @@ def linsolve(A, rhs):
     M = pack([list(A[r]) + cols[r] for r in range(n)])  # [A | b..]
     if isinstance(M, Dual) and not any(isinstance(e, Dual)
                                        for row in A for e in row):
-        X = _solve_parts(value(M)[:, :n], M[..., n:])
+        X = _solve_parts(value(M)[..., :n], M[..., n:])
     else:
         X = _lu(M, n)
     X = unpack(X)
@@ -55,31 +57,38 @@ def linsolve(A, rhs):
 def _solve_parts(A, B):
     """Solve float A X = B part by part of a packed B.
 
-    The leading direction axes of a part ride along as extra columns.
+    A part's direction axes, ahead of the node axes it shares with A, ride
+    along as extra columns.
     """
     if isinstance(B, Dual):
         return Dual(_solve_parts(A, B.re), _solve_parts(A, B.ep))
-    if B.ndim == 2:
-        return _lu(np.concatenate([A, B], axis=1), len(A))
-    n, lead, m = len(A), B.shape[:-2], B.shape[-1]
-    X = _solve_parts(A, np.moveaxis(B, -2, 0).reshape(n, math.prod(lead) * m))
-    return np.moveaxis(X.reshape((n,) + lead + (m,)), 0, -2)
+    B = np.broadcast_to(B, np.broadcast_shapes(B.shape[:-2], A.shape[:-2])
+                        + B.shape[-2:])
+    e = B.ndim - A.ndim
+    if e == 0:
+        return _lu(np.concatenate([A, B], axis=-1), A.shape[-1])
+    front, back = list(range(e)), list(range(B.ndim - 1 - e, B.ndim - 1))
+    cols = np.moveaxis(B, front, back)  # lead + (rows,) + directions + (m,)
+    X = _solve_parts(A, cols.reshape(cols.shape[:-1 - e] + (-1,)))
+    return np.moveaxis(X.reshape(cols.shape), back, front)
 
 
 def _lu(M, n):
     """Overwrite a packed [A | B] with its elimination; returns X of A X = B.
 
-    Indices start with ``...`` to pass over the leading direction axes of
-    derivative parts, and rows and columns are sliced, never indexed away,
-    so that those axes broadcast in step with both matrix axes.
+    Indices start with ``...`` to pass over the leading direction and node
+    axes of the parts, and rows and columns are sliced, never indexed away,
+    so that those axes broadcast in step with both matrix axes.  Each
+    matrix of a stack takes its own pivots.
     """
+    M = _with_lead(M, np.shape(value(M))[:-2])
     for col in range(n):
-        mag = np.abs(value(M)[col:, col])
-        piv = col + int(np.argmax(mag))
-        if mag[piv - col] == 0.0:
+        mag = np.abs(value(M)[..., col:, col])
+        if not mag.any(-1).all():  # a NaN column is not singular
             raise SingularNormalization("singular linear system")
-        if piv != col:
-            M[..., [col, piv], :] = M[..., [piv, col], :]
+        at = mag.argmax(-1)
+        if at.any():
+            M = _swap_rows(M, col, col + at)
         p = slice(col, col + 1)  # pivot row or column, kept as an axis
         if col + 1 < n:
             f = M[..., col + 1:, p] * (1.0 / M[..., p, p])
@@ -92,6 +101,30 @@ def _lu(M, n):
             acc = acc - M[..., q, c:c + 1] * M[..., c:c + 1, n:]
         M[..., q, n:] = acc / M[..., q, q]
     return M[..., n:]
+
+
+def _with_lead(M, lead):
+    """M with every part broadcast over the node axes ``lead`` of its value,
+    as a fresh array where that adds axes, so each matrix can be written."""
+    if not lead:
+        return M
+    if isinstance(M, Dual):
+        return Dual(_with_lead(M.re, lead), _with_lead(M.ep, lead))
+    shape = np.broadcast_shapes(M.shape[:-2], lead) + M.shape[-2:]
+    return M if shape == M.shape else np.broadcast_to(M, shape).copy()
+
+
+def _swap_rows(M, col, piv):
+    """M with row col and row piv swapped in each matrix of the stack;
+    piv holds one row per matrix."""
+    if isinstance(M, Dual):
+        return Dual(_swap_rows(M.re, col, piv), _swap_rows(M.ep, col, piv))
+    rows = np.broadcast_to(np.arange(M.shape[-2]),
+                           piv.shape + M.shape[-2:-1]).copy()
+    np.put_along_axis(rows, piv[..., None], col, axis=-1)
+    rows[..., col] = piv
+    rows = rows.reshape((1,) * (M.ndim - rows.ndim - 1) + rows.shape + (1,))
+    return np.take_along_axis(M, rows, axis=-2)
 
 
 def newton(residual, x0, tol, max_iter, bound):
@@ -126,7 +159,13 @@ def dot_list(a, b):
 
 
 def gram_schmidt(vectors, drop_tol=1e-12):
-    """Orthonormalise a list of component-lists; dual entries allowed."""
+    """Orthonormalise a list of component-lists; dual entries allowed.
+
+    A vector whose remainder is shorter than drop_tol is dropped.  Entries
+    may carry a trailing node axis; a vector dropped at some nodes but not
+    at others raises RankDrop, since the nodes would keep frames of
+    different lengths.
+    """
     out = []
     for v in vectors:
         w = list(v)
@@ -134,7 +173,12 @@ def gram_schmidt(vectors, drop_tol=1e-12):
             c = dot_list(w, u)
             w = [wi - c * ui for wi, ui in zip(w, u)]
         nrm = sqrt(dot_list(w, w))
-        if abs(value(nrm)) < drop_tol:
+        short = abs(value(nrm)) < drop_tol
+        if isinstance(short, np.ndarray):
+            if short.any() and not short.all():
+                raise RankDrop("a frame vector vanishes at some nodes only")
+            short = short.all()
+        if short:
             continue
         out.append([wi / nrm for wi in w])
     return out

@@ -502,7 +502,8 @@ def suite_path_lifting(ctx: SuiteContext):
                                     < lf.delta_coh for lf in (lift, lift2))
     ok = worst <= ctx.tol.tol_theta and equein <= 1e-12 and coherent
     return [_record("path-lifting", "path lifting", "pass" if ok else "fail",
-                    worst, 2 * count, seed, details={"equivariance": equein})]
+                    worst, 2 * count, seed,
+                    details={"equivariance": equein, "coherent": coherent})]
 
 
 def suite_atlas_negative(ctx: SuiteContext):

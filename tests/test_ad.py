@@ -281,3 +281,78 @@ def test_jacobian_columns_refuses_points_with_direction_axes():
 
     with pytest.raises(ValueError, match="direction axis"):
         ad.jacobian_columns(fn, [Dual(0.3, np.array([1.0, 0.0])), 0.7])
+
+
+# name -> (function, draw of its arguments): each elementary function of ad
+ELEMENTARY = {
+    "sin": (ad.sin, lambda rng, n: [rng.uniform(-20.0, 20.0, n)]),
+    "cos": (ad.cos, lambda rng, n: [rng.uniform(-20.0, 20.0, n)]),
+    "exp": (ad.exp, lambda rng, n: [rng.uniform(-30.0, 30.0, n)]),
+    "log": (ad.log, lambda rng, n: [rng.uniform(1e-3, 2.0, n)]),
+    "sqrt": (ad.sqrt, lambda rng, n: [rng.uniform(0.0, 100.0, n)]),
+    "atan": (ad.atan, lambda rng, n: [10.0 * rng.normal(size=n)]),
+    "atan2": (ad.atan2, lambda rng, n: [rng.normal(size=n),
+                                        rng.normal(size=n)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTARY))
+def test_numbers_and_arrays_round_alike(name):
+    # one rounding path: a number gets the bits its entry gets in an array,
+    # values and derivatives alike
+    fn, draw = ELEMENTARY[name]
+    args = draw(np.random.default_rng(20), 20_000)
+    alone = [fn(*map(float, a)) for a in zip(*args)]
+    assert {type(v) for v in alone} == {float}
+    assert fn(*args).tobytes() == np.array(alone).tobytes()
+    duals = [a[:1000] for a in args]
+    batch = fn(*(Dual(a, 1.0) for a in duals))
+    for i, a in enumerate(zip(*duals)):
+        one = fn(*(Dual(float(x), 1.0) for x in a))
+        assert (batch.re[i].hex(), batch.ep[i].hex()) == \
+            (one.re.hex(), one.ep.hex())
+
+
+def _node_bits(x):
+    return [np.asarray(e, dtype=float).tobytes() for e in _leaves(x)]
+
+
+@pytest.mark.parametrize("dual_a,dual_rhs,k", [
+    (False, False, None), (False, True, None), (True, True, None),
+    (False, True, 3), (True, True, 3)])
+def test_linsolve_on_stacks_solves_each_node_alone(dual_a, dual_rhs, k):
+    # entries with a trailing node axis: each node pivots on its own rows
+    # and gets the bits of its own solve
+    rng = np.random.default_rng(11)
+    n, nodes = 4, 16
+
+    def entry(dual):
+        x = rng.normal(size=nodes)
+        if not dual:
+            return x
+        return Dual(x, rng.normal(size=nodes if k is None else (k, nodes)))
+
+    A = [[entry(dual_a) for _ in range(n)] for _ in range(n)]
+    rhs = [[entry(dual_rhs) for _ in range(n)] for _ in range(2)]
+    got = linsolve(A, rhs)
+    pivots = set()
+    for i in range(nodes):
+        Ai = [[ad.take(e, i) for e in row] for row in A]
+        want = linsolve(Ai, [[ad.take(e, i) for e in b] for b in rhs])
+        assert [[_node_bits(ad.take(x, i)) for x in b] for b in got] == \
+            [[_node_bits(x) for x in b] for b in want]
+        pivots.add(int(np.argmax([abs(ad.value(row[0])) for row in Ai])))
+    assert len(pivots) > 1
+
+
+def test_take_and_scatter_are_inverse():
+    x = Dual(np.arange(5.0), np.arange(10.0).reshape(2, 5))
+    rows = [np.array([0, 3]), np.array([1, 2, 4])]
+    back = ad.scatter([ad.take(x, r) for r in rows], rows, 5)
+    assert _node_bits(back) == _node_bits(x)
+    # a part without axes is the same at every node
+    mixed = ad.scatter([Dual(1.0, 0.0), Dual(np.array([2.0, 3.0]),
+                                             np.array([4.0, 5.0]))],
+                       [np.array([1]), np.array([0, 2])], 3)
+    assert mixed.re.tolist() == [2.0, 1.0, 3.0]
+    assert mixed.ep.tolist() == [4.0, 0.0, 5.0]

@@ -404,6 +404,29 @@ def test_bracket_values_are_pinned(name):
             [float(c).hex() for c in coeffs]) == PINNED_BRACKETS[name]
 
 
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_bracket_values_on_all_nodes_equal_the_nodewise_ones(name):
+    # route two evaluates the bracket on all 16 nodes at once; each node
+    # must get the bits of the bracket evaluated there alone.  rot-action's
+    # grid map spans both charts of the circle, so nodes are gathered by
+    # chart and scattered back.
+    n = 16
+    gpd = make_groupoid(name)
+    alg = algebroid_of_groupoid(gpd)
+    rng = np.random.default_rng(20)
+    base = random_grid_map(GridSpec("circle", n), gpd.base, rng)
+    X = alg.random_polynomial_section(rng, "X")
+    Y = alg.random_polynomial_section(rng, "Y")
+    got = current_bracket_values(alg, X, Y, base)
+    br = alg.bracket(X, Y)
+    want = np.stack([merge_components(br.vector_fn(list(base.ambient[i])))
+                     for i in range(n)])
+    assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+    if name == "rot-action":
+        units = gpd.unit.apply_batch(base.ambient)
+        assert len(set(gpd.arrows.best_chart(units).tolist())) >= 2
+
+
 class TestSignConvention:
     def test_circle_group_is_vacuous(self):
         rep = sign_convention_check(circle_group(Circle()))

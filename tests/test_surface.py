@@ -3,8 +3,11 @@
 A definition counts as called when its name appears in a module of the
 package other than ``__init__.py``, or in ``perfbench/``: as a name, an
 attribute, an imported name, or a string (the benchmark's tracer patches
-functions by name).  Tests do not count; a helper that only a test calls
-belongs in that test.
+functions by name).  A top-level function counts only where the name can
+refer to it: as a name loaded in its own module, an imported name, an
+attribute of its module (``ad.jvp``) or a string; a method or a local
+variable of the same name elsewhere does not call it.  Tests do not count;
+a helper that only a test calls belongs in that test.
 """
 
 import ast
@@ -37,7 +40,8 @@ KEEP = {
 
 def definitions(tree):
     """Top-level functions and classes, and the non-dunder methods of each
-    class, as (name, qualified name)."""
+    class, as (name, qualified name); a top-level function's qualified name
+    is its name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name
@@ -56,6 +60,22 @@ def named(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def function_uses(tree, home, own):
+    """Names by which a module can use a top-level function of module
+    ``home``; ``own`` says whether the module is ``home`` itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if own and isinstance(node.ctx, ast.Load):
+                yield node.id
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == home:
+                yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -90,6 +110,12 @@ def test_the_scans_see_what_they_look_for():
     assert list(definitions(tree)) == [("A", "A"), ("m", "A.m"), ("f", "f")]
     assert {"np", "ad", "value", "A", "g", "os"} <= set(named(tree))
     assert unused_imports(tree) == ["os (line 1)"]
+    # a method call, an attribute of another module or a local name is no
+    # use of a top-level function elsewhere; a load in its own module is
+    other = ast.parse("def k(x, ad, m):\n    f = m.f\n    g = x.g(f)\n"
+                      "    return ad.h, mod.i, 'j', g\n")
+    assert set(function_uses(other, "mod", own=False)) == {"i", "j"}
+    assert {"f", "g", "i"} <= set(function_uses(other, "mod", own=True))
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
@@ -99,9 +125,15 @@ def test_every_definition_has_a_caller_outside_the_tests():
     callers.update((p, t) for p, t in modules.items()
                    if p.name != "__init__.py")
     used = {name for tree in callers.values() for name in named(tree)}
-    orphans = [f"{path.name}: {qual}" for path, tree in modules.items()
-               for name, qual in definitions(tree)
-               if name not in used and name not in KEEP]
+    orphans = []
+    for path, tree in modules.items():
+        functions = {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        calls = {name for caller, t in callers.items()
+                 for name in function_uses(t, path.stem, caller == path)}
+        orphans += [f"{path.name}: {qual}" for name, qual in definitions(tree)
+                    if name not in KEEP
+                    and name not in (calls if qual in functions else used)]
     assert not orphans, f"only tests call these; delete or use them: {orphans}"
     stale = sorted(set(KEEP) - {name for tree in modules.values()
                                 for name, _ in definitions(tree)})
