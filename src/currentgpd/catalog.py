@@ -20,13 +20,14 @@ from .manifolds import (Chart, ChartedManifold, ProductManifold, SmoothMap,
 TWO_PI = 2.0 * math.pi
 
 
-def _trig_path(params, rng, closed, n, amp=0.8, modes=3, winding=0.0):
+def _trig_path(params, rng, closed, n, amp=0.8, winding=0.0):
     """n random band-limited scalar paths over `params`, stacked as (n, nodes).
 
     Each has |f'| <= |winding| + amp; `winding` is a scalar or an (n, 1)
     column.  The n Dirichlet budgets are drawn first, then the n offsets.
     """
     x = np.asarray(params, dtype=float)
+    modes = 3
     budget = rng.dirichlet(np.ones(2 * modes), size=n) * amp
     out = np.full((n, x.size), rng.uniform(-math.pi, math.pi, size=(n, 1)))
     if closed:
@@ -155,10 +156,6 @@ class Circle(ChartedManifold):
     @staticmethod
     def exp_chart(xi):
         return [ad.cos(xi[0]), ad.sin(xi[0])]
-
-    @staticmethod
-    def log_chart(a):
-        return [ad.atan2(a[1], a[0])]
 
     identity = (1.0, 0.0)
 
@@ -395,27 +392,12 @@ class RotationGroup(ChartedManifold):
     def exp_chart(xi):
         return _rodrigues(list(xi))
 
-    @staticmethod
-    def log_chart(a):
-        return _so3_log(list(a))
-
     identity = tuple(np.eye(3).reshape(9))
 
 
 class Torus(ProductManifold):
     def __init__(self):
         super().__init__([Circle(), Circle()], name="torus")
-
-
-MANIFOLDS = {
-    "real1": lambda: Euclidean(1),
-    "real2": lambda: Euclidean(2),
-    "real3": lambda: Euclidean(3),
-    "circle": Circle,
-    "sphere": Sphere,
-    "torus": Torus,
-    "so3": RotationGroup,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +452,7 @@ def exp_cover(circle=None):
         k = round((float(near_amb[0]) - base) / TWO_PI)
         return [np.asarray([base + TWO_PI * (k + d)]) for d in (-1, 0, 1)]
 
-    m = SmoothMap(line, c, fn, name="exp-cover")
-    m.preimage_branches = branches
+    m = SmoothMap(line, c, fn, name="exp-cover", preimage_branches=branches)
     m.branch_separation = TWO_PI
     return m
 

@@ -149,9 +149,6 @@ def named_gridmap(name: str, n: int):
     raise UnknownId(f"no grid map registered under {name!r}")
 
 
-NAMED_GRIDMAPS = ("identity-loop", "constant-loop", "winding-2-loop")
-
-
 # -- entry point ------------------------------------------------------------------
 
 def build_parser():

@@ -44,16 +44,16 @@ class CoherenceLost(GeometryError):
 class GraphOutsideDomain(GeometryError):
     """Graph of a grid map leaves the domain of a superposition map."""
 
-    def __init__(self, index, msg=None):
-        super().__init__(msg or f"graph leaves the domain at node {index}")
+    def __init__(self, index):
+        super().__init__(f"graph leaves the domain at node {index}")
         self.index = index
 
 
 class NotInDomainU(GeometryError):
     """A section value lies outside the local addition's domain."""
 
-    def __init__(self, index, msg=None):
-        super().__init__(msg or f"section leaves the sigma domain at node {index}")
+    def __init__(self, index):
+        super().__init__(f"section leaves the sigma domain at node {index}")
         self.index = index
 
 
@@ -68,8 +68,8 @@ class OutsideNeighborhood(GeometryError):
 class BranchAmbiguity(GeometryError):
     """Two inverse branches are too close to select one reliably."""
 
-    def __init__(self, index, msg=None):
-        super().__init__(msg or f"ambiguous branch choice at node {index}")
+    def __init__(self, index):
+        super().__init__(f"ambiguous branch choice at node {index}")
         self.index = index
 
 

@@ -17,12 +17,11 @@ import numpy as np
 from . import ad
 from .errors import (BranchAmbiguity, CoherenceLost, GraphOutsideDomain,
                      NotDifferentiable, NotInDomainU, NotInThetaImage,
-                     OutOfChart, OutsideNeighborhood)
+                     OutsideNeighborhood)
 from .linalg import newton, numerical_ranks
 from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
-                        map_jacobian, merge_components, split_components,
-                        tangent_from_ambient)
+                        map_jacobian, merge_components, split_components)
 from .tolerances import DEFAULT
 
 TWO_PI = 2.0 * math.pi
@@ -107,9 +106,9 @@ class GridMap:
                 f"{self.target.name})")
 
 
-def constant_grid_map(grid, p: Point, delta_coh=None) -> GridMap:
+def constant_grid_map(grid, p: Point) -> GridMap:
     amb = np.tile(p.ambient, (grid.n, 1))
-    return GridMap(grid, p.manifold, amb, delta_coh=delta_coh)
+    return GridMap(grid, p.manifold, amb)
 
 
 def circle_identity_loop(grid, circle) -> GridMap:
@@ -137,14 +136,6 @@ class GridSection:
         self.vel_ambient = np.asarray(vel_ambient, dtype=float)
         if self.vel_ambient.shape != base.ambient.shape:
             raise ValueError("velocity array has the wrong shape")
-
-    def vector(self, i) -> Tangent:
-        return tangent_from_ambient(self.base.target, self.base.ambient[i],
-                                    self.vel_ambient[i])
-
-    @property
-    def vectors(self):
-        return tuple(self.vector(i) for i in range(self.base.grid.n))
 
     def __repr__(self):
         return f"GridSection(over {self.base!r})"
@@ -234,10 +225,6 @@ def seminorm_distance(a: GridMap, b: GridMap) -> SeminormProfile:
 
 def pushforward(f: SmoothMap, gamma: GridMap, delta_coh=None) -> GridMap:
     """Compose f with every node; coherence is re-checked on the image."""
-    if f.domain is not None:
-        for i in range(gamma.grid.n):
-            if not f.in_domain(gamma.ambient[i]):
-                raise OutOfChart(f"{f.name}: node {i} outside domain")
     out = f.apply_batch(gamma.ambient)
     return GridMap(gamma.grid, f.target, out, delta_coh=delta_coh)
 
@@ -354,7 +341,7 @@ def classify_pushforward(f: SmoothMap, gamma: GridMap,
 # local inversion of lifted local diffeomorphisms
 # ---------------------------------------------------------------------------
 
-def _preimage_newton(f, target: Point, seed: Point, tol, max_iter=50):
+def _preimage_newton(f, target: Point, seed: Point, tol):
     m = f.source
     chart = m.charts[seed.chart_id]
     qc = target.manifold.charts[target.chart_id]
@@ -363,7 +350,7 @@ def _preimage_newton(f, target: Point, seed: Point, tol, max_iter=50):
     def residual(xc):
         return [a - b for a, b in zip(qc.fwd(f.fn(chart.inv(xc))), q_target)]
 
-    x = newton(residual, [float(c) for c in seed.coords], tol, max_iter, 1e8)
+    x = newton(residual, [float(c) for c in seed.coords], tol, 50, 1e8)
     if x is None:
         return None
     return m.point_from_coords(seed.chart_id, np.asarray(x))

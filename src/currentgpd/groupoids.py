@@ -21,8 +21,7 @@ from .manifolds import (ChartedManifold, DiscreteManifold, OpenSubManifold,
                         map_jacobian, merge_components, redraw_rejected,
                         split_components, squared_distance)
 from .catalog import Circle, Euclidean, Torus
-from .localadd import (LieGroupOps, product_local_addition,
-                       riemannian_local_addition, translation_group)
+from .localadd import LieGroupOps, translation_group
 from .report import worst_residual
 from .tolerances import DEFAULT
 
@@ -71,7 +70,7 @@ class LieGroupoid:
     """
 
     def __init__(self, name, arrows, base, alpha, beta, mu_fn, iota, unit,
-                 local_addition_G=None, local_addition_M=None, fiber=None):
+                 fiber=None):
         self.name = name
         self.arrows = arrows
         self.base = base
@@ -80,8 +79,6 @@ class LieGroupoid:
         self.mu_fn = mu_fn            # (g comps, h comps) -> arrow comps
         self.iota = iota              # SmoothMap G -> G
         self.unit = unit              # SmoothMap M -> G
-        self.local_addition_G = local_addition_G
-        self.local_addition_M = local_addition_M
         self.fiber = fiber            # Fiber of beta, or None
         self.finite_group = None      # FiniteGroup for etale action groupoids
         self.sample_with_beta = lambda x, rng: self._fiber().points(x, rng)
@@ -299,9 +296,9 @@ class AffineElement:
                              self.matrix @ other.offset + self.offset,
                              f"{self.label}{other.label}")
 
-    def same_as(self, other, tol=1e-9):
-        return (np.abs(self.matrix - other.matrix).max() < tol
-                and np.abs(self.offset - other.offset).max() < tol)
+    def same_as(self, other):
+        return (np.abs(self.matrix - other.matrix).max() < 1e-9
+                and np.abs(self.offset - other.offset).max() < 1e-9)
 
 
 class FiniteGroup:
@@ -370,7 +367,7 @@ def isotropy_group(gpd: LieGroupoid, x: Point,
 # restriction
 # ---------------------------------------------------------------------------
 
-def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
+def restrict(gpd: LieGroupoid, omega) -> LieGroupoid:
     """Restriction to an open set: arrows with both endpoints inside omega.
 
     `omega` is a vectorized predicate on stacked base-ambient arrays.  The
@@ -390,21 +387,21 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
 
     arrows = OpenSubManifold(gpd.arrows, arrow_pred,
                              name=f"{gpd.arrows.name}|omega")
-    out = LieGroupoid(name or f"{gpd.name}|omega", arrows, base,
+    out = LieGroupoid(f"{gpd.name}|omega", arrows, base,
                       SmoothMap(arrows, base, gpd.alpha.fn, name="alpha"),
                       SmoothMap(arrows, base, gpd.beta.fn, name="beta"),
                       gpd.mu_fn,
                       SmoothMap(arrows, arrows, gpd.iota.fn, name="iota"),
                       SmoothMap(base, arrows, gpd.unit.fn, name="unit"),
-                      gpd.local_addition_G, gpd.local_addition_M, gpd.fiber)
+                      gpd.fiber)
     out.finite_group = gpd.finite_group
 
-    def sample_with_beta(x, rng, max_rounds=200):
+    def sample_with_beta(x, rng):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return redraw_rejected(
             x.shape[0],
             lambda rows: np.atleast_2d(gpd.sample_with_beta(x[rows], rng)),
-            lambda cand: omega(gpd.alpha_batch(cand)), max_rounds,
+            lambda cand: omega(gpd.alpha_batch(cand)), 200,
             f"{out.name}: fiber sampling")
 
     def sample_arrow_path_with_beta(tgt, params, rng, closed, max_tries=5000):
@@ -427,16 +424,14 @@ def restrict(gpd: LieGroupoid, omega, name=None) -> LieGroupoid:
 # catalog groupoids
 # ---------------------------------------------------------------------------
 
-def unit_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
+def unit_groupoid(m: ChartedManifold) -> LieGroupoid:
     ident = lambda comps: list(comps)
-    add = riemannian_local_addition(m)
-    return LieGroupoid(name or f"unit({m.name})", m, m,
+    return LieGroupoid(f"unit({m.name})", m, m,
                        SmoothMap(m, m, ident, name="alpha"),
                        SmoothMap(m, m, ident, name="beta"),
                        lambda g, h: list(g),
                        SmoothMap(m, m, ident, name="iota"),
                        SmoothMap(m, m, ident, name="unit"),
-                       add, add,
                        Fiber(None, slice(0, 0), lambda x, f: x.copy()))
 
 
@@ -445,7 +440,7 @@ def _target_then_free(x, f):
     return np.concatenate([x, f], axis=-1)
 
 
-def pair_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
+def pair_groupoid(m: ChartedManifold) -> LieGroupoid:
     G = ProductManifold([m, m], name=f"{m.name}^2")
     am = m.ambient_dim
 
@@ -464,15 +459,12 @@ def pair_groupoid(m: ChartedManifold, name=None) -> LieGroupoid:
     def unit_fn(comps):
         return list(comps) + list(comps)
 
-    add_m = riemannian_local_addition(m)
-    add_g = product_local_addition(G, [add_m, add_m])
-    return LieGroupoid(name or f"pair({m.name})", G, m,
+    return LieGroupoid(f"pair({m.name})", G, m,
                        SmoothMap(G, m, alpha_fn, name="alpha"),
                        SmoothMap(G, m, beta_fn, name="beta"),
                        mu_fn,
                        SmoothMap(G, G, iota_fn, name="iota"),
                        SmoothMap(m, G, unit_fn, name="unit"),
-                       add_g, add_m,
                        Fiber(m, slice(am, 2 * am), _target_then_free))
 
 
@@ -511,15 +503,13 @@ def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
     def build(x, g):
         return np.concatenate([g, act_batch(inv_batch(g), x)], axis=-1)
 
-    add_m = riemannian_local_addition(m)
-    add_g = product_local_addition(G, [riemannian_local_addition(Gm), add_m])
     gpd = LieGroupoid(name, G, m,
                       SmoothMap(G, m, alpha_fn, name="alpha"),
                       SmoothMap(G, m, beta_fn, name="beta"),
                       mu_fn,
                       SmoothMap(G, G, iota_fn, name="iota"),
                       SmoothMap(m, G, unit_fn, name="unit"),
-                      add_g, add_m, Fiber(Gm, slice(0, ag), build))
+                      Fiber(Gm, slice(0, ag), build))
     gpd.act_batch = act_batch
     gpd.group_ops = group
     return gpd
@@ -558,15 +548,12 @@ def circle_bundle_groupoid() -> LieGroupoid:
         probe = comps[0] * 0.0
         return list(comps) + [probe + 1.0, probe]
 
-    add_m = riemannian_local_addition(circle)
-    add_g = riemannian_local_addition(G)
     return LieGroupoid("circle-bundle(S1xS1)", G, circle,
                        SmoothMap(G, circle, alpha_fn, name="alpha"),
                        SmoothMap(G, circle, alpha_fn, name="beta"),
                        mu_fn,
                        SmoothMap(G, G, iota_fn, name="iota"),
                        SmoothMap(circle, G, unit_fn, name="unit"),
-                       add_g, add_m,
                        Fiber(circle, slice(2, 4), _target_then_free))
 
 
@@ -637,15 +624,13 @@ def finite_action_groupoid(group: FiniteGroup, m: ChartedManifold,
         return np.concatenate(
             [idx, act_indexed(inv[np.rint(idx[..., 0]).astype(int)], x)], axis=-1)
 
-    add_m = riemannian_local_addition(m)
-    add_g = product_local_addition(G, [riemannian_local_addition(D), add_m])
     gpd = LieGroupoid(name, G, m,
                       SmoothMap(G, m, alpha_fn, name="alpha"),
                       SmoothMap(G, m, beta_fn, name="beta"),
                       mu_fn,
                       SmoothMap(G, G, iota_fn, name="iota"),
                       SmoothMap(m, G, unit_fn, name="unit"),
-                      add_g, add_m, Fiber(D, slice(0, 1), build))
+                      Fiber(D, slice(0, 1), build))
     gpd.finite_group = group
     return gpd
 
@@ -668,8 +653,6 @@ def group_groupoid(group: LieGroupOps, name=None) -> LieGroupoid:
                        lambda g, h: group.mul(list(g), list(h)),
                        SmoothMap(Gm, Gm, lambda c: group.invert(list(c)), name="iota"),
                        SmoothMap(star, Gm, unit_fn, name="unit"),
-                       riemannian_local_addition(Gm),
-                       riemannian_local_addition(star),
                        Fiber(Gm, slice(0, Gm.ambient_dim), lambda x, f: f))
 
 

@@ -158,10 +158,10 @@ def dot_list(a, b):
     return acc
 
 
-def gram_schmidt(vectors, drop_tol=1e-12):
+def gram_schmidt(vectors):
     """Orthonormalise a list of component-lists; dual entries allowed.
 
-    A vector whose remainder is shorter than drop_tol is dropped.  Entries
+    A vector whose remainder is shorter than 1e-12 is dropped.  Entries
     may carry a trailing node axis; a vector dropped at some nodes but not
     at others raises RankDrop, since the nodes would keep frames of
     different lengths.
@@ -173,7 +173,7 @@ def gram_schmidt(vectors, drop_tol=1e-12):
             c = dot_list(w, u)
             w = [wi - c * ui for wi, ui in zip(w, u)]
         nrm = sqrt(dot_list(w, w))
-        short = abs(value(nrm)) < drop_tol
+        short = abs(value(nrm)) < 1e-12
         if isinstance(short, np.ndarray):
             if short.any() and not short.all():
                 raise RankDrop("a frame vector vanishes at some nodes only")

@@ -17,9 +17,9 @@ from .ad import Dual, value
 from .errors import (DomainViolation, NotInThetaImage, SingularNormalization,
                      Unsupported)
 from .linalg import linsolve, newton
-from .manifolds import (ChartedManifold, DiscreteManifold, Point,
-                        ProductManifold, Tangent, merge_components,
-                        split_components, tangent_from_ambient)
+from .manifolds import (ChartedManifold, Point, ProductManifold, Tangent,
+                        merge_components, split_components,
+                        tangent_from_ambient)
 from .tolerances import DEFAULT
 
 
@@ -53,12 +53,9 @@ class LocalAddition:
             split_components(np.asarray(vel_amb, dtype=float))
         return merge_components(self.sigma_fn(comps))
 
-    def theta(self, t: Tangent):
-        return t.base, self.sigma(t)
-
     # -- inversion ------------------------------------------------------------
-    def theta_inverse(self, p: Point, q: Point, tol=DEFAULT.tol_theta,
-                      max_iter=50) -> Tangent:
+    def theta_inverse(self, p: Point, q: Point,
+                      tol=DEFAULT.tol_theta) -> Tangent:
         m = self.manifold
         if self.closed_log is not None:
             v = merge_components(self.closed_log(list(p.ambient), list(q.ambient)))
@@ -80,7 +77,7 @@ class LocalAddition:
             yc = qc.fwd(out)
             return [a - b for a, b in zip(yc, q_target)]
 
-        w = newton(residual, [0.0] * m.dim, tol, max_iter, 1e6)
+        w = newton(residual, [0.0] * m.dim, tol, 50, 1e6)
         if w is None:
             raise NotInThetaImage(f"{self.name}: Newton did not converge")
         _, v = ad.jvp(chart.inv, x, w)
@@ -100,8 +97,6 @@ def _radius_domain(manifold, radius):
 
 def riemannian_local_addition(m: ChartedManifold) -> LocalAddition:
     """Closed-form geodesic exponential restricted to the injectivity ball."""
-    if isinstance(m, DiscreteManifold):
-        return _discrete_local_addition(m)
     if isinstance(m, ProductManifold):
         return product_local_addition(
             m, [riemannian_local_addition(f) for f in m.factors])
@@ -119,23 +114,6 @@ def riemannian_local_addition(m: ChartedManifold) -> LocalAddition:
     return LocalAddition(m, sigma_fn, _radius_domain(m, radius),
                          normalized=True, closed_log=closed_log,
                          fiber_radius=radius, name=f"exp_{m.name}")
-
-
-def _discrete_local_addition(m: DiscreteManifold) -> LocalAddition:
-    def sigma_fn(comps):
-        return [comps[0]]
-
-    def domain(p_amb, v_amb):
-        return abs(float(np.asarray(v_amb).reshape(-1)[0])) < 0.5
-
-    def closed_log(p, q):
-        if abs(p[0] - q[0]) > 0.25:
-            raise NotInThetaImage("distinct discrete elements")
-        return [0.0]
-
-    return LocalAddition(m, sigma_fn, domain, normalized=True,
-                         closed_log=closed_log, fiber_radius=0.5,
-                         name=f"triv_{m.name}")
 
 
 def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
@@ -176,15 +154,12 @@ def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
 class LieGroupOps:
     """Descriptor of a catalog Lie group acting on its own manifold."""
 
-    def __init__(self, manifold, mul, invert, exp_chart, log_chart, omega,
-                 algebra_dim, name):
+    def __init__(self, manifold, mul, invert, exp_chart, omega, name):
         self.manifold = manifold
         self.mul = mul
         self.invert = invert
         self.exp_chart = exp_chart
-        self.log_chart = log_chart
         self.omega = omega          # left Maurer-Cartan: (g comps, v comps) -> algebra coords
-        self.algebra_dim = algebra_dim
         self.name = name
 
 
@@ -193,7 +168,7 @@ def circle_group(circle) -> LieGroupOps:
         return [g[0] * v[1] - g[1] * v[0]]
 
     return LieGroupOps(circle, circle.mul, circle.invert, circle.exp_chart,
-                       circle.log_chart, omega, 1, "circle-group")
+                       omega, "circle-group")
 
 
 def so3_group(so3) -> LieGroupOps:
@@ -203,8 +178,8 @@ def so3_group(so3) -> LieGroupOps:
         s = _mat9_mul(_mat9_T(list(g)), list(v))
         return [(s[7] - s[5]) / 2.0, (s[2] - s[6]) / 2.0, (s[3] - s[1]) / 2.0]
 
-    ops = LieGroupOps(so3, so3.mul, so3.invert, so3.exp_chart, so3.log_chart,
-                      omega, 3, "so3-group")
+    ops = LieGroupOps(so3, so3.mul, so3.invert, so3.exp_chart, omega,
+                      "so3-group")
     # matrix commutator of hat matrices, in rotation-vector coordinates
     ops.commutator = lambda xi, eta: np.cross(xi, eta)
     return ops
@@ -217,9 +192,7 @@ def translation_group(eucl) -> LieGroupOps:
         lambda a, b: [x + y for x, y in zip(a, b)],
         lambda a: [-x for x in a],
         lambda xi: list(xi),
-        lambda a: list(a),
         lambda g, v: list(v),
-        n,
         f"translation{n}",
     )
 
@@ -277,12 +250,11 @@ def fiber_derivative(add: LocalAddition, p: Point, h=DEFAULT.h_fd):
     return out
 
 
-def normalize(add: LocalAddition, shrink=0.9,
-              tol_rank=DEFAULT.tol_rank) -> LocalAddition:
+def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
     """Post-compose with the inverse fiber derivative at zero.
 
     Returns sigma' = sigma . h with h(v) = (T_0 sigma|fiber)^(-1) v, which is
-    normalized; the fiber domain is shrunk by `shrink` to keep h^(-1)(U)
+    normalized; the fiber domain is shrunk by a factor 0.9 to keep h^(-1)(U)
     inside the declared neighborhood.
     """
     m = add.manifold
@@ -333,11 +305,11 @@ def normalize(add: LocalAddition, shrink=0.9,
 
     def domain(p_amb, v_amb):
         return add.domain_fn(np.asarray(p_amb, dtype=float),
-                             np.asarray(v_amb, dtype=float) / max(shrink, 1e-9))
+                             np.asarray(v_amb, dtype=float) / 0.9)
 
     return LocalAddition(m, sigma_fn, domain, normalized=True,
                          closed_log=None,
-                         fiber_radius=add.fiber_radius * shrink,
+                         fiber_radius=add.fiber_radius * 0.9,
                          name=f"norm({add.name})")
 
 

@@ -291,10 +291,6 @@ class Tangent:
     def __post_init__(self):
         self.vel.setflags(write=False)
 
-    @property
-    def manifold(self):
-        return self.base.manifold
-
     def ambient_vel(self):
         """Push the chart velocity to the embedding: d(inv)(coords) . vel."""
         chart = self.base.manifold.charts[self.base.chart_id]
@@ -349,23 +345,13 @@ class SmoothMap:
     """
 
     def __init__(self, source, target, fn, order=np.inf, name="map",
-                 domain=None, preimage_branches=None):
+                 preimage_branches=None):
         self.source = source
         self.target = target
         self.fn = fn
         self.order = order
         self.name = name
-        self.domain = domain
         self.preimage_branches = preimage_branches
-
-    def in_domain(self, amb):
-        return True if self.domain is None else bool(self.domain(split_components(amb)))
-
-    def at(self, p: Point, chart_id=None) -> Point:
-        if not self.in_domain(p.ambient):
-            raise OutOfChart(f"{self.name}: point outside declared domain")
-        out = merge_components(self.fn(split_components(p.ambient)))
-        return self.target.point_from_ambient(out, chart_id)
 
     def apply_batch(self, amb):
         """Apply to stacked ambient points, (n, m) -> (n, m')."""
@@ -389,8 +375,6 @@ def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
     if f.order < 1:
         raise NotDifferentiable(f"{f.name} is not declared C^1")
     p = v.base
-    if not f.in_domain(p.ambient):
-        raise OutOfChart(f"{f.name}: tangent base outside domain")
     q_amb = merge_components(f.fn(split_components(p.ambient)))
     cj = f.target.best_chart(q_amb) if target_chart is None else target_chart
     rep = f.local(p.chart_id, cj)
@@ -400,7 +384,7 @@ def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
     return Tangent(q, np.asarray([value(e) for e in eps], dtype=float))
 
 
-def second_tangent_map(f: SmoothMap, s: SecondTangent, target_chart=None) -> SecondTangent:
+def second_tangent_map(f: SmoothMap, s: SecondTangent) -> SecondTangent:
     """Second-order pushforward via one level of dual nesting.
 
     In charts the 4-tuple transforms as
@@ -410,10 +394,8 @@ def second_tangent_map(f: SmoothMap, s: SecondTangent, target_chart=None) -> Sec
         raise NotDifferentiable(f"{f.name} is not declared C^2")
     m = s.manifold
     p_amb = merge_components(m.charts[s.chart_id].inv(list(s.x)))
-    if not f.in_domain(p_amb):
-        raise OutOfChart(f"{f.name}: second tangent base outside domain")
     q_amb = merge_components(f.fn(split_components(p_amb)))
-    cj = f.target.best_chart(q_amb) if target_chart is None else target_chart
+    cj = f.target.best_chart(q_amb)
     rep = f.local(s.chart_id, cj)
     seeded = [Dual(Dual(float(x), float(y)), Dual(float(z), float(w)))
               for x, y, z, w in zip(s.x, s.y, s.z, s.w)]

@@ -57,7 +57,7 @@ class LocalActionForm:
 
 
 def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
-                      max_halvings=40, tol=DEFAULT.tol_chart) -> LocalActionForm:
+                      tol=DEFAULT.tol_chart) -> LocalActionForm:
     """Reconstruct the action-groupoid form of a finite quotient near x.
 
     The neighborhood radius is found by bisection: start at the distance to
@@ -102,9 +102,9 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
             break
         r *= 0.5
         halvings += 1
-        if halvings > max_halvings:
+        if halvings > 40:
             raise DegenerateNeighborhood(
-                f"{gpd.name}: no valid neighborhood after {max_halvings} halvings")
+                f"{gpd.name}: no valid neighborhood after 40 halvings")
 
     ys = ball_samples(r)
     # (i) the reconstructed maps compose like the group
@@ -135,7 +135,7 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
 
 
 def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
-              tol=DEFAULT.tol_chart, ambiguity_frac=0.25) -> GridMap:
+              tol=DEFAULT.tol_chart) -> GridMap:
     """Lift an orbit-space path through the quotient map, node by node.
 
     The next node's lift is the group translate of its representative
@@ -166,7 +166,7 @@ def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
         best = cands[int(order[0])]
         for j in order[1:]:
             sep = float(np.linalg.norm(cands[int(j)] - best))
-            if sep < ambiguity_frac * delta:
+            if sep < 0.25 * delta:
                 raise BranchAmbiguity(i)
             break
         if float(dists[int(order[0])]) >= delta:

@@ -101,8 +101,8 @@ class TestRightInvariantExtension:
             field = alg.right_invariant_extension(X)
             for _ in range(10):
                 x = gpd.base.point_from_ambient(gpd.base.sample(rng))
-                u = gpd.unit.at(x)
-                ext = merge_components(field(list(u.ambient)))
+                u = gpd.unit.apply_batch(x.ambient)
+                ext = merge_components(field(list(u)))
                 val = merge_components(X.vector_fn(list(x.ambient)))
                 assert float(np.max(np.abs(ext - val))) < 1e-9
 

@@ -123,6 +123,17 @@ class TestRun:
         assert record["status"] == "pass"
         assert record["details"]["rejections"] == 32
 
+    def test_tangent_diagram_passes_on_small_circle_grids(self, tmp_path):
+        # circle-square doubles the steps of a path, which on fewer than 16
+        # nodes can pass the circle's coherence bound
+        for n in (8, 12):
+            out = tmp_path / f"r{n}.json"
+            cfg = write_config(tmp_path, seed=7, grid={"kind": "circle", "n": n},
+                               suites=["tangent-diagram"])
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            record = json.loads(out.read_text())["records"][0]
+            assert record["status"] == "pass"
+
     def test_each_record_timed_where_it_is_made(self):
         ctx = SuiteContext(seed=1, samples={"groupoid-axioms": 20})
         t0 = time.perf_counter()

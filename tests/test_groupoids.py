@@ -18,6 +18,11 @@ from currentgpd.groupoids import (GROUPOIDS, AxiomReport, LieGroupoid,
 from currentgpd.manifolds import component_major
 
 
+def at(f, p):
+    """The point f(p) of a structure map f."""
+    return f.target.point_from_ambient(f.apply_batch(p.ambient))
+
+
 def mu(gpd, g, h):
     """g h for arrows with alpha(g) = beta(h): h is moved onto the target
     alpha(g), as CurrentGroupoid.mu_star does, and multiplied with mu_batch."""
@@ -54,7 +59,7 @@ class TestInverseAndUnits:
         ra = make_groupoid("rot-action")
         t, th = 0.7, 0.4
         g = ra.arrows.point_from_ambient([t, math.cos(th), math.sin(th)])
-        ig = ra.iota.at(g)
+        ig = at(ra.iota, g)
         assert ig.ambient[0] == pytest.approx(-t)
         assert math.atan2(ig.ambient[2], ig.ambient[1]) == pytest.approx(th + t)
 
@@ -62,15 +67,15 @@ class TestInverseAndUnits:
         # forced by iota(g) . g = unit at the source
         pg = make_groupoid("pair-real1")
         g = pg.arrows.point_from_ambient([1.0, 2.0])
-        ig = pg.iota.at(g)
+        ig = at(pg.iota, g)
         assert np.allclose(ig.ambient, [2.0, 1.0])
         u = mu(pg, ig, g)
-        assert u.close_to(pg.unit.at(pg.alpha.at(g)))
+        assert u.close_to(at(pg.unit, at(pg.alpha, g)))
 
     def test_unit_groupoid_inverse_is_identity(self):
         ug = make_groupoid("unit-circle")
         x = ug.arrows.point_from_ambient(Circle().point_at_angle(-0.9).ambient)
-        assert ug.iota.at(x).close_to(x)
+        assert at(ug.iota, x).close_to(x)
 
     def test_inverse_laws_on_samples(self):
         rng = np.random.default_rng(0)
@@ -78,11 +83,11 @@ class TestInverseAndUnits:
             gpd = make_groupoid(name)
             for amb in gpd.arrows.sample(rng, 10):
                 g = gpd.arrows.point_from_ambient(amb)
-                a, b = gpd.alpha.at(g), gpd.beta.at(g)
-                left = mu(gpd, gpd.iota.at(g), g)
-                right = mu(gpd, g, gpd.iota.at(g))
-                assert left.close_to(gpd.unit.at(a))
-                assert right.close_to(gpd.unit.at(b))
+                a, b = at(gpd.alpha, g), at(gpd.beta, g)
+                left = mu(gpd, at(gpd.iota, g), g)
+                right = mu(gpd, g, at(gpd.iota, g))
+                assert left.close_to(at(gpd.unit, a))
+                assert right.close_to(at(gpd.unit, b))
 
 
 class TestAnchor:
@@ -90,20 +95,20 @@ class TestAnchor:
         ra = make_groupoid("rot-action")
         t, th = 0.7, 0.0
         g = ra.arrows.point_from_ambient([t, math.cos(th), math.sin(th)])
-        a, b = ra.alpha.at(g), ra.beta.at(g)
+        a, b = at(ra.alpha, g), at(ra.beta, g)
         assert np.allclose(a.ambient, [1.0, 0.0])
         assert math.atan2(b.ambient[1], b.ambient[0]) == pytest.approx(t)
 
     def test_unit_groupoid_diagonal(self):
         ug = make_groupoid("unit-circle")
         x = ug.arrows.point_from_ambient(Circle().point_at_angle(1.1).ambient)
-        a, b = ug.alpha.at(x), ug.beta.at(x)
+        a, b = at(ug.alpha, x), at(ug.beta, x)
         assert a.close_to(b) and a.close_to(x)
 
     def test_pair_groupoid_swaps(self):
         pg = make_groupoid("pair-real1")
         g = pg.arrows.point_from_ambient([1.0, 2.0])
-        a, b = pg.alpha.at(g), pg.beta.at(g)
+        a, b = at(pg.alpha, g), at(pg.beta, g)
         assert a.ambient[0] == pytest.approx(2.0)
         assert b.ambient[0] == pytest.approx(1.0)
 
@@ -113,9 +118,9 @@ class TestAnchor:
             gpd = make_groupoid(name)
             for amb in gpd.arrows.sample(rng, 5):
                 g = gpd.arrows.point_from_ambient(amb)
-                ig = gpd.iota.at(g)
-                a, b = gpd.alpha.at(g), gpd.beta.at(g)
-                ai, bi = gpd.alpha.at(ig), gpd.beta.at(ig)
+                ig = at(gpd.iota, g)
+                a, b = at(gpd.alpha, g), at(gpd.beta, g)
+                ai, bi = at(gpd.alpha, ig), at(gpd.beta, ig)
                 assert a.close_to(bi) and b.close_to(ai)
 
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from currentgpd.catalog import (MANIFOLDS, Circle, Euclidean, RotationGroup,
-                                catalog_maps, exp_cover)
+from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
+                                Torus, catalog_maps, exp_cover)
 from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
                                GraphOutsideDomain, NotInDomainU,
                                NotInThetaImage, OutsideNeighborhood)
@@ -68,6 +68,16 @@ class TestGridMap:
         assert len(loop.values) == 8
         assert loop.values[0].manifold is CIRCLE
 
+
+MANIFOLDS = {
+    "real1": lambda: Euclidean(1),
+    "real2": lambda: Euclidean(2),
+    "real3": lambda: Euclidean(3),
+    "circle": Circle,
+    "sphere": Sphere,
+    "torus": Torus,
+    "so3": RotationGroup,
+}
 
 PATH_SAMPLERS = {**MANIFOLDS,
                  "discrete4": lambda: DiscreteManifold(4),

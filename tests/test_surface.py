@@ -1,13 +1,35 @@
-"""The package carries no code that only tests call, and no unused import.
+"""The package carries no code, state or option that nothing uses.
 
-A definition counts as called when its name appears in a module of the
-package other than ``__init__.py``, or in ``perfbench/``: as a name, an
-attribute, an imported name, or a string (the benchmark's tracer patches
-functions by name).  A top-level function counts only where the name can
-refer to it: as a name loaded in its own module, an imported name, an
-attribute of its module (``ad.jvp``) or a string; a method or a local
-variable of the same name elsewhere does not call it.  Tests do not count;
-a helper that only a test calls belongs in that test.
+The callers are the modules of the package other than ``__init__.py``, and
+``perfbench/``.  Tests do not count as callers: a helper that only a test
+calls belongs in that test.  Five scans:
+
+- Definitions.  A top-level function counts as used through a name loaded
+  in its own module, an imported name or an attribute of its module
+  (``ad.jvp``), and a method through an attribute access; either also
+  through a string in ``perfbench/`` (the benchmark's tracer patches
+  functions and methods by name).  A local variable, a method of another
+  class or a string of the package that shares the name does not count.
+  A class counts through any mention.
+- Stored attributes.  Every attribute the package stores (``x.a = ...``)
+  is read by a caller: as an attribute, as a string handed to ``getattr``
+  or ``hasattr``, or as a string in ``perfbench/``.
+- Module tables.  Every module-level name is loaded in its own module,
+  imported by a caller, or read as ``module.NAME``.
+- Parameters.  Every defaulted parameter of a top-level function or a
+  method is set by some call in the package, ``perfbench/`` or ``tests/``.
+  A call is matched to a definition by name: a function by its name, a
+  method by the attribute it is called through, and ``__init__`` by its
+  class or by ``super().__init__`` in a subclass (a call of a subclass
+  that inherits it is missed, so the scan errs towards flagging).  A call
+  sets a parameter by keyword, by a position past it (not counting
+  ``self``), or through ``*args`` or ``**kwargs``.  A default read from
+  ``DEFAULT`` is a tolerance, which the run configuration sets, and is
+  exempt.
+- Imports.  No module imports a name it does not use.
+
+What is kept without a use is named in ``KEEP`` or ``KEEP_PARAMETERS``,
+each with its reason.
 """
 
 import ast
@@ -17,8 +39,10 @@ import currentgpd
 
 PACKAGE = pathlib.Path(currentgpd.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = pathlib.Path(__file__).resolve().parent
 
-# Definitions with no caller in the package, each kept for a reason.
+# Definitions and module-level names that only tests use, each kept for a
+# reason.
 KEEP = {
     "fd_jacobian": "the finite-difference reference tests compare AD against",
     "classify_etale": "input to a planned property-inheritance suite "
@@ -35,7 +59,27 @@ KEEP = {
     "lie_group_local_addition": "the local addition of a Lie group; tests "
                                 "check it",
     "circle_group": "the group that lie_group_local_addition is checked on",
+    "superposition": "the superposition operator gamma -> f(x, gamma(x)) of "
+                     "a parameter-dependent map; tests check it",
+    "log": "the dual logarithm, one of the elementary functions whose "
+           "rounding tests pin to numpy's",
 }
+
+# Defaulted parameters that no call sets, as "function(parameter)" or
+# "Class.method(parameter)", each kept for a reason.
+KEEP_PARAMETERS = {
+    f"{fn}({param})": "an input of an obstruction certificate, which a "
+                      "control where the obstruction is absent will set"
+    for fn, param in (("properness_failure_witness", "k_max"),
+                      ("properness_failure_witness", "windings"),
+                      ("atlas_connectivity_negative_test", "chart_margin"),
+                      ("atlas_connectivity_negative_test",
+                       "component_offset"))
+}
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def definitions(tree):
@@ -48,9 +92,14 @@ def definitions(tree):
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if (isinstance(sub, ast.FunctionDef)
-                        and not (sub.name.startswith("__")
-                                 and sub.name.endswith("__"))):
+                        and not is_dunder(sub.name)):
                     yield sub.name, f"{node.name}.{sub.name}"
+
+
+def strings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
 
 
 def named(tree):
@@ -62,13 +111,13 @@ def named(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+    yield from strings(tree)
 
 
-def function_uses(tree, home, own):
-    """Names by which a module can use a top-level function of module
-    ``home``; ``own`` says whether the module is ``home`` itself."""
+def reads(tree, home, own):
+    """Names by which a module can read a top-level name of module ``home``,
+    a function or a table; ``own`` says whether the module is ``home``
+    itself."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             if own and isinstance(node.ctx, ast.Load):
@@ -78,8 +127,140 @@ def function_uses(tree, home, own):
                 yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+
+
+def attribute_loads(tree):
+    """Attributes a module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def attribute_stores(tree):
+    """Attributes a module stores, as (attribute, line)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+
+
+def looked_up(tree):
+    """Strings a module hands to ``getattr`` or ``hasattr``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def module_names(tree):
+    """Names a module assigns at its top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and not is_dunder(sub.id):
+                    yield sub.id
+
+
+def defaulted_parameters(fn, bound):
+    """(name, position) of each defaulted parameter of fn whose default is
+    not read from ``DEFAULT``.  The position is the index of the argument
+    a call passes it as (past ``self`` when ``bound``), None for a
+    keyword-only parameter."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    params = [(a.arg, i - bound, d) for i, (a, d)
+              in enumerate(zip(pos[first:], args.defaults), first)]
+    params += [(a.arg, None, d)
+               for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    for name, at, default in params:
+        if not (isinstance(default, ast.Attribute)
+                and isinstance(default.value, ast.Name)
+                and default.value.id == "DEFAULT"):
+            yield name, at
+
+
+def callables(defined):
+    """(qualified name, def, call names, whether a call passes self) for
+    each top-level function and method of the modules ``defined``, a dict
+    from module name to tree; the call names are those of
+    :func:`calls_by_name`."""
+    for home, tree in defined.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name, f"{home}.{node.name}"}
+                yield node.name, node, names, False
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                names = ({node.name, f"{home}.{node.name}",
+                          f"super:{node.name}"}
+                         if sub.name == "__init__" else {f".{sub.name}"})
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in sub.decorator_list)
+                yield f"{node.name}.{sub.name}", sub, names, not static
+
+
+def calls_by_name(trees):
+    """Every call under each name its callee can have: ``f`` for
+    ``f(...)``; ``.m`` and ``x.m`` for ``x.m(...)``; and ``super:B`` for
+    ``super().__init__(...)`` in a class with base B."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for call in ast.walk(node):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if (isinstance(f, ast.Attribute) and f.attr == "__init__"
+                            and isinstance(f.value, ast.Call)
+                            and getattr(f.value.func, "id", None) == "super"):
+                        for b in node.bases:
+                            key = f"super:{getattr(b, 'id', None)}"
+                            out.setdefault(key, []).append(call)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                keys = []
+                if isinstance(f, ast.Name):
+                    keys.append(f.id)
+                elif isinstance(f, ast.Attribute):
+                    keys.append(f".{f.attr}")
+                    if isinstance(f.value, ast.Name):
+                        keys.append(f"{f.value.id}.{f.attr}")
+                for key in keys:
+                    out.setdefault(key, []).append(node)
+    return out
+
+
+def passes(call, name, at):
+    """Whether a call sets the parameter ``name`` at position ``at``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return at is not None and (
+        len(call.args) > at
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(defined, calling):
+    """Defaulted parameters of the modules ``defined`` (a dict from module
+    name to tree) that no call in the trees ``calling`` sets, as
+    "qualified(parameter)"."""
+    calls = calls_by_name(calling)
+    out = []
+    for qual, fn, names, bound in callables(defined):
+        reach = [c for key in names for c in calls.get(key, [])]
+        out += [f"{qual}({name})"
+                for name, at in defaulted_parameters(fn, bound)
+                if not any(passes(c, name, at) for c in reach)]
+    return out
 
 
 def unused_imports(tree):
@@ -101,6 +282,17 @@ def parsed(paths):
     return {path: ast.parse(path.read_text()) for path in paths}
 
 
+def sources():
+    """(package modules, callers, benchmark modules)."""
+    modules = parsed(sorted(PACKAGE.glob("*.py")))
+    bench = parsed(sorted(PERFBENCH.glob("*.py")))
+    assert bench, f"no benchmark sources under {PERFBENCH}"
+    callers = dict(bench)
+    callers.update((p, t) for p, t in modules.items()
+                   if p.name != "__init__.py")
+    return modules, callers, bench
+
+
 def test_the_scans_see_what_they_look_for():
     tree = ast.parse(
         "import os\nimport numpy as np\nfrom . import ad\n"
@@ -110,34 +302,106 @@ def test_the_scans_see_what_they_look_for():
     assert list(definitions(tree)) == [("A", "A"), ("m", "A.m"), ("f", "f")]
     assert {"np", "ad", "value", "A", "g", "os"} <= set(named(tree))
     assert unused_imports(tree) == ["os (line 1)"]
-    # a method call, an attribute of another module or a local name is no
-    # use of a top-level function elsewhere; a load in its own module is
+    # a method call, an attribute of another module, a local name or a
+    # string is no use of a top-level function elsewhere; a load at home is
     other = ast.parse("def k(x, ad, m):\n    f = m.f\n    g = x.g(f)\n"
                       "    return ad.h, mod.i, 'j', g\n")
-    assert set(function_uses(other, "mod", own=False)) == {"i", "j"}
-    assert {"f", "g", "i"} <= set(function_uses(other, "mod", own=True))
+    assert set(reads(other, "mod", own=False)) == {"i"}
+    assert {"f", "g", "i"} <= set(reads(other, "mod", own=True))
+    # a method is used through an attribute, not a local name or a string
+    calls = ast.parse("def k(x):\n    at = 1\n    return x.m(at), 'n'\n")
+    assert set(attribute_loads(calls)) == {"m"}
+    # a stored attribute is read by a load or a getattr/hasattr string
+    state = ast.parse("def k(x):\n    x.a = x.b = 1\n    x.c += 1\n"
+                      "    return x.a, getattr(x, 'b'), 'c'\n")
+    assert {a for a, _ in attribute_stores(state)} == {"a", "b", "c"}
+    assert {"a", "b"} <= set(attribute_loads(state)) | set(looked_up(state))
+    assert "c" not in set(attribute_loads(state)) | set(looked_up(state))
+    # a module-level name is read by a load at home, an import or mod.NAME
+    table = ast.parse("T, U = 1, 2\nV: int = 3\n__all__ = []\n"
+                      "def k():\n    return U\n")
+    assert list(module_names(table)) == ["T", "U", "V"]
+    assert set(reads(table, "mod", own=True)) & {*"TUV"} == {"U"}
+    reader = ast.parse("from mod import V\nx = mod.T\ny = U\n")
+    assert set(reads(reader, "mod", own=False)) == {"V", "T"}
+    # a parameter is set by keyword, by a position past it or by unpacking;
+    # a method's position skips self, __init__ is reached through its class
+    # and super().__init__, and a method call x.f does not reach f
+    defs = ast.parse(
+        "def f(a, b=1, c=2, *, d=DEFAULT.tol, e=3):\n    pass\n"
+        "class C:\n    def __init__(self, p=0, q=0):\n        pass\n"
+        "    def m(self, r=0, s=0):\n        pass\n"
+        "class E(C):\n    def __init__(self):\n"
+        "        super().__init__(1)\n")
+    home = {"mod": defs}
+    assert unset_parameters(home, [ast.parse("x.f(0, 1, 2, e=4)\n")]) == [
+        "f(b)", "f(c)", "f(e)", "C.__init__(p)", "C.__init__(q)",
+        "C.m(r)", "C.m(s)"]
+    used = ast.parse("mod.f(0, 1)\nf(0, e=4)\nmod.C(0, 1)\nx.m(*a)\n")
+    assert unset_parameters(home, [used]) == ["f(c)"]
+    assert unset_parameters(home, [defs, ast.parse("y.m(0)\n")]) == [
+        "f(b)", "f(c)", "f(e)", "C.__init__(q)", "C.m(s)"]
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    modules = parsed(sorted(PACKAGE.glob("*.py")))
-    callers = parsed(sorted(PERFBENCH.glob("*.py")))
-    assert callers, f"no benchmark sources under {PERFBENCH}"
-    callers.update((p, t) for p, t in modules.items()
-                   if p.name != "__init__.py")
+    modules, callers, bench = sources()
     used = {name for tree in callers.values() for name in named(tree)}
+    patched = {s for tree in bench.values() for s in strings(tree)}
+    methods = patched | {a for tree in callers.values()
+                         for a in attribute_loads(tree)}
     orphans = []
     for path, tree in modules.items():
         functions = {node.name for node in tree.body
                      if isinstance(node, ast.FunctionDef)}
-        calls = {name for caller, t in callers.items()
-                 for name in function_uses(t, path.stem, caller == path)}
-        orphans += [f"{path.name}: {qual}" for name, qual in definitions(tree)
-                    if name not in KEEP
-                    and name not in (calls if qual in functions else used)]
+        calls = patched | {name for caller, t in callers.items()
+                           for name in reads(t, path.stem, caller == path)}
+        for name, qual in definitions(tree):
+            uses = (calls if qual in functions else
+                    methods if "." in qual else used)
+            if name not in KEEP and name not in uses:
+                orphans.append(f"{path.name}: {qual}")
     assert not orphans, f"only tests call these; delete or use them: {orphans}"
     stale = sorted(set(KEEP) - {name for tree in modules.values()
-                                for name, _ in definitions(tree)})
+                                for name, _ in definitions(tree)}
+                   - {name for tree in modules.values()
+                      for name in module_names(tree)})
     assert not stale, f"KEEP names definitions that are gone: {stale}"
+
+
+def test_every_stored_attribute_is_read():
+    modules, callers, bench = sources()
+    read = ({a for tree in callers.values() for a in attribute_loads(tree)}
+            | {s for tree in callers.values() for s in looked_up(tree)}
+            | {s for tree in bench.values() for s in strings(tree)})
+    unread = [f"{path.name}:{line} {attr}"
+              for path, tree in modules.items()
+              for attr, line in attribute_stores(tree) if attr not in read]
+    assert not unread, f"stored, never read; delete them: {unread}"
+
+
+def test_every_module_level_name_is_read():
+    modules, callers, _ = sources()
+    unread = []
+    for path, tree in modules.items():
+        read = {name for caller, t in callers.items()
+                for name in reads(t, path.stem, caller == path)}
+        unread += [f"{path.name}: {name}" for name in module_names(tree)
+                   if name not in read and name not in KEEP]
+    assert not unread, f"module-level names nothing reads: {unread}"
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    modules, _, bench = sources()
+    tests = parsed(sorted(TESTS.glob("*.py")))
+    unset = unset_parameters(
+        {path.stem: tree for path, tree in modules.items()},
+        [*modules.values(), *bench.values(), *tests.values()])
+    assert not [p for p in unset if p not in KEEP_PARAMETERS], (
+        f"no call sets these parameters; make each a constant: "
+        f"{[p for p in unset if p not in KEEP_PARAMETERS]}")
+    stale = sorted(set(KEEP_PARAMETERS) - set(unset))
+    assert not stale, f"KEEP_PARAMETERS names parameters now set or gone: " \
+                      f"{stale}"
 
 
 def test_no_module_imports_a_name_it_does_not_use():
