@@ -92,19 +92,6 @@ class Dual:
     def __pos__(self):
         return self
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("dual powers are restricted to non-negative integers")
-        out = 1.0
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
 
 def _past_directions(idx):
     """Check that idx starts with ``...``, which skips direction axes."""

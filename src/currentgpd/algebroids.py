@@ -10,7 +10,14 @@ Sections and brackets also evaluate on many base points at once: each
 ambient component then carries a trailing node axis.  The nodes share
 every operation except the chart maps, which gather the nodes of each
 chart, map them and scatter them back (:func:`_node_chart`), so a node
-gets the bits it gets alone.
+gets the bits it gets alone.  A polynomial section's coefficients may
+carry the same node axis (:meth:`LieAlgebroid.polynomial_section`), so
+that the nodes of many samples, each with its own section, form one
+batch: S grid maps of n nodes give S n nodes, sample-major
+(:func:`per_node_coeffs`).  On the n-fold power groupoid the samples
+instead sit on a trailing sample axis of every component, each sample
+with its own product chart and its own dense solve
+(:func:`current_bracket_two_ways`).
 """
 
 from __future__ import annotations
@@ -108,29 +115,23 @@ class LieAlgebroid:
         self.base = gpd.base
         self.rank = rank
         self.tol_bracket = tol_bracket
-        self._charts = {}  # float point bytes -> (arrow chart, base chart)
+        self._charts = {}  # (shape, float bytes) -> (arrow, base chart ids)
 
     # -- local kernel frames ---------------------------------------------------
     def _unit_chart_context(self, x_comps):
         """Chart ids for the unit point of x, branch chosen on float values.
 
         On a batch of nodes, arrays of ids from one ``best_chart`` call per
-        manifold.  A single point is memoised on the exact bytes of its
-        float value, so -0.0 and 0.0 stay apart; a batch is not.
+        manifold.  Points and batches alike are memoised on the shape and
+        exact bytes of their float values, so -0.0 and 0.0 stay apart.
         """
         g = self.gpd
-        xf = [value(c) for c in x_comps]
-        if any(isinstance(c, np.ndarray) and c.ndim for c in xf):
-            xf, key = merge_components(xf), None
-        else:
-            xf = np.asarray(xf, dtype=float)
-            key = xf.tobytes()
+        xf = merge_components(x_comps)
+        key = xf.shape, xf.tobytes()
         if key not in self._charts:
             u_f = merge_components(g.unit.fn(split_components(xf)))
-            ids = g.arrows.best_chart(u_f), g.base.best_chart(xf)
-            if key is None:
-                return ids
-            self._charts[key] = ids
+            self._charts[key] = (g.arrows.best_chart(u_f),
+                                 g.base.best_chart(xf))
         return self._charts[key]
 
     def _alpha_rep(self, cg, cm):
@@ -246,23 +247,41 @@ class LieAlgebroid:
 
         return AlgebroidSection(self, vector_fn, name=name)
 
-    def random_polynomial_section(self, rng, name="section"):
-        """Coefficients polynomial of degree <= 2 in base ambient coordinates."""
-        d = self.base.ambient_dim
-        fns = []
-        for _ in range(self.rank):
-            c0 = rng.uniform(-1, 1)
-            c1 = rng.uniform(-1, 1, size=d)
-            c2 = rng.uniform(-1, 1, size=d)
+    def random_polynomial_coeffs(self, rng):
+        """Draw the coefficients of :meth:`random_polynomial_section`.
 
-            def fn(x_comps, c0=c0, c1=c1, c2=c2):
+        Per frame slot (c0, c1, c2): c0 uniform on [-1, 1], then c1 and c2
+        of length d = the base's ambient dimension.
+        """
+        d = self.base.ambient_dim
+        return [(rng.uniform(-1, 1), rng.uniform(-1, 1, size=d),
+                 rng.uniform(-1, 1, size=d)) for _ in range(self.rank)]
+
+    def polynomial_section(self, coeffs, name="section"):
+        """Frame coefficients c0 + sum_i (c1[i] x_i + c2[i] x_i^2) per slot.
+
+        A coefficient may carry a trailing node axis (c0 of shape (N,), c1
+        and c2 of shape (d, N), see :func:`per_node_coeffs`): node k then
+        takes the polynomial at k, with the bits it gives alone.
+        """
+
+        def polynomial(c0, c1, c2):
+            def fn(x_comps):
                 acc = c0
-                for i in range(d):
-                    acc = acc + c1[i] * x_comps[i] + c2[i] * x_comps[i] * x_comps[i]
+                for i in range(len(c1)):
+                    acc = (acc + c1[i] * x_comps[i]
+                           + c2[i] * x_comps[i] * x_comps[i])
                 return acc
 
-            fns.append(fn)
-        return self.section_from_coeffs(fns, name=name)
+            return fn
+
+        return self.section_from_coeffs([polynomial(*c) for c in coeffs],
+                                        name=name)
+
+    def random_polynomial_section(self, rng, name="section"):
+        """Coefficients polynomial of degree <= 2 in base ambient coordinates."""
+        return self.polynomial_section(self.random_polynomial_coeffs(rng),
+                                       name=name)
 
     def constant_section(self, coeffs):
         """Section with constant coefficients in the kernel frame."""
@@ -371,18 +390,50 @@ def algebroid_of_groupoid(gpd: LieGroupoid,
 # ---------------------------------------------------------------------------
 
 def vector_field_bracket(m, V_fn, W_fn):
-    """Bracket of two ambient-velocity vector fields on a charted manifold."""
+    """Bracket of two ambient-velocity vector fields on a charted manifold.
+
+    On a batch of nodes each node is bracketed in its own best chart.
+    """
 
     def out_fn(x_comps):
-        xf = np.asarray([value(c) for c in x_comps], dtype=float)
-        cid = int(m.best_chart(xf))
-        chart = m.charts[cid]
+        chart = _node_chart(m, m.best_chart(merge_components(x_comps)))
         u = chart.fwd(list(x_comps))
         b = _chart_commutator(chart, V_fn, W_fn, u)
         _, vel_amb = ad.jvp(chart.inv, list(u), b)
         return vel_amb
 
     return out_fn
+
+
+def law_residuals(alg: LieAlgebroid, X, Y, Z, x_comps):
+    """The algebroid laws at base points x, as ambient residual arrays.
+
+    In order: antisymmetry [X, Y] + [Y, X]; the Jacobi sum; the Leibniz
+    rule [X, fY] - f [X, Y] - (a(X) f) Y in the second argument, for
+    f = 1/2 + x_0^2 - x_{d-1}/4; and the anchor as a morphism into vector
+    fields, a[X, Y] - [a X, a Y].  On a batch of nodes, each row is a
+    node, with the bits it gets alone.
+    """
+
+    def at(section):
+        return merge_components(section.vector_fn(x_comps))
+
+    XY = alg.bracket(X, Y)
+    anti = at(XY) + at(alg.bracket(Y, X))
+    jac = (at(alg.bracket(X, alg.bracket(Y, Z))) + at(alg.bracket(Z, XY))
+           + at(alg.bracket(Y, alg.bracket(Z, X))))
+    f = lambda xc: 0.5 + xc[0] * xc[0] - 0.25 * xc[-1]
+    aX = merge_components(alg.anchor_vector(X, x_comps))
+    aXf = ad.jvp(lambda c: [f(c)], x_comps, list(np.moveaxis(aX, -1, 0)))[1][0]
+    fx = np.asarray(f(x_comps))[..., None]
+    leib = (at(alg.bracket(X, Y.times_function(f)))
+            - (fx * at(XY) + np.asarray(aXf)[..., None] * at(Y)))
+    vf = vector_field_bracket(alg.base,
+                              lambda c: alg.anchor_vector(X, c),
+                              lambda c: alg.anchor_vector(Y, c))
+    morph = (merge_components(alg.anchor_vector(XY, x_comps))
+             - merge_components(vf(x_comps)))
+    return anti, jac, leib, morph
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +477,29 @@ def groupoid_power(gpd: LieGroupoid, n: int) -> LieGroupoid:
 # current algebroids
 # ---------------------------------------------------------------------------
 
-def current_bracket_values(alg: LieAlgebroid, X, Y, base: GridMap):
+def per_node_coeffs(draws, n):
+    """The coefficients of S draws on S n nodes, for :meth:`polynomial_section`.
+
+    draws[s] holds the (c0, c1, c2) of each frame slot, as
+    :meth:`LieAlgebroid.random_polynomial_coeffs` draws them; node s n + i
+    (sample-major) takes draw s.
+    """
+    return [tuple(np.repeat(np.stack(parts, axis=-1), n, axis=-1)
+                  for parts in zip(*slot)) for slot in zip(*draws)]
+
+
+def current_bracket_values(alg: LieAlgebroid, X, Y, base):
     """Nodewise bracket values along a grid map, as ambient velocities.
 
     One evaluation of the bracket on all nodes at once, each ambient
     component carrying the node axis; each node gets the bits of the
-    bracket evaluated at that node alone.
+    bracket evaluated at that node alone.  base may be a list of S grid
+    maps, whose nodes then follow one another (sample-major).
     """
+    nodes = (base.ambient if isinstance(base, GridMap)
+             else np.concatenate([b.ambient for b in base]))
     br = alg.bracket(X, Y)
-    return merge_components(br.vector_fn(list(base.ambient.T)))
+    return merge_components(br.vector_fn(list(nodes.T)))
 
 
 def lift_section(power_alg: LieAlgebroid, base_section: AlgebroidSection,
@@ -444,11 +509,22 @@ def lift_section(power_alg: LieAlgebroid, base_section: AlgebroidSection,
     The base section is evaluated once on all n nodes: each of its am
     components is the row of that component over the nodes (:func:`ad.pack`),
     and each output component is split back into nodes (:func:`ad.unpack`).
+    Components with a trailing axis of S samples put all S n nodes on one
+    axis, sample-major (:func:`ad.scatter`), and take each node's S values
+    back (:func:`ad.take`).
     """
 
     def vector_fn(x_comps):
-        nodes = [ad.pack([x_comps[j::am]])[..., 0, :] for j in range(am)]
-        out = [_node_entries(o, n) for o in base_section.vector_fn(nodes)]
+        shape = np.shape(value(x_comps[0]))
+        if shape:
+            rows = [np.arange(i, shape[-1] * n, n) for i in range(n)]
+            nodes = [ad.scatter(x_comps[j::am], rows, shape[-1] * n)
+                     for j in range(am)]
+            out = [[ad.take(o, r) for r in rows]
+                   for o in base_section.vector_fn(nodes)]
+        else:
+            nodes = [ad.pack([x_comps[j::am]])[..., 0, :] for j in range(am)]
+            out = [_node_entries(o, n) for o in base_section.vector_fn(nodes)]
         return [o[i] for i in range(n) for o in out]
 
     return AlgebroidSection(power_alg, vector_fn,
@@ -466,8 +542,7 @@ def _node_entries(x, n):
     return ad.unpack(x[..., None, :])[0]
 
 
-def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
-                             base: GridMap):
+def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y, base):
     """Compare the bracket through the big groupoid against the nodewise one.
 
     Route one: the groupoid of grid maps is the n-fold power of the base
@@ -478,6 +553,13 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
     Route two: bracket in the base algebroid, evaluated on all nodes in one
     batch (:func:`current_bracket_values`).  Returns the maximum nodewise
     discrepancy of the resulting ambient velocities.
+
+    base may be a list of S grid maps, with X and Y carrying per-node
+    coefficients of the S n nodes in sample-major order (see
+    :func:`per_node_coeffs`).  Route one then gives each component of the
+    power groupoid a trailing axis of the S samples; each sample takes its
+    own product chart and its own dense J J^T in the stacked solve.  A
+    single grid map keeps float components.
     """
     n = grid.n
     am = gpd.base.ambient_dim
@@ -486,11 +568,14 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y,
     alg_big = LieAlgebroid(power, alg_small.rank * n)
     Xb = lift_section(alg_big, X, n, am)
     Yb = lift_section(alg_big, Y, n, am)
-    stacked = np.concatenate(list(base.ambient))
+    if isinstance(base, GridMap):
+        stacked = base.ambient.ravel()
+    else:
+        stacked = np.stack([b.ambient.ravel() for b in base], axis=-1)
     big_val = merge_components(
         alg_big.bracket(Xb, Yb).vector_fn(list(stacked)))
     node_val = current_bracket_values(alg_small, X, Y, base)
-    big_rows = big_val.reshape(n, gpd.arrows.ambient_dim)
+    big_rows = big_val.reshape(-1, gpd.arrows.ambient_dim)
     return worst_residual(big_rows - node_val)
 
 

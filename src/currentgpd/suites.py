@@ -16,7 +16,8 @@ import numpy as np
 
 from . import ad
 from .algebroids import (algebroid_of_groupoid, current_bracket_two_ways,
-                         sign_convention_check, vector_field_bracket)
+                         law_residuals, per_node_coeffs,
+                         sign_convention_check)
 from .catalog import (Circle, Euclidean, RotationGroup, Sphere, Torus,
                       catalog_maps, exp_cover)
 from .currents import (build_current, current_etale_nodes, pair_iso,
@@ -377,14 +378,15 @@ def suite_theorem_d(ctx: SuiteContext):
         alg = algebroid_of_groupoid(gpd)
         seed = ctx.seed_for("theorem-D-pointwise-bracket", name)
         rng = np.random.default_rng(seed)
-        worst = 0.0
         count = ctx.count("theorem-D-pointwise-bracket", 50)
+        bases, draws = [], []
         for _ in range(count):
-            base = random_grid_map(grid, gpd.base, rng)
-            X = alg.random_polynomial_section(rng, "X")
-            Y = alg.random_polynomial_section(rng, "Y")
-            worst = worst_residual(
-                worst, current_bracket_two_ways(gpd, grid, X, Y, base))
+            bases.append(random_grid_map(grid, gpd.base, rng))
+            draws.append([alg.random_polynomial_coeffs(rng) for _ in "XY"])
+        # the samples' nodes on one axis, each with its own coefficients
+        X, Y = (alg.polynomial_section(per_node_coeffs(d, grid.n), name=s)
+                for d, s in zip(zip(*draws), "XY"))
+        worst = current_bracket_two_ways(gpd, grid, X, Y, bases)
         status = "pass" if worst <= ctx.tol.tol_bracket else "fail"
         records.append(_record(f"theorem-D-pointwise-bracket/{name}",
                                "Theorem D", status, worst, count, seed))
@@ -398,42 +400,15 @@ def suite_algebroid_laws(ctx: SuiteContext):
     for name in ("pair-real2", "rot-action"):
         gpd = make_groupoid(name)
         alg = algebroid_of_groupoid(gpd)
-        anti = jac = leib = morph = 0.0
+        draws, points = [], []
         for _ in range(10):
-            X = alg.random_polynomial_section(rng, "X")
-            Y = alg.random_polynomial_section(rng, "Y")
-            Z = alg.random_polynomial_section(rng, "Z")
-            xs = [gpd.base.sample(rng) for _ in range(3)]
-            XY = alg.bracket(X, Y)
-            for x in xs:
-                a = merge_components(XY.vector_fn(list(x)))
-                b = merge_components(alg.bracket(Y, X).vector_fn(list(x)))
-                anti = worst_residual(anti, a + b)
-                s = (merge_components(
-                        alg.bracket(X, alg.bracket(Y, Z)).vector_fn(list(x)))
-                     + merge_components(
-                        alg.bracket(Z, XY).vector_fn(list(x)))
-                     + merge_components(
-                        alg.bracket(Y, alg.bracket(Z, X)).vector_fn(list(x))))
-                jac = worst_residual(jac, s)
-                # Leibniz in the second argument with a polynomial function
-                fscal = lambda xc: 0.5 + xc[0] * xc[0] - 0.25 * xc[1]
-                fY = Y.times_function(fscal)
-                lhs = merge_components(alg.bracket(X, fY).vector_fn(list(x)))
-                aXf = ad.jvp(lambda c: [fscal(c)], list(x),
-                             [value for value in
-                              merge_components(alg.anchor_vector(X, list(x)))])[1][0]
-                rhs = (fscal(list(x)) * merge_components(XY.vector_fn(list(x)))
-                       + aXf * merge_components(Y.vector_fn(list(x))))
-                leib = worst_residual(leib, lhs - rhs)
-                # anchor is a morphism into vector fields
-                aXY = merge_components(alg.anchor_vector(XY, list(x)))
-                vf = vector_field_bracket(
-                    gpd.base,
-                    lambda c: alg.anchor_vector(X, list(c)),
-                    lambda c: alg.anchor_vector(Y, list(c)))
-                morph = worst_residual(morph,
-                                       aXY - merge_components(vf(list(x))))
+            draws.append([alg.random_polynomial_coeffs(rng) for _ in "XYZ"])
+            points.extend(gpd.base.sample(rng) for _ in range(3))
+        # the 30 points on one node axis, each with its triple's sections
+        X, Y, Z = (alg.polynomial_section(per_node_coeffs(d, 3), name=s)
+                   for d, s in zip(zip(*draws), "XYZ"))
+        anti, jac, leib, morph = map(worst_residual, law_residuals(
+            alg, X, Y, Z, list(np.stack(points).T)))
         worst = worst_residual(anti, jac, leib, morph)
         status = "pass" if worst <= ctx.tol.tol_bracket else "fail"
         records.append(_record(f"algebroid-laws/{name}",

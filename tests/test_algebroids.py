@@ -9,7 +9,8 @@ from currentgpd.algebroids import (AlgebroidSection, LieAlgebroid,
                                    algebroid_of_groupoid,
                                    current_bracket_two_ways,
                                    current_bracket_values, groupoid_power,
-                                   lift_section, sign_convention_check,
+                                   law_residuals, lift_section,
+                                   per_node_coeffs, sign_convention_check,
                                    vector_field_bracket)
 from currentgpd.catalog import Circle, RotationGroup
 from currentgpd.errors import FrameProjectionError
@@ -18,6 +19,7 @@ from currentgpd.groupoids import GROUPOIDS, make_groupoid
 from currentgpd.localadd import circle_group, so3_group
 from currentgpd.manifolds import (Tangent, chart_count, merge_components,
                                   tangent_map)
+from currentgpd.report import worst_residual
 
 
 def field_section(alg, V):
@@ -425,6 +427,78 @@ def test_bracket_values_on_all_nodes_equal_the_nodewise_ones(name):
     if name == "rot-action":
         units = gpd.unit.apply_batch(base.ambient)
         assert len(set(gpd.arrows.best_chart(units).tolist())) >= 2
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_sample_batched_brackets_and_laws_equal_the_per_sample_ones(name):
+    # S grid maps on one axis: S n nodes for route two and the laws, a
+    # trailing sample axis for route one.  Each sample must get the bits it
+    # gets alone, with its own coefficients.
+    n, S = 8, 3
+    gpd = make_groupoid(name)
+    alg = algebroid_of_groupoid(gpd)
+    grid = GridSpec("circle", n)
+    rng = np.random.default_rng(22)
+    bases, draws = [], []
+    for _ in range(S):
+        bases.append(random_grid_map(grid, gpd.base, rng))
+        draws.append([alg.random_polynomial_coeffs(rng) for _ in "XYZ"])
+    X, Y, Z = (alg.polynomial_section(per_node_coeffs(d, n))
+               for d in zip(*draws))
+    alone = [[alg.polynomial_section(c) for c in d] for d in draws]
+    am = gpd.base.ambient_dim
+    power = groupoid_power(gpd, n)
+    big = LieAlgebroid(power, alg.rank * n)
+
+    def route_one(X, Y, stacked):
+        return merge_components(big.bracket(
+            lift_section(big, X, n, am),
+            lift_section(big, Y, n, am)).vector_fn(list(stacked)))
+
+    stacked = np.stack([b.ambient.ravel() for b in bases], axis=-1)
+    assert _hexes(route_one(X, Y, stacked)) == _hexes(
+        [route_one(Xs, Ys, b.ambient.ravel())
+         for b, (Xs, Ys, _) in zip(bases, alone)])
+    assert _hexes(current_bracket_values(alg, X, Y, bases)) == _hexes(
+        [current_bracket_values(alg, Xs, Ys, b)
+         for b, (Xs, Ys, _) in zip(bases, alone)])
+    assert current_bracket_two_ways(gpd, grid, X, Y, bases).hex() == \
+        worst_residual(*[current_bracket_two_ways(gpd, grid, Xs, Ys, b)
+                         for b, (Xs, Ys, _) in zip(bases, alone)]).hex()
+    # the laws on all S n nodes; every third node, in every sample, alone
+    nodes = np.concatenate([b.ambient for b in bases])
+    batched = law_residuals(alg, X, Y, Z, list(nodes.T))
+    each = [law_residuals(alg, *alone[k // n], list(nodes[k]))
+            for k in range(0, S * n, 3)]
+    for law, res in enumerate(batched):
+        assert _hexes(res[::3]) == _hexes([e[law] for e in each])
+    if name == "rot-action":
+        units = power.unit.apply_batch(stacked.T)
+        assert len(set(power.arrows.best_chart(units).tolist())) >= 2
+        assert len(set(gpd.base.best_chart(nodes[::3]).tolist())) >= 2
+
+
+def test_unit_chart_ids_are_memoised_per_distinct_batch(monkeypatch):
+    gpd = make_groupoid("rot-action")
+    alg = algebroid_of_groupoid(gpd)
+    rng = np.random.default_rng(23)
+    amb = random_grid_map(GridSpec("circle", 16), gpd.base, rng).ambient
+    inputs = [amb[0], amb[1], amb.T, amb[:8].T]
+    want = [(gpd.arrows.best_chart(gpd.unit.apply_batch(a.T)),
+             gpd.base.best_chart(a.T)) for a in inputs]
+    calls = []
+    for m in (gpd.arrows, gpd.base):
+        monkeypatch.setattr(m, "best_chart", lambda a, m=m, f=m.best_chart:
+                            calls.append(m) or f(a))
+    for _ in range(2):
+        for a, (cg, cm) in zip(inputs, want):
+            got = alg._unit_chart_context(list(a))
+            assert np.array_equal(got[0], cg) and np.array_equal(got[1], cm)
+    assert len(calls) == 2 * len(inputs)
 
 
 class TestSignConvention:

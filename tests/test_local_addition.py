@@ -172,7 +172,9 @@ class TestNormalize:
         # psi(s) = e^{i(s + s^3)} is a chart diffeomorphism but not exp
         c = Circle()
         from currentgpd import ad
-        psi = lambda xi: [ad.cos(xi[0] + xi[0] ** 3), ad.sin(xi[0] + xi[0] ** 3)]
+        cube = lambda s: s * (s * s)
+        psi = lambda xi: [ad.cos(xi[0] + cube(xi[0])),
+                          ad.sin(xi[0] + cube(xi[0]))]
         add = lie_group_local_addition(circle_group(c), psi=psi)
         assert not add.normalized
         fixed = normalize(add)
