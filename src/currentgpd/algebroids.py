@@ -585,8 +585,6 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y, base):
 
 @dataclass
 class SignReport:
-    group: str
-    abelian: bool
     sign: float | None
     consistent: bool
     note: str
@@ -605,7 +603,7 @@ def sign_convention_check(group_ops, seed=0) -> SignReport:
     d = alg.rank
     star = gpd.base.point_from_ambient([0.0])
     if d <= 1:
-        return SignReport(group_ops.name, True, None, True,
+        return SignReport(None, True,
                           "abelian: bracket vanishes, sign undetermined")
     if not hasattr(group_ops, "commutator"):
         raise Unsupported(f"{group_ops.name}: no algebra commutator registered")
@@ -624,5 +622,5 @@ def sign_convention_check(group_ops, seed=0) -> SignReport:
         signs.append(float(np.dot(got, expected)) / denom ** 2)
     sign = float(np.sign(signs[0])) if signs else None
     consistent = all(abs(s - signs[0]) < 1e-6 for s in signs)
-    return SignReport(group_ops.name, False, sign, consistent,
+    return SignReport(sign, consistent,
                       "groupoid bracket vs algebra commutator")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .catalog import Circle
@@ -126,8 +127,21 @@ def execute(config: dict) -> dict:
     }
 
 
+def _strict_json(obj):
+    """obj with each non-finite number written as a string ("nan", "inf",
+    "-inf"): strict JSON parsers reject NaN and Infinity."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def write_report(report: dict, out_path=None):
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(_strict_json(report), sort_keys=True, indent=2,
+                      allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -17,8 +17,8 @@ import numpy as np
 from . import ad
 from .errors import (BranchAmbiguity, CoherenceLost, GraphOutsideDomain,
                      NotDifferentiable, NotInDomainU, NotInThetaImage,
-                     OutsideNeighborhood)
-from .linalg import newton, numerical_ranks
+                     OutsideNeighborhood, Unsupported)
+from .linalg import numerical_ranks
 from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
                         map_jacobian, merge_components, split_components)
@@ -70,7 +70,6 @@ class GridMap:
         self.delta_coh = target.coherence_bound() if delta_coh is None else delta_coh
         if check:
             self.check_coherence()
-        self._points = None
 
     def check_coherence(self):
         if not np.isfinite(self.delta_coh):
@@ -91,12 +90,6 @@ class GridMap:
 
     def point(self, i) -> Point:
         return self.target.point_from_ambient(self.ambient[i])
-
-    @property
-    def values(self):
-        if self._points is None:
-            self._points = tuple(self.point(i) for i in range(self.grid.n))
-        return self._points
 
     def close_to(self, other, tol=DEFAULT.tol_chart):
         return float(np.max(self.target.distance(self.ambient, other.ambient))) < tol
@@ -307,9 +300,6 @@ def chart_phi_inverse(sigma: LocalAddition, f: GridMap, g: GridMap,
 @dataclass
 class PushforwardClassification:
     verdict: str
-    dim_source: int
-    dim_target: int
-    node_ranks: list
 
 
 def classify_pushforward(f: SmoothMap, gamma: GridMap,
@@ -334,27 +324,12 @@ def classify_pushforward(f: SmoothMap, gamma: GridMap,
         verdict = "immersion_on_trace"
     else:
         verdict = "neither"
-    return PushforwardClassification(verdict, dm, dn, ranks.tolist())
+    return PushforwardClassification(verdict)
 
 
 # ---------------------------------------------------------------------------
 # local inversion of lifted local diffeomorphisms
 # ---------------------------------------------------------------------------
-
-def _preimage_newton(f, target: Point, seed: Point, tol):
-    m = f.source
-    chart = m.charts[seed.chart_id]
-    qc = target.manifold.charts[target.chart_id]
-    q_target = [float(c) for c in target.coords]
-
-    def residual(xc):
-        return [a - b for a, b in zip(qc.fwd(f.fn(chart.inv(xc))), q_target)]
-
-    x = newton(residual, [float(c) for c in seed.coords], tol, 50, 1e8)
-    if x is None:
-        return None
-    return m.point_from_coords(seed.chart_id, np.asarray(x))
-
 
 def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
                          start: Point | None = None, patch_radius=None,
@@ -363,10 +338,11 @@ def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
 
     Branches are selected by proximity to the previous node's lift (node 0:
     to `start`, default gamma0's first value); a coherent lift must close up
-    on circle grids.  Failures report the offending node.  A map may supply
-    `preimage_branches(target_ambient, near_ambient) -> [ambient, ...]`;
-    otherwise local preimages come from chart Newton iteration.
+    on circle grids.  Failures report the offending node.  The map must
+    supply `preimage_branches(target_ambient, near_ambient) -> [ambient, ...]`.
     """
+    if f.preimage_branches is None:
+        raise Unsupported(f"{f.name}: no preimage branches to choose from")
     m = f.source
     n = eta.grid.n
     if max_step is None:
@@ -383,15 +359,8 @@ def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
     rows = []
     for i in range(n):
         target_amb = eta.ambient[i]
-        cand = []
-        if f.preimage_branches is not None:
-            cand = [np.atleast_1d(np.asarray(a, dtype=float))
-                    for a in f.preimage_branches(target_amb, prev)]
-        else:
-            got = _preimage_newton(f, eta.point(i),
-                                   m.point_from_ambient(prev), tol)
-            if got is not None:
-                cand.append(got.ambient)
+        cand = [np.atleast_1d(np.asarray(a, dtype=float))
+                for a in f.preimage_branches(target_amb, prev)]
         if not cand:
             raise OutsideNeighborhood(i, f"no local preimage at node {i}")
         dists = [float(m.geodesic_distance(c, prev)) for c in cand]

@@ -4,8 +4,7 @@ Float-only rank queries go through numpy's SVD; the generic routines here
 exist so that solves and orthonormalisation can sit inside AD-evaluated
 code paths.  :func:`linsolve` works on whole rows: its matrices are numpy
 arrays, or ``Dual``s whose parts are arrays when the entries carry duals
-(see :func:`ad.pack`).  Newton's method sits next to the solve it steps
-with.
+(see :func:`ad.pack`).
 """
 
 from __future__ import annotations
@@ -33,44 +32,15 @@ def linsolve(A, rhs):
     every node sees the operations of its own solve, bit for bit.
 
     Every entry sees the operations of a solve entry by entry, in the same
-    order.  In a dual A, a float entry becomes a dual with derivative 0;
-    its quotients then round as dual ones do (``x * (1 / a)`` for
-    ``x / a``), so a value may differ in the last bit from a solve entry by
-    entry.  A float A stays float, and each part of dual right-hand sides
-    is solved with it on its own (see :func:`_solve_parts`), which is what
-    dual arithmetic does with a float factor.  A float entry of b among
-    dual ones comes back as a dual, whose zero derivative may differ in
-    sign.
+    order.  Where any entry of A or b is a dual, every float entry becomes
+    a dual with derivative 0; its quotients then round as dual ones do
+    (``x * (1 / a)`` for ``x / a``), so a value may differ in the last bit
+    from a solve entry by entry, and a zero derivative may differ in sign.
     """
     n = len(A)
     cols = [[b[r] for b in rhs] for r in range(n)]  # row r: entry r of each b
-    M = pack([list(A[r]) + cols[r] for r in range(n)])  # [A | b..]
-    if isinstance(M, Dual) and not any(isinstance(e, Dual)
-                                       for row in A for e in row):
-        X = _solve_parts(value(M)[..., :n], M[..., n:])
-    else:
-        X = _lu(M, n)
-    X = unpack(X)
+    X = unpack(_lu(pack([list(A[r]) + cols[r] for r in range(n)]), n))
     return [[row[k] for row in X] for k in range(len(rhs))]
-
-
-def _solve_parts(A, B):
-    """Solve float A X = B part by part of a packed B.
-
-    A part's direction axes, ahead of the node axes it shares with A, ride
-    along as extra columns.
-    """
-    if isinstance(B, Dual):
-        return Dual(_solve_parts(A, B.re), _solve_parts(A, B.ep))
-    B = np.broadcast_to(B, np.broadcast_shapes(B.shape[:-2], A.shape[:-2])
-                        + B.shape[-2:])
-    e = B.ndim - A.ndim
-    if e == 0:
-        return _lu(np.concatenate([A, B], axis=-1), A.shape[-1])
-    front, back = list(range(e)), list(range(B.ndim - 1 - e, B.ndim - 1))
-    cols = np.moveaxis(B, front, back)  # lead + (rows,) + directions + (m,)
-    X = _solve_parts(A, cols.reshape(cols.shape[:-1 - e] + (-1,)))
-    return np.moveaxis(X.reshape(cols.shape), back, front)
 
 
 def _lu(M, n):

@@ -39,7 +39,6 @@ class OrbitSpacePath:
 
     grid: GridSpec
     representatives: np.ndarray    # (n, ambient)
-    group: FiniteGroup
 
     def __post_init__(self):
         self.representatives = np.asarray(self.representatives, dtype=float)
@@ -47,7 +46,6 @@ class OrbitSpacePath:
 
 @dataclass
 class LocalActionForm:
-    center: Point
     isotropy: IsotropyGroup
     radius: float
     halvings: int
@@ -130,7 +128,7 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
                                 np.insert(ys, 0, gb, axis=1))
             mult_res = worst_residual(mult_res, gpd.alpha_batch(prod) - ys,
                                       gpd.beta_batch(prod) - act(ga, mid))
-    return LocalActionForm(x, iso, float(r), halvings, act_res, bij_res,
+    return LocalActionForm(iso, float(r), halvings, act_res, bij_res,
                            mult_res)
 
 

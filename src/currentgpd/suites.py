@@ -182,8 +182,9 @@ def suite_local_addition(ctx: SuiteContext):
         lambda comps: base.sigma_fn(list(comps[:2]) + [2.0 * c for c in comps[2:]]),
         base.domain_fn, normalized=False, fiber_radius=base.fiber_radius / 2,
         name="scaled")
+    normed = normalize(scaled)
     worst_norm = 0.0
-    for add in [normalize(scaled), normalize(base)]:
+    for add in [normed, normalize(base)]:
         for _ in range(100):
             p = circle.point_from_ambient(circle.sample(rng))
             D = fiber_derivative(add, p, h=ctx.tol.h_fd)
@@ -191,6 +192,22 @@ def suite_local_addition(ctx: SuiteContext):
     status = "pass" if worst_norm <= 1e-6 else "fail"
     records.append(_record("local-addition/normalization", "local addition",
                            status, worst_norm, 200, seed))
+
+    # a normalized addition has no closed-form log: theta_inverse runs
+    # Newton's method
+    nrt_seed = ctx.seed_for("local-addition", "normalized-round-trip")
+    nrt_rng = np.random.default_rng(nrt_seed)
+    worst_nrt = 0.0
+    for _ in range(100):
+        p = circle.point_from_ambient(circle.sample(nrt_rng))
+        xi = nrt_rng.normal(size=circle.dim) * 0.4
+        back = normed.theta_inverse(p, normed.sigma(Tangent(p, xi)),
+                                    tol=ctx.tol.tol_theta)
+        worst_nrt = worst_residual(worst_nrt, back.vel - xi)
+    status = "pass" if worst_nrt <= ctx.tol.tol_theta else "fail"
+    records.append(_record("local-addition/normalized-round-trip",
+                           "local addition", status, worst_nrt, 100,
+                           nrt_seed))
 
     # tangent lift: zero tangents map to their foot point
     worst_lift = 0.0
@@ -466,7 +483,7 @@ def suite_path_lifting(ctx: SuiteContext):
         reps = pts.copy()
         for i in range(grid.n):
             reps[i] = grp.elements[int(rng.integers(4))].act(reps[i])
-        path = OrbitSpacePath(grid, reps, grp)
+        path = OrbitSpacePath(grid, reps)
         start = gpd.base.point_from_ambient(pts[0])
         lift = path_lift(gpd, path, start)
         worst = worst_residual(worst, lift_projection_residual(gpd, path, lift))

@@ -216,6 +216,12 @@ def _solve_entry_by_entry(A, rhs):
     return [[X[r][k] for r in range(n)] for k in range(len(rhs))]
 
 
+def _with_zero_derivatives(rows):
+    """Rows whose float entries are duals with derivative 0."""
+    return [[e if isinstance(e, Dual) else Dual(e, 0.0) for e in row]
+            for row in rows]
+
+
 def _bits(x):
     return [a.tobytes() for a in _leaves(x)]
 
@@ -235,27 +241,30 @@ def _random_system(rng, n, m, dual_a, dual_rhs, k=None):
 @pytest.mark.parametrize("dual_a,dual_rhs", [(False, False), (False, True),
                                              (True, True)])
 def test_linsolve_keeps_the_bits_of_a_solve_entry_by_entry(dual_a, dual_rhs):
+    # a float A with dual right-hand sides solves as a dual A
     rng = np.random.default_rng(8)
     for n in (1, 2, 5):
         A, rhs = _random_system(rng, n, 3, dual_a, dual_rhs)
-        got, want = linsolve(A, rhs), _solve_entry_by_entry(A, rhs)
+        ref = _with_zero_derivatives(A) if dual_rhs else A
+        got, want = linsolve(A, rhs), _solve_entry_by_entry(ref, rhs)
         assert [[_bits(x) for x in b] for b in got] == \
             [[_bits(x) for x in b] for b in want]
 
 
 def test_linsolve_with_float_matrix_and_mixed_right_hand_sides():
-    # a float pivot that is not a power of two divides as a float
+    # float entries among duals get derivative 0, so a float pivot that is
+    # not a power of two divides as a dual: x * (1 / a)
     x, = linsolve([[3.0]], [[Dual(5.0, 1.0)]])[0]
-    assert (x.re, x.ep) == (5.0 / 3.0, 1.0 / 3.0)
-    # value parts keep their bits; a float entry of b comes back as a dual
-    # with derivative 0
+    assert (x.re, x.ep) == (5.0 * (1.0 / 3.0), 1.0 * (1.0 / 3.0))
+    # a float entry of b comes back as a dual with derivative 0
     rng = np.random.default_rng(9)
     A, rhs = _random_system(rng, 4, 2, False, True)
     rhs[1][2] = 0.7
-    got, want = linsolve(A, rhs), _solve_entry_by_entry(A, rhs)
-    for b, w in zip(got, want):
-        assert [ad.value(x) for x in b] == [ad.value(x) for x in w]
-        assert [x.ep for x in b] == [getattr(x, "ep", 0.0) for x in w]
+    got = linsolve(A, rhs)
+    want = _solve_entry_by_entry(_with_zero_derivatives(A),
+                                 _with_zero_derivatives(rhs))
+    assert [[_bits(x) for x in b] for b in got] == \
+        [[_bits(x) for x in b] for b in want]
 
 
 @pytest.mark.parametrize("dual_a", [False, True])

@@ -504,11 +504,11 @@ def test_unit_chart_ids_are_memoised_per_distinct_batch(monkeypatch):
 class TestSignConvention:
     def test_circle_group_is_vacuous(self):
         rep = sign_convention_check(circle_group(Circle()))
-        assert rep.abelian and rep.sign is None
+        assert rep.sign is None and rep.consistent
+        assert rep.note.startswith("abelian")
 
     def test_so3_sign_is_minus_one(self):
         # the groupoid bracket is anti-isomorphic to the matrix convention
         rep = sign_convention_check(so3_group(RotationGroup()), seed=18)
-        assert not rep.abelian
         assert rep.consistent
         assert rep.sign == -1.0

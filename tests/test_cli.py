@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -8,8 +9,9 @@ import time
 
 import pytest
 
-from currentgpd.cli import main, load_config, named_gridmap
+from currentgpd.cli import main, load_config, named_gridmap, write_report
 from currentgpd.errors import ConfigError, UnknownId
+from currentgpd.report import CheckRecord
 from currentgpd.suites import SUITES, SuiteContext, derived_seed, run_suite
 
 
@@ -153,6 +155,20 @@ class TestRun:
         cfg = write_config(tmp_path, seed=1, suites=["groupoid-axioms"],
                            tolerances={"tol_chart": 1e-30})
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+
+    def test_non_finite_residuals_are_written_as_strict_json(self, tmp_path):
+        record = CheckRecord("x/nan", "anchor", "fail", math.nan, 1, 0,
+                             details={"worst": [math.inf, -math.inf, 0.5]})
+        out = tmp_path / "r.json"
+        write_report({"status": "fail", "records": [record.to_dict()]}, out)
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        got = json.loads(out.read_text(), parse_constant=refuse)
+        written, = got["records"]
+        assert written["max_residual"] == "nan"
+        assert written["details"]["worst"] == ["inf", "-inf", 0.5]
 
 
 class TestDeterminism:

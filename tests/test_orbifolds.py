@@ -24,7 +24,7 @@ def quarter_arc_path(grid, rng, radius=1.0, arc=math.pi / 2):
     for i in range(grid.n):
         g = int(rng.integers(4))
         reps[i] = Z4.finite_group.elements[g].act(reps[i])
-    return pts, OrbitSpacePath(grid, reps, Z4.finite_group)
+    return pts, OrbitSpacePath(grid, reps)
 
 
 class TestLocalActionForm:
@@ -65,7 +65,7 @@ class TestPathLift:
     def test_constant_path(self):
         grid = GridSpec("interval", 16)
         reps = np.tile([1.0, 0.0], (16, 1))
-        path = OrbitSpacePath(grid, reps, Z4.finite_group)
+        path = OrbitSpacePath(grid, reps)
         start = Z4.base.point_from_ambient([1.0, 0.0])
         lift = path_lift(Z4, path, start)
         assert np.allclose(lift.ambient, [1.0, 0.0])
@@ -92,7 +92,7 @@ class TestPathLift:
             for i in range(grid.n):
                 reps[i] = Z4.finite_group.elements[
                     int(rng.integers(4))].act(reps[i])
-            path = OrbitSpacePath(grid, reps, Z4.finite_group)
+            path = OrbitSpacePath(grid, reps)
             lift = path_lift(Z4, path, Z4.base.point_from_ambient(pts[0]))
             assert lift_projection_residual(Z4, path, lift) <= 1e-10
 
@@ -124,14 +124,14 @@ class TestPathLift:
         grid = GridSpec("interval", 16)
         t = np.linspace(-1.0, 1.0, grid.n)
         reps = np.stack([t, np.zeros_like(t)], axis=-1)
-        path = OrbitSpacePath(grid, reps, Z4.finite_group)
+        path = OrbitSpacePath(grid, reps)
         with pytest.raises(BranchAmbiguity):
             path_lift(Z4, path, Z4.base.point_from_ambient([-1.0, 0.0]))
 
     def test_start_must_lie_in_first_orbit(self):
         grid = GridSpec("interval", 16)
         reps = np.tile([1.0, 0.0], (16, 1))
-        path = OrbitSpacePath(grid, reps, Z4.finite_group)
+        path = OrbitSpacePath(grid, reps)
         with pytest.raises(StartNotInOrbit):
             path_lift(Z4, path, Z4.base.point_from_ambient([0.5, 0.5]))
 
@@ -139,7 +139,7 @@ class TestPathLift:
         grid = GridSpec("interval", 16)
         reps = np.tile([1.0, 0.0], (16, 1))
         reps[8] = [30.0, 0.0]
-        path = OrbitSpacePath(grid, reps, Z4.finite_group)
+        path = OrbitSpacePath(grid, reps)
         with pytest.raises(CoherenceLost):
             path_lift(Z4, path, Z4.base.point_from_ambient([1.0, 0.0]))
 

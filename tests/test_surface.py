@@ -11,9 +11,10 @@ calls belongs in that test.  Five scans:
   functions and methods by name).  A local variable, a method of another
   class or a string of the package that shares the name does not count.
   A class counts through any mention.
-- Stored attributes.  Every attribute the package stores (``x.a = ...``)
-  is read by a caller: as an attribute, as a string handed to ``getattr``
-  or ``hasattr``, or as a string in ``perfbench/``.
+- Stored attributes.  Every attribute the package stores (``x.a = ...``),
+  and every annotated field of a dataclass, is read by a caller: as an
+  attribute, as a string handed to ``getattr`` or ``hasattr``, or as a
+  string in ``perfbench/``.
 - Module tables.  Every module-level name is loaded in its own module,
   imported by a caller, or read as ``module.NAME``.
 - Parameters.  Every defaulted parameter of a top-level function or a
@@ -28,29 +29,37 @@ calls belongs in that test.  Five scans:
   exempt.
 - Imports.  No module imports a name it does not use.
 
+The line tracer ``tools/never_run.py`` finds what these scans cannot: code
+that no run reaches.  It is too slow for this suite, so only the keys of
+its ``ALLOW`` table are checked here, against the functions that exist,
+without tracing.
+
 What is kept without a use is named in ``KEEP`` or ``KEEP_PARAMETERS``,
-each with its reason.
+each with its reason; a dataclass field as ``Class.field``.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import currentgpd
 
 PACKAGE = pathlib.Path(currentgpd.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+NEVER_RUN = pathlib.Path(__file__).resolve().parents[1] / "tools/never_run.py"
 TESTS = pathlib.Path(__file__).resolve().parent
 
-# Definitions and module-level names that only tests use, each kept for a
-# reason.
+PLANNED = "input to a planned property-inheritance suite (Theorems C and E)"
+
+# Definitions, module-level names and dataclass fields that only tests use,
+# each kept for a reason.
 KEEP = {
     "fd_jacobian": "the finite-difference reference tests compare AD against",
-    "classify_etale": "input to a planned property-inheritance suite "
-                      "(Theorems C and E)",
-    "classify_locally_transitive": "input to a planned property-inheritance "
-                                   "suite (Theorems C and E)",
-    "current_anchor_rank_nodes": "input to a planned property-inheritance "
-                                 "suite (Theorems C and E)",
+    "classify_etale": PLANNED,
+    "classify_locally_transitive": PLANNED,
+    "current_anchor_rank_nodes": PLANNED,
+    "ClassifyReport.extreme": PLANNED,
+    "ClassifyReport.witness": PLANNED,
     "chart_phi": "the paper's chart of C^l(K, M); tests check it",
     "chart_phi_inverse": "the inverse chart of C^l(K, M); tests check it",
     "second_tangent_map": "T^2 f on second tangents; tests check it",
@@ -141,6 +150,21 @@ def attribute_stores(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             yield node.attr, node.lineno
+
+
+def dataclass_fields(tree):
+    """Annotated fields of each dataclass a module defines, as (field,
+    "Class.field", line)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                   for d in node.decorator_list):
+            continue
+        for sub in node.body:
+            if (isinstance(sub, ast.AnnAssign)
+                    and isinstance(sub.target, ast.Name)):
+                yield sub.target.id, f"{node.name}.{sub.target.id}", sub.lineno
 
 
 def looked_up(tree):
@@ -317,6 +341,13 @@ def test_the_scans_see_what_they_look_for():
     assert {a for a, _ in attribute_stores(state)} == {"a", "b", "c"}
     assert {"a", "b"} <= set(attribute_loads(state)) | set(looked_up(state))
     assert "c" not in set(attribute_loads(state)) | set(looked_up(state))
+    # the annotated fields of a dataclass, with or without arguments, are
+    # stored attributes; a plain class's annotations are not
+    fields = ast.parse("@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+                       "    c = 1\n@dataclass(frozen=True)\nclass E:\n"
+                       "    d: int\nclass F:\n    e: int\n")
+    assert list(dataclass_fields(fields)) == [
+        ("a", "D.a", 3), ("b", "D.b", 4), ("d", "E.d", 8)]
     # a module-level name is read by a load at home, an import or mod.NAME
     table = ast.parse("T, U = 1, 2\nV: int = 3\n__all__ = []\n"
                       "def k():\n    return U\n")
@@ -364,7 +395,9 @@ def test_every_definition_has_a_caller_outside_the_tests():
     stale = sorted(set(KEEP) - {name for tree in modules.values()
                                 for name, _ in definitions(tree)}
                    - {name for tree in modules.values()
-                      for name in module_names(tree)})
+                      for name in module_names(tree)}
+                   - {qual for tree in modules.values()
+                      for _, qual, _ in dataclass_fields(tree)})
     assert not stale, f"KEEP names definitions that are gone: {stale}"
 
 
@@ -376,6 +409,10 @@ def test_every_stored_attribute_is_read():
     unread = [f"{path.name}:{line} {attr}"
               for path, tree in modules.items()
               for attr, line in attribute_stores(tree) if attr not in read]
+    unread += [f"{path.name}:{line} {qual}"
+               for path, tree in modules.items()
+               for name, qual, line in dataclass_fields(tree)
+               if name not in read and qual not in KEEP]
     assert not unread, f"stored, never read; delete them: {unread}"
 
 
@@ -409,3 +446,16 @@ def test_no_module_imports_a_name_it_does_not_use():
             for path, tree in parsed(sorted(PACKAGE.glob("*.py"))).items()
             for entry in unused_imports(tree)]
     assert not hits, f"unused imports: {hits}"
+
+
+def test_the_line_tracer_allows_only_functions_that_exist():
+    spec = importlib.util.spec_from_file_location("never_run", NEVER_RUN)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines the table; traces nothing
+    assert tracer.ALLOW, f"no ALLOW entries in {NEVER_RUN.name}"
+    known = {f"{path.stem}:{code.co_qualname}"
+             for path in PACKAGE.glob("*.py")
+             for code in tracer.function_codes(path)}
+    stale = sorted(set(tracer.ALLOW) - known)
+    assert not stale, f"ALLOW in {NEVER_RUN.name} names functions that are " \
+                      f"gone: {stale}"
