@@ -89,9 +89,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.re, -self.ep)
 
-    def __pos__(self):
-        return self
-
 
 def _past_directions(idx):
     """Check that idx starts with ``...``, which skips direction axes."""
@@ -122,10 +119,10 @@ def _ufunc(np_fn):
     """np_fn on arrays, and on numbers through the same ufunc, as a float.
 
     numpy's loops round an element the same way whether it comes alone or
-    in an array, contiguous or strided, while ``math`` rounds ``exp``,
-    ``log``, ``atan`` and ``atan2`` differently, so a number never goes
-    through ``math``.  A value outside the domain gives NaN or an infinity
-    with a RuntimeWarning, as it does in an array.
+    in an array, contiguous or strided, while ``math`` rounds ``atan`` and
+    ``atan2`` differently, so a number never goes through ``math``.  A value
+    outside the domain gives NaN or an infinity with a RuntimeWarning, as it
+    does in an array.
     """
     def f(*args):
         out = np_fn(*args)
@@ -136,8 +133,6 @@ def _ufunc(np_fn):
 
 sin = _lift(_ufunc(np.sin), lambda x: cos(x))
 cos = _lift(_ufunc(np.cos), lambda x: -sin(x))
-exp = _lift(_ufunc(np.exp), lambda x: exp(x))
-log = _lift(_ufunc(np.log), lambda x: 1.0 / x)
 _sqrt = _ufunc(np.sqrt)
 _atan = _ufunc(np.arctan)
 _atan2 = _ufunc(np.arctan2)

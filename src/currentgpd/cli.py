@@ -16,7 +16,7 @@ from .catalog import Circle
 from .errors import ConfigError, UnknownId
 from .gridmaps import (GridSpec, circle_identity_loop, circle_winding_loop,
                        constant_grid_map, gridmap_to_csv)
-from .suites import SUITES, SuiteContext, run_suite
+from .suites import SAMPLE_COUNTS, SUITES, SuiteContext, run_suite
 from .tolerances import DEFAULT, TOLERANCE_KEYS
 
 _CONFIG_KEYS = {"suites", "grid", "tolerances", "seed", "instances",
@@ -87,6 +87,9 @@ def load_config(path) -> dict:
     for key, val in samples.items():
         if key not in SUITES:
             raise ConfigError(f"unknown suite id in samples: {key!r}")
+        if key not in SAMPLE_COUNTS:
+            raise ConfigError(f"suite {key} reads no sample count; samples "
+                              f"may set {sorted(SAMPLE_COUNTS)}")
         if not _typed(val, int) or val <= 0:
             raise ConfigError(f"sample count for {key} must be a positive int")
     return {
@@ -129,12 +132,13 @@ def execute(config: dict) -> dict:
 
 def _strict_json(obj):
     """obj with each non-finite number written as a string ("nan", "inf",
-    "-inf"): strict JSON parsers reject NaN and Infinity."""
+    "-inf"), since strict JSON parsers reject NaN and Infinity, and each
+    key as a string, so keys sort the same whatever their type."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+        return {str(k): _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
         return [_strict_json(v) for v in obj]
     return obj
 
@@ -198,11 +202,10 @@ def main(argv=None) -> int:
         return 0
     if args.command == "dump-gridmap":
         try:
-            gm = named_gridmap(args.id, args.n)
-        except UnknownId as e:
+            gridmap_to_csv(named_gridmap(args.id, args.n), args.out)
+        except (UnknownId, ValueError, OSError) as e:
             sys.stderr.write(f"error: {e}\n")
             return 2
-        gridmap_to_csv(gm, args.out)
         return 0
     # run
     try:
@@ -220,7 +223,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2
-    write_report(report, config.get("out"))
+    try:
+        write_report(report, config.get("out"))
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write the report: {e}\n")
+        return 2
     return 0 if report["status"] == "pass" else 1
 
 

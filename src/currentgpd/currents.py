@@ -18,7 +18,7 @@ from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        constant_grid_map, degree, local_diffeo_inverse,
                        seminorm_distance)
 from .groupoids import (AxiomReport, LieGroupoid, axiom_violations,
-                        etale_index, restrict, worst_rank_ratio)
+                        etale_index, worst_rank_ratio)
 from .manifolds import component_major
 from .report import Certificate, worst_residual
 from .tolerances import DEFAULT
@@ -188,20 +188,6 @@ def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
             cur.mu_star(a, b).ambient
             - np.concatenate([lifted_g, m_part(b)], axis=-1))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# restriction to open object sets
-# ---------------------------------------------------------------------------
-
-def restriction_subgroupoid(cur: CurrentGroupoid, omega) -> CurrentGroupoid:
-    """Current groupoid of the restricted base groupoid.
-
-    An arrow belongs iff both endpoint maps have image inside omega; this
-    is the same set as the restriction of the current groupoid to the open
-    set of maps with image in omega.
-    """
-    return CurrentGroupoid(restrict(cur.base_gpd, omega), cur.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ import numpy as np
 from . import ad
 from .ad import value
 from .errors import SamplingFailure, Unsupported
-from .manifolds import (ChartedManifold, DiscreteManifold, OpenSubManifold,
-                        Point, ProductManifold, SmoothMap, component_major,
-                        map_jacobian, merge_components, redraw_rejected,
-                        split_components, squared_distance)
+from .manifolds import (ChartedManifold, DiscreteManifold, Point,
+                        ProductManifold, SmoothMap, component_major,
+                        map_jacobian, merge_components, split_components,
+                        squared_distance)
 from .catalog import Circle, Euclidean, Torus
 from .localadd import LieGroupOps, translation_group
 from .report import worst_residual
@@ -63,10 +63,8 @@ class LieGroupoid:
     """Structure maps plus the fiber description that samples arrows.
 
     Arrows are drawn by ``arrows.sample`` / ``arrows.sample_path``.  Arrows
-    with a prescribed target come from ``fiber``; ``sample_with_beta`` and
-    ``sample_arrow_path_with_beta`` are instance attributes so that
-    :func:`restrict` can replace them by rejection samplers.  A groupoid
-    without a fiber (``fiber=None``) raises SamplingFailure when asked for one.
+    with a prescribed target come from ``fiber``.  A groupoid without a
+    fiber (``fiber=None``) raises SamplingFailure when asked for one.
     """
 
     def __init__(self, name, arrows, base, alpha, beta, mu_fn, iota, unit,
@@ -81,7 +79,9 @@ class LieGroupoid:
         self.unit = unit              # SmoothMap M -> G
         self.fiber = fiber            # Fiber of beta, or None
         self.finite_group = None      # FiniteGroup for etale action groupoids
-        self.sample_with_beta = lambda x, rng: self._fiber().points(x, rng)
+        # an instance attribute, not a method: perfbench/tracer.py times it
+        # (its groupoids.sample_arrow_path span) only by wrapping what
+        # LieGroupoid.__setattr__ stores under this name
         self.sample_arrow_path_with_beta = (
             lambda tgt, params, rng, closed:
             self._fiber().path(tgt, params, rng, closed))
@@ -90,6 +90,9 @@ class LieGroupoid:
         if self.fiber is None:
             raise SamplingFailure(f"{self.name}: no fiber description")
         return self.fiber
+
+    def sample_with_beta(self, x, rng):
+        return self._fiber().points(x, rng)
 
     def project_to_beta(self, h, x):
         """The arrows with targets x and the free coordinates of h."""
@@ -361,63 +364,6 @@ def isotropy_group(gpd: LieGroupoid, x: Point,
     pos = {g: n for n, g in enumerate(idx)}
     table = np.asarray([[pos[int(grp.table[i, j])] for j in idx] for i in idx])
     return IsotropyGroup(x, idx, table)
-
-
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-def restrict(gpd: LieGroupoid, omega) -> LieGroupoid:
-    """Restriction to an open set: arrows with both endpoints inside omega.
-
-    `omega` is a vectorized predicate on stacked base-ambient arrays.  The
-    arrow manifold rejects arrows and arrow paths leaving omega; the fiber
-    samplers reject arrows and fiber paths whose source leaves omega, and
-    redraw only the rejected rows (a rejected path is redrawn whole).  For
-    paths this is the groupoid of grid maps whose endpoint maps have image
-    inside omega.
-    """
-    base = OpenSubManifold(gpd.base, omega, name=f"{gpd.base.name}|omega")
-
-    def arrow_pred(amb):
-        amb = np.atleast_2d(np.asarray(amb, dtype=float))
-        ok = np.logical_and(np.asarray(omega(gpd.alpha_batch(amb)), dtype=bool),
-                            np.asarray(omega(gpd.beta_batch(amb)), dtype=bool))
-        return ok
-
-    arrows = OpenSubManifold(gpd.arrows, arrow_pred,
-                             name=f"{gpd.arrows.name}|omega")
-    out = LieGroupoid(f"{gpd.name}|omega", arrows, base,
-                      SmoothMap(arrows, base, gpd.alpha.fn, name="alpha"),
-                      SmoothMap(arrows, base, gpd.beta.fn, name="beta"),
-                      gpd.mu_fn,
-                      SmoothMap(arrows, arrows, gpd.iota.fn, name="iota"),
-                      SmoothMap(base, arrows, gpd.unit.fn, name="unit"),
-                      gpd.fiber)
-    out.finite_group = gpd.finite_group
-
-    def sample_with_beta(x, rng):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return redraw_rejected(
-            x.shape[0],
-            lambda rows: np.atleast_2d(gpd.sample_with_beta(x[rows], rng)),
-            lambda cand: omega(gpd.alpha_batch(cand)), 200,
-            f"{out.name}: fiber sampling")
-
-    def sample_arrow_path_with_beta(tgt, params, rng, closed, max_tries=5000):
-        tgt = np.asarray(tgt, dtype=float)
-        stacked = tgt.reshape((-1,) + tgt.shape[-2:])
-        paths = redraw_rejected(
-            stacked.shape[0],
-            lambda rows: gpd.sample_arrow_path_with_beta(
-                stacked[rows], params, rng, closed),
-            lambda cand: np.all(omega(gpd.alpha_batch(cand)), axis=-1),
-            max_tries, f"{out.name}: fiber path sampling")
-        return paths.reshape(tgt.shape[:-1] + paths.shape[-1:])
-
-    out.sample_with_beta = sample_with_beta
-    out.sample_arrow_path_with_beta = sample_arrow_path_with_beta
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import ad
 from .ad import Dual, value
-from .errors import NotDifferentiable, OutOfChart, SamplingFailure
-from .tolerances import DEFAULT
+from .errors import NotDifferentiable, OutOfChart
 
 
 def split_components(arr):
@@ -105,33 +104,11 @@ def path_sampler(draw):
     ``n=1`` consume the random stream identically.
     """
     @functools.wraps(draw)
-    def sample_path(self, params, rng, closed, n=None, **options):
-        paths = draw(self, params, rng, closed, 1 if n is None else n,
-                     **options)
+    def sample_path(self, params, rng, closed, n=None):
+        paths = draw(self, params, rng, closed, 1 if n is None else n)
         return paths[0] if n is None else paths
 
     return sample_path
-
-
-def redraw_rejected(n, draw, accept, max_rounds, what):
-    """n accepted rows, each redrawn until it is accepted.
-
-    ``draw(rows)`` proposes one candidate for each index in ``rows`` and
-    ``accept(cand)`` says which candidates to keep; rejected rows are
-    proposed again, in index order, for at most ``max_rounds`` rounds.
-    """
-    todo = np.arange(n)
-    out = None
-    for _ in range(max_rounds):
-        cand = draw(todo)
-        good = np.asarray(accept(cand), dtype=bool)
-        if out is None:
-            out = np.empty((n,) + cand.shape[1:])
-        out[todo[good]] = cand[good]
-        todo = todo[~good]
-        if todo.size == 0:
-            return out
-    raise SamplingFailure(f"{what} exhausted")
 
 
 class Chart:
@@ -275,9 +252,6 @@ class Point:
     def __post_init__(self):
         self.coords.setflags(write=False)
         self.ambient.setflags(write=False)
-
-    def close_to(self, other, tol=DEFAULT.tol_chart):
-        return float(self.manifold.distance(self.ambient, other.ambient)) < tol
 
     def __repr__(self):
         return f"Point({self.manifold.name}#{self.chart_id}, {np.round(self.ambient, 6)})"
@@ -638,48 +612,3 @@ class DiscreteManifold(ChartedManifold):
     def sample_path(self, params, rng, closed, n):
         k = rng.integers(self.size, size=(n, 1, 1)).astype(float)
         return np.broadcast_to(k, (n, len(params), 1)).copy()
-
-
-class OpenSubManifold(ChartedManifold):
-    """Open subset cut out by an ambient predicate; charts are inherited."""
-
-    def __init__(self, base: ChartedManifold, pred, name=None):
-        self.base_manifold = base
-        self.pred = pred
-        super().__init__(name or f"{base.name}|open", base.dim, base.ambient_dim,
-                         base.charts, injectivity_radius=base.injectivity_radius)
-
-    def best_chart(self, amb):
-        """The base's best chart: the subset shares its chart sequence and ids."""
-        return self.base_manifold.best_chart(amb)
-
-    def contains(self, amb):
-        return bool(np.all(self.pred(np.asarray(amb, dtype=float))))
-
-    def geodesic_distance(self, a, b):
-        return self.base_manifold.geodesic_distance(a, b)
-
-    def sample(self, rng, n=None, max_tries=200):
-        if n is None:
-            for _ in range(max_tries):
-                amb = self.base_manifold.sample(rng)
-                if self.contains(amb):
-                    return amb
-            raise SamplingFailure(f"{self.name}: rejection sampling exhausted")
-        rows = []
-        for _ in range(max_tries):
-            cand = np.atleast_2d(self.base_manifold.sample(rng, n))
-            keep = np.asarray(self.pred(cand), dtype=bool)
-            rows.extend(cand[keep])
-            if len(rows) >= n:
-                return np.stack(rows[:n])
-        raise SamplingFailure(f"{self.name}: rejection sampling exhausted")
-
-    @path_sampler
-    def sample_path(self, params, rng, closed, n, max_tries=5000):
-        """Paths inside the subset; a path leaving it is redrawn whole."""
-        return redraw_rejected(
-            n, lambda rows: self.base_manifold.sample_path(
-                params, rng, closed, len(rows)),
-            lambda cand: np.all(self.pred(cand), axis=-1), max_tries,
-            f"{self.name}: path rejection sampling")

@@ -32,23 +32,6 @@ def worst_residual(*residuals) -> float:
     return float(out)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays to JSON-safe values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 @dataclass
 class Certificate:
     kind: str
@@ -60,8 +43,8 @@ class Certificate:
     def to_dict(self):
         return {
             "kind": self.kind,
-            "inputs": _plain(self.inputs),
-            "witness_data": _plain(self.witness_data),
+            "inputs": self.inputs,
+            "witness_data": self.witness_data,
             "verdict": self.verdict,
             "max_residual": float(self.max_residual),
         }
@@ -90,7 +73,7 @@ class CheckRecord:
             "wall_time_ms": float(self.wall_time_ms),
         }
         if self.details:
-            out["details"] = _plain(self.details)
+            out["details"] = self.details
         if self.certificates:
             out["certificates"] = [c.to_dict() for c in self.certificates]
         return out

@@ -62,8 +62,8 @@ class SuiteContext:
     def seed_for(self, suite, *batch):
         return derived_seed(self.seed, suite, *batch)
 
-    def count(self, suite, default):
-        return int(self.samples.get(suite, default))
+    def count(self, suite):
+        return int(self.samples.get(suite, SAMPLE_COUNTS[suite]))
 
 
 def _record(name, anchor, status, residual, n, seed, details=None, certs=None):
@@ -82,7 +82,7 @@ def suite_groupoid_axioms(ctx: SuiteContext):
     records = []
     for name in ctx.instances:
         seed = ctx.seed_for("groupoid-axioms", name)
-        n = ctx.count("groupoid-axioms", 1000)
+        n = ctx.count("groupoid-axioms")
         rep = check_axioms(make_groupoid(name), n_samples=n, seed=seed)
         status = "pass" if rep.passed(ctx.tol.tol_chart) else "fail"
         records.append(_record(f"groupoid-axioms/{name}", "groupoid definition",
@@ -98,7 +98,7 @@ def suite_current_groupoid_axioms(ctx: SuiteContext):
         for n in (8, 64, 256):
             seed = ctx.seed_for("current-groupoid-axioms", name, n)
             cur = build_current(gpd, GridSpec("circle", n, ctx.grid.ell))
-            count = ctx.count("current-groupoid-axioms", 1000)
+            count = ctx.count("current-groupoid-axioms")
             rep = cur.check_axioms(n_samples=count, seed=seed)
             status = "pass" if rep.passed(ctx.tol.tol_chart) else "fail"
             records.append(_record(f"current-groupoid-axioms/{name}/n{n}",
@@ -236,7 +236,7 @@ def suite_tangent_diagram(ctx: SuiteContext):
     # within the circle's coherence bound
     grid = GridSpec(ctx.grid.kind, max(ctx.grid.n, 16), ctx.grid.ell)
     worst = 0.0
-    reps = ctx.count("tangent-diagram", 50)
+    reps = ctx.count("tangent-diagram")
     for name in chosen:
         f = maps[name]
         add = riemannian_local_addition(f.source)
@@ -269,7 +269,7 @@ def suite_pushforward_classifiers(ctx: SuiteContext):
     rng = np.random.default_rng(seed)
     grid = GridSpec("circle", 16, ctx.grid.ell)
     records = []
-    reps = ctx.count("pushforward-classifiers", 100)
+    reps = ctx.count("pushforward-classifiers")
     for name, want in expected.items():
         f = maps[name]
         ok = True
@@ -292,7 +292,7 @@ def suite_local_inverse(ctx: SuiteContext):
     worst = 0.0
     x = grid.params()
     gamma0 = GridMap(grid, line, np.zeros((grid.n, 1)))
-    count = ctx.count("local-inverse", 100)
+    count = ctx.count("local-inverse")
     for _ in range(count):
         amp = rng.uniform(0.1, 0.8)
         ph = rng.uniform(0, 2 * math.pi)
@@ -368,7 +368,7 @@ def suite_not_proper_certificate(ctx: SuiteContext):
 def suite_proper_etale_lifting(ctx: SuiteContext):
     gpd = make_groupoid("z4-plane")
     seed = ctx.seed_for("proper-etale-lifting")
-    n_arrows = ctx.count("proper-etale-lifting", 200)
+    n_arrows = ctx.count("proper-etale-lifting")
     ok_nodes, worst = current_etale_nodes(gpd, ctx.grid, n_arrows=n_arrows,
                                           seed=seed,
                                           tol_rank=ctx.tol.tol_rank)
@@ -395,7 +395,7 @@ def suite_theorem_d(ctx: SuiteContext):
         alg = algebroid_of_groupoid(gpd)
         seed = ctx.seed_for("theorem-D-pointwise-bracket", name)
         rng = np.random.default_rng(seed)
-        count = ctx.count("theorem-D-pointwise-bracket", 50)
+        count = ctx.count("theorem-D-pointwise-bracket")
         bases, draws = [], []
         for _ in range(count):
             bases.append(random_grid_map(grid, gpd.base, rng))
@@ -472,7 +472,7 @@ def suite_path_lifting(ctx: SuiteContext):
     worst = 0.0
     equein = 0.0
     coherent = True
-    count = ctx.count("path-lifting", 100)
+    count = ctx.count("path-lifting")
     for _ in range(count):
         # fixed-point-free path: radius bounded away from the origin
         t = grid.params()
@@ -546,6 +546,20 @@ def suite_embedding(ctx: SuiteContext):
     ok = worst <= ctx.tol.tol_theta and injective
     return [_record("embedding", "Theorem F", "pass" if ok else "fail",
                     worst, 100, seed)]
+
+
+# Default sample counts of the suites that read one; a config's
+# "samples" may set only these.
+SAMPLE_COUNTS = {
+    "groupoid-axioms": 1000,
+    "current-groupoid-axioms": 1000,
+    "tangent-diagram": 50,
+    "pushforward-classifiers": 100,
+    "local-inverse": 100,
+    "proper-etale-lifting": 200,
+    "theorem-D-pointwise-bracket": 50,
+    "path-lifting": 100,
+}
 
 
 SUITES = {

@@ -1,4 +1,11 @@
+from currentgpd.tolerances import DEFAULT
+
 ACCEPTANCE_LINES = []
+
+
+def close_to(p, q, tol=DEFAULT.tol_chart):
+    """Whether two points of one manifold lie within tol of each other."""
+    return float(p.manifold.distance(p.ambient, q.ambient)) < tol
 
 
 def record_criterion(num, description, ok, residual=None):

@@ -94,11 +94,12 @@ def test_numpy_does_not_absorb_duals():
     assert d.re == pytest.approx(6.0)
 
 
-def test_sqrt_and_log_chain():
+def test_sqrt_and_atan_chain():
     x = Dual(2.0, 1.0)
-    y = ad.log(ad.sqrt(x))
-    assert y.re == pytest.approx(0.5 * math.log(2.0))
-    assert y.ep == pytest.approx(0.5 / 2.0)
+    y = ad.atan(ad.sqrt(x))
+    assert y.re == pytest.approx(math.atan(math.sqrt(2.0)))
+    # d/dx atan(sqrt(x)) = 1 / (2 sqrt(x) (1 + x))
+    assert y.ep == pytest.approx(1.0 / (2.0 * math.sqrt(2.0) * 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +298,6 @@ def test_jacobian_columns_refuses_points_with_direction_axes():
 ELEMENTARY = {
     "sin": (ad.sin, lambda rng, n: [rng.uniform(-20.0, 20.0, n)]),
     "cos": (ad.cos, lambda rng, n: [rng.uniform(-20.0, 20.0, n)]),
-    "exp": (ad.exp, lambda rng, n: [rng.uniform(-30.0, 30.0, n)]),
-    "log": (ad.log, lambda rng, n: [rng.uniform(1e-3, 2.0, n)]),
     "sqrt": (ad.sqrt, lambda rng, n: [rng.uniform(0.0, 100.0, n)]),
     "atan": (ad.atan, lambda rng, n: [10.0 * rng.normal(size=n)]),
     "atan2": (ad.atan2, lambda rng, n: [rng.normal(size=n),

@@ -45,7 +45,8 @@ class TestConfigValidation:
                ({"grid": {"n": "64"}}, "grid n"),
                ({"tolerances": {"tol_chart": True}}, "tol_chart"),
                ({"suites": "atlas-negative"}, "suites"),
-               ({"instances": "z4-plane"}, "instances")]
+               ({"instances": "z4-plane"}, "instances"),
+               ({"samples": {"flip-identities": 3}}, "flip-identities")]
         for change, named in bad:
             cfg = write_config(tmp_path, **{"seed": 1,
                                             "suites": ["flip-identities"],
@@ -145,6 +146,13 @@ class TestRun:
         assert min(times) >= 0.0 and sum(times) <= elapsed
         assert len(set(times)) > 1
 
+    def test_unwritable_report_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "r.json"
+        cfg = write_config(tmp_path, seed=1, suites=["atlas-negative"])
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(out) in err
+
     def test_unknown_suite_flag_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)
         assert main(["run", "--config", cfg, "--suite", "nope"]) == 2
@@ -157,8 +165,10 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
 
     def test_non_finite_residuals_are_written_as_strict_json(self, tmp_path):
+        # keys of mixed types sort as strings; a tuple is written as a list
         record = CheckRecord("x/nan", "anchor", "fail", math.nan, 1, 0,
-                             details={"worst": [math.inf, -math.inf, 0.5]})
+                             details={"worst": [math.inf, -math.inf, 0.5],
+                                      "pair": (math.nan, 1.0), 10: 1, 2: 2})
         out = tmp_path / "r.json"
         write_report({"status": "fail", "records": [record.to_dict()]}, out)
 
@@ -168,7 +178,9 @@ class TestRun:
         got = json.loads(out.read_text(), parse_constant=refuse)
         written, = got["records"]
         assert written["max_residual"] == "nan"
-        assert written["details"]["worst"] == ["inf", "-inf", 0.5]
+        assert written["details"] == {"10": 1, "2": 2, "pair": ["nan", 1.0],
+                                      "worst": ["inf", "-inf", 0.5]}
+        assert list(written["details"]) == ["10", "2", "pair", "worst"]
 
 
 class TestDeterminism:
@@ -223,6 +235,16 @@ class TestDumpGridmap:
     def test_unknown_id_exits_2(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["dump-gridmap", "no-such-map", "--out", str(out)]) == 2
+
+    def test_too_few_nodes_or_a_missing_directory_exits_2(self, tmp_path,
+                                                          capsys):
+        for out, n, named in ((tmp_path / "x.csv", "3", "at least 8"),
+                              (tmp_path / "no" / "x.csv", "8", "x.csv")):
+            assert main(["dump-gridmap", "identity-loop", "--n", n,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and named in err
+            assert not out.exists()
 
     def test_named_maps_registry(self):
         gm = named_gridmap("winding-2-loop", 64)

@@ -9,14 +9,11 @@ from currentgpd.currents import (action_iso, build_current,
                                  current_etale_nodes, pair_iso,
                                  proper_etale_fiber_bound,
                                  properness_failure_witness,
-                                 restriction_subgroupoid,
                                  transitivity_obstruction)
-from currentgpd.errors import NotComposable, SamplingFailure
+from currentgpd.errors import NotComposable
 from currentgpd.gridmaps import (GridSpec, circle_identity_loop,
                                  constant_grid_map)
-from currentgpd.groupoids import (GROUPOIDS, LieGroupoid, make_groupoid,
-                                  restrict)
-from currentgpd.manifolds import OpenSubManifold
+from currentgpd.groupoids import GROUPOIDS, LieGroupoid, make_groupoid
 
 CIRCLE = Circle()
 
@@ -108,69 +105,6 @@ class TestStructuralIsos:
 
     def test_minimal_grid(self):
         assert pair_iso(GridSpec("circle", 8), CIRCLE, 20, seed=6) <= 1e-10
-
-
-class TestRestriction:
-    def test_restriction_to_everything_is_lossless(self):
-        cur = build_current(make_groupoid("pair-real1"), GridSpec("circle", 8))
-        sub = restriction_subgroupoid(cur, lambda amb: np.ones(
-            amb.shape[:-1], dtype=bool))
-        rep = sub.check_axioms(50, seed=7)
-        assert rep.max_violation <= 1e-9
-
-    def test_restricted_axioms_pass(self):
-        cur = build_current(make_groupoid("pair-real1"), GridSpec("circle", 8))
-        sub = restriction_subgroupoid(
-            cur, lambda amb: (amb[..., 0] > -4.5) & (amb[..., 0] < 4.5))
-        rep = sub.check_axioms(50, seed=8)
-        assert rep.max_violation <= 1e-9
-
-    def test_restriction_rejects_whole_paths(self):
-        # pair-real1 paths start uniformly in (-pi, pi), so most leave x > 0
-        cur = build_current(make_groupoid("pair-real1"), GridSpec("circle", 8))
-        omega = lambda amb: amb[..., 0] > 0.0
-        inside = lambda gm: np.all(omega(gm.ambient))
-        sub = restriction_subgroupoid(cur, omega)
-        rng = np.random.default_rng(9)
-        free = [cur.sample_arrow(rng) for _ in range(20)]
-        assert not all(inside(cur.alpha_star(a)) for a in free)
-        for _ in range(50):
-            a = sub.sample_arrow(rng)
-            assert inside(sub.alpha_star(a))
-            assert inside(sub.beta_star(a))
-            b = sub.sample_with_beta(sub.alpha_star(a), rng)
-            assert inside(sub.alpha_star(b))
-        rep = sub.check_axioms(50, seed=10)
-        assert rep.max_violation <= 1e-9
-
-    def test_batched_open_subset_paths(self):
-        grid = GridSpec("circle", 8)
-        line = make_groupoid("pair-real1").base
-        inside = OpenSubManifold(line, lambda amb: amb[..., 0] > 0.0)
-        rng = np.random.default_rng(17)
-        paths = inside.sample_path(grid.params(), rng, True, n=50)
-        assert paths.shape == (50, 8, 1)
-        assert np.all(paths[..., 0] > 0.0)
-        assert len({row.tobytes() for row in paths}) == 50
-        empty = OpenSubManifold(line, lambda amb: amb[..., 0] > 100.0)
-        with pytest.raises(SamplingFailure):
-            empty.sample_path(grid.params(), rng, True, n=5, max_tries=3)
-
-    def test_batched_restricted_fiber_paths(self):
-        gpd = make_groupoid("pair-real1")
-        grid = GridSpec("circle", 8)
-        omega = lambda amb: amb[..., 0] > 0.0
-        sub = restrict(gpd, omega)
-        rng = np.random.default_rng(18)
-        tgt = sub.base.sample_path(grid.params(), rng, True, n=40)
-        paths = sub.sample_arrow_path_with_beta(tgt, grid.params(), rng, True)
-        assert paths.shape == (40, 8, 2)
-        assert np.max(np.abs(sub.beta_batch(paths) - tgt)) <= 1e-12
-        assert np.all(omega(sub.alpha_batch(paths)))
-        empty = restrict(gpd, lambda amb: amb[..., 0] > 100.0)
-        with pytest.raises(SamplingFailure):
-            empty.sample_arrow_path_with_beta(tgt, grid.params(), rng, True,
-                                              max_tries=3)
 
 
 class TestTransitivityObstruction:

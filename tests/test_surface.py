@@ -16,7 +16,8 @@ calls belongs in that test.  Five scans:
   attribute, as a string handed to ``getattr`` or ``hasattr``, or as a
   string in ``perfbench/``.
 - Module tables.  Every module-level name is loaded in its own module,
-  imported by a caller, or read as ``module.NAME``.
+  imported by a caller, or read as ``module.NAME``.  A load inside the
+  name's own assignment does not count.
 - Parameters.  Every defaulted parameter of a top-level function or a
   method is set by some call in the package, ``perfbench/`` or ``tests/``.
   A call is matched to a definition by name: a function by its name, a
@@ -63,15 +64,11 @@ KEEP = {
     "chart_phi": "the paper's chart of C^l(K, M); tests check it",
     "chart_phi_inverse": "the inverse chart of C^l(K, M); tests check it",
     "second_tangent_map": "T^2 f on second tangents; tests check it",
-    "restriction_subgroupoid": "restriction to an open subgroupoid; tests "
-                               "check it",
     "lie_group_local_addition": "the local addition of a Lie group; tests "
                                 "check it",
     "circle_group": "the group that lie_group_local_addition is checked on",
     "superposition": "the superposition operator gamma -> f(x, gamma(x)) of "
                      "a parameter-dependent map; tests check it",
-    "log": "the dual logarithm, one of the elementary functions whose "
-           "rounding tests pin to numpy's",
 }
 
 # Defaulted parameters that no call sets, as "function(parameter)" or
@@ -126,16 +123,21 @@ def named(tree):
 def reads(tree, home, own):
     """Names by which a module can read a top-level name of module ``home``,
     a function or a table; ``own`` says whether the module is ``home``
-    itself."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            if own and isinstance(node.ctx, ast.Load):
-                yield node.id
-        elif isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == home:
-                yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+    itself.  A load inside the top-level assignment of the same name, as in
+    ``exp = lift(lambda x: exp(x))``, does not count: only that assignment
+    reaches it."""
+    for stmt in tree.body:
+        assigns = set(assigned(stmt))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                if (own and isinstance(node.ctx, ast.Load)
+                        and node.id not in assigns):
+                    yield node.id
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id == home:
+                    yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rpartition(".")[2]
 
 
 def attribute_loads(tree):
@@ -177,19 +179,24 @@ def looked_up(tree):
             yield node.args[1].value
 
 
+def assigned(stmt):
+    """Names a statement assigns, dunders aside."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name) and not is_dunder(sub.id):
+                yield sub.id
+
+
 def module_names(tree):
     """Names a module assigns at its top level, dunders aside."""
     for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name) and not is_dunder(sub.id):
-                    yield sub.id
+        yield from assigned(node)
 
 
 def defaulted_parameters(fn, bound):
@@ -355,6 +362,12 @@ def test_the_scans_see_what_they_look_for():
     assert set(reads(table, "mod", own=True)) & {*"TUV"} == {"U"}
     reader = ast.parse("from mod import V\nx = mod.T\ny = U\n")
     assert set(reads(reader, "mod", own=False)) == {"V", "T"}
+    # a name read only inside its own assignment is not read; names that
+    # read each other are
+    lifted = ast.parse("exp = lift(lambda x: exp(x))\n"
+                       "sin = lift(lambda x: cos(x))\n"
+                       "cos = lift(lambda x: -sin(x))\n")
+    assert set(reads(lifted, "mod", own=True)) == {"lift", "x", "sin", "cos"}
     # a parameter is set by keyword, by a position past it or by unpacking;
     # a method's position skips self, __init__ is reached through its class
     # and super().__init__, and a method call x.f does not reach f

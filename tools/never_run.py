@@ -49,15 +49,9 @@ PLANNED = "input to a planned property-inheritance suite (Theorems C and E)"
 TESTED = "library surface that tests check; KEEP in tests/test_surface.py"
 DISTANCE = ("the intrinsic distance that coherence checks read; no grid map "
             "the work checks lands on this manifold")
-RESTRICT = ("restriction to an open subgroupoid, reached only through "
-            "restriction_subgroupoid, which tests check")
 
 # module:qualname -> (never-run lines, why they stay)
 ALLOW = {
-    "ad:<lambda>":
-        (2, "the derivative rules of exp and log; nothing differentiates "
-         "either"),
-    "ad:Dual.__pos__": (2, "unary plus on a dual, which no formula writes"),
     "ad:Dual.__repr__": (2, REPR),
     "ad:_columns":
         (1, "an output part without the direction axis; every output the work "
@@ -96,10 +90,10 @@ ALLOW = {
     "cli:_mapping": (1, CLI),
     "cli:_strict_json": (1, NAN),
     "cli:execute": (2, CLI),
-    "cli:load_config": (19, CLI),
+    "cli:load_config": (22, CLI),
     "cli:main":
-        (11, "the --seed and --suite flags and the exit on a bad id or config; "
-         "tests/test_cli.py runs them"),
+        (14, "the --seed and --suite flags, and the exit on a bad id, config, "
+         "node count or output path; tests/test_cli.py runs them"),
     "cli:named_gridmap": (1, CLI),
     "cli:write_report":
         (1, "writes the report to stdout; the traced runs write it to a file"),
@@ -110,7 +104,6 @@ ALLOW = {
     "currents:properness_failure_witness":
         (1, "the inconclusive verdict; the winding family always shows the "
          "obstruction"),
-    "currents:restriction_subgroupoid": (2, TESTED),
     "errors:BranchAmbiguity.__init__": (3, RAISES),
     "errors:GraphOutsideDomain.__init__": (3, RAISES),
     "errors:NotInDomainU.__init__": (3, RAISES),
@@ -152,14 +145,6 @@ ALLOW = {
         (1, "a single pair of group elements; the work multiplies batches"),
     "groupoids:isotropy_group": (1, RAISES),
     "groupoids:make_groupoid": (1, RAISES),
-    "groupoids:restrict": (18, RESTRICT),
-    "groupoids:restrict.<locals>.arrow_pred": (5, RESTRICT),
-    "groupoids:restrict.<locals>.sample_arrow_path_with_beta": (9, RESTRICT),
-    "groupoids:restrict.<locals>.sample_arrow_path_with_beta.<locals>.<lambda>":
-        (3, RESTRICT),
-    "groupoids:restrict.<locals>.sample_with_beta": (7, RESTRICT),
-    "groupoids:restrict.<locals>.sample_with_beta.<locals>.<lambda>":
-        (2, RESTRICT),
     "groupoids:worst_rank_ratio":
         (2, "the two cases that need no Jacobian; the planned "
          "property-inheritance suite (Theorems C and E) reaches them"),
@@ -203,15 +188,7 @@ ALLOW = {
     "manifolds:LazyCharts.__len__":
         (2, "read by describe() in perfbench/workloads.py, which the tracer "
          "does not call"),
-    "manifolds:OpenSubManifold.__init__": (5, RESTRICT),
-    "manifolds:OpenSubManifold.best_chart": (2, RESTRICT),
-    "manifolds:OpenSubManifold.contains": (2, RESTRICT),
-    "manifolds:OpenSubManifold.geodesic_distance": (2, RESTRICT),
-    "manifolds:OpenSubManifold.sample": (15, RESTRICT),
-    "manifolds:OpenSubManifold.sample_path": (5, RESTRICT),
-    "manifolds:OpenSubManifold.sample_path.<locals>.<lambda>": (3, RESTRICT),
     "manifolds:Point.__repr__": (2, REPR),
-    "manifolds:Point.close_to": (2, "point comparison that tests assert with"),
     "manifolds:ProductManifold.__init__.<locals>.<genexpr>":
         (1, "the default name; every product the work builds is named"),
     "manifolds:ProductManifold.best_chart": (2, RAISES),
@@ -227,7 +204,6 @@ ALLOW = {
     "manifolds:_pairwise_sum.<locals>.<listcomp>":
         (1, "sums of 16 or more terms; no ambient space the work measures has "
          "16 coordinates"),
-    "manifolds:redraw_rejected": (13, RESTRICT),
     "manifolds:second_tangent_map": (24, TESTED),
     "manifolds:second_tangent_map.<locals>.<listcomp>": (2, TESTED),
     "manifolds:tangent_map": (1, RAISES),
@@ -240,12 +216,6 @@ ALLOW = {
         (2, "group elements outside the isotropy; both points the suite takes "
          "are fixed by the whole group"),
     "orbifolds:path_lift": (9, RAISES),
-    "report:_plain":
-        (4, "numpy values in details or certificates; every suite stores "
-         "Python ones"),
-    "report:_plain.<locals>.<listcomp>":
-        (1, "numpy values in details or certificates; every suite stores "
-         "Python ones"),
     "report:worst_residual": (1, NAN),
     "suites:SuiteContext.<lambda>":
         (2, "defaults that cli.execute always sets; tests rely on them"),
