@@ -83,10 +83,10 @@ class CurrentGroupoid:
             self.grid.params(), rng, self.grid.closed))
 
     # -- lifted axiom suite -------------------------------------------------------
-    def check_axioms(self, n_samples=1000, seed=0, chunk=250) -> AxiomReport:
+    def check_axioms(self, n_samples=1000, seed=0) -> AxiomReport:
         """Lifted axiom residuals over seeded composable grid-arrow samples.
 
-        The samples are taken in chunks of at most ``chunk``.  Each chunk is
+        The samples are taken in chunks of at most 250.  Each chunk is
         drawn in four batched calls: m arrow paths g, then one fiber path h
         over each source path alpha(g) and one k over each alpha(h), then m
         object paths for the unit laws.  Every draw is an (m, nodes,
@@ -101,7 +101,7 @@ class CurrentGroupoid:
         worst = {}
         done = 0
         while done < n_samples:
-            m = min(chunk, n_samples - done)
+            m = min(250, n_samples - done)
             g = gpd.arrows.sample_path(params, rng, closed, m)
             h = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(g), params,
                                                 rng, closed)
@@ -195,7 +195,7 @@ def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
 # ---------------------------------------------------------------------------
 
 def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
-                             seed=0, tol=DEFAULT.tol_theta) -> Certificate:
+                             seed=0) -> Certificate:
     """Solve, or obstruct, the anchor equation for the rotation action.
 
     For target loops (eta1, eta2) into the circle, an arrow (t, eta1) with

@@ -9,10 +9,6 @@ class OutOfChart(GeometryError):
     """Point does not lie in the requested chart's domain."""
 
 
-class NotDifferentiable(GeometryError):
-    """Map's declared differentiability order is too low for the operation."""
-
-
 class Unsupported(GeometryError):
     """Construction is only available for catalog objects."""
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import ad
 from .errors import (BranchAmbiguity, CoherenceLost, GraphOutsideDomain,
-                     NotDifferentiable, NotInDomainU, NotInThetaImage,
-                     OutsideNeighborhood, Unsupported)
+                     NotInDomainU, NotInThetaImage, OutsideNeighborhood,
+                     Unsupported)
 from .linalg import numerical_ranks
 from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
@@ -61,15 +61,14 @@ class GridMap:
     """A map from the grid into a manifold, stored as stacked ambient rows."""
 
     def __init__(self, grid: GridSpec, target: ChartedManifold, ambient,
-                 delta_coh=None, check=True):
+                 delta_coh=None):
         self.grid = grid
         self.target = target
         self.ambient = np.asarray(ambient, dtype=float)
         if self.ambient.shape != (grid.n, target.ambient_dim):
             raise ValueError("ambient array has the wrong shape")
         self.delta_coh = target.coherence_bound() if delta_coh is None else delta_coh
-        if check:
-            self.check_coherence()
+        self.check_coherence()
 
     def check_coherence(self):
         if not np.isfinite(self.delta_coh):
@@ -109,8 +108,8 @@ def circle_identity_loop(grid, circle) -> GridMap:
     return GridMap(grid, circle, np.stack([np.cos(th), np.sin(th)], axis=-1))
 
 
-def circle_winding_loop(grid, circle, k, phase=0.0) -> GridMap:
-    th = k * grid.params() + phase
+def circle_winding_loop(grid, circle, k) -> GridMap:
+    th = k * grid.params()
     n = max(1, abs(int(k)))
     return GridMap(grid, circle, np.stack([np.cos(th), np.sin(th)], axis=-1),
                    delta_coh=min(circle.coherence_bound() * n, math.pi - 1e-6))
@@ -162,18 +161,6 @@ def random_section(gm: GridMap, rng, scale=0.1) -> GridSection:
 # seminorms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeminormProfile:
-    orders: tuple
-
-    @property
-    def order0(self):
-        return self.orders[0]
-
-    def __getitem__(self, j):
-        return self.orders[j]
-
-
 def _finite_difference(arr, h, order, closed):
     a = np.asarray(arr, dtype=float)
     if order == 0:
@@ -196,7 +183,7 @@ def _finite_difference(arr, h, order, closed):
     return out
 
 
-def seminorm_distance(a: GridMap, b: GridMap) -> SeminormProfile:
+def seminorm_distance(a: GridMap, b: GridMap) -> tuple:
     """Sup distances of ambient finite differences of orders 0..ell."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
@@ -209,7 +196,7 @@ def seminorm_distance(a: GridMap, b: GridMap) -> SeminormProfile:
             da = _finite_difference(a.ambient, h, j, a.grid.closed)
             db = _finite_difference(b.ambient, h, j, b.grid.closed)
             entries.append(float(np.max(np.linalg.norm(da - db, axis=-1))))
-    return SeminormProfile(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +234,6 @@ def superposition(f: SuperpositionMap, gamma: GridMap) -> GridMap:
 def pushforward_tangent(f: SmoothMap, gamma: GridMap,
                         tau: GridSection) -> GridSection:
     """Nodewise tangent map, vectorized with array-coefficient duals."""
-    if f.order < 1:
-        raise NotDifferentiable(f"{f.name} is not declared C^1")
     if tau.base is not gamma and not tau.base.close_to(gamma):
         raise ValueError("section is not based over the given grid map")
     vals, eps = ad.jvp(f.fn, split_components(gamma.ambient),
@@ -332,25 +317,22 @@ def classify_pushforward(f: SmoothMap, gamma: GridMap,
 # ---------------------------------------------------------------------------
 
 def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
-                         start: Point | None = None, patch_radius=None,
-                         max_step=None, tol=DEFAULT.tol_theta) -> GridMap:
+                         start: Point | None = None,
+                         tol=DEFAULT.tol_theta) -> GridMap:
     """Invert the push-forward of a local diffeomorphism node by node.
 
     Branches are selected by proximity to the previous node's lift (node 0:
     to `start`, default gamma0's first value); a coherent lift must close up
     on circle grids.  Failures report the offending node.  The map must
-    supply `preimage_branches(target_ambient, near_ambient) -> [ambient, ...]`.
+    supply `preimage_branches(target_ambient, near_ambient) -> [ambient, ...]`
+    and `branch_separation`, the least distance between two preimages of a
+    point; a lift steps at most half of it from node to node.
     """
     if f.preimage_branches is None:
         raise Unsupported(f"{f.name}: no preimage branches to choose from")
     m = f.source
     n = eta.grid.n
-    if max_step is None:
-        sep = getattr(f, "branch_separation", None)
-        if sep is not None:
-            max_step = 0.5 * sep
-        else:
-            max_step = m.coherence_bound()
+    max_step = 0.5 * f.branch_separation
     ambiguity_gap = m.coherence_bound()
     if not np.isfinite(ambiguity_gap):
         ambiguity_gap = max_step
@@ -371,12 +353,8 @@ def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
             gap = float(m.geodesic_distance(best, second))
             if gap < ambiguity_gap / 4.0 and dists[int(order[1])] < max_step:
                 raise BranchAmbiguity(i)
-        if np.isfinite(max_step) and dists[int(order[0])] > max_step and i > 0:
+        if dists[int(order[0])] > max_step and i > 0:
             raise OutsideNeighborhood(i)
-        if patch_radius is not None:
-            off = float(m.geodesic_distance(best, gamma0.ambient[i]))
-            if off > patch_radius:
-                raise OutsideNeighborhood(i)
         res = float(f.target.distance(
             merge_components(f.fn(split_components(best))), target_amb))
         if res > tol:
@@ -385,12 +363,11 @@ def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
         prev = best
     if eta.grid.closed:
         closure = float(m.geodesic_distance(rows[-1], rows[0]))
-        if np.isfinite(max_step) and closure > max_step:
+        if closure > max_step:
             raise OutsideNeighborhood(
                 0, f"lift does not close up (gap {closure:.3f})")
     return GridMap(eta.grid, m, np.stack(rows),
-                   delta_coh=max_step * (1.0 + 1e-9) if np.isfinite(max_step)
-                   else None)
+                   delta_coh=max_step * (1.0 + 1e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,12 @@ from .tolerances import DEFAULT
 class LocalAddition:
     """The pair (U, sigma) with theta = (projection, sigma)."""
 
-    def __init__(self, manifold, sigma_fn, domain_fn, normalized=False,
-                 closed_log=None, fiber_radius=np.inf, name="sigma"):
+    def __init__(self, manifold, sigma_fn, domain_fn, closed_log=None,
+                 name="sigma"):
         self.manifold = manifold
         self.sigma_fn = sigma_fn              # TM-ambient comps -> M-ambient comps
         self.domain_fn = domain_fn            # (p_amb, v_amb float arrays) -> bool
-        self.normalized = normalized
         self.closed_log = closed_log          # (p comps, q comps) -> v_amb comps
-        self.fiber_radius = fiber_radius
         self.name = name
 
     # -- evaluation ---------------------------------------------------------
@@ -103,7 +101,6 @@ def riemannian_local_addition(m: ChartedManifold) -> LocalAddition:
     if not hasattr(m, "exp_amb"):
         raise Unsupported(f"no closed-form exponential for {m.name}")
     am = m.ambient_dim
-    radius = m.injectivity_radius
 
     def sigma_fn(comps):
         return m.exp_amb(list(comps[:am]), list(comps[am:]))
@@ -111,9 +108,8 @@ def riemannian_local_addition(m: ChartedManifold) -> LocalAddition:
     def closed_log(p, q):
         return m.log_amb(p, q)
 
-    return LocalAddition(m, sigma_fn, _radius_domain(m, radius),
-                         normalized=True, closed_log=closed_log,
-                         fiber_radius=radius, name=f"exp_{m.name}")
+    return LocalAddition(m, sigma_fn, _radius_domain(m, m.injectivity_radius),
+                         closed_log=closed_log, name=f"exp_{m.name}")
 
 
 def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
@@ -144,10 +140,7 @@ def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
                                           list(q[offs[i]:offs[i + 1]])))
             return out
 
-    return LocalAddition(pm, sigma_fn, domain,
-                         normalized=all(a.normalized for a in factor_adds),
-                         closed_log=closed,
-                         fiber_radius=min(a.fiber_radius for a in factor_adds),
+    return LocalAddition(pm, sigma_fn, domain, closed_log=closed,
                          name=f"prod({','.join(a.name for a in factor_adds)})")
 
 
@@ -197,57 +190,47 @@ def translation_group(eucl) -> LieGroupOps:
     )
 
 
-def lie_group_local_addition(group: LieGroupOps, psi=None) -> LocalAddition:
-    """sigma(v) = g . psi(omega(v)) with g the foot point of v.
+def lie_group_local_addition(group: LieGroupOps) -> LocalAddition:
+    """sigma(v) = g . exp(omega(v)) with g the foot point of v.
 
-    With psi the group exponential chart the result is normalized; a custom
-    chart diffeomorphism psi (with psi(0) = identity) gives an unnormalized
-    local addition, useful for exercising the normalization pass.
+    exp is the group exponential chart, so the result is normalized: its
+    fiber derivative at zero is the identity.
     """
     m = group.manifold
     if not hasattr(m, "speed"):
         raise Unsupported(f"{m.name} is not a catalog group manifold")
     am = m.ambient_dim
-    psi_fn = psi or group.exp_chart
-    normalized = psi is None
-    radius = m.injectivity_radius
 
     def sigma_fn(comps):
         g = list(comps[:am])
         v = list(comps[am:])
-        return group.mul(g, psi_fn(group.omega(g, v)))
+        return group.mul(g, group.exp_chart(group.omega(g, v)))
 
     closed = None
-    if psi is None and hasattr(m, "log_amb"):
+    if hasattr(m, "log_amb"):
         def closed(p, q):
             return m.log_amb(list(p), list(q))
 
-    return LocalAddition(m, sigma_fn, _radius_domain(m, radius),
-                         normalized=normalized, closed_log=closed,
-                         fiber_radius=radius, name=f"grp_{group.name}")
+    return LocalAddition(m, sigma_fn, _radius_domain(m, m.injectivity_radius),
+                         closed_log=closed, name=f"grp_{group.name}")
 
 
 def fiber_derivative(add: LocalAddition, p: Point, h=DEFAULT.h_fd):
     """Finite-difference derivative of sigma|_(T_pM) at 0_p, in chart coords.
 
-    Central differences, independent of the AD path; the normalization
-    checks are defined against this matrix.
+    Central differences of w -> chart(sigma(d inv . w)) at w = 0,
+    independent of the AD path; the normalization checks are defined against
+    this matrix.
     """
     m = add.manifold
     chart = m.charts[p.chart_id]
-    d = m.dim
-    out = np.zeros((d, d))
-    for j in range(d):
-        e = [0.0] * d
-        e[j] = h
-        _, v = ad.jvp(chart.inv, list(p.coords), e)
-        vp = np.asarray([value(c) for c in v], dtype=float)
-        qp = add.sigma_batch(p.ambient, vp)
-        qm = add.sigma_batch(p.ambient, -vp)
-        cp = merge_components(chart.fwd(split_components(qp)))
-        cm = merge_components(chart.fwd(split_components(qm)))
-        out[:, j] = (cp - cm) / (2.0 * h)
-    return out
+
+    def rep(w):
+        _, v = ad.jvp(chart.inv, list(p.coords), w)
+        q = add.sigma_batch(p.ambient, [value(c) for c in v])
+        return chart.fwd(split_components(q))
+
+    return ad.fd_jacobian(rep, [0.0] * m.dim, h)
 
 
 def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
@@ -307,10 +290,7 @@ def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
         return add.domain_fn(np.asarray(p_amb, dtype=float),
                              np.asarray(v_amb, dtype=float) / 0.9)
 
-    return LocalAddition(m, sigma_fn, domain, normalized=True,
-                         closed_log=None,
-                         fiber_radius=add.fiber_radius * 0.9,
-                         name=f"norm({add.name})")
+    return LocalAddition(m, sigma_fn, domain, name=f"norm({add.name})")
 
 
 def tangent_local_addition(add: LocalAddition) -> LocalAddition:
@@ -339,6 +319,4 @@ def tangent_local_addition(add: LocalAddition) -> LocalAddition:
         v_amb = np.asarray(v_amb, dtype=float)
         return add.domain_fn(p_amb[:am], v_amb[:am])
 
-    return LocalAddition(tm, sigma_fn, domain, normalized=False,
-                         closed_log=None, fiber_radius=add.fiber_radius,
-                         name=f"T({add.name})")
+    return LocalAddition(tm, sigma_fn, domain, name=f"T({add.name})")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ad
 from .ad import Dual, value
-from .errors import NotDifferentiable, OutOfChart
+from .errors import OutOfChart
 
 
 def split_components(arr):
@@ -318,12 +318,11 @@ class SmoothMap:
     in charts (i, j) is fwd_j . fn . inv_i, which is what AD differentiates.
     """
 
-    def __init__(self, source, target, fn, order=np.inf, name="map",
+    def __init__(self, source, target, fn, name="map",
                  preimage_branches=None):
         self.source = source
         self.target = target
         self.fn = fn
-        self.order = order
         self.name = name
         self.preimage_branches = preimage_branches
 
@@ -346,8 +345,6 @@ class SmoothMap:
 
 def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
     """First-order pushforward computed with one dual-number pass."""
-    if f.order < 1:
-        raise NotDifferentiable(f"{f.name} is not declared C^1")
     p = v.base
     q_amb = merge_components(f.fn(split_components(p.ambient)))
     cj = f.target.best_chart(q_amb) if target_chart is None else target_chart
@@ -364,8 +361,6 @@ def second_tangent_map(f: SmoothMap, s: SecondTangent) -> SecondTangent:
     In charts the 4-tuple transforms as
     (x, y, z, w) -> (f(x), df(x,y), df(x,z), df(x,w) + d2f(x,y,z)).
     """
-    if f.order < 2:
-        raise NotDifferentiable(f"{f.name} is not declared C^2")
     m = s.manifold
     p_amb = merge_components(m.charts[s.chart_id].inv(list(s.x)))
     q_amb = merge_components(f.fn(split_components(p_amb)))
@@ -451,18 +446,15 @@ class TangentBundleManifold(ChartedManifold):
         return np.maximum(base, np.sqrt(np.sum(dv * dv, axis=-1)))
 
     def sample(self, rng, n=None):
-        base_amb = self.base_manifold.sample(rng, n)
-        shape = (n, self.base_manifold.dim) if n is not None else (self.base_manifold.dim,)
-        xi = rng.normal(size=shape)
-        if n is None:
-            p = self.base_manifold.point_from_ambient(base_amb)
-            v = Tangent(p, xi)
-            return np.concatenate([base_amb, v.ambient_vel()])
-        rows = []
-        for k in range(n):
-            p = self.base_manifold.point_from_ambient(base_amb[k])
-            rows.append(np.concatenate([base_amb[k], Tangent(p, xi[k]).ambient_vel()]))
-        return np.stack(rows)
+        # a single draw is row 0 of a batch of one: numpy draws the same
+        # numbers for a size-1 draw as for a scalar one
+        base = self.base_manifold
+        amb = base.sample(rng, 1 if n is None else n)
+        xi = rng.normal(size=(len(amb), base.dim))
+        rows = np.stack([np.concatenate(
+            [a, Tangent(base.point_from_ambient(a), v).ambient_vel()])
+            for a, v in zip(amb, xi)])
+        return rows[0] if n is None else rows
 
 
 class ProductManifold(ChartedManifold):

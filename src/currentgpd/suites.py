@@ -180,8 +180,7 @@ def suite_local_addition(ctx: SuiteContext):
     scaled = LocalAddition(
         circle,
         lambda comps: base.sigma_fn(list(comps[:2]) + [2.0 * c for c in comps[2:]]),
-        base.domain_fn, normalized=False, fiber_radius=base.fiber_radius / 2,
-        name="scaled")
+        base.domain_fn, name="scaled")
     normed = normalize(scaled)
     worst_norm = 0.0
     for add in [normed, normalize(base)]:
@@ -303,7 +302,7 @@ def suite_local_inverse(ctx: SuiteContext):
         got = local_diffeo_inverse(f, gamma0, eta, start=start,
                                    tol=ctx.tol.tol_theta)
         back = pushforward(f, got)
-        worst = worst_residual(worst, seminorm_distance(back, eta).order0,
+        worst = worst_residual(worst, seminorm_distance(back, eta)[0],
                                got.ambient - truth.ambient)
     rec_ok = worst <= ctx.tol.tol_theta
     # the winding-1 target admits no lift from any starting branch; a

@@ -71,8 +71,7 @@ class TestBuildCurrent:
         bad = LieGroupoid("rarely-wrong-pair", good.arrows, good.base,
                           good.alpha, good.beta, bad_mu, good.iota,
                           good.unit, fiber=good.fiber)
-        rep = build_current(bad, grid).check_axioms(n_samples=260, seed=0,
-                                                    chunk=250)
+        rep = build_current(bad, grid).check_axioms(n_samples=260, seed=0)
         assert rep.max_violation > 1e-9
 
     def test_nodewise_composability_required(self):

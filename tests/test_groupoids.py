@@ -254,7 +254,7 @@ def test_a_nan_product_makes_its_laws_nan():
                 "right_inverse", "beta_of_mu"}
     reports = [check_axioms(gpd, 50, seed=1),
                build_current(gpd, GridSpec("circle", 16)).check_axioms(
-                   20, seed=1, chunk=8)]
+                   260, seed=1)]  # two chunks, of 250 and 10
     for viol in ([axiom_violations(gpd, *b)
                   for b in axiom_batches(gpd, np.random.default_rng(16))]
                  + [rep.violations for rep in reports]):

@@ -123,7 +123,6 @@ def scaled_circle_addition(factor=2.0):
         lambda comps: base.sigma_fn(list(comps[:2])
                                     + [factor * x for x in comps[2:]]),
         lambda p, v: base.domain_fn(p, np.asarray(v) * factor),
-        normalized=False, fiber_radius=base.fiber_radius / factor,
         name="scaled")
 
 
@@ -169,18 +168,28 @@ class TestNormalize:
             normalize(broken)
 
     def test_unnormalized_group_chart_gets_normalized(self):
-        # psi(s) = e^{i(s + s^3)} is a chart diffeomorphism but not exp
+        # sigma(v) = g . psi(omega(v)) with psi(s) = e^{i(2s + s^3)}, a chart
+        # diffeomorphism but not exp: its fiber derivative at zero is 2
         c = Circle()
         from currentgpd import ad
-        cube = lambda s: s * (s * s)
-        psi = lambda xi: [ad.cos(xi[0] + cube(xi[0])),
-                          ad.sin(xi[0] + cube(xi[0]))]
-        add = lie_group_local_addition(circle_group(c), psi=psi)
-        assert not add.normalized
+        grp = circle_group(c)
+
+        def psi(xi):
+            s = xi[0]
+            return [ad.cos(2.0 * s + s * (s * s)),
+                    ad.sin(2.0 * s + s * (s * s))]
+
+        add = LocalAddition(
+            c,
+            lambda comps: grp.mul(list(comps[:2]),
+                                  psi(grp.omega(comps[:2], comps[2:]))),
+            riemannian_local_addition(c).domain_fn, name="psi")
         fixed = normalize(add)
         rng = np.random.default_rng(8)
         for _ in range(30):
             p = c.point_from_ambient(c.sample(rng))
+            D = fiber_derivative(add, p)
+            assert float(np.max(np.abs(D - np.eye(1)))) > 0.5
             D = fiber_derivative(fixed, p)
             assert float(np.max(np.abs(D - np.eye(1)))) < 1e-6
 
@@ -209,9 +218,7 @@ class TestThetaInverse:
     def test_newton_matches_closed_form(self):
         c = Circle()
         closed = riemannian_local_addition(c)
-        newton = LocalAddition(c, closed.sigma_fn, closed.domain_fn,
-                               normalized=True, closed_log=None,
-                               fiber_radius=closed.fiber_radius)
+        newton = LocalAddition(c, closed.sigma_fn, closed.domain_fn)
         rng = np.random.default_rng(10)
         for _ in range(25):
             p = c.point_from_ambient(c.sample(rng))

@@ -112,8 +112,9 @@ def half_turn_lift(monkeypatch):
         out = lift(*args, **kwargs)
         amb = out.ambient.copy()
         amb[len(amb) // 2:] *= -1.0
-        return GridMap(out.grid, out.target, amb, delta_coh=out.delta_coh,
-                       check=False)
+        bad = GridMap(out.grid, out.target, amb, delta_coh=np.inf)
+        bad.delta_coh = out.delta_coh
+        return bad
 
     monkeypatch.setattr(suites, "path_lift", jumped)
 

@@ -14,12 +14,14 @@ calls belongs in that test.  Five scans:
 - Stored attributes.  Every attribute the package stores (``x.a = ...``),
   and every annotated field of a dataclass, is read by a caller: as an
   attribute, as a string handed to ``getattr`` or ``hasattr``, or as a
-  string in ``perfbench/``.
+  string in ``perfbench/``.  A read that only feeds the keyword of the same
+  name, as in ``f(a=x.a * 0.9)``, does not count: it only copies the
+  attribute into another object's.
 - Module tables.  Every module-level name is loaded in its own module,
   imported by a caller, or read as ``module.NAME``.  A load inside the
   name's own assignment does not count.
 - Parameters.  Every defaulted parameter of a top-level function or a
-  method is set by some call in the package, ``perfbench/`` or ``tests/``.
+  method is set by some call of a caller.
   A call is matched to a definition by name: a function by its name, a
   method by the attribute it is called through, and ``__init__`` by its
   class or by ``super().__init__`` in a subclass (a call of a subclass
@@ -55,7 +57,6 @@ PLANNED = "input to a planned property-inheritance suite (Theorems C and E)"
 # Definitions, module-level names and dataclass fields that only tests use,
 # each kept for a reason.
 KEEP = {
-    "fd_jacobian": "the finite-difference reference tests compare AD against",
     "classify_etale": PLANNED,
     "classify_locally_transitive": PLANNED,
     "current_anchor_rank_nodes": PLANNED,
@@ -74,13 +75,22 @@ KEEP = {
 # Defaulted parameters that no call sets, as "function(parameter)" or
 # "Class.method(parameter)", each kept for a reason.
 KEEP_PARAMETERS = {
-    f"{fn}({param})": "an input of an obstruction certificate, which a "
-                      "control where the obstruction is absent will set"
-    for fn, param in (("properness_failure_witness", "k_max"),
-                      ("properness_failure_witness", "windings"),
-                      ("atlas_connectivity_negative_test", "chart_margin"),
-                      ("atlas_connectivity_negative_test",
-                       "component_offset"))
+    **{f"{fn}({param})": "an input of an obstruction certificate, which a "
+                         "control where the obstruction is absent will set"
+       for fn, param in (("properness_failure_witness", "k_max"),
+                         ("properness_failure_witness", "windings"),
+                         ("atlas_connectivity_negative_test", "chart_margin"),
+                         ("atlas_connectivity_negative_test",
+                          "component_offset"))},
+    **{f"{fn}({param})": PLANNED
+       for fn, param in (("classify_etale", "n_samples"),
+                         ("classify_etale", "seed"),
+                         ("classify_locally_transitive", "n_samples"),
+                         ("classify_locally_transitive", "seed"),
+                         ("current_anchor_rank_nodes", "n_arrows"),
+                         ("current_anchor_rank_nodes", "seed"))},
+    "main(argv)": "the entry point's argument list; the console script "
+                  "calls main(), which then parses sys.argv",
 }
 
 
@@ -144,6 +154,19 @@ def attribute_loads(tree):
     """Attributes a module reads."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def state_reads(tree):
+    """Attributes a module reads, except a read that only feeds the keyword
+    of the same name in a call, as ``a`` in ``f(a=x.a * 0.9)``."""
+    copies = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.keyword)
+              for sub in ast.walk(node.value)
+              if isinstance(sub, ast.Attribute) and sub.attr == node.arg}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in copies):
             yield node.attr
 
 
@@ -313,14 +336,18 @@ def parsed(paths):
     return {path: ast.parse(path.read_text()) for path in paths}
 
 
+def is_caller(path):
+    """Whether the source file ``path`` counts as a caller: tests and the
+    package's ``__init__.py`` do not."""
+    return TESTS not in path.parents and path != PACKAGE / "__init__.py"
+
+
 def sources():
     """(package modules, callers, benchmark modules)."""
     modules = parsed(sorted(PACKAGE.glob("*.py")))
     bench = parsed(sorted(PERFBENCH.glob("*.py")))
     assert bench, f"no benchmark sources under {PERFBENCH}"
-    callers = dict(bench)
-    callers.update((p, t) for p, t in modules.items()
-                   if p.name != "__init__.py")
+    callers = {p: t for p, t in {**bench, **modules}.items() if is_caller(p)}
     return modules, callers, bench
 
 
@@ -348,6 +375,13 @@ def test_the_scans_see_what_they_look_for():
     assert {a for a, _ in attribute_stores(state)} == {"a", "b", "c"}
     assert {"a", "b"} <= set(attribute_loads(state)) | set(looked_up(state))
     assert "c" not in set(attribute_loads(state)) | set(looked_up(state))
+    # a read that only feeds the keyword of the same name is no read of the
+    # state; one that feeds another keyword is
+    copied = ast.parse("def k(x, y):\n"
+                       "    return C(r=x.r * 0.9, s=min(a.s for a in y),\n"
+                       "             t=x.u, u=x.t)\n")
+    assert {"r", "s", "t", "u"} <= set(attribute_loads(copied))
+    assert set(state_reads(copied)) == {"t", "u"}
     # the annotated fields of a dataclass, with or without arguments, are
     # stored attributes; a plain class's annotations are not
     fields = ast.parse("@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
@@ -385,6 +419,12 @@ def test_the_scans_see_what_they_look_for():
     assert unset_parameters(home, [used]) == ["f(c)"]
     assert unset_parameters(home, [defs, ast.parse("y.m(0)\n")]) == [
         "f(b)", "f(c)", "f(e)", "C.__init__(q)", "C.m(s)"]
+    # a call in a test sets nothing: tests are not callers
+    calling = {PACKAGE / "mod.py": ast.parse("f(0, 1)\n"),
+               TESTS / "test_mod.py": used}
+    assert unset_parameters(
+        home, [t for p, t in calling.items() if is_caller(p)]) == [
+        "f(c)", "f(e)", "C.__init__(p)", "C.__init__(q)", "C.m(r)", "C.m(s)"]
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
@@ -416,7 +456,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_every_stored_attribute_is_read():
     modules, callers, bench = sources()
-    read = ({a for tree in callers.values() for a in attribute_loads(tree)}
+    read = ({a for tree in callers.values() for a in state_reads(tree)}
             | {s for tree in callers.values() for s in looked_up(tree)}
             | {s for tree in bench.values() for s in strings(tree)})
     unread = [f"{path.name}:{line} {attr}"
@@ -441,11 +481,10 @@ def test_every_module_level_name_is_read():
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
-    modules, _, bench = sources()
-    tests = parsed(sorted(TESTS.glob("*.py")))
+    modules, callers, _ = sources()
     unset = unset_parameters(
         {path.stem: tree for path, tree in modules.items()},
-        [*modules.values(), *bench.values(), *tests.values()])
+        callers.values())
     assert not [p for p in unset if p not in KEEP_PARAMETERS], (
         f"no call sets these parameters; make each a constant: "
         f"{[p for p in unset if p not in KEEP_PARAMETERS]}")
