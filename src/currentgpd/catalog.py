@@ -15,7 +15,7 @@ import numpy as np
 from . import ad
 from .ad import value, where
 from .manifolds import (Chart, ChartedManifold, ProductManifold, SmoothMap,
-                        path_sampler)
+                        component_major, merge_components, path_sampler)
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,8 +71,8 @@ class Euclidean(ChartedManifold):
 
     @path_sampler
     def sample_path(self, params, rng, closed, n):
-        return np.stack([_trig_path(params, rng, closed, n, amp=1.0)
-                         for _ in range(self.dim)], axis=-1)
+        return merge_components([_trig_path(params, rng, closed, n, amp=1.0)
+                                 for _ in range(self.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ class Circle(ChartedManifold):
     def sample_path(self, params, rng, closed, n):
         w = rng.integers(-1, 2, size=(n, 1)).astype(float) if closed else 0.0
         th = _trig_path(params, rng, closed, n, amp=0.8, winding=w)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return merge_components([np.cos(th), np.sin(th)])
 
     # group structure (unit complex numbers)
     @staticmethod
@@ -241,7 +241,8 @@ class Sphere(ChartedManifold):
         cols = [_trig_path(params, rng, closed, n, amp=0.6) for _ in range(3)]
         raw = base[:, None, :] + 0.3 * np.stack(
             [c - np.mean(c, axis=-1, keepdims=True) for c in cols], axis=-1)
-        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        return component_major(
+            raw / np.linalg.norm(raw, axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +362,11 @@ class RotationGroup(ChartedManifold):
         q = rng.normal(size=shape)
         q = q / np.linalg.norm(q, axis=-1, keepdims=True)
         w, x, y, z = np.moveaxis(q, -1, 0)
-        R = np.stack([
+        return merge_components([
             1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ], axis=-1)
-        return R
+        ])
 
     @path_sampler
     def sample_path(self, params, rng, closed, n):
@@ -375,9 +375,8 @@ class RotationGroup(ChartedManifold):
                        for _ in range(3)], axis=-1)
         xi = xi - np.mean(xi, axis=-2, keepdims=True)
         rot = _rodrigues([xi[..., 0], xi[..., 1], xi[..., 2]])
-        out = _mat9_mul([base[:, None, i] for i in range(9)], rot)
-        return np.stack([np.broadcast_to(c, xi.shape[:-1]) for c in out],
-                        axis=-1)
+        return merge_components(
+            _mat9_mul([base[:, None, i] for i in range(9)], rot))
 
     # group structure
     @staticmethod

@@ -19,7 +19,6 @@ from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        seminorm_distance)
 from .groupoids import (AxiomReport, LieGroupoid, axiom_violations,
                         etale_index, worst_rank_ratio)
-from .manifolds import component_major
 from .report import Certificate, worst_residual
 from .tolerances import DEFAULT
 
@@ -90,9 +89,10 @@ class CurrentGroupoid:
         drawn in four batched calls: m arrow paths g, then one fiber path h
         over each source path alpha(g) and one k over each alpha(h), then m
         object paths for the unit laws.  Every draw is an (m, nodes,
-        ambient) array, copied once to component-major memory; G's component
-        functions then run over the sample and node axes at once (Theorem A,
-        :func:`axiom_violations`), and the worst residual of each law is kept.
+        ambient) array that the samplers write in component-major memory;
+        G's component functions then run over blocks of (sample, node)
+        points (Theorem A, :func:`axiom_violations`), and the worst residual
+        of each law is kept.
         """
         rng = np.random.default_rng(seed)
         gpd = self.base_gpd
@@ -108,7 +108,6 @@ class CurrentGroupoid:
             k = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(h), params,
                                                 rng, closed)
             xs = gpd.base.sample_path(params, rng, closed, m)
-            g, h, k, xs = (component_major(a) for a in (g, h, k, xs))
             viol = axiom_violations(gpd, g, h, k, xs)
             for key, val in viol.items():
                 worst[key] = worst_residual(worst.get(key, 0.0), val)

@@ -55,13 +55,24 @@ def merge_components(comps):
 
 
 def component_major(a):
-    """A copy of the (..., m) array a whose m components are contiguous blocks.
+    """The (..., m) array a with its m components in contiguous blocks.
 
     The shape and the values are those of a; only the memory order changes,
     so :func:`split_components` hands out contiguous components and the
-    structure maps stop walking memory with stride m.
+    structure maps stop walking memory with stride m.  An array that is
+    already component-major, as every path sampler's draw is, comes back
+    uncopied.
     """
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def concat_components(parts):
+    """``np.concatenate(parts, axis=-1)``, written component-major.
+
+    np.concatenate follows the memory order of its inputs, so a mix of
+    component-major and C-order parts would come out in neither order.
+    """
+    return merge_components([c for p in parts for c in split_components(p)])
 
 
 def _pairwise_sum(terms):
@@ -559,13 +570,12 @@ class ProductManifold(ChartedManifold):
         return d
 
     def sample(self, rng, n=None):
-        parts = [f.sample(rng, n) for f in self.factors]
-        return np.concatenate([np.atleast_1d(p) for p in parts], axis=-1)
+        return concat_components([f.sample(rng, n) for f in self.factors])
 
     @path_sampler
     def sample_path(self, params, rng, closed, n):
-        parts = [f.sample_path(params, rng, closed, n) for f in self.factors]
-        return np.concatenate(parts, axis=-1)
+        return concat_components([f.sample_path(params, rng, closed, n)
+                                  for f in self.factors])
 
 
 class DiscreteManifold(ChartedManifold):

@@ -97,7 +97,7 @@ def suite_current_groupoid_axioms(ctx: SuiteContext):
         gpd = make_groupoid(name)
         for n in (8, 64, 256):
             seed = ctx.seed_for("current-groupoid-axioms", name, n)
-            cur = build_current(gpd, GridSpec("circle", n, ctx.grid.ell))
+            cur = build_current(gpd, GridSpec(ctx.grid.kind, n, ctx.grid.ell))
             count = ctx.count("current-groupoid-axioms")
             rep = cur.check_axioms(n_samples=count, seed=seed)
             status = "pass" if rep.passed(ctx.tol.tol_chart) else "fail"
@@ -181,9 +181,9 @@ def suite_local_addition(ctx: SuiteContext):
         circle,
         lambda comps: base.sigma_fn(list(comps[:2]) + [2.0 * c for c in comps[2:]]),
         base.domain_fn, name="scaled")
-    normed = normalize(scaled)
+    normed = normalize(scaled, tol_rank=ctx.tol.tol_rank)
     worst_norm = 0.0
-    for add in [normed, normalize(base)]:
+    for add in [normed, normalize(base, tol_rank=ctx.tol.tol_rank)]:
         for _ in range(100):
             p = circle.point_from_ambient(circle.sample(rng))
             D = fiber_derivative(add, p, h=ctx.tol.h_fd)
@@ -391,7 +391,7 @@ def suite_theorem_d(ctx: SuiteContext):
     grid = GridSpec("circle", 8, ctx.grid.ell)
     for name in ("pair-real2", "rot-action"):
         gpd = make_groupoid(name)
-        alg = algebroid_of_groupoid(gpd)
+        alg = algebroid_of_groupoid(gpd, tol_rank=ctx.tol.tol_rank)
         seed = ctx.seed_for("theorem-D-pointwise-bracket", name)
         rng = np.random.default_rng(seed)
         count = ctx.count("theorem-D-pointwise-bracket")
@@ -415,7 +415,7 @@ def suite_algebroid_laws(ctx: SuiteContext):
     rng = np.random.default_rng(seed)
     for name in ("pair-real2", "rot-action"):
         gpd = make_groupoid(name)
-        alg = algebroid_of_groupoid(gpd)
+        alg = algebroid_of_groupoid(gpd, tol_rank=ctx.tol.tol_rank)
         draws, points = [], []
         for _ in range(10):
             draws.append([alg.random_polynomial_coeffs(rng) for _ in "XYZ"])
@@ -446,14 +446,15 @@ def suite_local_action_form(ctx: SuiteContext):
     gpd = make_groupoid("z4-plane")
     seed = ctx.seed_for("local-action-form")
     x = gpd.base.point_from_ambient([0.0, 0.0])
-    form = local_action_form(gpd, x, n_check=500, seed=seed)
+    form = local_action_form(gpd, x, n_check=500, seed=seed,
+                             tol=ctx.tol.tol_chart)
     worst = worst_residual(form.action_law_residual,
                            form.phi_bijectivity_residual,
                            form.phi_multiplicativity_residual)
     ok = worst <= 1e-9 and len(form.isotropy) == 4
     z2 = make_groupoid("z2-line")
     form2 = local_action_form(z2, z2.base.point_from_ambient([0.0]),
-                              n_check=500, seed=seed)
+                              n_check=500, seed=seed, tol=ctx.tol.tol_chart)
     ok = ok and len(form2.isotropy) == 2
     return [_record("local-action-form", "local action form",
                     "pass" if ok else "fail", worst, 1000, seed,
@@ -484,11 +485,11 @@ def suite_path_lifting(ctx: SuiteContext):
             reps[i] = grp.elements[int(rng.integers(4))].act(reps[i])
         path = OrbitSpacePath(grid, reps)
         start = gpd.base.point_from_ambient(pts[0])
-        lift = path_lift(gpd, path, start)
+        lift = path_lift(gpd, path, start, tol=ctx.tol.tol_chart)
         worst = worst_residual(worst, lift_projection_residual(gpd, path, lift))
         g = grp.elements[int(rng.integers(1, 4))]
         start2 = gpd.base.point_from_ambient(g.act(pts[0]))
-        lift2 = path_lift(gpd, path, start2)
+        lift2 = path_lift(gpd, path, start2, tol=ctx.tol.tol_chart)
         equein = worst_residual(equein, lift2.ambient - g.act(lift.ambient))
         # a lift that jumps to another translate stays in the orbits
         coherent = coherent and all(float(np.max(lf.step_sizes()))

@@ -9,8 +9,11 @@ import time
 
 import pytest
 
-from currentgpd.cli import main, load_config, named_gridmap, write_report
+from currentgpd import suites
+from currentgpd.cli import (execute, main, load_config, named_gridmap,
+                            write_report)
 from currentgpd.errors import ConfigError, UnknownId
+from currentgpd.gridmaps import GridSpec
 from currentgpd.report import CheckRecord
 from currentgpd.suites import SUITES, SuiteContext, derived_seed, run_suite
 
@@ -136,6 +139,49 @@ class TestRun:
             assert main(["run", "--config", cfg, "--out", str(out)]) == 0
             record = json.loads(out.read_text())["records"][0]
             assert record["status"] == "pass"
+
+    def test_configured_tolerances_reach_their_checks(self, tmp_path,
+                                                      monkeypatch):
+        seen = {}
+
+        def spy(name, key):
+            fn = getattr(suites, name)
+
+            def wrapped(*args, **kwargs):
+                seen.setdefault(name, []).append(kwargs.get(key))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(suites, name, wrapped)
+
+        for name in ("local_action_form", "path_lift"):
+            spy(name, "tol")
+        for name in ("algebroid_of_groupoid", "normalize"):
+            spy(name, "tol_rank")
+        cfg = write_config(
+            tmp_path, seed=7, tolerances={"tol_chart": 3e-9, "tol_rank": 2e-8},
+            suites=["local-action-form", "path-lifting", "local-addition",
+                    "theorem-D-pointwise-bracket", "algebroid-laws"],
+            samples={"path-lifting": 2, "theorem-D-pointwise-bracket": 2})
+        execute(load_config(cfg))
+        assert seen == {"local_action_form": [3e-9] * 2,
+                        "path_lift": [3e-9] * 4,
+                        "algebroid_of_groupoid": [2e-8] * 4,
+                        "normalize": [2e-8] * 2}
+
+    def test_current_axioms_run_on_the_configured_grid_kind(self):
+        """Theorem A is checked on K with boundary when the grid is an
+        interval: its draws are open paths, so the residuals move."""
+        details = {}
+        for kind in ("circle", "interval"):
+            ctx = SuiteContext(seed=7, grid=GridSpec(kind, 64, 1),
+                               instances=["so3-action"],
+                               samples={"current-groupoid-axioms": 20})
+            records = run_suite("current-groupoid-axioms", ctx)
+            assert all(r.status == "pass" for r in records)
+            details[kind] = [r.details for r in records]
+        assert len(details["circle"]) == 3
+        assert all(c != i for c, i in zip(details["circle"],
+                                          details["interval"]))
 
     def test_each_record_timed_where_it_is_made(self):
         ctx = SuiteContext(seed=1, samples={"groupoid-axioms": 20})

@@ -356,6 +356,31 @@ class TestComponentMajor:
         assert np.array_equal(merged, a)
         assert np.moveaxis(merged, -1, 0).flags.c_contiguous
 
+    @pytest.mark.parametrize("kind", ["circle", "interval"])
+    def test_draws_are_component_major(self, kind):
+        """Path draws, SO(3) draws and the arrows a fiber builds need no
+        copy to become component-major."""
+        def laid_out(a):
+            return np.moveaxis(a, -1, 0).flags.c_contiguous
+
+        rng = np.random.default_rng(26)
+        grid = GridSpec(kind, 16)
+        params, closed = grid.params(), grid.closed
+        gpds = [make() for make in GROUPOIDS.values()]
+        spaces = ([Euclidean(3), Circle(), Sphere(), RotationGroup(), Torus(),
+                   DiscreteManifold(3)]
+                  + [m for gpd in gpds for m in (gpd.arrows, gpd.base)])
+        for n in (None, 5):
+            assert all(laid_out(m.sample_path(params, rng, closed, n))
+                       for m in spaces)
+            assert laid_out(RotationGroup().sample(rng, n))
+            for gpd in gpds:
+                x = gpd.alpha_batch(gpd.arrows.sample(rng, 5 if n else 1))
+                tgt = gpd.base.sample_path(params, rng, closed, n)
+                assert laid_out(gpd.sample_with_beta(x, rng))
+                assert laid_out(gpd.sample_arrow_path_with_beta(
+                    tgt, params, rng, closed))
+
     @pytest.mark.parametrize("amb", list(range(1, 21)) + [81, 130])
     def test_distance_has_the_bits_of_numpy_sum(self, amb):
         m = self.manifold(amb)
@@ -363,6 +388,9 @@ class TestComponentMajor:
         rng = np.random.default_rng(amb)
         a, b = m.sample(rng, 400), m.sample(rng, 400)
         d = a - b
+        # numpy's pairwise sum over a contiguous last axis; SO(3) draws are
+        # component-major, where np.sum would add the components in turn
+        d = np.ascontiguousarray(d)
         want = np.sqrt(np.sum(d * d, axis=-1))
         for x, y in ((a, b), (component_major(a), component_major(b))):
             assert np.array_equal(m.distance(x, y), want)

@@ -237,6 +237,25 @@ def test_axiom_violations_never_stack(name, monkeypatch):
         assert set(viol) == set(LAWS) and max(viol.values()) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_blocked_residuals_equal_whole_array_ones(name, monkeypatch):
+    """The worst residual over blocks has the bits of the worst over all
+    points: blocks of LAW_BLOCK points end in a ragged block of 123, and
+    blocks of 7 end in ragged blocks of 5 (40 points) and 3 (80 nodes)."""
+    gpd = make_groupoid(name)
+    rng = np.random.default_rng(19)
+    n = groupoids.LAW_BLOCK + 123
+    batches = axiom_batches(gpd, rng) + [
+        sample_composable_triple(gpd, rng, n) + (gpd.base.sample(rng, n),)]
+    blocked = [hexed(axiom_violations(gpd, *b)) for b in batches]
+    monkeypatch.setattr(groupoids, "LAW_BLOCK", 7)
+    small = [hexed(axiom_violations(gpd, *b)) for b in batches[:2]]
+    monkeypatch.setattr(groupoids, "LAW_BLOCK", 10 ** 9)
+    whole = [hexed(axiom_violations(gpd, *b)) for b in batches]
+    assert blocked == whole and small == whole[:2]
+    assert all(set(v) == set(LAWS) for v in whole)
+
+
 def test_a_nan_product_makes_its_laws_nan():
     """mu writing one NaN at one node turns every law that reads it to NaN."""
     gpd = make_groupoid("pair-real1")
@@ -265,6 +284,24 @@ def test_a_nan_product_makes_its_laws_nan():
     late = AxiomReport("late", 1, 0,
                        {"associativity": 0.0, "beta_of_mu": math.nan})
     assert math.isnan(late.max_violation) and not late.passed(1e-9)
+
+
+def test_a_nan_in_a_later_block_makes_exactly_its_laws_nan():
+    """One NaN entry past the first block of axiom_violations: in k it
+    reaches associativity alone, in xs the two unit laws alone."""
+    gpd = make_groupoid("pair-real1")
+    rng = np.random.default_rng(21)
+    n = 2 * groupoids.LAW_BLOCK + 40
+    g, h, k = sample_composable_triple(gpd, rng, n)
+    xs = gpd.base.sample(rng, n)
+    late = groupoids.LAW_BLOCK + 17
+    for arrays, index, nan_laws in (
+            ((g, h, k.copy(), xs), 2, {"associativity"}),
+            ((g, h, k, xs.copy()), 3, {"alpha_of_unit", "beta_of_unit"})):
+        arrays[index][late, -1] = np.nan
+        viol = axiom_violations(gpd, *arrays)
+        assert {law for law, v in viol.items() if math.isnan(v)} == nan_laws
+        assert all(viol[law] == 0.0 for law in set(LAWS) - nan_laws)
 
 
 # float.hex of every residual of the seeded axiom checks in
@@ -326,17 +363,78 @@ PINNED_RESIDUALS = {
 }
 
 
+# The same for flat checks of 1000 triples, and lifted checks of 300
+# samples (draw chunks of 250 and 50) at n=64.
+PINNED_TWO_CHUNK_RESIDUALS = {
+    "circle/circle-bundle": {"associativity": "0x1.94c583ada5b53p-52",
+        "left_inverse": "0x1.0000000000000p-52",
+        "right_inverse": "0x1.0000000000000p-52"},
+    "circle/pair-real1": {},
+    "circle/pair-real2": {},
+    "circle/rot-action": {"associativity": "0x1.0000000000000p-49",
+        "beta_of_mu": "0x1.8154be2773526p-51"},
+    "circle/so3-action": {"associativity": "0x1.2f9422c23c47ep-51",
+        "beta_of_mu": "0x1.6b733bfd8c648p-48",
+        "left_inverse": "0x1.7cdd63e3295ebp-49",
+        "right_inverse": "0x1.816465476320fp-49"},
+    "circle/so3-group": {"associativity": "0x1.3a73affce845fp-51",
+        "left_inverse": "0x1.7cdd63e3295ebp-49",
+        "right_inverse": "0x1.816465476320fp-49"},
+    "circle/unit-circle": {},
+    "circle/z2-line": {},
+    "circle/z4-plane": {"beta_of_mu": "0x1.6a09e667f3bcdp-50"},
+    "flat/circle-bundle": {"associativity": "0x1.94c583ada5b53p-52",
+        "left_inverse": "0x1.0000000000000p-52",
+        "right_inverse": "0x1.0000000000000p-52"},
+    "flat/pair-real1": {},
+    "flat/pair-real2": {},
+    "flat/rot-action": {"associativity": "0x1.0000000000000p-50",
+        "beta_of_mu": "0x1.94c583ada5b53p-51"},
+    "flat/so3-action": {"associativity": "0x1.1c6c16b2db870p-51",
+        "beta_of_mu": "0x1.292fd2c6a6262p-48",
+        "left_inverse": "0x1.535c1579caa21p-49",
+        "right_inverse": "0x1.467cc4009a71ap-49"},
+    "flat/so3-group": {"associativity": "0x1.0783c3bce15a9p-51",
+        "left_inverse": "0x1.535c1579caa21p-49",
+        "right_inverse": "0x1.467cc4009a71ap-49"},
+    "flat/unit-circle": {},
+    "flat/z2-line": {},
+    "flat/z4-plane": {"beta_of_mu": "0x1.0f876ccdf6cd9p-50"},
+    "interval/circle-bundle": {"associativity": "0x1.94c583ada5b53p-52",
+        "left_inverse": "0x1.0000000000000p-52",
+        "right_inverse": "0x1.0000000000000p-52"},
+    "interval/pair-real1": {},
+    "interval/pair-real2": {},
+    "interval/rot-action": {"associativity": "0x1.0000000000000p-49",
+        "beta_of_mu": "0x1.94c583ada5b53p-51"},
+    "interval/so3-action": {"associativity": "0x1.384ebafd57667p-51",
+        "beta_of_mu": "0x1.72c5acc093bb4p-48",
+        "left_inverse": "0x1.6ccea718d83edp-49",
+        "right_inverse": "0x1.6f50b4dbe3adap-49"},
+    "interval/so3-group": {"associativity": "0x1.4eb01b2757013p-51",
+        "left_inverse": "0x1.6ccea718d83edp-49",
+        "right_inverse": "0x1.6f50b4dbe3adap-49"},
+    "interval/unit-circle": {},
+    "interval/z2-line": {},
+    "interval/z4-plane": {"beta_of_mu": "0x1.6a09e667f3bcdp-50"},
+}
+
+
 @pytest.mark.parametrize("name", sorted(GROUPOIDS))
 def test_axiom_residuals_are_pinned(name):
     gpd = make_groupoid(name)
-    reports = {"flat": check_axioms(gpd, 500, seed=0)}
-    for kind in ("circle", "interval"):
-        reports[kind] = build_current(gpd, GridSpec(kind, 16)).check_axioms(
-            30, seed=0)
-    for where, rep in reports.items():
-        pinned = PINNED_RESIDUALS[f"{where}/{name}"]
-        got = {law: float(v).hex() for law, v in rep.violations.items()}
-        assert got == {law: pinned.get(law, float(0).hex()) for law in LAWS}
+    for table, flat, n, samples in ((PINNED_RESIDUALS, 500, 16, 30),
+                                    (PINNED_TWO_CHUNK_RESIDUALS, 1000, 64,
+                                     300)):
+        reports = {"flat": check_axioms(gpd, flat, seed=0)}
+        for kind in ("circle", "interval"):
+            reports[kind] = build_current(gpd, GridSpec(kind, n)).check_axioms(
+                samples, seed=0)
+        for where, rep in reports.items():
+            pinned = table[f"{where}/{name}"]
+            got = {law: float(v).hex() for law, v in rep.violations.items()}
+            assert got == {law: pinned.get(law, float(0).hex())
+                           for law in LAWS}
 
 
 class TestClassifiers:

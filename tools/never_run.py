@@ -81,7 +81,7 @@ ALLOW = {
     "catalog:RotationGroup.geodesic_distance": (6, DISTANCE),
     "catalog:Sphere.geodesic_distance": (5, DISTANCE),
     "catalog:Sphere.sample_path":
-        (6, "no groupoid of the catalog has sphere paths; tests draw them"),
+        (7, "no groupoid of the catalog has sphere paths; tests draw them"),
     "catalog:Sphere.sample_path.<locals>.<listcomp>":
         (2, "no groupoid of the catalog has sphere paths; tests draw them"),
     "cli:_id_list": (1, CLI),
