@@ -590,23 +590,24 @@ class SignReport:
     note: str
 
 
-def sign_convention_check(group_ops, seed=0) -> SignReport:
+def sign_convention_check(group, seed=0) -> SignReport:
     """Measure the groupoid-bracket sign against the matrix commutator.
 
-    For a group as a groupoid over a point, the algebroid bracket of
-    constant sections is proportional to the algebra commutator; the
-    proportionality sign is measured, not assumed.
+    ``group`` is a catalog Lie group manifold; a non-abelian one carries
+    its algebra ``commutator``.  For a group as a groupoid over a point,
+    the algebroid bracket of constant sections is proportional to the
+    algebra commutator; the proportionality sign is measured, not assumed.
     """
     from .groupoids import group_groupoid
-    gpd = group_groupoid(group_ops)
+    gpd = group_groupoid(group)
     alg = algebroid_of_groupoid(gpd)
     d = alg.rank
     star = gpd.base.point_from_ambient([0.0])
     if d <= 1:
         return SignReport(None, True,
                           "abelian: bracket vanishes, sign undetermined")
-    if not hasattr(group_ops, "commutator"):
-        raise Unsupported(f"{group_ops.name}: no algebra commutator registered")
+    if not hasattr(group, "commutator"):
+        raise Unsupported(f"{group.name}: no algebra commutator registered")
     signs = []
     rng = np.random.default_rng(seed)
     for _ in range(4):
@@ -615,7 +616,7 @@ def sign_convention_check(group_ops, seed=0) -> SignReport:
         X = alg.constant_section(xi)
         Y = alg.constant_section(eta)
         got = alg.coefficients_in_frame(alg.bracket(X, Y), star)
-        expected = np.asarray(group_ops.commutator(xi, eta), dtype=float)
+        expected = np.asarray(group.commutator(xi, eta), dtype=float)
         denom = float(np.linalg.norm(expected))
         if denom < 1e-9:
             continue

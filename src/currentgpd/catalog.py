@@ -3,7 +3,10 @@
 These are the concrete spaces every higher-level construction instantiates:
 Euclidean spaces, the circle (two angle charts), the 2-sphere (stereographic
 pair), the torus, the rotation group SO(3) (exponential charts at four base
-rotations), finite products, and discrete finite sets.
+rotations), finite products, and discrete finite sets.  The Lie groups among
+them (Euclidean spaces under translation, the circle, SO(3)) carry their
+group structure: ``mul``, ``invert``, ``identity``, the group chart
+``exp_chart`` and the left Maurer-Cartan form ``omega``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ def _trig_path(params, rng, closed, n, amp=0.8, winding=0.0):
 # ---------------------------------------------------------------------------
 
 class Euclidean(ChartedManifold):
+    """R^n with one identity chart; a Lie group under translation."""
+
     def __init__(self, n, box=2.0):
         self.box = box
         self.identity = (0.0,) * n
@@ -73,6 +78,24 @@ class Euclidean(ChartedManifold):
     def sample_path(self, params, rng, closed, n):
         return merge_components([_trig_path(params, rng, closed, n, amp=1.0)
                                  for _ in range(self.dim)])
+
+    # group structure (translations)
+    @staticmethod
+    def mul(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    @staticmethod
+    def invert(a):
+        return [-x for x in a]
+
+    @staticmethod
+    def exp_chart(xi):
+        return list(xi)
+
+    @staticmethod
+    def omega(g, v):
+        """Left Maurer-Cartan form: (g comps, v comps) -> algebra coords."""
+        return list(v)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +179,11 @@ class Circle(ChartedManifold):
     @staticmethod
     def exp_chart(xi):
         return [ad.cos(xi[0]), ad.sin(xi[0])]
+
+    @staticmethod
+    def omega(g, v):
+        """Left Maurer-Cartan form: (g comps, v comps) -> algebra coords."""
+        return [g[0] * v[1] - g[1] * v[0]]
 
     identity = (1.0, 0.0)
 
@@ -390,6 +418,17 @@ class RotationGroup(ChartedManifold):
     @staticmethod
     def exp_chart(xi):
         return _rodrigues(list(xi))
+
+    @staticmethod
+    def omega(g, v):
+        """Left Maurer-Cartan form: (g comps, v comps) -> rotation vector."""
+        s = _mat9_mul(_mat9_T(list(g)), list(v))
+        return [(s[7] - s[5]) / 2.0, (s[2] - s[6]) / 2.0, (s[3] - s[1]) / 2.0]
+
+    @staticmethod
+    def commutator(xi, eta):
+        """Matrix commutator of hat matrices, in rotation-vector coordinates."""
+        return np.cross(xi, eta)
 
     identity = tuple(np.eye(3).reshape(9))
 

@@ -14,8 +14,8 @@ import sys
 
 from .catalog import Circle
 from .errors import ConfigError, UnknownId
-from .gridmaps import (GridSpec, circle_identity_loop, circle_winding_loop,
-                       constant_grid_map, gridmap_to_csv)
+from .gridmaps import (GridSpec, circle_winding_loop, constant_grid_map,
+                       gridmap_to_csv)
 from .suites import SAMPLE_COUNTS, SUITES, SuiteContext, run_suite
 from .tolerances import DEFAULT, TOLERANCE_KEYS
 
@@ -159,7 +159,7 @@ def named_gridmap(name: str, n: int):
     circle = Circle()
     grid = GridSpec("circle", n)
     if name == "identity-loop":
-        return circle_identity_loop(grid, circle)
+        return circle_winding_loop(grid, circle, 1)
     if name == "constant-loop":
         return constant_grid_map(grid, circle.point_from_ambient([1.0, 0.0]))
     if name == "winding-2-loop":

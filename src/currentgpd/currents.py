@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NotComposable, SamplingFailure
+from .errors import NotComposable, Unsupported
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        constant_grid_map, degree, local_diffeo_inverse,
                        seminorm_distance)
@@ -125,7 +125,8 @@ def build_current(gpd: LieGroupoid, grid: GridSpec) -> CurrentGroupoid:
 # structural isomorphisms
 # ---------------------------------------------------------------------------
 
-def pair_iso(grid: GridSpec, m, n_samples=100, seed=0) -> float:
+def pair_iso(grid: GridSpec, m, n_samples=100, seed=0,
+             tol=DEFAULT.tol_chart) -> float:
     """Grid maps into M x M versus pairs of grid maps into M.
 
     The reindexing bijection must commute with all five structure maps;
@@ -149,7 +150,7 @@ def pair_iso(grid: GridSpec, m, n_samples=100, seed=0) -> float:
             cur.alpha_star(a).ambient - second(a),
             cur.beta_star(a).ambient - first(a),
             # multiplication: (f1, f2) . (f2, f3) = (f1, f3)
-            cur.mu_star(a, b).ambient
+            cur.mu_star(a, b, tol=tol).ambient
             - np.concatenate([first(a), second(b)], axis=-1),
             # inversion and units
             cur.iota_star(a).ambient
@@ -160,14 +161,14 @@ def pair_iso(grid: GridSpec, m, n_samples=100, seed=0) -> float:
 
 
 def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
-               seed=0) -> float:
+               seed=0, tol=DEFAULT.tol_chart) -> float:
     """Grid maps into G x M versus the action of G-valued on M-valued maps."""
     from .manifolds import merge_components, split_components
     if not hasattr(action_gpd, "act_batch"):
-        raise SamplingFailure(f"{action_gpd.name} is not an action groupoid")
+        raise Unsupported(f"{action_gpd.name} is not an action groupoid")
     cur = build_current(action_gpd, grid)
-    ops = action_gpd.group_ops
-    ag = ops.manifold.ambient_dim
+    group = action_gpd.group
+    ag = group.ambient_dim
     rng = np.random.default_rng(seed)
     worst = 0.0
     gm_part = lambda gm: gm.ambient[:, :ag]
@@ -176,15 +177,15 @@ def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
         a = cur.sample_arrow(rng)
         b = cur.sample_with_beta(cur.alpha_star(a), rng)
         # multiplication: group parts multiply pointwise, base from the right
-        lifted_g = merge_components(ops.mul(split_components(gm_part(a)),
-                                            split_components(gm_part(b))))
+        lifted_g = merge_components(group.mul(split_components(gm_part(a)),
+                                              split_components(gm_part(b))))
         worst = worst_residual(
             worst,
             # source / target match the pointwise action picture
             cur.alpha_star(a).ambient - m_part(a),
             cur.beta_star(a).ambient
             - action_gpd.act_batch(gm_part(a), m_part(a)),
-            cur.mu_star(a, b).ambient
+            cur.mu_star(a, b, tol=tol).ambient
             - np.concatenate([lifted_g, m_part(b)], axis=-1))
     return worst
 
@@ -205,8 +206,7 @@ def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
     from .catalog import Circle, exp_cover
     circle = Circle()
     if target is None:
-        eta1 = GridMap(grid, circle, np.stack(
-            [np.cos(grid.params()), np.sin(grid.params())], axis=-1))
+        eta1 = circle_winding_loop(grid, circle, 1)
         eta2 = constant_grid_map(grid, circle.point_from_ambient([1.0, 0.0]))
     else:
         eta1, eta2 = target
@@ -325,7 +325,7 @@ def proper_etale_fiber_bound(gpd: LieGroupoid, grid: GridSpec, n_pairs=200,
     """
     grp = gpd.finite_group
     if grp is None:
-        raise SamplingFailure(f"{gpd.name}: needs a finite structure group")
+        raise Unsupported(f"{gpd.name}: needs a finite structure group")
     rng = np.random.default_rng(seed)
     m = gpd.base
     counts = []

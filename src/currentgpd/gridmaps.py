@@ -103,11 +103,6 @@ def constant_grid_map(grid, p: Point) -> GridMap:
     return GridMap(grid, p.manifold, amb)
 
 
-def circle_identity_loop(grid, circle) -> GridMap:
-    th = grid.params()
-    return GridMap(grid, circle, np.stack([np.cos(th), np.sin(th)], axis=-1))
-
-
 def circle_winding_loop(grid, circle, k) -> GridMap:
     th = k * grid.params()
     n = max(1, abs(int(k)))

@@ -20,8 +20,7 @@ from .manifolds import (ChartedManifold, DiscreteManifold, Point,
                         ProductManifold, SmoothMap, component_major,
                         concat_components, map_jacobian, merge_components,
                         split_components, squared_distance)
-from .catalog import Circle, Euclidean, Torus
-from .localadd import LieGroupOps, translation_group
+from .catalog import Circle, Euclidean, RotationGroup, Torus
 from .report import worst_residual
 from .tolerances import DEFAULT
 
@@ -329,8 +328,13 @@ class AffineElement:
                 and np.abs(self.offset - other.offset).max() < 1e-9)
 
 
-class FiniteGroup:
-    """Finite group of affine diffeomorphisms with a precomputed table."""
+class FiniteGroup(DiscreteManifold):
+    """Finite group of affine diffeomorphisms: a 0-dimensional Lie group.
+
+    The manifold is the set of element indices; ``mul`` and ``invert`` look
+    indices up in a precomputed table, so they are constant under
+    differentiation and run on single indices and stacked arrays alike.
+    """
 
     def __init__(self, elements):
         self.elements = list(elements)
@@ -349,6 +353,15 @@ class FiniteGroup:
                 self.table[i, j] = matches[0]
                 if matches[0] == self.identity_index:
                     self.inverse[i] = j
+        self.identity = (float(self.identity_index),)
+        super().__init__(k)
+
+    def mul(self, a, b):
+        i, j = np.broadcast_arrays(np.rint(value(a[0])), np.rint(value(b[0])))
+        return [self.table[i.astype(int), j.astype(int)].astype(float)]
+
+    def invert(self, a):
+        return [self.inverse[np.rint(value(a[0])).astype(int)].astype(float)]
 
     def __len__(self):
         return len(self.elements)
@@ -439,12 +452,16 @@ def pair_groupoid(m: ChartedManifold) -> LieGroupoid:
                        Fiber(m, slice(am, 2 * am), _target_then_free))
 
 
-def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
+def lie_action_groupoid(group: ChartedManifold, act_fn, m: ChartedManifold,
                         name) -> LieGroupoid:
-    """Action groupoid of a Lie group action: arrows (g, x) with target g.x."""
-    Gm = group.manifold
-    G = ProductManifold([Gm, m], name=f"{Gm.name}x{m.name}")
-    ag = Gm.ambient_dim
+    """Action groupoid G x| M of a Lie group action: arrows (g, x), target g.x.
+
+    ``group`` is a catalog group manifold, which carries ``mul``, ``invert``
+    and ``identity``; a :class:`FiniteGroup` is the 0-dimensional case.
+    ``act_fn`` maps (g comps, x comps) to the comps of g.x.
+    """
+    G = ProductManifold([group, m], name=f"{group.name}x{m.name}")
+    ag = group.ambient_dim
 
     def alpha_fn(comps):
         return list(comps[ag:])
@@ -461,7 +478,7 @@ def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
 
     def unit_fn(comps):
         probe = comps[0] * 0.0
-        return [probe + e for e in group.manifold.identity] + list(comps)
+        return [probe + e for e in group.identity] + list(comps)
 
     def act_batch(g, x):
         return merge_components(act_fn(split_components(np.asarray(g, dtype=float)),
@@ -478,9 +495,9 @@ def lie_action_groupoid(group: LieGroupOps, act_fn, m: ChartedManifold,
                       mu_fn,
                       SmoothMap(G, G, iota_fn, name="iota"),
                       SmoothMap(m, G, unit_fn, name="unit"),
-                      Fiber(Gm, slice(0, ag), build))
+                      Fiber(group, slice(0, ag), build))
     gpd.act_batch = act_batch
-    gpd.group_ops = group
+    gpd.group = group
     return gpd
 
 
@@ -493,8 +510,7 @@ def rotation_action_groupoid() -> LieGroupoid:
         c, s = ad.cos(g[0]), ad.sin(g[0])
         return [c * x[0] - s * x[1], s * x[0] + c * x[1]]
 
-    return lie_action_groupoid(translation_group(line), act_fn, circle,
-                               "rot-action(RxS1)")
+    return lie_action_groupoid(line, act_fn, circle, "rot-action(RxS1)")
 
 
 def circle_bundle_groupoid() -> LieGroupoid:
@@ -527,10 +543,12 @@ def circle_bundle_groupoid() -> LieGroupoid:
 
 
 def _indexed_action(elements, idx, mcomps):
-    """Apply the idx-th affine element; idx is constant under differentiation."""
+    """Apply the idx-th affine element; idx is constant under differentiation.
+
+    idx is one index or an array of them, each picking its element by a 0/1
+    weight, so every point is moved by the weighted sum of ``act_comps``.
+    """
     iv = np.asarray(value(idx))
-    if iv.ndim == 0:
-        return elements[int(round(float(iv)))].act_comps(mcomps)
     out = None
     for k, el in enumerate(elements):
         w = (np.abs(iv - k) < 0.5).astype(float)
@@ -542,87 +560,32 @@ def _indexed_action(elements, idx, mcomps):
 def finite_action_groupoid(group: FiniteGroup, m: ChartedManifold,
                            name) -> LieGroupoid:
     """Action groupoid of a finite group of affine diffeomorphisms."""
-    k = len(group)
-    D = DiscreteManifold(k, name=f"{name}-elements")
-    G = ProductManifold([D, m], name=f"{name}-arrows")
-    tbl = group.table
-    inv = group.inverse
-
-    def alpha_fn(comps):
-        return list(comps[1:])
-
-    def beta_fn(comps):
-        return _indexed_action(group.elements, comps[0], list(comps[1:]))
-
-    def lookup(tab, i, j):
-        iv = np.asarray(value(i))
-        jv = np.asarray(value(j))
-        if iv.ndim == 0 and jv.ndim == 0:
-            return float(tab[int(round(float(iv))), int(round(float(jv)))])
-        ii = np.rint(np.broadcast_to(iv, np.broadcast_shapes(iv.shape, jv.shape))).astype(int)
-        jj = np.rint(np.broadcast_to(jv, ii.shape)).astype(int)
-        return tab[ii, jj].astype(float)
-
-    def mu_fn(g, h):
-        return [lookup(tbl, g[0], h[0])] + list(h[1:])
-
-    def iota_fn(comps):
-        iv = np.asarray(value(comps[0]))
-        if iv.ndim == 0:
-            j = float(inv[int(round(float(iv)))])
-        else:
-            j = inv[np.rint(iv).astype(int)].astype(float)
-        return [j] + _indexed_action(group.elements, comps[0], list(comps[1:]))
-
-    def unit_fn(comps):
-        probe = comps[0] * 0.0
-        return [probe + float(group.identity_index)] + list(comps)
-
-    def act_indexed(idx, x):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.zeros_like(flat)
-        ii = np.rint(np.asarray(idx, dtype=float).reshape(-1)).astype(int)
-        for kk, el in enumerate(group.elements):
-            mask = ii == kk
-            if mask.any():
-                out[mask] = el.act(flat[mask])
-        return out.reshape(x.shape)
-
-    def build(x, idx):
-        return concat_components(
-            [idx, act_indexed(inv[np.rint(idx[..., 0]).astype(int)], x)])
-
-    gpd = LieGroupoid(name, G, m,
-                      SmoothMap(G, m, alpha_fn, name="alpha"),
-                      SmoothMap(G, m, beta_fn, name="beta"),
-                      mu_fn,
-                      SmoothMap(G, G, iota_fn, name="iota"),
-                      SmoothMap(m, G, unit_fn, name="unit"),
-                      Fiber(D, slice(0, 1), build))
+    gpd = lie_action_groupoid(
+        group, lambda g, x: _indexed_action(group.elements, g[0], list(x)),
+        m, name)
     gpd.finite_group = group
     return gpd
 
 
-def group_groupoid(group: LieGroupOps, name=None) -> LieGroupoid:
-    """A Lie group as a groupoid over the one-point base."""
+def group_groupoid(group: ChartedManifold, name=None) -> LieGroupoid:
+    """A catalog Lie group manifold as a groupoid over the one-point base."""
     star = DiscreteManifold(1, name="point")
-    Gm = group.manifold
 
     def const_fn(comps):
         return [comps[0] * 0.0]
 
     def unit_fn(comps):
         probe = comps[0] * 0.0
-        return [probe + e for e in Gm.identity]
+        return [probe + e for e in group.identity]
 
-    return LieGroupoid(name or f"group({group.name})", Gm, star,
-                       SmoothMap(Gm, star, const_fn, name="alpha"),
-                       SmoothMap(Gm, star, const_fn, name="beta"),
+    return LieGroupoid(name or f"group({group.name})", group, star,
+                       SmoothMap(group, star, const_fn, name="alpha"),
+                       SmoothMap(group, star, const_fn, name="beta"),
                        lambda g, h: group.mul(list(g), list(h)),
-                       SmoothMap(Gm, Gm, lambda c: group.invert(list(c)), name="iota"),
-                       SmoothMap(star, Gm, unit_fn, name="unit"),
-                       Fiber(Gm, slice(0, Gm.ambient_dim), lambda x, f: f))
+                       SmoothMap(group, group, lambda c: group.invert(list(c)),
+                                 name="iota"),
+                       SmoothMap(star, group, unit_fn, name="unit"),
+                       Fiber(group, slice(0, group.ambient_dim), lambda x, f: f))
 
 
 # ---------------------------------------------------------------------------
@@ -640,23 +603,19 @@ def z2_line_groupoid():
 
 
 def so3_loop_groupoid():
-    from .catalog import RotationGroup
-    from .localadd import so3_group
-    return group_groupoid(so3_group(RotationGroup()), name="so3-group")
+    return group_groupoid(RotationGroup(), name="so3-group")
 
 
 def so3_action_groupoid():
     """Rotations acting on 3-space by matrix multiplication."""
-    from .catalog import RotationGroup
-    from .localadd import so3_group
 
     def act_fn(g, x):
         return [g[0] * x[0] + g[1] * x[1] + g[2] * x[2],
                 g[3] * x[0] + g[4] * x[1] + g[5] * x[2],
                 g[6] * x[0] + g[7] * x[1] + g[8] * x[2]]
 
-    return lie_action_groupoid(so3_group(RotationGroup()), act_fn,
-                               Euclidean(3), "so3-action")
+    return lie_action_groupoid(RotationGroup(), act_fn, Euclidean(3),
+                               "so3-action")
 
 
 GROUPOIDS = {

@@ -4,7 +4,8 @@ A local addition is a smooth map ``sigma`` from a neighborhood U of the zero
 section of TM to M with sigma(0_p) = p such that (projection, sigma) is a
 diffeomorphism onto a neighborhood of the diagonal.  Constructions here:
 closed-form geodesic exponentials for catalog manifolds, the group-translation
-construction for Lie groups, a normalization pass that makes the fiber
+construction on the catalog Lie groups (which carry their own group
+structure, see :mod:`catalog`), a normalization pass that makes the fiber
 derivative at zero the identity, and the lift of a local addition to TM.
 """
 
@@ -144,75 +145,27 @@ def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
                          name=f"prod({','.join(a.name for a in factor_adds)})")
 
 
-class LieGroupOps:
-    """Descriptor of a catalog Lie group acting on its own manifold."""
+def lie_group_local_addition(m: ChartedManifold) -> LocalAddition:
+    """sigma(v) = g . exp(omega(v)) on a catalog Lie group m, g the foot of v.
 
-    def __init__(self, manifold, mul, invert, exp_chart, omega, name):
-        self.manifold = manifold
-        self.mul = mul
-        self.invert = invert
-        self.exp_chart = exp_chart
-        self.omega = omega          # left Maurer-Cartan: (g comps, v comps) -> algebra coords
-        self.name = name
-
-
-def circle_group(circle) -> LieGroupOps:
-    def omega(g, v):
-        return [g[0] * v[1] - g[1] * v[0]]
-
-    return LieGroupOps(circle, circle.mul, circle.invert, circle.exp_chart,
-                       omega, "circle-group")
-
-
-def so3_group(so3) -> LieGroupOps:
-    from .catalog import _mat9_T, _mat9_mul
-
-    def omega(g, v):
-        s = _mat9_mul(_mat9_T(list(g)), list(v))
-        return [(s[7] - s[5]) / 2.0, (s[2] - s[6]) / 2.0, (s[3] - s[1]) / 2.0]
-
-    ops = LieGroupOps(so3, so3.mul, so3.invert, so3.exp_chart, omega,
-                      "so3-group")
-    # matrix commutator of hat matrices, in rotation-vector coordinates
-    ops.commutator = lambda xi, eta: np.cross(xi, eta)
-    return ops
-
-
-def translation_group(eucl) -> LieGroupOps:
-    n = eucl.dim
-    return LieGroupOps(
-        eucl,
-        lambda a, b: [x + y for x, y in zip(a, b)],
-        lambda a: [-x for x in a],
-        lambda xi: list(xi),
-        lambda g, v: list(v),
-        f"translation{n}",
-    )
-
-
-def lie_group_local_addition(group: LieGroupOps) -> LocalAddition:
-    """sigma(v) = g . exp(omega(v)) with g the foot point of v.
-
-    exp is the group exponential chart, so the result is normalized: its
-    fiber derivative at zero is the identity.
+    m carries its group structure (``mul``, ``exp_chart`` and the left
+    Maurer-Cartan form ``omega``).  exp is the group exponential chart, so
+    the result is normalized: its fiber derivative at zero is the identity.
     """
-    m = group.manifold
-    if not hasattr(m, "speed"):
-        raise Unsupported(f"{m.name} is not a catalog group manifold")
+    if not hasattr(m, "omega"):
+        raise Unsupported(f"{m.name} is not a catalog Lie group")
     am = m.ambient_dim
 
     def sigma_fn(comps):
         g = list(comps[:am])
         v = list(comps[am:])
-        return group.mul(g, group.exp_chart(group.omega(g, v)))
+        return m.mul(g, m.exp_chart(m.omega(g, v)))
 
-    closed = None
-    if hasattr(m, "log_amb"):
-        def closed(p, q):
-            return m.log_amb(list(p), list(q))
+    def closed(p, q):
+        return m.log_amb(list(p), list(q))
 
     return LocalAddition(m, sigma_fn, _radius_domain(m, m.injectivity_radius),
-                         closed_log=closed, name=f"grp_{group.name}")
+                         closed_log=closed, name=f"grp_{m.name}")
 
 
 def fiber_derivative(add: LocalAddition, p: Point, h=DEFAULT.h_fd):

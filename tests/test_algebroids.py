@@ -16,7 +16,6 @@ from currentgpd.catalog import Circle, RotationGroup
 from currentgpd.errors import FrameProjectionError
 from currentgpd.gridmaps import GridMap, GridSpec, random_grid_map
 from currentgpd.groupoids import GROUPOIDS, make_groupoid
-from currentgpd.localadd import circle_group, so3_group
 from currentgpd.manifolds import (Tangent, chart_count, merge_components,
                                   tangent_map)
 from currentgpd.report import worst_residual
@@ -503,12 +502,12 @@ def test_unit_chart_ids_are_memoised_per_distinct_batch(monkeypatch):
 
 class TestSignConvention:
     def test_circle_group_is_vacuous(self):
-        rep = sign_convention_check(circle_group(Circle()))
+        rep = sign_convention_check(Circle())
         assert rep.sign is None and rep.consistent
         assert rep.note.startswith("abelian")
 
     def test_so3_sign_is_minus_one(self):
         # the groupoid bracket is anti-isomorphic to the matrix convention
-        rep = sign_convention_check(so3_group(RotationGroup()), seed=18)
+        rep = sign_convention_check(RotationGroup(), seed=18)
         assert rep.consistent
         assert rep.sign == -1.0

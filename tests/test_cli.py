@@ -153,18 +153,22 @@ class TestRun:
 
             monkeypatch.setattr(suites, name, wrapped)
 
-        for name in ("local_action_form", "path_lift"):
+        for name in ("local_action_form", "path_lift", "pair_iso",
+                     "action_iso"):
             spy(name, "tol")
         for name in ("algebroid_of_groupoid", "normalize"):
             spy(name, "tol_rank")
         cfg = write_config(
             tmp_path, seed=7, tolerances={"tol_chart": 3e-9, "tol_rank": 2e-8},
             suites=["local-action-form", "path-lifting", "local-addition",
-                    "theorem-D-pointwise-bracket", "algebroid-laws"],
+                    "theorem-D-pointwise-bracket", "algebroid-laws",
+                    "pair-action-iso"],
             samples={"path-lifting": 2, "theorem-D-pointwise-bracket": 2})
         execute(load_config(cfg))
         assert seen == {"local_action_form": [3e-9] * 2,
                         "path_lift": [3e-9] * 4,
+                        "pair_iso": [3e-9],
+                        "action_iso": [3e-9],
                         "algebroid_of_groupoid": [2e-8] * 4,
                         "normalize": [2e-8] * 2}
 

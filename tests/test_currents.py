@@ -10,8 +10,8 @@ from currentgpd.currents import (action_iso, build_current,
                                  proper_etale_fiber_bound,
                                  properness_failure_witness,
                                  transitivity_obstruction)
-from currentgpd.errors import NotComposable
-from currentgpd.gridmaps import (GridSpec, circle_identity_loop,
+from currentgpd.errors import NotComposable, Unsupported
+from currentgpd.gridmaps import (GridSpec, circle_winding_loop,
                                  constant_grid_map)
 from currentgpd.groupoids import GROUPOIDS, LieGroupoid, make_groupoid
 
@@ -105,11 +105,15 @@ class TestStructuralIsos:
     def test_minimal_grid(self):
         assert pair_iso(GridSpec("circle", 8), CIRCLE, 20, seed=6) <= 1e-10
 
+    def test_action_iso_needs_an_action_groupoid(self):
+        with pytest.raises(Unsupported):
+            action_iso(GridSpec("circle", 8), make_groupoid("pair-real1"), 2)
+
 
 class TestTransitivityObstruction:
     def test_diagonal_target_solves_to_zero(self):
         grid = GridSpec("circle", 64)
-        idl = circle_identity_loop(grid, CIRCLE)
+        idl = circle_winding_loop(grid, CIRCLE, 1)
         cert = transitivity_obstruction(grid, target=(idl, idl))
         assert cert.verdict == "solvable"
         assert cert.max_residual <= 1e-10
@@ -186,6 +190,11 @@ class TestFiberBound:
         cert = proper_etale_fiber_bound(z2, GridSpec("circle", 8),
                                         n_pairs=60, seed=12)
         assert cert.witness_data["max_lifts"] <= 2
+
+    def test_needs_a_finite_group(self):
+        with pytest.raises(Unsupported):
+            proper_etale_fiber_bound(make_groupoid("rot-action"),
+                                     GridSpec("circle", 8), n_pairs=2)
 
 
 class TestPerNodeClassifiers:

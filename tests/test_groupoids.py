@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from currentgpd.catalog import Circle
+from currentgpd.catalog import Circle, Euclidean, RotationGroup
 from currentgpd.currents import build_current
 from currentgpd.errors import NotComposable, SamplingFailure, Unsupported
 from currentgpd.gridmaps import GridMap, GridSpec
@@ -14,7 +14,7 @@ from currentgpd.groupoids import (GROUPOIDS, AxiomReport, LieGroupoid,
                                   cyclic_rotation_group, isotropy_group,
                                   make_groupoid, reflection_group_1d,
                                   sample_composable_triple, unit_groupoid)
-from currentgpd.manifolds import component_major
+from currentgpd.manifolds import component_major, split_components
 
 from conftest import close_to
 
@@ -502,3 +502,67 @@ class TestFiniteGroups:
         rot = cyclic_rotation_group(4).elements[1]
         with pytest.raises(Unsupported):
             FiniteGroup([cyclic_rotation_group(4).elements[0], rot])
+
+
+# (group, largest law residual): the finite groups look indices up in a
+# table and the translation groups add dyadic points exactly
+GROUP_LAWS = {"real1": (lambda: Euclidean(1), 0.0),
+              "real3": (lambda: Euclidean(3), 0.0),
+              "circle": (Circle, 1e-12),
+              "so3": (RotationGroup, 1e-12),
+              "z4": (lambda: cyclic_rotation_group(4), 0.0),
+              "z2": (reflection_group_1d, 0.0)}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_LAWS))
+def test_group_laws(name):
+    """The identity is a unit, invert gives inverses, mul is associative."""
+    make, tol = GROUP_LAWS[name]
+    grp = make()
+    rng = np.random.default_rng(31)
+    draws = [grp.sample(rng, 200) for _ in range(3)]
+    if isinstance(grp, Euclidean):
+        # float sums are associative only when exact: points k / 64
+        draws = [np.round(d * 64.0) / 64.0 for d in draws]
+    a, b, c = (split_components(d) for d in draws)
+    e = [np.full(200, x) for x in grp.identity]
+    mul, inv = grp.mul, grp.invert
+
+    def gap(x, y):
+        return max(float(np.max(np.abs(np.asarray(u) - np.asarray(v))))
+                   for u, v in zip(x, y))
+
+    assert gap(mul(e, a), a) <= tol and gap(mul(a, e), a) <= tol
+    assert gap(mul(a, inv(a)), e) <= tol and gap(mul(inv(a), a), e) <= tol
+    assert gap(mul(mul(a, b), c), mul(a, mul(b, c))) <= tol
+
+
+def affine_oracle_build(grp, x, idx):
+    """The arrows with targets x and element indices idx, each target moved
+    by its inverse element through AffineElement.act (a matmul)."""
+    flat = x.reshape(-1, x.shape[-1])
+    inv = grp.inverse[np.rint(idx.reshape(-1)).astype(int)]
+    out = np.zeros_like(flat)
+    for k, el in enumerate(grp.elements):
+        out[inv == k] = el.act(flat[inv == k])
+    return np.concatenate([idx, out.reshape(x.shape)], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["z4-plane", "z2-line"])
+def test_finite_fiber_build_rounds_as_the_affine_matmul(name):
+    """The fiber build moves targets by weighted sums of act_comps.  The
+    residual pins of the finite groupoids rely on these rounding as act's
+    matmul does, bit for bit; where the two part, this test names it."""
+    gpd = make_groupoid(name)
+    grp = gpd.finite_group
+    rng = np.random.default_rng(32)
+    x = gpd.base.sample(rng, 100000)
+    idx = grp.sample(rng, 100000)
+    assert same_bits(gpd.fiber.build(x, idx), affine_oracle_build(grp, x, idx))
+    grid = GridSpec("circle", 64)
+    x = np.ascontiguousarray(
+        gpd.base.sample_path(grid.params(), rng, grid.closed, 7))
+    idx = np.ascontiguousarray(
+        grp.sample_path(grid.params(), rng, grid.closed, 7))
+    got = np.ascontiguousarray(gpd.fiber.build(x, idx))
+    assert same_bits(got, affine_oracle_build(grp, x, idx))

@@ -13,8 +13,8 @@ from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
                                Unsupported)
 from currentgpd.gridmaps import (GridMap, GridSection, GridSpec,
                                  SuperpositionMap, chart_phi,
-                                 chart_phi_inverse, circle_identity_loop,
-                                 circle_winding_loop, classify_pushforward,
+                                 chart_phi_inverse, circle_winding_loop,
+                                 classify_pushforward,
                                  constant_grid_map, degree, gridmap_to_csv,
                                  local_diffeo_inverse, pushforward,
                                  pushforward_tangent, random_grid_map,
@@ -53,13 +53,13 @@ class TestGridMap:
             GridMap(GRID, CIRCLE, amb)
 
     def test_a_nan_node_is_not_coherent(self):
-        amb = circle_identity_loop(GridSpec("circle", 8), CIRCLE).ambient
+        amb = circle_winding_loop(GridSpec("circle", 8), CIRCLE, 1).ambient
         amb[3] = np.nan
         with pytest.raises(CoherenceLost):
             GridMap(GridSpec("circle", 8), CIRCLE, amb)
 
     def test_evaluation_nodes(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         k = 13
         p = loop.point(k)
         assert math.atan2(p.ambient[1], p.ambient[0]) == pytest.approx(
@@ -139,18 +139,18 @@ def test_batched_path_contract(name, kind):
 
 class TestPushforward:
     def test_identity(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         out = pushforward(SmoothMap(CIRCLE, CIRCLE, lambda c: list(c)), loop)
         assert np.allclose(out.ambient, loop.ambient)
 
     def test_constant(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         out = pushforward(MAPS["circle-constant"], loop)
         assert np.allclose(out.ambient, [1.0, 0.0])
 
     def test_squaring_doubles_winding(self):
         grid = GridSpec("circle", 256)
-        loop = circle_identity_loop(grid, CIRCLE)
+        loop = circle_winding_loop(grid, CIRCLE, 1)
         out = pushforward(MAPS["circle-square"], loop,
                           delta_coh=math.pi - 1e-6)
         assert unwrap_winding_oracle(out) == 2
@@ -179,7 +179,7 @@ class TestSuperposition:
 
     def test_projection_returns_input(self):
         sup = SuperpositionMap(CIRCLE, CIRCLE, lambda x, comps: list(comps))
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         assert np.allclose(superposition(sup, loop).ambient, loop.ambient)
 
     def test_domain_violation_reports_node(self):
@@ -191,7 +191,7 @@ class TestSuperposition:
 
         sup = SuperpositionMap(CIRCLE, CIRCLE,
                                lambda x, comps: list(comps), domain=domain)
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         with pytest.raises(GraphOutsideDomain) as err:
             superposition(sup, loop)
         assert err.value.index == bad_node
@@ -200,7 +200,7 @@ class TestSuperposition:
 class TestChartPhi:
     def setup_method(self):
         self.add = riemannian_local_addition(CIRCLE)
-        self.loop = circle_identity_loop(GRID, CIRCLE)
+        self.loop = circle_winding_loop(GRID, CIRCLE, 1)
 
     def test_zero_section_gives_base(self):
         zero = GridSection(self.loop, np.zeros_like(self.loop.ambient))
@@ -240,14 +240,14 @@ class TestChartPhi:
 
 class TestPushforwardTangent:
     def test_identity(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         tau = random_section(loop, np.random.default_rng(4))
         out = pushforward_tangent(SmoothMap(CIRCLE, CIRCLE,
                                             lambda c: list(c)), loop, tau)
         assert np.allclose(out.vel_ambient, tau.vel_ambient)
 
     def test_zero_section_stays_zero(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         zero = GridSection(loop, np.zeros_like(loop.ambient))
         out = pushforward_tangent(MAPS["circle-square"], loop, zero)
         assert np.allclose(out.vel_ambient, 0.0)
@@ -256,7 +256,7 @@ class TestPushforwardTangent:
                                        delta_coh=np.inf).ambient)
 
     def test_squaring_doubles_speeds(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         tau = section_from_chart_coeffs(loop, np.full((GRID.n, 1), 1.0))
         out = pushforward_tangent(MAPS["circle-square"], loop, tau)
         speeds = np.linalg.norm(out.vel_ambient, axis=-1)
@@ -298,7 +298,7 @@ class TestClassify:
         assert got.verdict == "local_diffeo_on_trace"
 
     def test_neither(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         got = classify_pushforward(MAPS["circle-constant"], loop)
         assert got.verdict == "neither"
 
@@ -371,12 +371,12 @@ class TestLocalDiffeoInverse:
             assert seminorm_distance(back, eta)[0] < 1e-10
 
     def test_winding_one_has_no_lift(self):
-        idloop = circle_identity_loop(GRID, CIRCLE)
+        idloop = circle_winding_loop(GRID, CIRCLE, 1)
         with pytest.raises(OutsideNeighborhood):
             local_diffeo_inverse(self.f, self.gamma0, idloop)
 
     def test_all_branches_rejected(self):
-        idloop = circle_identity_loop(GRID, CIRCLE)
+        idloop = circle_winding_loop(GRID, CIRCLE, 1)
         rejected = 0
         for k in range(-16, 16):
             start = self.line.point_from_ambient([2 * math.pi * k])
@@ -400,7 +400,7 @@ class TestLocalDiffeoInverse:
 
 class TestDegree:
     def test_identity_loop(self):
-        assert degree(circle_identity_loop(GRID, CIRCLE)) == 1
+        assert degree(circle_winding_loop(GRID, CIRCLE, 1)) == 1
 
     def test_constant_loop(self):
         assert degree(constant_grid_map(GRID,
@@ -426,13 +426,13 @@ class TestDegree:
 
 class TestSeminorms:
     def test_zero_for_equal_maps(self):
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         prof = seminorm_distance(loop, loop)
         assert all(v == 0.0 for v in prof)
 
     def test_identity_vs_constant_first_order(self):
         # |d/dx identity loop| = 1 in the plane; constant has derivative 0
-        loop = circle_identity_loop(GRID, CIRCLE)
+        loop = circle_winding_loop(GRID, CIRCLE, 1)
         const = constant_grid_map(GRID, CIRCLE.point_at_angle(0.0))
         prof = seminorm_distance(loop, const)
         assert prof[1] == pytest.approx(1.0, abs=10.0 / GRID.n)
@@ -440,7 +440,7 @@ class TestSeminorms:
 
     def test_second_order_profile(self):
         grid = GridSpec("circle", 128, ell=2)
-        loop = circle_identity_loop(grid, CIRCLE)
+        loop = circle_winding_loop(grid, CIRCLE, 1)
         const = constant_grid_map(grid, CIRCLE.point_at_angle(0.0))
         prof = seminorm_distance(loop, const)
         assert len(prof) == 3
@@ -458,7 +458,7 @@ class TestSeminorms:
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
-        loop = circle_identity_loop(GridSpec("circle", 8), CIRCLE)
+        loop = circle_winding_loop(GridSpec("circle", 8), CIRCLE, 1)
         path = tmp_path / "loop.csv"
         gridmap_to_csv(loop, path)
         lines = path.read_text().strip().splitlines()

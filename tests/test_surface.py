@@ -67,7 +67,6 @@ KEEP = {
     "second_tangent_map": "T^2 f on second tangents; tests check it",
     "lie_group_local_addition": "the local addition of a Lie group; tests "
                                 "check it",
-    "circle_group": "the group that lie_group_local_addition is checked on",
     "superposition": "the superposition operator gamma -> f(x, gamma(x)) of "
                      "a parameter-dependent map; tests check it",
 }

@@ -76,8 +76,20 @@ ALLOW = {
     "catalog:Circle.exp_chart":
         (2, "the group chart of the circle, read only by "
          "lie_group_local_addition"),
+    "catalog:Circle.omega":
+        (2, "the Maurer-Cartan form of the circle, read only by "
+         "lie_group_local_addition"),
+    "catalog:Euclidean.exp_chart":
+        (2, "the group chart of a translation group, read only by "
+         "lie_group_local_addition"),
+    "catalog:Euclidean.omega":
+        (2, "the Maurer-Cartan form of a translation group, read only by "
+         "lie_group_local_addition"),
     "catalog:RotationGroup.exp_chart":
         (2, "the group chart of SO(3), read only by lie_group_local_addition"),
+    "catalog:RotationGroup.omega":
+        (3, "the Maurer-Cartan form of SO(3), read only by "
+         "lie_group_local_addition"),
     "catalog:RotationGroup.geodesic_distance": (6, DISTANCE),
     "catalog:Sphere.geodesic_distance": (5, DISTANCE),
     "catalog:Sphere.sample_path":
@@ -130,16 +142,8 @@ ALLOW = {
     "groupoids:LieGroupoid._fiber": (1, RAISES),
     "groupoids:LieGroupoid.anchor_map": (5, PLANNED),
     "groupoids:LieGroupoid.anchor_map.<locals>.fn": (2, PLANNED),
-    "groupoids:_indexed_action":
-        (1, "a single point of a finite action groupoid; the work applies the "
-         "action to batches"),
     "groupoids:classify_etale": (9, PLANNED),
     "groupoids:classify_locally_transitive": (10, PLANNED),
-    "groupoids:finite_action_groupoid.<locals>.iota_fn":
-        (1, "a single point of a finite action groupoid; the work inverts "
-         "batches"),
-    "groupoids:finite_action_groupoid.<locals>.lookup":
-        (1, "a single pair of group elements; the work multiplies batches"),
     "groupoids:isotropy_group": (1, RAISES),
     "groupoids:make_groupoid": (1, RAISES),
     "groupoids:worst_rank_ratio":
@@ -159,19 +163,11 @@ ALLOW = {
          "no convergence"),
     "localadd:LocalAddition.sigma": (1, RAISES),
     "localadd:LocalAddition.theta_inverse": (4, RAISES),
-    "localadd:circle_group": (4, TESTED),
-    "localadd:circle_group.<locals>.omega": (2, TESTED),
-    "localadd:lie_group_local_addition": (11, TESTED),
+    "localadd:lie_group_local_addition": (8, TESTED),
     "localadd:lie_group_local_addition.<locals>.closed": (2, TESTED),
     "localadd:lie_group_local_addition.<locals>.sigma_fn": (4, TESTED),
     "localadd:normalize": (2, RAISES),
     "localadd:riemannian_local_addition": (1, RAISES),
-    "localadd:so3_group.<locals>.omega":
-        (3, "the Maurer-Cartan form of SO(3), read only by "
-         "lie_group_local_addition"),
-    "localadd:translation_group.<locals>.<lambda>":
-        (2, "the group chart and Maurer-Cartan form of a translation group, "
-         "read only by lie_group_local_addition"),
     "manifolds:ChartedManifold.__repr__": (2, REPR),
     "manifolds:ChartedManifold.best_chart": (2, RAISES),
     "manifolds:ChartedManifold.point_from_ambient": (1, RAISES),
