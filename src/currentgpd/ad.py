@@ -16,11 +16,11 @@ gives at each point the bits that point gives alone.  A batch of nodes sits
 on the trailing axis of every part, behind any direction axes
 (:func:`take`, :func:`scatter`).
 
-A matrix whose entries carry duals is held as one ``Dual`` whose parts are
-arrays (:func:`pack`, :func:`unpack`), each with the matrix axes last.
-Indexing and assignment, written ``d[..., i, j]``, act on the trailing axes
-of every part, so dense algebra runs whole rows at a time on floats and
-duals alike.
+A matrix whose entries carry duals is held packed, as one ``Dual`` whose
+parts are arrays (:func:`pack`, :func:`unpack`), each with the matrix axes
+last behind its direction and node axes.  Indexing, written
+``d[..., i, j]``, acts on the trailing axes of every part, so dense algebra
+(:mod:`linalg`) runs on whole matrices, floats and duals alike.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ class Dual:
     def __getitem__(self, idx):
         _past_directions(idx)
         return Dual(self.re[idx], self.ep[idx])
-
-    def __setitem__(self, idx, v):
-        _past_directions(idx)
-        re, ep = _parts(v)
-        self.re[idx] = re
-        self.ep[idx] = ep
 
     def __add__(self, o):
         if isinstance(o, Dual):
@@ -332,3 +326,10 @@ def unpack(a):
     if a.ndim == 2:
         return a.tolist()
     return [list(row) for row in np.moveaxis(a, (-2, -1), (0, 1))]
+
+
+def transpose(a):
+    """A packed matrix transposed: the matrix axes of every part swapped."""
+    if isinstance(a, Dual):
+        return Dual(transpose(a.re), transpose(a.ep))
+    return np.swapaxes(a, -1, -2)

@@ -31,7 +31,8 @@ from .ad import Dual, value
 from .errors import FrameProjectionError, RankDrop, Unsupported
 from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid
-from .linalg import dot_list, gram_schmidt, linsolve, numerical_ranks
+from .linalg import (dot_list, gram_schmidt, linsolve, matmul,
+                     numerical_ranks)
 from .manifolds import (Chart, Point, ProductManifold, SmoothMap,
                         map_jacobian, merge_components, split_components)
 from .report import worst_residual
@@ -153,11 +154,12 @@ class LieAlgebroid:
         """P = I - J^T (J J^T)^(-1) J for the source Jacobian at the unit.
 
         J is the dM x dG chart Jacobian of alpha at the unit coordinates
-        ``u_coords``, with duals if they carry any, or a stack of them when
-        the coordinates carry a node axis.  J J^T is solved densely
-        (no block structure is used, so on a power groupoid this stays
-        independent of the nodewise bracket) and factored once for all dG
-        columns of J.
+        ``u_coords``, packed (see :func:`ad.pack`) with duals if they carry
+        any, and a stack of them when the coordinates carry a node axis.
+        J J^T is solved densely with the dG columns of J as right-hand
+        sides (no block structure is used, so on a power groupoid this
+        stays independent of the nodewise bracket).  Returns P as rows of
+        entries.
         """
         g = self.gpd
         dG = g.arrows.dim
@@ -167,15 +169,10 @@ class LieAlgebroid:
                     for i in range(dG)]
         cols = ad.jacobian_columns(self._alpha_rep(cg, cm), list(u_coords))
         J = ad.pack(list(zip(*cols)))  # dM x dG
-        # J J^T as a sum of outer products of J's columns, in column order
-        JJt = J[..., :, :1] * J[..., None, :, 0]
-        for j in range(1, dG):
-            JJt += J[..., :, j:j + 1] * J[..., None, :, j]
-        # Z = (J J^T)^(-1) J: one factorisation, the dG columns of J as rhs
-        Z = ad.pack(linsolve(ad.unpack(JJt), cols))  # dG x dM
-        P = np.eye(dG) - J[..., 0, :, None] * Z[..., None, :, 0]
+        Z = linsolve(matmul(J, ad.transpose(J)), J)  # (J J^T)^(-1) J
+        P = np.eye(dG) - J[..., 0, :, None] * Z[..., None, 0, :]
         for k in range(1, dM):
-            P -= J[..., k, :, None] * Z[..., None, :, k]
+            P -= J[..., k, :, None] * Z[..., None, k, :]
         return ad.unpack(P)
 
     def _select_axes(self, P_float):
@@ -336,8 +333,7 @@ class LieAlgebroid:
             resid = worst_residual(*[value(a) - value(c)
                                      for a, c in zip(b, pb)])
             if not resid <= self.tol_bracket:
-                raise FrameProjectionError(
-                    f"bracket leaves the kernel by {resid:.2e}")
+                raise FrameProjectionError(resid)
             _, vel_amb = ad.jvp(chart.inv, list(u), pb)
             return vel_amb
 
@@ -350,9 +346,11 @@ class LieAlgebroid:
         vel = section.vector_fn(list(x.ambient))
         _, w = ad.jvp(chart.fwd, chart.inv([value(c) for c in u]), vel)
         wf = [value(c) for c in w]
-        gram = [[value(dot_list(a, b)) for b in frame] for a in frame]
+        r = len(frame)
+        gram = np.reshape([value(dot_list(a, b)) for a in frame for b in frame],
+                          (r, r))
         rhs = [sum(value(f[i]) * wf[i] for i in range(len(wf))) for f in frame]
-        return np.asarray(linsolve(gram, [rhs])[0], dtype=float)
+        return linsolve(gram, np.reshape(rhs, (r, 1)))[:, 0]
 
 
 def _any_node(flags):
@@ -372,8 +370,8 @@ def _pick(entries, axes):
     return out
 
 
-def algebroid_of_groupoid(gpd: LieGroupoid,
-                          tol_rank=DEFAULT.tol_rank) -> LieAlgebroid:
+def algebroid_of_groupoid(gpd: LieGroupoid, tol_rank=DEFAULT.tol_rank,
+                          tol_bracket=DEFAULT.tol_bracket) -> LieAlgebroid:
     """Kernel rank is probed at 5 seeded sample points and must be constant."""
     rng = np.random.default_rng(0)
     xs = np.stack([gpd.base.sample(rng) for _ in range(5)])
@@ -382,7 +380,7 @@ def algebroid_of_groupoid(gpd: LieGroupoid,
     ranks = (gpd.arrows.dim - numerical_ranks(s, tol_rank)).tolist()
     if len(set(ranks)) != 1:
         raise RankDrop(f"{gpd.name}: kernel dimension varies across samples: {ranks}")
-    return LieAlgebroid(gpd, ranks[0])
+    return LieAlgebroid(gpd, ranks[0], tol_bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +540,8 @@ def _node_entries(x, n):
     return ad.unpack(x[..., None, :])[0]
 
 
-def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y, base):
+def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y, base,
+                             tol_bracket=DEFAULT.tol_bracket):
     """Compare the bracket through the big groupoid against the nodewise one.
 
     Route one: the groupoid of grid maps is the n-fold power of the base
@@ -559,13 +558,14 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y, base):
     :func:`per_node_coeffs`).  Route one then gives each component of the
     power groupoid a trailing axis of the S samples; each sample takes its
     own product chart and its own dense J J^T in the stacked solve.  A
-    single grid map keeps float components.
+    single grid map keeps float components.  Both routes project their
+    brackets with ``tol_bracket`` (:meth:`LieAlgebroid.bracket`).
     """
     n = grid.n
     am = gpd.base.ambient_dim
     power = groupoid_power(gpd, n)
-    alg_small = algebroid_of_groupoid(gpd)
-    alg_big = LieAlgebroid(power, alg_small.rank * n)
+    alg_small = algebroid_of_groupoid(gpd, tol_bracket=tol_bracket)
+    alg_big = LieAlgebroid(power, alg_small.rank * n, tol_bracket)
     Xb = lift_section(alg_big, X, n, am)
     Yb = lift_section(alg_big, Y, n, am)
     if isinstance(base, GridMap):
@@ -590,7 +590,8 @@ class SignReport:
     note: str
 
 
-def sign_convention_check(group, seed=0) -> SignReport:
+def sign_convention_check(group, seed=0,
+                          tol_bracket=DEFAULT.tol_bracket) -> SignReport:
     """Measure the groupoid-bracket sign against the matrix commutator.
 
     ``group`` is a catalog Lie group manifold; a non-abelian one carries
@@ -600,7 +601,7 @@ def sign_convention_check(group, seed=0) -> SignReport:
     """
     from .groupoids import group_groupoid
     gpd = group_groupoid(group)
-    alg = algebroid_of_groupoid(gpd)
+    alg = algebroid_of_groupoid(gpd, tol_bracket=tol_bracket)
     d = alg.rank
     star = gpd.base.point_from_ambient([0.0])
     if d <= 1:

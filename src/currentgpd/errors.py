@@ -84,6 +84,10 @@ class RankDrop(GeometryError):
 class FrameProjectionError(GeometryError):
     """Bracket value leaves the kernel frame by more than tolerance."""
 
+    def __init__(self, residual):
+        super().__init__(f"bracket leaves the kernel by {residual:.2e}")
+        self.residual = residual
+
 
 class UnknownSuite(GeometryError):
     """No suite registered under the requested id."""

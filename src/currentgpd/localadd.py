@@ -17,7 +17,7 @@ from . import ad
 from .ad import Dual, value
 from .errors import (DomainViolation, NotInThetaImage, SingularNormalization,
                      Unsupported)
-from .linalg import linsolve, newton
+from .linalg import linsolve, newton, numerical_ranks
 from .manifolds import (ChartedManifold, Point, ProductManifold, Tangent,
                         merge_components, split_components,
                         tangent_from_ambient)
@@ -217,9 +217,9 @@ def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
         amb = m.sample(rng)
         pt = m.point_from_ambient(amb)
         A = alpha_matrix(list(pt.coords), m.charts[pt.chart_id])
-        Af = np.asarray([[value(c) for c in row] for row in A])
-        scale = max(np.abs(Af).max(), 1.0)
-        if abs(np.linalg.det(Af)) < tol_rank * scale:
+        s = np.linalg.svd([[value(c) for c in row] for row in A],
+                          compute_uv=False)
+        if numerical_ranks(s, tol_rank) < d:
             raise SingularNormalization(
                 f"{add.name}: fiber derivative singular near {pt}")
 
@@ -232,7 +232,8 @@ def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
         x = chart.fwd(p)
         A = alpha_matrix(x, chart)
         _, w = ad.jvp(chart.fwd, p, v)
-        eta, = linsolve(A, [list(w)])
+        eta = [row[0] for row in ad.unpack(
+            linsolve(ad.pack(A), ad.pack([[c] for c in w])))]
         _, v2 = ad.jvp(chart.inv, x, eta)
         return list(p) + list(v2)
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from currentgpd import ad
 from currentgpd.ad import Dual
 from currentgpd.catalog import catalog_maps
+from currentgpd.errors import SingularNormalization
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.linalg import linsolve, newton
 
@@ -172,59 +173,29 @@ def test_newton_does_not_accept_a_nan_residual():
 
 
 def test_linsolve_pivots_and_differentiates_packed_duals():
-    # A(t) x = b with d/dt carried by duals; column 0 pivots on row 2
+    # A(t) X = B(t) with d/dt carried by duals; column 0 pivots on row 2
     def system(t):
         A = [[0.0 * t, 1.0 + t, 2.0], [3.0 * t, 1.0, -1.0], [4.0, t * t, 0.5]]
-        return A, [[1.0, t, -2.0], [0.5, 0.0, 1.0 - t]]
+        return ad.pack(A), ad.pack([[1.0, 0.5], [t, 0.0], [-2.0, 1.0 - t]])
 
     t0, h = 0.3, 1e-6
-    A, rhs = system(Dual(t0, 1.0))
-    both = linsolve(A, rhs)
-    for b, x in zip(rhs, both):
-        alone, = linsolve(A, [b])
-        assert [(v.re, v.ep) for v in alone] == [(v.re, v.ep) for v in x]
-        Af = [[ad.value(a) for a in row] for row in A]
-        bf = [ad.value(c) for c in b]
-        assert np.allclose([v.re for v in x], np.linalg.solve(Af, bf),
-                           atol=1e-13)
-    (xp, _), (xm, _) = (linsolve(*system(t0 + s)) for s in (h, -h))
-    fd = (np.asarray(xp) - np.asarray(xm)) / (2 * h)
-    assert np.allclose([v.ep for v in both[0]], fd, atol=1e-7)
+    X = linsolve(*system(Dual(t0, 1.0)))
+    xp, xm = (linsolve(*system(t0 + s)) for s in (h, -h))
+    assert np.allclose(X.ep, (xp - xm) / (2 * h), atol=1e-7)
 
 
-def _solve_entry_by_entry(A, rhs):
-    """Reference LU: the scalar loops that linsolve's whole rows replace."""
-    n = len(A)
-    M = [list(row) for row in A]
-    R = [[b[r] for b in rhs] for r in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(ad.value(M[r][col])))
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            R[col], R[piv] = R[piv], R[col]
-        inv = 1.0 / M[col][col]
-        for r in range(col + 1, n):
-            f = M[r][col] * inv
-            for c in range(col, n):
-                M[r][c] = M[r][c] - f * M[col][c]
-            R[r] = [a - f * p for a, p in zip(R[r], R[col])]
-    X = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = R[r]
-        for c in range(r + 1, n):
-            acc = [a - M[r][c] * x for a, x in zip(acc, X[c])]
-        X[r] = [a / M[r][r] for a in acc]
-    return [[X[r][k] for r in range(n)] for k in range(len(rhs))]
+def test_linsolve_second_order_parts_match_central_differences():
+    def system(t):
+        A = [[2.0 + t * t, t, 1.0], [1.0, 3.0, t], [t * t * t, 1.0, 4.0 - t]]
+        return ad.pack(A), ad.pack([[1.0], [t], [1.0 - t * t]])
 
-
-def _with_zero_derivatives(rows):
-    """Rows whose float entries are duals with derivative 0."""
-    return [[e if isinstance(e, Dual) else Dual(e, 0.0) for e in row]
-            for row in rows]
-
-
-def _bits(x):
-    return [a.tobytes() for a in _leaves(x)]
+    t0, h = 0.7, 1e-4
+    X = linsolve(*system(Dual(Dual(t0, 1.0), Dual(1.0, 0.0))))
+    xp, x0, xm = (linsolve(*system(t0 + s)) for s in (h, 0.0, -h))
+    assert X.re.re.tobytes() == x0.tobytes()
+    for first in (X.re.ep, X.ep.re):
+        assert np.allclose(first, (xp - xm) / (2 * h), atol=1e-8)
+    assert np.allclose(X.ep.ep, (xp - 2 * x0 + xm) / h ** 2, atol=1e-6)
 
 
 def _random_system(rng, n, m, dual_a, dual_rhs, k=None):
@@ -239,33 +210,56 @@ def _random_system(rng, n, m, dual_a, dual_rhs, k=None):
     return A, [[entry(dual_rhs) for _ in range(n)] for _ in range(m)]
 
 
+def _linsolve_rows(A, rhs):
+    """linsolve on A as rows of entries and right-hand sides as lists of
+    entries; returns the solutions the same way."""
+    X = ad.unpack(linsolve(ad.pack(A), ad.pack(list(zip(*rhs)))))
+    return [list(x) for x in zip(*X)]
+
+
 @pytest.mark.parametrize("dual_a,dual_rhs", [(False, False), (False, True),
                                              (True, True)])
-def test_linsolve_keeps_the_bits_of_a_solve_entry_by_entry(dual_a, dual_rhs):
-    # a float A with dual right-hand sides solves as a dual A
+def test_linsolve_values_are_the_bits_of_numpy_solve(dual_a, dual_rhs):
     rng = np.random.default_rng(8)
     for n in (1, 2, 5):
         A, rhs = _random_system(rng, n, 3, dual_a, dual_rhs)
-        ref = _with_zero_derivatives(A) if dual_rhs else A
-        got, want = linsolve(A, rhs), _solve_entry_by_entry(ref, rhs)
-        assert [[_bits(x) for x in b] for b in got] == \
-            [[_bits(x) for x in b] for b in want]
+        A, B = ad.pack(A), ad.pack(list(zip(*rhs)))
+        want = np.linalg.solve(ad.value(A), ad.value(B))
+        assert ad.value(linsolve(A, B)).tobytes() == want.tobytes()
 
 
 def test_linsolve_with_float_matrix_and_mixed_right_hand_sides():
-    # float entries among duals get derivative 0, so a float pivot that is
-    # not a power of two divides as a dual: x * (1 / a)
-    x, = linsolve([[3.0]], [[Dual(5.0, 1.0)]])[0]
-    assert (x.re, x.ep) == (5.0 * (1.0 / 3.0), 1.0 * (1.0 / 3.0))
-    # a float entry of b comes back as a dual with derivative 0
+    # a float A solves the value and the derivative part of B alike, and a
+    # float entry of B has derivative 0
     rng = np.random.default_rng(9)
     A, rhs = _random_system(rng, 4, 2, False, True)
     rhs[1][2] = 0.7
-    got = linsolve(A, rhs)
-    want = _solve_entry_by_entry(_with_zero_derivatives(A),
-                                 _with_zero_derivatives(rhs))
-    assert [[_bits(x) for x in b] for b in got] == \
-        [[_bits(x) for x in b] for b in want]
+    A, B = ad.pack(A), ad.pack(list(zip(*rhs)))
+    assert B.ep[2, 1] == 0.0
+    X = linsolve(A, B)
+    for got, b in ((X.re, B.re), (X.ep, B.ep)):
+        assert got.tobytes() == np.linalg.solve(A, b).tobytes()
+
+
+def test_linsolve_gives_nan_for_a_nan_entry():
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    A[1, 0] = np.nan
+    assert np.isnan(linsolve(A, np.eye(2))).all()
+    X = linsolve(Dual(A, np.ones((2, 2))), Dual(np.eye(2), np.eye(2)))
+    assert np.isnan(X.re).all() and np.isnan(X.ep).all()
+
+
+def test_linsolve_raises_only_on_an_exactly_singular_matrix():
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularNormalization):
+        linsolve(A, np.eye(2))
+    with pytest.raises(SingularNormalization):
+        linsolve(Dual(A, np.eye(2)), np.eye(2))
+    stack = np.stack([np.eye(2), A])  # one singular node of two
+    with pytest.raises(SingularNormalization):
+        linsolve(stack, np.ones((2, 1)))
+    with pytest.raises(np.linalg.LinAlgError):  # not square, not singular
+        linsolve(np.ones((2, 3)), np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("dual_a", [False, True])
@@ -274,14 +268,14 @@ def test_linsolve_on_direction_axes_equals_one_solve_per_direction(dual_a):
     k = 3
     A, rhs = _random_system(rng, 4, 2, dual_a, True, k)
     rhs[0][1] = Dual(0.25, 0.0)  # one entry without a direction axis
-    got = linsolve(A, rhs)
+    got = _linsolve_rows(A, rhs)
     for j in range(k):
         def pick(e):
             return Dual(e.re, e.ep if np.ndim(e.ep) == 0 else e.ep[j]) \
                 if isinstance(e, Dual) else e
 
         Aj = [[pick(e) for e in row] for row in A]
-        want = linsolve(Aj, [[pick(e) for e in b] for b in rhs])
+        want = _linsolve_rows(Aj, [[pick(e) for e in b] for b in rhs])
         for b, w in zip(got, want):
             assert [(x.re, x.ep[j]) for x in b] == [(x.re, x.ep) for x in w]
 
@@ -343,11 +337,11 @@ def test_linsolve_on_stacks_solves_each_node_alone(dual_a, dual_rhs, k):
 
     A = [[entry(dual_a) for _ in range(n)] for _ in range(n)]
     rhs = [[entry(dual_rhs) for _ in range(n)] for _ in range(2)]
-    got = linsolve(A, rhs)
+    got = _linsolve_rows(A, rhs)
     pivots = set()
     for i in range(nodes):
         Ai = [[ad.take(e, i) for e in row] for row in A]
-        want = linsolve(Ai, [[ad.take(e, i) for e in b] for b in rhs])
+        want = _linsolve_rows(Ai, [[ad.take(e, i) for e in b] for b in rhs])
         assert [[_node_bits(ad.take(x, i)) for x in b] for b in got] == \
             [[_node_bits(x) for x in b] for b in want]
         pivots.add(int(np.argmax([abs(ad.value(row[0])) for row in Ai])))

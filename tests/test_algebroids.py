@@ -34,6 +34,9 @@ class TestAlgebroidOfGroupoid:
     def test_unit_groupoid_has_rank_zero(self):
         alg = algebroid_of_groupoid(make_groupoid("unit-circle"))
         assert alg.rank == 0
+        x = alg.base.point_from_ambient(alg.base.sample(np.random.default_rng(0)))
+        coeffs = alg.coefficients_in_frame(alg.constant_section([]), x)
+        assert coeffs.shape == (0,)
 
     def test_pair_groupoid_is_the_tangent_bundle(self):
         pg = make_groupoid("pair-real2")

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from currentgpd import suites
+from currentgpd.algebroids import LieAlgebroid
 from currentgpd.cli import (execute, main, load_config, named_gridmap,
                             write_report)
 from currentgpd.errors import ConfigError, UnknownId
@@ -144,11 +145,12 @@ class TestRun:
                                                       monkeypatch):
         seen = {}
 
-        def spy(name, key):
+        def spy(name, *keys):
             fn = getattr(suites, name)
 
             def wrapped(*args, **kwargs):
-                seen.setdefault(name, []).append(kwargs.get(key))
+                for key in keys:
+                    seen.setdefault((name, key), []).append(kwargs.get(key))
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(suites, name, wrapped)
@@ -156,21 +158,37 @@ class TestRun:
         for name in ("local_action_form", "path_lift", "pair_iso",
                      "action_iso"):
             spy(name, "tol")
-        for name in ("algebroid_of_groupoid", "normalize"):
-            spy(name, "tol_rank")
+        spy("algebroid_of_groupoid", "tol_rank", "tol_bracket")
+        spy("normalize", "tol_rank")
+        for name in ("current_bracket_two_ways", "sign_convention_check"):
+            spy(name, "tol_bracket")
+        bracket, bracket_tols = LieAlgebroid.bracket, set()
+
+        def spied_bracket(self, *args):
+            bracket_tols.add(self.tol_bracket)
+            return bracket(self, *args)
+
+        monkeypatch.setattr(LieAlgebroid, "bracket", spied_bracket)
         cfg = write_config(
-            tmp_path, seed=7, tolerances={"tol_chart": 3e-9, "tol_rank": 2e-8},
+            tmp_path, seed=7, tolerances={"tol_chart": 3e-9, "tol_rank": 2e-8,
+                                          "tol_bracket": 4e-6},
             suites=["local-action-form", "path-lifting", "local-addition",
                     "theorem-D-pointwise-bracket", "algebroid-laws",
                     "pair-action-iso"],
             samples={"path-lifting": 2, "theorem-D-pointwise-bracket": 2})
         execute(load_config(cfg))
-        assert seen == {"local_action_form": [3e-9] * 2,
-                        "path_lift": [3e-9] * 4,
-                        "pair_iso": [3e-9],
-                        "action_iso": [3e-9],
-                        "algebroid_of_groupoid": [2e-8] * 4,
-                        "normalize": [2e-8] * 2}
+        assert seen == {("local_action_form", "tol"): [3e-9] * 2,
+                        ("path_lift", "tol"): [3e-9] * 4,
+                        ("pair_iso", "tol"): [3e-9],
+                        ("action_iso", "tol"): [3e-9],
+                        ("algebroid_of_groupoid", "tol_rank"): [2e-8] * 4,
+                        ("algebroid_of_groupoid", "tol_bracket"): [4e-6] * 4,
+                        ("normalize", "tol_rank"): [2e-8] * 2,
+                        ("current_bracket_two_ways", "tol_bracket"):
+                            [4e-6] * 2,
+                        ("sign_convention_check", "tol_bracket"): [4e-6]}
+        # every algebroid that brackets, route one's power algebroid too
+        assert bracket_tols == {4e-6}
 
     def test_current_axioms_run_on_the_configured_grid_kind(self):
         """Theorem A is checked on K with boundary when the grid is an

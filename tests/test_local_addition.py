@@ -167,6 +167,26 @@ class TestNormalize:
         with pytest.raises(SingularNormalization):
             normalize(broken)
 
+    def test_small_invertible_fiber_derivative_gets_normalized(self):
+        # velocities scaled by 1e-3: the fiber derivative is about 1e-3 I,
+        # invertible although its determinant is about 1e-9
+        so3 = RotationGroup()
+        base = riemannian_local_addition(so3)
+        am = so3.ambient_dim
+        slow = LocalAddition(
+            so3,
+            lambda comps: base.sigma_fn(list(comps[:am])
+                                        + [1e-3 * v for v in comps[am:]]),
+            base.domain_fn, name="slow")
+        fixed = normalize(slow)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            p = so3.point_from_ambient(so3.sample(rng))
+            D = fiber_derivative(slow, p)
+            assert abs(np.linalg.det(D)) < 1e-8
+            D = fiber_derivative(fixed, p)
+            assert float(np.max(np.abs(D - np.eye(3)))) < 1e-6
+
     def test_unnormalized_group_chart_gets_normalized(self):
         # sigma(v) = g . psi(omega(v)) with psi(s) = e^{i(2s + s^3)}, a chart
         # diffeomorphism but not exp: its fiber derivative at zero is 2

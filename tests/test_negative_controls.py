@@ -259,6 +259,16 @@ def scaled_bracket(monkeypatch):
             lambda xc: 1.001))
 
 
+def perturbed_projector(monkeypatch):
+    """Every kernel projector scaled by 1.001: a bracket's projection then
+    leaves the kernel by 1e-3 of its length."""
+    projector = LieAlgebroid.kernel_projector
+    monkeypatch.setattr(
+        LieAlgebroid, "kernel_projector",
+        lambda self, *args: [[1.001 * e for e in row]
+                             for row in projector(self, *args)])
+
+
 # row id -> (patch, names in the broken records' check names, sample
 # override or None).  A row id is a suite id, or "suite/record" for a
 # further row of a suite.  At seed 7, 2 of the 400 flat pair-real1 triples,
@@ -282,7 +292,12 @@ CONTROLS = {
                           None),
     "theorem-D-pointwise-bracket": (negated_nodewise_bracket,
                                     {"pair-real2", "rot-action"}, 2),
+    "theorem-D-pointwise-bracket/perturbed-projector": (
+        perturbed_projector, {"pair-real2", "rot-action"}, 2),
     "algebroid-laws": (scaled_bracket, {"pair-real2", "rot-action"}, None),
+    "algebroid-laws/perturbed-projector": (
+        perturbed_projector, {"pair-real2", "rot-action", "sign-convention"},
+        None),
     "pair-action-iso": (shifted_action, {"pair-action-iso"}, None),
     "path-lifting": (half_turn_lift, {"path-lifting"}, 5),
 }
@@ -338,6 +353,14 @@ def test_the_local_addition_control_breaks_few_round_trips():
                 drawn += 1
                 reached += bool(xi[0] > RARE_VELOCITY)
     assert 0.005 < reached / drawn < 0.05
+
+
+def test_a_bracket_off_the_kernel_is_a_fail_record(monkeypatch):
+    ctx = SuiteContext(seed=7, samples={"theorem-D-pointwise-bracket": 2})
+    perturbed_projector(monkeypatch)
+    for r in run_suite("theorem-D-pointwise-bracket", ctx):
+        off = r.details["frame_projection_residual"]
+        assert r.status == "fail" and off == r.max_residual > 1e-5
 
 
 def test_path_lifting_reports_coherence(monkeypatch):

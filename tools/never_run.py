@@ -47,6 +47,12 @@ NAN = "handles a NaN or non-finite value; no sample of the work produces one"
 REPR = "debugging text; the work prints none"
 PLANNED = "input to a planned property-inheritance suite (Theorems C and E)"
 TESTED = "library surface that tests check; KEEP in tests/test_surface.py"
+MIXED_AXES = ("a matrix whose entries carry direction axes in some places "
+              "and not in others; every matrix the work packs has them "
+              "everywhere or nowhere")
+OFF_KERNEL = ("the fail record of a bracket that leaves the kernel; no "
+              "bracket the work takes does, the perturbed-projector controls "
+              "of tests/test_negative_controls.py do")
 DISTANCE = ("the intrinsic distance that coherence checks read; no grid map "
             "the work checks lands on this manifold")
 
@@ -57,11 +63,13 @@ ALLOW = {
         (1, "an output part without the direction axis; every output the work "
          "differentiates carries it"),
     "ad:_past_directions": (1, RAISES),
+    "ad:_pack": (3, MIXED_AXES),
+    "ad:_pack.<locals>.<listcomp>": (1, MIXED_AXES),
     "ad:jacobian_columns":
         (2, "a function of no inputs, and a refused input; no caller passes "
          "either"),
     "algebroids:LieAlgebroid._select_axes": (1, RAISES),
-    "algebroids:LieAlgebroid.bracket.<locals>.vector_fn": (2, RAISES),
+    "algebroids:LieAlgebroid.bracket.<locals>.vector_fn": (1, RAISES),
     "algebroids:LieAlgebroid.frame_fields": (1, RAISES),
     "algebroids:_node_entries":
         (1, "a coefficient that is a plain number; every coefficient the work "
@@ -115,6 +123,7 @@ ALLOW = {
         (1, "the inconclusive verdict; the winding family always shows the "
          "obstruction"),
     "errors:BranchAmbiguity.__init__": (3, RAISES),
+    "errors:FrameProjectionError.__init__": (3, RAISES),
     "errors:GraphOutsideDomain.__init__": (3, RAISES),
     "errors:NotInDomainU.__init__": (3, RAISES),
     "gridmaps:GridMap.__init__": (1, RAISES),
@@ -149,12 +158,7 @@ ALLOW = {
     "groupoids:worst_rank_ratio":
         (2, "the two cases that need no Jacobian; the planned "
          "property-inheritance suite (Theorems C and E) reaches them"),
-    "linalg:_lu":
-        (2, "a singular system, and a row swap; no matrix the work solves "
-         "needs one"),
-    "linalg:_swap_rows":
-        (9, "row pivoting: in every matrix the work solves, each column's "
-         "largest entry is already on the diagonal; tests pivot"),
+    "linalg:_solve": (4, RAISES),
     "linalg:gram_schmidt":
         (2, "a frame vector that vanishes; the frames of the catalog keep "
          "their rank"),
@@ -208,11 +212,14 @@ ALLOW = {
     "report:worst_residual": (1, NAN),
     "suites:SuiteContext.<lambda>":
         (2, "defaults that cli.execute always sets; tests rely on them"),
+    "suites:_left_the_kernel": (2, OFF_KERNEL),
     "suites:run_suite": (1, RAISES),
+    "suites:suite_algebroid_laws": (5, OFF_KERNEL),
     "suites:suite_local_addition":
         (1, "a draw outside U, which 0.4 times a standard normal does not "
          "reach at seed 7"),
     "suites:suite_not_tra_certificate": (3, "the record's fail branches"),
+    "suites:suite_theorem_d": (2, OFF_KERNEL),
 }
 
 
