@@ -30,7 +30,7 @@ from . import ad
 from .ad import Dual, value
 from .errors import FrameProjectionError, RankDrop, Unsupported
 from .gridmaps import GridMap, GridSpec
-from .groupoids import LieGroupoid
+from .groupoids import LieGroupoid, group_groupoid
 from .linalg import (dot_list, gram_schmidt, linsolve, matmul,
                      numerical_ranks)
 from .manifolds import (Chart, Point, ProductManifold, SmoothMap,
@@ -599,7 +599,6 @@ def sign_convention_check(group, seed=0,
     the algebroid bracket of constant sections is proportional to the
     algebra commutator; the proportionality sign is measured, not assumed.
     """
-    from .groupoids import group_groupoid
     gpd = group_groupoid(group)
     alg = algebroid_of_groupoid(gpd, tol_bracket=tol_bracket)
     d = alg.rank

@@ -16,6 +16,7 @@ from .catalog import Circle
 from .errors import ConfigError, UnknownId
 from .gridmaps import (GridSpec, circle_winding_loop, constant_grid_map,
                        gridmap_to_csv)
+from .groupoids import GROUPOIDS
 from .suites import SAMPLE_COUNTS, SUITES, SuiteContext, run_suite
 from .tolerances import DEFAULT, TOLERANCE_KEYS
 
@@ -78,7 +79,6 @@ def load_config(path) -> dict:
     for sid in suites:
         if sid not in SUITES:
             raise ConfigError(f"unknown suite id {sid!r}")
-    from .groupoids import GROUPOIDS
     instances = _id_list(raw, "instances", GROUPOIDS)
     for inst in instances:
         if inst not in GROUPOIDS:

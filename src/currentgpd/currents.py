@@ -13,12 +13,16 @@ import math
 
 import numpy as np
 
-from .errors import NotComposable, Unsupported
+from .catalog import Circle, exp_cover
+from .errors import (BranchAmbiguity, NotComposable, OutsideNeighborhood,
+                     Unsupported)
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        constant_grid_map, degree, local_diffeo_inverse,
                        seminorm_distance)
 from .groupoids import (AxiomReport, LieGroupoid, axiom_violations,
-                        etale_index, worst_rank_ratio)
+                        circle_bundle_groupoid, etale_index, pair_groupoid,
+                        rotation_action_groupoid, worst_rank_ratio)
+from .manifolds import merge_components, split_components
 from .report import Certificate, worst_residual
 from .tolerances import DEFAULT
 
@@ -132,7 +136,6 @@ def pair_iso(grid: GridSpec, m, n_samples=100, seed=0,
     The reindexing bijection must commute with all five structure maps;
     returns the max residual over seeded samples.
     """
-    from .groupoids import pair_groupoid
     gpd = pair_groupoid(m)
     cur = build_current(gpd, grid)
     am = m.ambient_dim
@@ -163,7 +166,6 @@ def pair_iso(grid: GridSpec, m, n_samples=100, seed=0,
 def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
                seed=0, tol=DEFAULT.tol_chart) -> float:
     """Grid maps into G x M versus the action of G-valued on M-valued maps."""
-    from .manifolds import merge_components, split_components
     if not hasattr(action_gpd, "act_batch"):
         raise Unsupported(f"{action_gpd.name} is not an action groupoid")
     cur = build_current(action_gpd, grid)
@@ -203,7 +205,6 @@ def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
     e^{it} eta1 = eta2.  Solvability is exactly the vanishing of the winding
     number of eta2 / eta1; the winding mismatch is the certificate.
     """
-    from .catalog import Circle, exp_cover
     circle = Circle()
     if target is None:
         eta1 = circle_winding_loop(grid, circle, 1)
@@ -228,7 +229,6 @@ def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
         inc = np.mod(inc + math.pi, TWO_PI) - math.pi
         t = np.concatenate([[th[0]], th[0] + np.cumsum(inc)])
         arrow = np.concatenate([t[:, None], a1], axis=-1)
-        from .groupoids import rotation_action_groupoid
         gpd = rotation_action_groupoid()
         return Certificate(
             kind="anchor-solve",
@@ -245,7 +245,6 @@ def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
     gamma0 = GridMap(grid, line, np.zeros((grid.n, 1)))
     rng = np.random.default_rng(seed)
     failures = 0
-    from .errors import OutsideNeighborhood, BranchAmbiguity
     for _ in range(n_branches):
         k = int(rng.integers(-8, 9))
         start = line.point_from_ambient([TWO_PI * k + rng.uniform(-0.1, 0.1)])
@@ -272,7 +271,6 @@ def properness_failure_witness(grid: GridSpec, k_max=8,
     seminorms growing linearly in k and stay order-0 separated, so no
     subsequence converges in the grid C^1 distance.
     """
-    from .groupoids import circle_bundle_groupoid
     gpd = circle_bundle_groupoid()
     circle = gpd.base
     eta = constant_grid_map(grid, circle.point_from_ambient([1.0, 0.0]))

@@ -23,7 +23,8 @@ from .catalog import (Circle, Euclidean, RotationGroup, Sphere, Torus,
 from .currents import (build_current, current_etale_nodes, pair_iso,
                        action_iso, proper_etale_fiber_bound,
                        properness_failure_witness, transitivity_obstruction)
-from .errors import BranchAmbiguity, FrameProjectionError, OutsideNeighborhood
+from .errors import (BranchAmbiguity, FrameProjectionError,
+                     OutsideNeighborhood, UnknownSuite)
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        classify_pushforward, constant_grid_map,
                        local_diffeo_inverse, pushforward, pushforward_tangent,
@@ -55,9 +56,6 @@ class SuiteContext:
     tol: Tolerances = DEFAULT
     instances: list = field(default_factory=lambda: list(GROUPOIDS))
     samples: dict = field(default_factory=dict)
-
-    def rng(self, suite, *batch):
-        return np.random.default_rng(derived_seed(self.seed, suite, *batch))
 
     def seed_for(self, suite, *batch):
         return derived_seed(self.seed, suite, *batch)
@@ -113,7 +111,7 @@ def suite_current_groupoid_axioms(ctx: SuiteContext):
 
 
 def suite_flip_identities(ctx: SuiteContext):
-    rng = ctx.rng("flip-identities")
+    rng = np.random.default_rng(ctx.seed_for("flip-identities"))
     manifolds = [Circle(), Euclidean(2), Sphere(), RotationGroup()]
     worst_proj = 0.0
     exact = True
@@ -606,7 +604,6 @@ SUITES = {
 
 
 def run_suite(suite_id: str, ctx: SuiteContext):
-    from .errors import UnknownSuite
     if suite_id not in SUITES:
         raise UnknownSuite(f"no suite registered under {suite_id!r}")
     _, fn = SUITES[suite_id]

@@ -1,4 +1,9 @@
+import importlib.util
+import pathlib
+
 from currentgpd.tolerances import DEFAULT
+
+NEVER_RUN = pathlib.Path(__file__).resolve().parents[1] / "tools/never_run.py"
 
 ACCEPTANCE_LINES = []
 
@@ -6,6 +11,15 @@ ACCEPTANCE_LINES = []
 def close_to(p, q, tol=DEFAULT.tol_chart):
     """Whether two points of one manifold lie within tol of each other."""
     return float(p.manifold.distance(p.ambient, q.ambient)) < tol
+
+
+def load_never_run():
+    """``tools/never_run.py`` as a module, for its table and its golden
+    report helpers; loading it traces nothing."""
+    spec = importlib.util.spec_from_file_location("never_run", NEVER_RUN)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def record_criterion(num, description, ok, residual=None):

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import time
@@ -69,26 +68,6 @@ class TestConfigValidation:
 
 
 class TestRun:
-    def test_small_run_passes(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        cfg = write_config(tmp_path, seed=42,
-                           suites=["flip-identities", "atlas-negative",
-                                   "pair-action-iso"])
-        code = main(["run", "--config", cfg, "--out", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["status"] == "pass"
-        names = [r["check_name"] for r in report["records"]]
-        assert names == sorted(names)
-        assert all("paper_anchor" in r for r in report["records"])
-
-    def test_counterexample_suite_reports_obstruction_as_pass(self, tmp_path):
-        out = tmp_path / "report.json"
-        cfg = write_config(tmp_path, seed=5, suites=["atlas-negative"])
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["records"][0]["status"] == "obstructed-as-expected"
-
     def test_cli_flags_override_config(self, tmp_path):
         out = tmp_path / "r.json"
         cfg = write_config(tmp_path, seed=1, suites=["flip-identities"])
@@ -252,20 +231,6 @@ class TestRun:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_modulo_timing(self, tmp_path):
-        cfg = write_config(tmp_path, seed=123,
-                           suites=["flip-identities", "pair-action-iso",
-                                   "not-tra-certificate", "local-action-form"])
-        texts = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-            text = out.read_text()
-            text = re.sub(r'"wall_time_ms": [0-9.e+-]+', '"wall_time_ms": 0',
-                          text)
-            texts.append(text)
-        assert texts[0] == texts[1]
-
     def test_derived_seeds_are_stable(self):
         assert derived_seed(1, "suite", 0) == derived_seed(1, "suite", 0)
         assert derived_seed(1, "suite", 0) != derived_seed(2, "suite", 0)

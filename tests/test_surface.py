@@ -34,63 +34,29 @@ calls belongs in that test.  Five scans:
 
 The line tracer ``tools/never_run.py`` finds what these scans cannot: code
 that no run reaches.  It is too slow for this suite, so only the keys of
-its ``ALLOW`` table are checked here, against the functions that exist,
-without tracing.
+its table are checked here, against the code that exists, without tracing.
 
-What is kept without a use is named in ``KEEP`` or ``KEEP_PARAMETERS``,
-each with its reason; a dataclass field as ``Class.field``.
+What is kept without a use has one entry, with one reason, in the one
+table ``KEEP`` of ``tools/never_run.py``: a function as
+``module:qualname``, a dataclass field as ``module:Class.field`` and a
+parameter as ``module:function(parameter)``.  A function that nothing
+calls is kept when its reason is one of ``NO_CALLER``.
 """
 
 import ast
-import importlib.util
 import pathlib
+
+from conftest import NEVER_RUN, load_never_run
 
 import currentgpd
 
 PACKAGE = pathlib.Path(currentgpd.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-NEVER_RUN = pathlib.Path(__file__).resolve().parents[1] / "tools/never_run.py"
 TESTS = pathlib.Path(__file__).resolve().parent
 
-PLANNED = "input to a planned property-inheritance suite (Theorems C and E)"
-
-# Definitions, module-level names and dataclass fields that only tests use,
-# each kept for a reason.
-KEEP = {
-    "classify_etale": PLANNED,
-    "classify_locally_transitive": PLANNED,
-    "current_anchor_rank_nodes": PLANNED,
-    "ClassifyReport.extreme": PLANNED,
-    "ClassifyReport.witness": PLANNED,
-    "chart_phi": "the paper's chart of C^l(K, M); tests check it",
-    "chart_phi_inverse": "the inverse chart of C^l(K, M); tests check it",
-    "second_tangent_map": "T^2 f on second tangents; tests check it",
-    "lie_group_local_addition": "the local addition of a Lie group; tests "
-                                "check it",
-    "superposition": "the superposition operator gamma -> f(x, gamma(x)) of "
-                     "a parameter-dependent map; tests check it",
-}
-
-# Defaulted parameters that no call sets, as "function(parameter)" or
-# "Class.method(parameter)", each kept for a reason.
-KEEP_PARAMETERS = {
-    **{f"{fn}({param})": "an input of an obstruction certificate, which a "
-                         "control where the obstruction is absent will set"
-       for fn, param in (("properness_failure_witness", "k_max"),
-                         ("properness_failure_witness", "windings"),
-                         ("atlas_connectivity_negative_test", "chart_margin"),
-                         ("atlas_connectivity_negative_test",
-                          "component_offset"))},
-    **{f"{fn}({param})": PLANNED
-       for fn, param in (("classify_etale", "n_samples"),
-                         ("classify_etale", "seed"),
-                         ("classify_locally_transitive", "n_samples"),
-                         ("classify_locally_transitive", "seed"),
-                         ("current_anchor_rank_nodes", "n_arrows"),
-                         ("current_anchor_rank_nodes", "seed"))},
-    "main(argv)": "the entry point's argument list; the console script "
-                  "calls main(), which then parses sys.argv",
-}
+TRACER = load_never_run()
+KEEP = TRACER.KEEP
+UNCALLED = {key for key, (_, why) in KEEP.items() if why in TRACER.NO_CALLER}
 
 
 def is_dunder(name):
@@ -241,15 +207,15 @@ def defaulted_parameters(fn, bound):
 
 
 def callables(defined):
-    """(qualified name, def, call names, whether a call passes self) for
-    each top-level function and method of the modules ``defined``, a dict
-    from module name to tree; the call names are those of
+    """(module:qualified name, def, call names, whether a call passes self)
+    for each top-level function and method of the modules ``defined``, a
+    dict from module name to tree; the call names are those of
     :func:`calls_by_name`."""
     for home, tree in defined.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 names = {node.name, f"{home}.{node.name}"}
-                yield node.name, node, names, False
+                yield f"{home}:{node.name}", node, names, False
             for sub in node.body if isinstance(node, ast.ClassDef) else ():
                 if not isinstance(sub, ast.FunctionDef):
                     continue
@@ -258,7 +224,8 @@ def callables(defined):
                          if sub.name == "__init__" else {f".{sub.name}"})
                 static = any(getattr(d, "id", None) == "staticmethod"
                              for d in sub.decorator_list)
-                yield f"{node.name}.{sub.name}", sub, names, not static
+                yield (f"{home}:{node.name}.{sub.name}", sub, names,
+                       not static)
 
 
 def calls_by_name(trees):
@@ -305,7 +272,7 @@ def passes(call, name, at):
 def unset_parameters(defined, calling):
     """Defaulted parameters of the modules ``defined`` (a dict from module
     name to tree) that no call in the trees ``calling`` sets, as
-    "qualified(parameter)"."""
+    "module:qualified(parameter)"."""
     calls = calls_by_name(calling)
     out = []
     for qual, fn, names, bound in callables(defined):
@@ -412,18 +379,20 @@ def test_the_scans_see_what_they_look_for():
         "        super().__init__(1)\n")
     home = {"mod": defs}
     assert unset_parameters(home, [ast.parse("x.f(0, 1, 2, e=4)\n")]) == [
-        "f(b)", "f(c)", "f(e)", "C.__init__(p)", "C.__init__(q)",
-        "C.m(r)", "C.m(s)"]
+        "mod:f(b)", "mod:f(c)", "mod:f(e)", "mod:C.__init__(p)",
+        "mod:C.__init__(q)", "mod:C.m(r)", "mod:C.m(s)"]
     used = ast.parse("mod.f(0, 1)\nf(0, e=4)\nmod.C(0, 1)\nx.m(*a)\n")
-    assert unset_parameters(home, [used]) == ["f(c)"]
+    assert unset_parameters(home, [used]) == ["mod:f(c)"]
     assert unset_parameters(home, [defs, ast.parse("y.m(0)\n")]) == [
-        "f(b)", "f(c)", "f(e)", "C.__init__(q)", "C.m(s)"]
+        "mod:f(b)", "mod:f(c)", "mod:f(e)", "mod:C.__init__(q)",
+        "mod:C.m(s)"]
     # a call in a test sets nothing: tests are not callers
     calling = {PACKAGE / "mod.py": ast.parse("f(0, 1)\n"),
                TESTS / "test_mod.py": used}
     assert unset_parameters(
         home, [t for p, t in calling.items() if is_caller(p)]) == [
-        "f(c)", "f(e)", "C.__init__(p)", "C.__init__(q)", "C.m(r)", "C.m(s)"]
+        "mod:f(c)", "mod:f(e)", "mod:C.__init__(p)", "mod:C.__init__(q)",
+        "mod:C.m(r)", "mod:C.m(s)"]
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
@@ -441,16 +410,9 @@ def test_every_definition_has_a_caller_outside_the_tests():
         for name, qual in definitions(tree):
             uses = (calls if qual in functions else
                     methods if "." in qual else used)
-            if name not in KEEP and name not in uses:
+            if f"{path.stem}:{qual}" not in UNCALLED and name not in uses:
                 orphans.append(f"{path.name}: {qual}")
     assert not orphans, f"only tests call these; delete or use them: {orphans}"
-    stale = sorted(set(KEEP) - {name for tree in modules.values()
-                                for name, _ in definitions(tree)}
-                   - {name for tree in modules.values()
-                      for name in module_names(tree)}
-                   - {qual for tree in modules.values()
-                      for _, qual, _ in dataclass_fields(tree)})
-    assert not stale, f"KEEP names definitions that are gone: {stale}"
 
 
 def test_every_stored_attribute_is_read():
@@ -464,7 +426,7 @@ def test_every_stored_attribute_is_read():
     unread += [f"{path.name}:{line} {qual}"
                for path, tree in modules.items()
                for name, qual, line in dataclass_fields(tree)
-               if name not in read and qual not in KEEP]
+               if name not in read and f"{path.stem}:{qual}" not in KEEP]
     assert not unread, f"stored, never read; delete them: {unread}"
 
 
@@ -475,7 +437,7 @@ def test_every_module_level_name_is_read():
         read = {name for caller, t in callers.items()
                 for name in reads(t, path.stem, caller == path)}
         unread += [f"{path.name}: {name}" for name in module_names(tree)
-                   if name not in read and name not in KEEP]
+                   if name not in read and f"{path.stem}:{name}" not in KEEP]
     assert not unread, f"module-level names nothing reads: {unread}"
 
 
@@ -484,12 +446,11 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = unset_parameters(
         {path.stem: tree for path, tree in modules.items()},
         callers.values())
-    assert not [p for p in unset if p not in KEEP_PARAMETERS], (
+    assert not [p for p in unset if p not in KEEP], (
         f"no call sets these parameters; make each a constant: "
-        f"{[p for p in unset if p not in KEEP_PARAMETERS]}")
-    stale = sorted(set(KEEP_PARAMETERS) - set(unset))
-    assert not stale, f"KEEP_PARAMETERS names parameters now set or gone: " \
-                      f"{stale}"
+        f"{[p for p in unset if p not in KEEP]}")
+    stale = sorted({key for key in KEEP if key.endswith(")")} - set(unset))
+    assert not stale, f"KEEP names parameters now set or gone: {stale}"
 
 
 def test_no_module_imports_a_name_it_does_not_use():
@@ -500,13 +461,17 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_the_line_tracer_allows_only_functions_that_exist():
-    spec = importlib.util.spec_from_file_location("never_run", NEVER_RUN)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)  # defines the table; traces nothing
-    assert tracer.ALLOW, f"no ALLOW entries in {NEVER_RUN.name}"
+    """Every key of the table names a function, a field or a module-level
+    name that exists; a parameter key is checked with the parameters."""
+    modules, _, _ = sources()
+    assert KEEP, f"no KEEP entries in {NEVER_RUN.name}"
     known = {f"{path.stem}:{code.co_qualname}"
-             for path in PACKAGE.glob("*.py")
-             for code in tracer.function_codes(path)}
-    stale = sorted(set(tracer.ALLOW) - known)
-    assert not stale, f"ALLOW in {NEVER_RUN.name} names functions that are " \
-                      f"gone: {stale}"
+             for path in modules for code in TRACER.function_codes(path)}
+    named_here = {f"{path.stem}:{name}" for path, tree in modules.items()
+                  for name in [*module_names(tree),
+                               *(q for _, q, _ in dataclass_fields(tree))]}
+    stale = sorted(key for key, (lines, _) in KEEP.items()
+                   if not key.endswith(")")
+                   and key not in (known if lines else named_here))
+    assert not stale, f"KEEP in {NEVER_RUN.name} names code that is gone: " \
+                      f"{stale}"

@@ -1,4 +1,4 @@
-"""Lines of ``currentgpd`` that the program never runs.
+"""Lines of ``currentgpd`` that the program never runs; the golden reports.
 
 Records every line of ``src/currentgpd`` that runs while the program does
 its work, then compares them with the lines of every function the package
@@ -15,10 +15,18 @@ Tracing starts before ``currentgpd`` is imported.  A function is keyed by
 (``f.<locals>.<lambda>``), and functions that share one are counted
 together.  Module and class bodies run at import and are not counted.
 
-``ALLOW`` maps each function that keeps lines the work never runs to the
-number of those lines and the reason they stay.  The script prints each
-function whose count differs from its entry, with the lines, and exits 1
-when there is one; otherwise it exits 0.  It takes about half a minute.
+``KEEP`` is the one table of what the package keeps without a use, one
+entry with one reason each.  It maps each function that keeps lines the
+work never runs to the number of those lines; the scans of
+``tests/test_surface.py`` read the same table for code that nothing calls,
+fields that nothing reads and parameters that no call sets.  The script
+prints each function whose count differs from its entry, with the lines.
+
+The two reports the work writes are then compared with
+``tests/golden/seed-7.json`` and ``tests/golden/interval-ell2.json``, every
+``wall_time_ms`` set to 0; the script names each record that differs.  It
+exits 1 on either kind of difference, otherwise 0.  It takes about half a
+minute.
 
 Run from the repository root::
 
@@ -33,20 +41,32 @@ import inspect
 import io
 import json
 import pathlib
+import re
 import sys
 import tempfile
 import threading
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "currentgpd"
+GOLDEN = ROOT / "tests" / "golden"
+# The reports the work writes, each under the name of its golden file.
+REPORTS = {"seed-7": {"seed": 7},
+           "interval-ell2": {"seed": 7,
+                             "grid": {"kind": "interval", "ell": 2}}}
 
 # Reasons shared by several entries.
 RAISES = "raises on an input the work never gives it"
 CLI = "reports a bad command line or config; the work passes good ones"
 NAN = "handles a NaN or non-finite value; no sample of the work produces one"
 REPR = "debugging text; the work prints none"
-PLANNED = "input to a planned property-inheritance suite (Theorems C and E)"
-TESTED = "library surface that tests check; KEEP in tests/test_surface.py"
+PLANNED = ("no caller yet: an input to a planned property-inheritance suite "
+           "(Theorems C and E)")
+TESTED = "no caller: library surface that only tests call"
+CERTIFICATE = ("an input of an obstruction certificate, which a control where "
+               "the obstruction is absent will set")
+# An entry with one of these reasons has no caller in the package or in
+# perfbench/, and the caller scan of tests/test_surface.py lets it be.
+NO_CALLER = (PLANNED, TESTED)
 MIXED_AXES = ("a matrix whose entries carry direction axes in some places "
               "and not in others; every matrix the work packs has them "
               "everywhere or nowhere")
@@ -56,8 +76,13 @@ OFF_KERNEL = ("the fail record of a bracket that leaves the kernel; no "
 DISTANCE = ("the intrinsic distance that coherence checks read; no grid map "
             "the work checks lands on this manifold")
 
-# module:qualname -> (never-run lines, why they stay)
-ALLOW = {
+# key -> (never-run lines, why it stays), where the key is one of
+# - module:qualname of a function, lambda or comprehension, with the number
+#   of its lines the work never runs;
+# - module:Class.field of a dataclass field that nothing reads, 0 lines;
+# - module:function(parameter) or module:Class.method(parameter) of a
+#   defaulted parameter that no call sets, 0 lines.
+KEEP = {
     "ad:Dual.__repr__": (2, REPR),
     "ad:_columns":
         (1, "an output part without the direction axis; every output the work "
@@ -109,6 +134,9 @@ ALLOW = {
     "cli:_strict_json": (1, NAN),
     "cli:execute": (2, CLI),
     "cli:load_config": (22, CLI),
+    "cli:main(argv)":
+        (0, "the entry point's argument list; the console script calls "
+         "main(), which then parses sys.argv"),
     "cli:main":
         (14, "the --seed and --suite flags, and the exit on a bad id, config, "
          "node count or output path; tests/test_cli.py runs them"),
@@ -119,6 +147,10 @@ ALLOW = {
     "currents:action_iso": (1, RAISES),
     "currents:current_anchor_rank_nodes": (5, PLANNED),
     "currents:proper_etale_fiber_bound": (1, RAISES),
+    "currents:current_anchor_rank_nodes(n_arrows)": (0, PLANNED),
+    "currents:current_anchor_rank_nodes(seed)": (0, PLANNED),
+    "currents:properness_failure_witness(k_max)": (0, CERTIFICATE),
+    "currents:properness_failure_witness(windings)": (0, CERTIFICATE),
     "currents:properness_failure_witness":
         (1, "the inconclusive verdict; the winding family always shows the "
          "obstruction"),
@@ -146,13 +178,19 @@ ALLOW = {
     "gridmaps:pushforward_tangent": (1, RAISES),
     "gridmaps:seminorm_distance": (1, RAISES),
     "gridmaps:superposition": (8, TESTED),
+    "groupoids:ClassifyReport.extreme": (0, PLANNED),
+    "groupoids:ClassifyReport.witness": (0, PLANNED),
     "groupoids:FiniteGroup.__init__": (1, RAISES),
     "groupoids:LieGroupoid.__repr__": (2, REPR),
     "groupoids:LieGroupoid._fiber": (1, RAISES),
     "groupoids:LieGroupoid.anchor_map": (5, PLANNED),
     "groupoids:LieGroupoid.anchor_map.<locals>.fn": (2, PLANNED),
     "groupoids:classify_etale": (9, PLANNED),
+    "groupoids:classify_etale(n_samples)": (0, PLANNED),
+    "groupoids:classify_etale(seed)": (0, PLANNED),
     "groupoids:classify_locally_transitive": (10, PLANNED),
+    "groupoids:classify_locally_transitive(n_samples)": (0, PLANNED),
+    "groupoids:classify_locally_transitive(seed)": (0, PLANNED),
     "groupoids:isotropy_group": (1, RAISES),
     "groupoids:make_groupoid": (1, RAISES),
     "groupoids:worst_rank_ratio":
@@ -201,6 +239,10 @@ ALLOW = {
     "manifolds:second_tangent_map": (22, TESTED),
     "manifolds:second_tangent_map.<locals>.<listcomp>": (2, TESTED),
     "orbifolds:atlas_connectivity_negative_test": (1, RAISES),
+    "orbifolds:atlas_connectivity_negative_test(chart_margin)":
+        (0, CERTIFICATE),
+    "orbifolds:atlas_connectivity_negative_test(component_offset)":
+        (0, CERTIFICATE),
     "orbifolds:local_action_form":
         (17, "group elements outside the isotropy, and the shrinking ball; "
          "both points the suite takes are fixed by the whole group "
@@ -270,14 +312,11 @@ def run_the_program(workdir):
         if code != 0:
             raise RuntimeError(f"currentgpd {' '.join(argv)} exited {code}")
 
-    configs = {"circle": {"seed": 7},
-               "interval": {"seed": 7,
-                            "grid": {"kind": "interval", "ell": 2}}}
-    for name, config in configs.items():
-        path = workdir / f"{name}.json"
+    for name, config in REPORTS.items():
+        path = workdir / f"{name}-config.json"
         path.write_text(json.dumps(config))
         command("run", "--config", str(path),
-                "--out", str(workdir / f"{name}-report.json"))
+                "--out", str(workdir / f"{name}.json"))
     with contextlib.redirect_stdout(io.StringIO()):
         command("list-suites")
     for name in ("identity-loop", "constant-loop", "winding-2-loop"):
@@ -308,27 +347,67 @@ def never_run(hits):
     return {key: sorted(lines) for key, lines in out.items() if lines}
 
 
+def untimed(text):
+    """A report's text with every ``wall_time_ms`` set to 0."""
+    return re.sub(r'"wall_time_ms": [0-9.e+-]+', '"wall_time_ms": 0', text)
+
+
+def records(text, fields=None):
+    """{check_name: the record's text} of a report, over ``fields`` only
+    when given.  JSON writes floats with ``repr``, so the text keeps every
+    bit of every residual."""
+    return {r["check_name"]: json.dumps(
+                {k: v for k, v in r.items() if fields is None or k in fields},
+                sort_keys=True)
+            for r in json.loads(text)["records"]}
+
+
+def differing(got, want, fields=None):
+    """Names of the records that differ between two report texts, over
+    ``fields`` only when given, or that only one of them has."""
+    a, b = records(got, fields), records(want, fields)
+    return sorted(name for name in set(a) | set(b)
+                  if a.get(name) != b.get(name))
+
+
+def golden_differences(workdir):
+    """{report name: the records that differ} for each report the work
+    wrote that is not its golden file to the byte, timing aside."""
+    out = {}
+    for name in REPORTS:
+        got = untimed((workdir / f"{name}.json").read_text())
+        want = (GOLDEN / f"{name}.json").read_text()
+        if got != want:
+            out[name] = differing(got, want)
+    return out
+
+
 def main():
     hits = start_tracing()
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
             run_the_program(pathlib.Path(tmp))
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+        golden = golden_differences(pathlib.Path(tmp))
     found = never_run(hits)
     bad = 0
-    for key in sorted(set(found) | set(ALLOW)):
+    for key in sorted(set(found) | set(KEEP)):
         got = len(found.get(key, ()))
-        want = ALLOW.get(key, (0, ""))[0]
+        want = KEEP.get(key, (0, ""))[0]
         if got != want:
             bad += 1
-            print(f"{key}: {got} never-run lines, ALLOW says {want}: "
+            print(f"{key}: {got} never-run lines, KEEP says {want}: "
                   f"{found.get(key, [])}")
     total = sum(len(v) for v in found.values())
     print(f"{len(found)} functions keep {total} never-run lines; "
-          f"{bad} differ from ALLOW")
-    return 1 if bad else 0
+          f"{bad} differ from KEEP")
+    for name, names in golden.items():
+        where = f"the records {names}" if names else "its seed, grid or status"
+        print(f"{name}: the report differs from {GOLDEN.name}/{name}.json in "
+              f"{where}")
+    return 1 if bad or golden else 0
 
 
 if __name__ == "__main__":
