@@ -39,8 +39,9 @@ its table are checked here, against the code that exists, without tracing.
 What is kept without a use has one entry, with one reason, in the one
 table ``KEEP`` of ``tools/never_run.py``: a function as
 ``module:qualname``, a dataclass field as ``module:Class.field`` and a
-parameter as ``module:function(parameter)``.  A function that nothing
-calls is kept when its reason is one of ``NO_CALLER``.
+parameter as ``module:function(parameter)``.  A top-level function or a
+method that nothing calls is kept when its reason is one of
+``NO_CALLER``, and only while nothing calls it.
 """
 
 import ast
@@ -56,7 +57,6 @@ TESTS = pathlib.Path(__file__).resolve().parent
 
 TRACER = load_never_run()
 KEEP = TRACER.KEEP
-UNCALLED = {key for key, (_, why) in KEEP.items() if why in TRACER.NO_CALLER}
 
 
 def is_dunder(name):
@@ -401,7 +401,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
     patched = {s for tree in bench.values() for s in strings(tree)}
     methods = patched | {a for tree in callers.values()
                          for a in attribute_loads(tree)}
-    orphans = []
+    defined, uncalled = set(), set()
     for path, tree in modules.items():
         functions = {node.name for node in tree.body
                      if isinstance(node, ast.FunctionDef)}
@@ -410,9 +410,16 @@ def test_every_definition_has_a_caller_outside_the_tests():
         for name, qual in definitions(tree):
             uses = (calls if qual in functions else
                     methods if "." in qual else used)
-            if f"{path.stem}:{qual}" not in UNCALLED and name not in uses:
-                orphans.append(f"{path.name}: {qual}")
+            defined.add(f"{path.stem}:{qual}")
+            if name not in uses:
+                uncalled.add(f"{path.stem}:{qual}")
+    kept = {key for key, (_, why) in KEEP.items()
+            if why in TRACER.NO_CALLER and key in defined}
+    orphans = sorted(uncalled - kept)
     assert not orphans, f"only tests call these; delete or use them: {orphans}"
+    called = sorted(kept - uncalled)
+    assert not called, f"KEEP says nothing calls these, but something " \
+                       f"does; give each another reason: {called}"
 
 
 def test_every_stored_attribute_is_read():
