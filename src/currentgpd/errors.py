@@ -1,8 +1,16 @@
 """Exception hierarchy shared by all modules."""
 
+import copyreg
+
 
 class GeometryError(Exception):
     """Base class for all library errors."""
+
+    def __reduce__(self):
+        # Pickled back without __init__, whose arguments (an index, a
+        # residual) are not the message in self.args: a worker process's
+        # error reaches its parent with its type, message and attributes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class OutOfChart(GeometryError):

@@ -10,9 +10,11 @@ criteria 8 and 11 run on their own grids at ``SEED``.
 Criterion 12 is the golden report: ``currentgpd run`` on ``{"seed": 7}``,
 over the suites that no criterion runs in the report's context, must
 write the records of ``tests/golden/seed-7.json`` with its seed, grid and
-status, every ``wall_time_ms`` set to 0.  Suites run again in the same
-process must give the same records.  So each suite of the report runs
-once in this file, and a change to the report is a change to that file.
+status, every ``wall_time_ms`` set to 0.  Its suites run in worker
+processes.  The suites of ``RERUN`` run twice in this process and must
+give the same records both times.  Apart from those, each suite of the
+report runs once in this file, and a change to the report is a change to
+that file.
 
 The residuals in the golden file were computed with numpy 2.4 on OpenBLAS
 (x86-64), like ``PINNED_BRACKETS`` in ``test_algebroids.py``: another
@@ -30,7 +32,7 @@ import pytest
 
 from conftest import load_never_run, record_criterion
 
-from currentgpd.cli import main, write_report
+from currentgpd.cli import load_config, main, suite_context, write_report
 from currentgpd.gridmaps import GridSpec
 from currentgpd.suites import SUITES, SuiteContext, run_suite
 
@@ -79,8 +81,9 @@ REPORT = json.loads(GOLDEN.read_text())
 HOST_FREE = ("check_name", "paper_anchor", "status", "n_samples", "seed")
 # Suites that criteria 1-11 run in the report's context, each once.
 IN_CRITERIA = {sid for p in CRITERIA if not p.values[3] for sid in p.values[2]}
-# Suites run a second time in the same process, under half a second; the
-# first three ran in criteria 6, 7 and 10, the others in criterion 12.
+# Suites run twice in this process, under half a second each; criteria 6, 7
+# and 10 ran the first three, and criterion 12 runs the others here first,
+# since its report ran them in worker processes.
 RERUN = ["not-tra-certificate", "not-proper-certificate",
          "local-action-form", "atlas-negative", "path-lifting", "embedding"]
 
@@ -116,19 +119,30 @@ def test_criterion(num, description, suites, kwargs, tmp_path):
 
 
 def test_criterion_12_seed_7_report_is_golden(tmp_path):
-    """The suites no criterion runs in the report's context, and the suites
-    of ``RERUN`` run a second time, give the golden seed-7 report."""
+    """The suites no criterion runs in the report's context give the golden
+    seed-7 report, and the suites of ``RERUN`` give its records again when
+    they run a second time in this process."""
     assert golden_text(SUITES) == GOLDEN.read_text(), \
         f"{GOLDEN.name} is not in the form write_report writes"
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
     rest = sorted(set(SUITES) - IN_CRITERIA)
+    ctx = suite_context(load_config(config))
     found = {}
-    for name, suites in (("report", rest), ("run again", RERUN)):
+    for name, suites in (("report", rest),
+                         ("run here", sorted(set(RERUN) - IN_CRITERIA)),
+                         ("run again", RERUN)):
         out = tmp_path / f"{name}.json"
-        args = [arg for sid in suites for arg in ("--suite", sid)]
-        assert main(["run", "--config", str(config), "--out", str(out),
-                     *args]) == 0
+        if name == "report":
+            args = [arg for sid in suites for arg in ("--suite", sid)]
+            assert main(["run", "--config", str(config), "--out", str(out),
+                         *args]) == 0
+        else:
+            records = sorted((r for sid in suites
+                              for r in run_suite(sid, ctx)),
+                             key=lambda r: r.check_name)
+            write_report({**REPORT, "records": [r.to_dict()
+                                                for r in records]}, out)
         got = TRACER.untimed(out.read_text())
         want = golden_text(suites)
         found[name] = (TRACER.differing(got, want, HOST_FREE),

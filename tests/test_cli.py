@@ -1,7 +1,9 @@
 import json
 import math
+import multiprocessing
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import time
@@ -11,8 +13,11 @@ import pytest
 from currentgpd import suites
 from currentgpd.algebroids import LieAlgebroid
 from currentgpd.cli import (execute, main, load_config, named_gridmap,
-                            write_report)
-from currentgpd.errors import ConfigError, UnknownId
+                            suite_context, write_report)
+from currentgpd.errors import (BranchAmbiguity, ConfigError,
+                               FrameProjectionError, GeometryError,
+                               GraphOutsideDomain, NotInDomainU,
+                               OutsideNeighborhood, UnknownId)
 from currentgpd.gridmaps import GridSpec
 from currentgpd.report import CheckRecord
 from currentgpd.suites import SUITES, SuiteContext, derived_seed, run_suite
@@ -155,7 +160,11 @@ class TestRun:
                     "theorem-D-pointwise-bracket", "algebroid-laws",
                     "pair-action-iso"],
             samples={"path-lifting": 2, "theorem-D-pointwise-bracket": 2})
-        execute(load_config(cfg))
+        # in this process: execute's workers would fill their own copies
+        config = load_config(cfg)
+        ctx = suite_context(config)
+        for sid in config["suites"]:
+            run_suite(sid, ctx)
         assert seen == {("local_action_form", "tol"): [3e-9] * 2,
                         ("path_lift", "tol"): [3e-9] * 4,
                         ("pair_iso", "tol"): [3e-9],
@@ -235,6 +244,53 @@ class TestDeterminism:
         assert derived_seed(1, "suite", 0) == derived_seed(1, "suite", 0)
         assert derived_seed(1, "suite", 0) != derived_seed(2, "suite", 0)
         assert derived_seed(1, "a") != derived_seed(1, "b")
+
+
+# the arguments of the errors that take other than a message
+ERROR_ARGS = {
+    FrameProjectionError: [(1e-3,)],
+    OutsideNeighborhood: [(3,), (3, "no local preimage at node 3")],
+    BranchAmbiguity: [(3,)],
+    GraphOutsideDomain: [(3,)],
+    NotInDomainU: [(3,)],
+}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cls", [GeometryError,
+                                     *GeometryError.__subclasses__()],
+                             ids=lambda cls: cls.__name__)
+    def test_errors_survive_pickling(self, cls):
+        """A suite's error crosses from its worker to the parent whole."""
+        assert ("__init__" in vars(cls)) == (cls in ERROR_ARGS)
+        for args in ERROR_ARGS.get(cls, [("what went wrong",)]):
+            err = cls(*args)
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is cls
+            assert str(back) == str(err) and back.args == err.args
+            assert vars(back) == vars(err)
+
+    def test_a_failing_suite_fails_the_run_and_leaves_no_worker(
+            self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(
+            tmp_path, seed=7, suites=["atlas-negative", "embedding"]))
+        assert execute(cfg)["status"] == "pass"
+        assert not multiprocessing.active_children()
+
+        def fail(ctx):
+            raise FrameProjectionError(1e-3)
+
+        anchor, _ = SUITES["embedding"]
+        monkeypatch.setitem(SUITES, "embedding", (anchor, fail))
+        with pytest.raises(FrameProjectionError) as err:
+            execute(cfg)
+        assert err.value.residual == 1e-3
+        assert not multiprocessing.active_children()
+
+    def test_no_suites_make_an_empty_pass(self, tmp_path):
+        report = execute(load_config(write_config(tmp_path, seed=7,
+                                                  suites=[])))
+        assert report["status"] == "pass" and report["records"] == []
 
 
 class TestListSuites:

@@ -10,7 +10,9 @@ compiles (``co_lines()``).  The work is:
 - ``setup`` and ``run`` of the ``bracket-grid`` and ``axioms-long``
   workloads of ``perfbench/workloads.py``.
 
-Tracing starts before ``currentgpd`` is imported.  A function is keyed by
+Tracing starts before ``currentgpd`` is imported, and it carries into the
+worker processes that ``cli.execute`` forks: each worker saves the lines it
+ran as it exits, and they count as run.  A function is keyed by
 ``module:qualname``; a lambda or comprehension has its own qualname
 (``f.<locals>.<lambda>``), and functions that share one are counted
 together.  Module and class bodies run at import and are not counted.
@@ -40,7 +42,9 @@ import importlib.util
 import inspect
 import io
 import json
+import multiprocessing.util
 import pathlib
+import pickle
 import re
 import sys
 import tempfile
@@ -135,7 +139,6 @@ KEEP = {
     "cli:_id_list": (1, CLI),
     "cli:_mapping": (1, CLI),
     "cli:_strict_json": (1, NAN),
-    "cli:execute": (2, CLI),
     "cli:load_config": (22, CLI),
     "cli:main(argv)":
         (0, "the entry point's argument list; the console script calls "
@@ -144,6 +147,7 @@ KEEP = {
         (14, "the --seed and --suite flags, and the exit on a bad id, config, "
          "node count or output path; tests/test_cli.py runs them"),
     "cli:named_gridmap": (1, CLI),
+    "cli:suite_context": (2, CLI),
     "cli:write_report":
         (1, "writes the report to stdout; the traced runs write it to a file"),
     "currents:CurrentGroupoid.mu_star": (3, RAISES),
@@ -159,6 +163,9 @@ KEEP = {
          "obstruction"),
     "errors:BranchAmbiguity.__init__": (3, RAISES),
     "errors:FrameProjectionError.__init__": (3, RAISES),
+    "errors:GeometryError.__reduce__":
+        (2, "carries a suite's error out of its worker process; no suite of "
+         "the work raises one"),
     "errors:GraphOutsideDomain.__init__": (3, RAISES),
     "errors:NotInDomainU.__init__": (3, RAISES),
     "gridmaps:GridMap.__init__": (1, RAISES),
@@ -278,8 +285,10 @@ def function_codes(path):
             yield code
 
 
-def start_tracing():
-    """Trace the package's frames from now on; returns {code key: lines}."""
+def start_tracing(workdir):
+    """Trace the package's frames from now on, here and in every worker
+    process that ``multiprocessing`` forks; returns {code key: lines}, to
+    which ``add_worker_lines(hits, workdir)`` adds the workers' lines."""
     files = {str(p) for p in PACKAGE.glob("*.py")}
     hits = {}
 
@@ -298,9 +307,28 @@ def start_tracing():
 
         return line
 
+    def save():
+        with tempfile.NamedTemporaryFile(dir=workdir, suffix=".lines",
+                                         delete=False) as fh:
+            pickle.dump(hits, fh)
+
+    # A forked worker keeps the tracer and its own copy of the hits, which
+    # it saves as it exits.  The finalizer is registered after the fork,
+    # because a worker's bootstrap clears those registered before it.  The
+    # registry holds its first argument weakly; the tracer outlives the runs.
+    multiprocessing.util.register_after_fork(
+        call, lambda call: multiprocessing.util.Finalize(None, save,
+                                                         exitpriority=0))
     threading.settrace(call)
     sys.settrace(call)
     return hits
+
+
+def add_worker_lines(hits, workdir):
+    """Add the lines that the traced worker processes saved to ``hits``."""
+    for path in workdir.glob("*.lines"):
+        for key, lines in pickle.loads(path.read_bytes()).items():
+            hits.setdefault(key, set()).update(lines)
 
 
 def run_the_program(workdir):
@@ -398,14 +426,16 @@ def golden_differences(workdir):
 
 
 def main():
-    hits = start_tracing()
     with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        hits = start_tracing(workdir)
         try:
-            run_the_program(pathlib.Path(tmp))
+            run_the_program(workdir)
         finally:
             sys.settrace(None)
             threading.settrace(None)
-        golden = golden_differences(pathlib.Path(tmp))
+        add_worker_lines(hits, workdir)
+        golden = golden_differences(workdir)
     found = never_run(hits)
     bad = 0
     for key in sorted(set(found) | set(KEEP)):
