@@ -19,7 +19,7 @@ from .errors import (BranchAmbiguity, NotComposable, OutsideNeighborhood,
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        constant_grid_map, degree, local_diffeo_inverse,
                        seminorm_distance)
-from .groupoids import (AxiomReport, LieGroupoid, axiom_violations,
+from .groupoids import (AxiomReport, LieGroupoid, axiom_report,
                         circle_bundle_groupoid, etale_index, pair_groupoid,
                         rotation_action_groupoid, worst_rank_ratio)
 from .manifolds import merge_components, split_components
@@ -89,36 +89,27 @@ class CurrentGroupoid:
     def check_axioms(self, n_samples=1000, seed=0) -> AxiomReport:
         """Lifted axiom residuals over seeded composable grid-arrow samples.
 
-        The samples are taken in chunks of at most 250.  Each chunk is
-        drawn in four batched calls: m arrow paths g, then one fiber path h
+        :func:`axiom_report` draws the samples in chunks of at most 250,
+        each in four batched calls: m arrow paths g, then one fiber path h
         over each source path alpha(g) and one k over each alpha(h), then m
         object paths for the unit laws.  Every draw is an (m, nodes,
         ambient) array that the samplers write in component-major memory;
         G's component functions then run over blocks of (sample, node)
-        points (Theorem A, :func:`axiom_violations`), and the worst residual
-        of each law is kept.
+        points (Theorem A, :func:`axiom_violations`).
         """
-        rng = np.random.default_rng(seed)
         gpd = self.base_gpd
         params = self.grid.params()
         closed = self.grid.closed
-        worst = {}
-        done = 0
-        while done < n_samples:
-            m = min(250, n_samples - done)
+
+        def draw(rng, m):
             g = gpd.arrows.sample_path(params, rng, closed, m)
             h = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(g), params,
                                                 rng, closed)
             k = gpd.sample_arrow_path_with_beta(gpd.alpha_batch(h), params,
                                                 rng, closed)
-            xs = gpd.base.sample_path(params, rng, closed, m)
-            viol = axiom_violations(gpd, g, h, k, xs)
-            for key, val in viol.items():
-                worst[key] = worst_residual(worst.get(key, 0.0), val)
-            done += m
-        report = AxiomReport(self.name, n_samples, seed)
-        report.violations = worst
-        return report
+            return g, h, k, gpd.base.sample_path(params, rng, closed, m)
+
+        return axiom_report(gpd, self.name, n_samples, seed, 250, draw)
 
 
 def build_current(gpd: LieGroupoid, grid: GridSpec) -> CurrentGroupoid:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,47 @@ def test_a_nan_in_a_later_block_makes_exactly_its_laws_nan():
         viol = axiom_violations(gpd, *arrays)
         assert {law for law, v in viol.items() if math.isnan(v)} == nan_laws
         assert all(viol[law] == 0.0 for law in set(LAWS) - nan_laws)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_axiom_checks_refuse_an_empty_sample(n):
+    """No samples check nothing: both axiom checks raise instead of passing."""
+    gpd = make_groupoid("pair-real1")
+    with pytest.raises(ValueError, match="n_samples"):
+        check_axioms(gpd, n)
+    with pytest.raises(ValueError, match="n_samples"):
+        build_current(gpd, GridSpec("circle", 16)).check_axioms(n)
+
+
+def test_flat_check_draws_law_blocks_from_one_generator(monkeypatch):
+    """With LAW_BLOCK = 7, n = 20 is three draws of 7, 7 and 6 samples, in
+    order from one generator, and the report keeps each law's worst; one
+    draw of all 20 gives other residuals."""
+    gpd = make_groupoid("so3-action")
+    monkeypatch.setattr(groupoids, "LAW_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    chunks = [axiom_violations(gpd, *sample_composable_triple(gpd, rng, m),
+                               gpd.base.sample(rng, m)) for m in (7, 7, 6)]
+    want = hexed({law: max(c[law] for c in chunks) for law in LAWS})
+    assert hexed(check_axioms(gpd, 20, seed=5).violations) == want
+    monkeypatch.setattr(groupoids, "LAW_BLOCK", 10 ** 9)
+    assert hexed(check_axioms(gpd, 20, seed=5).violations) != want
+
+
+def test_flat_check_memory_does_not_grow_with_the_sample_count():
+    """The traced peak of the flat check at 4 LAW_BLOCKs stays within 1 MiB
+    of its peak at one: each block is drawn, checked and dropped."""
+    gpd = make_groupoid("so3-action")
+    check_axioms(gpd, 10)  # builds whatever the structure maps cache
+    peaks = []
+    for n in (groupoids.LAW_BLOCK, 4 * groupoids.LAW_BLOCK):
+        tracemalloc.start()
+        try:
+            check_axioms(gpd, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 ** 20, peaks
 
 
 # float.hex of every residual of the seeded axiom checks in

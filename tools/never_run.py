@@ -195,6 +195,7 @@ KEEP = {
     "groupoids:LieGroupoid._fiber": (1, RAISES),
     "groupoids:LieGroupoid.anchor_map": (5, CLASSIFIERS),
     "groupoids:LieGroupoid.anchor_map.<locals>.fn": (2, CLASSIFIERS),
+    "groupoids:axiom_report": (1, RAISES),
     "groupoids:classify_etale": (9, PLANNED),
     "groupoids:classify_etale(n_samples)": (0, PLANNED),
     "groupoids:classify_etale(seed)": (0, PLANNED),
