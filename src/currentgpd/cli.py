@@ -76,8 +76,8 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     for key, val in tols.items():
-        if not _typed(val, (int, float)) or not val > 0:
-            raise ConfigError(f"tolerance {key} must be positive")
+        if not _typed(val, (int, float)) or not 0 < val < math.inf:
+            raise ConfigError(f"tolerance {key} must be finite and positive")
     suites = _id_list(raw, "suites", SUITES)
     for sid in suites:
         if sid not in SUITES:
@@ -95,6 +95,9 @@ def load_config(path) -> dict:
                               f"may set {sorted(SAMPLE_COUNTS)}")
         if not _typed(val, int) or val <= 0:
             raise ConfigError(f"sample count for {key} must be a positive int")
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("'out' must be a path string or null")
     return {
         "suites": list(suites),
         "grid": {"kind": grid.get("kind", "circle"),
@@ -103,7 +106,7 @@ def load_config(path) -> dict:
         "seed": raw["seed"],
         "instances": list(instances),
         "samples": dict(samples),
-        "out": raw.get("out"),
+        "out": out,
     }
 
 

@@ -45,14 +45,6 @@ class CoherenceLost(GeometryError):
     """Consecutive grid values are too far apart to resolve the map."""
 
 
-class GraphOutsideDomain(GeometryError):
-    """Graph of a grid map leaves the domain of a superposition map."""
-
-    def __init__(self, index):
-        super().__init__(f"graph leaves the domain at node {index}")
-        self.index = index
-
-
 class NotInDomainU(GeometryError):
     """A section value lies outside the local addition's domain."""
 

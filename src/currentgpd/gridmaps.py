@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .errors import (BranchAmbiguity, CoherenceLost, GraphOutsideDomain,
-                     NotInDomainU, NotInThetaImage, OutsideNeighborhood,
-                     Unsupported)
+from .errors import (BranchAmbiguity, CoherenceLost, NotInDomainU,
+                     NotInThetaImage, OutsideNeighborhood, Unsupported)
 from .linalg import numerical_ranks
 from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
@@ -195,35 +194,13 @@ def seminorm_distance(a: GridMap, b: GridMap) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# push-forwards and superposition
+# push-forwards
 # ---------------------------------------------------------------------------
 
 def pushforward(f: SmoothMap, gamma: GridMap, delta_coh=None) -> GridMap:
     """Compose f with every node; coherence is re-checked on the image."""
     out = f.apply_batch(gamma.ambient)
     return GridMap(gamma.grid, f.target, out, delta_coh=delta_coh)
-
-
-@dataclass
-class SuperpositionMap:
-    """A map on (an open part of) source-parameter x manifold."""
-
-    source: ChartedManifold
-    target: ChartedManifold
-    fn: object            # (x scalar/array, manifold comps) -> target comps
-    domain: object = None  # (x float, ambient float array) -> bool
-    name: str = "superposition"
-
-
-def superposition(f: SuperpositionMap, gamma: GridMap) -> GridMap:
-    """Node i gets f(x_i, gamma_i); the graph must stay inside f's domain."""
-    xs = gamma.grid.params()
-    if f.domain is not None:
-        for i in range(gamma.grid.n):
-            if not f.domain(float(xs[i]), gamma.ambient[i]):
-                raise GraphOutsideDomain(i)
-    out = merge_components(f.fn(xs, split_components(gamma.ambient)))
-    return GridMap(gamma.grid, f.target, out)
 
 
 def pushforward_tangent(f: SmoothMap, gamma: GridMap,

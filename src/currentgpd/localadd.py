@@ -3,10 +3,10 @@
 A local addition is a smooth map ``sigma`` from a neighborhood U of the zero
 section of TM to M with sigma(0_p) = p such that (projection, sigma) is a
 diffeomorphism onto a neighborhood of the diagonal.  Constructions here:
-closed-form geodesic exponentials for catalog manifolds, the group-translation
-construction on the catalog Lie groups (which carry their own group
-structure, see :mod:`catalog`), a normalization pass that makes the fiber
-derivative at zero the identity, and the lift of a local addition to TM.
+closed-form geodesic exponentials for catalog manifolds, a normalization pass
+that makes the fiber derivative at zero the identity, and the lift of a local
+addition to TM.  The catalog Lie groups carry bi-invariant metrics, so on
+them the geodesic exponential is also the left-translated group exponential.
 """
 
 from __future__ import annotations
@@ -143,29 +143,6 @@ def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
 
     return LocalAddition(pm, sigma_fn, domain, closed_log=closed,
                          name=f"prod({','.join(a.name for a in factor_adds)})")
-
-
-def lie_group_local_addition(m: ChartedManifold) -> LocalAddition:
-    """sigma(v) = g . exp(omega(v)) on a catalog Lie group m, g the foot of v.
-
-    m carries its group structure (``mul``, ``exp_chart`` and the left
-    Maurer-Cartan form ``omega``).  exp is the group exponential chart, so
-    the result is normalized: its fiber derivative at zero is the identity.
-    """
-    if not hasattr(m, "omega"):
-        raise Unsupported(f"{m.name} is not a catalog Lie group")
-    am = m.ambient_dim
-
-    def sigma_fn(comps):
-        g = list(comps[:am])
-        v = list(comps[am:])
-        return m.mul(g, m.exp_chart(m.omega(g, v)))
-
-    def closed(p, q):
-        return m.log_amb(list(p), list(q))
-
-    return LocalAddition(m, sigma_fn, _radius_domain(m, m.injectivity_radius),
-                         closed_log=closed, name=f"grp_{m.name}")
 
 
 def fiber_derivative(add: LocalAddition, p: Point, h=DEFAULT.h_fd):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .ad import Dual, value
+from .ad import value
 from .errors import OutOfChart
 
 
@@ -364,36 +364,6 @@ def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
     q = Point(f.target, int(cj), np.asarray([value(x) for x in vals], dtype=float),
               q_amb)
     return Tangent(q, np.asarray([value(e) for e in eps], dtype=float))
-
-
-def second_tangent_map(f: SmoothMap, s: SecondTangent) -> SecondTangent:
-    """Second-order pushforward via one level of dual nesting.
-
-    In charts the 4-tuple transforms as
-    (x, y, z, w) -> (f(x), df(x,y), df(x,z), df(x,w) + d2f(x,y,z)).
-    """
-    m = s.manifold
-    p_amb = merge_components(m.charts[s.chart_id].inv(list(s.x)))
-    q_amb = merge_components(f.fn(split_components(p_amb)))
-    cj = f.target.best_chart(q_amb)
-    rep = f.local(s.chart_id, cj)
-    seeded = [Dual(Dual(float(x), float(y)), Dual(float(z), float(w)))
-              for x, y, z, w in zip(s.x, s.y, s.z, s.w)]
-    out = rep(seeded)
-    xs, ys, zs, ws = [], [], [], []
-    for o in out:
-        if isinstance(o, Dual):
-            inner = o.re if isinstance(o.re, Dual) else Dual(o.re, 0.0)
-            outer = o.ep if isinstance(o.ep, Dual) else Dual(o.ep, 0.0)
-        else:
-            inner = Dual(o, 0.0)
-            outer = Dual(0.0, 0.0)
-        xs.append(value(inner.re))
-        ys.append(value(inner.ep))
-        zs.append(value(outer.re))
-        ws.append(value(outer.ep))
-    return SecondTangent(f.target, int(cj), np.asarray(xs), np.asarray(ys),
-                         np.asarray(zs), np.asarray(ws))
 
 
 def map_jacobian(f: SmoothMap, amb):

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 
 from currentgpd.tolerances import DEFAULT
@@ -11,6 +12,11 @@ ACCEPTANCE_LINES = []
 def close_to(p, q, tol=DEFAULT.tol_chart):
     """Whether two points of one manifold lie within tol of each other."""
     return float(p.manifold.distance(p.ambient, q.ambient)) < tol
+
+
+def angle_of(p):
+    """The angle of a point of the circle."""
+    return math.atan2(p.ambient[1], p.ambient[0])
 
 
 def load_never_run():

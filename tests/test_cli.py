@@ -16,8 +16,7 @@ from currentgpd.cli import (execute, main, load_config, named_gridmap,
                             suite_context, write_report)
 from currentgpd.errors import (BranchAmbiguity, ConfigError,
                                FrameProjectionError, GeometryError,
-                               GraphOutsideDomain, NotInDomainU,
-                               OutsideNeighborhood, UnknownId)
+                               NotInDomainU, OutsideNeighborhood, UnknownId)
 from currentgpd.gridmaps import GridSpec
 from currentgpd.report import CheckRecord
 from currentgpd.suites import SUITES, SuiteContext, derived_seed, run_suite
@@ -54,7 +53,11 @@ class TestConfigValidation:
                ({"tolerances": {"tol_chart": True}}, "tol_chart"),
                ({"suites": "atlas-negative"}, "suites"),
                ({"instances": "z4-plane"}, "instances"),
-               ({"samples": {"flip-identities": 3}}, "flip-identities")]
+               ({"samples": {"flip-identities": 3}}, "flip-identities"),
+               ({"tolerances": {"tol_chart": math.inf}}, "tol_chart"),
+               ({"out": 3.5}, "out"),
+               ({"out": ["a"]}, "out"),
+               ({"out": True}, "out")]
         for change, named in bad:
             cfg = write_config(tmp_path, **{"seed": 1,
                                             "suites": ["flip-identities"],
@@ -251,7 +254,6 @@ ERROR_ARGS = {
     FrameProjectionError: [(1e-3,)],
     OutsideNeighborhood: [(3,), (3, "no local preimage at node 3")],
     BranchAmbiguity: [(3,)],
-    GraphOutsideDomain: [(3,)],
     NotInDomainU: [(3,)],
 }
 

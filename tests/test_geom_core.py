@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -15,15 +14,10 @@ from currentgpd.manifolds import (DiscreteManifold, ProductManifold,
                                   SecondTangent, SmoothMap, Tangent,
                                   canonical_flip, chart_count,
                                   component_major, map_jacobian,
-                                  merge_components, second_tangent_map,
-                                  second_tangent_projection,
+                                  merge_components, second_tangent_projection,
                                   split_components, tangent_map)
 
-from conftest import close_to
-
-
-def angle_of(p):
-    return math.atan2(p.ambient[1], p.ambient[0])
+from conftest import angle_of, close_to
 
 
 # ---------------------------------------------------------------------------
@@ -140,53 +134,6 @@ class TestTangentMap:
 # ---------------------------------------------------------------------------
 # second tangents and the flip
 # ---------------------------------------------------------------------------
-
-def scalar_map(fn):
-    line = Euclidean(1)
-    return SmoothMap(line, line, lambda comps: [fn(comps[0])])
-
-
-class TestSecondTangent:
-    def test_identity(self):
-        line = Euclidean(1)
-        f = SmoothMap(line, line, lambda comps: list(comps))
-        s = SecondTangent(line, 0, np.array([0.3]), np.array([1.0]),
-                          np.array([2.0]), np.array([-0.5]))
-        out = second_tangent_map(f, s)
-        assert out.tuple4() == pytest.approx(s.tuple4())
-
-    def test_square_rule(self):
-        # f(x) = x^2: d2f(x, y, z) = 2 y z, so (1,1,1,0) -> (1,2,2,2)
-        f = scalar_map(lambda x: x * x)
-        s = SecondTangent(Euclidean(1), 0, np.array([1.0]), np.array([1.0]),
-                          np.array([1.0]), np.array([0.0]))
-        out = second_tangent_map(f, s)
-        got = np.concatenate(out.tuple4())
-        assert got == pytest.approx([1.0, 2.0, 2.0, 2.0])
-
-    def test_linear_rule(self):
-        f = scalar_map(lambda x: 2.0 * x)
-        s = SecondTangent(Euclidean(1), 0, np.array([0.4]), np.array([1.1]),
-                          np.array([-0.2]), np.array([0.9]))
-        out = second_tangent_map(f, s)
-        got = np.concatenate(out.tuple4())
-        assert got == pytest.approx([0.8, 2.2, -0.4, 1.8])
-
-    def test_transforms_match_nested_fd(self):
-        # the 4-tuple rule against second-order finite differences
-        f = scalar_map(lambda x: ad.sin(x) * x)
-        x0, y, z, w = 0.37, 1.3, -0.8, 0.25
-        s = SecondTangent(Euclidean(1), 0, np.array([x0]), np.array([y]),
-                          np.array([z]), np.array([w]))
-        out = second_tangent_map(f, s)
-        h = 1e-4
-        fn = lambda x: math.sin(x) * x
-        df = (fn(x0 + h) - fn(x0 - h)) / (2 * h)
-        d2f = (fn(x0 + h) - 2 * fn(x0) + fn(x0 - h)) / (h * h)
-        expected = [fn(x0), df * y, df * z, df * w + d2f * y * z]
-        got = np.concatenate(out.tuple4())
-        assert got == pytest.approx(expected, abs=1e-5)
-
 
 class TestCanonicalFlip:
     def test_paper_value(self):

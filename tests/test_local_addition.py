@@ -8,15 +8,13 @@ from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
                                 Torus)
 from currentgpd.errors import (DomainViolation, NotInThetaImage,
                                SingularNormalization, Unsupported)
-from currentgpd.localadd import (LocalAddition, fiber_derivative,
-                                 lie_group_local_addition, normalize,
+from currentgpd.localadd import (LocalAddition, fiber_derivative, normalize,
                                  riemannian_local_addition,
                                  tangent_local_addition)
-from currentgpd.manifolds import Tangent, tangent_from_ambient
+from currentgpd.manifolds import (Tangent, merge_components, split_components,
+                                  tangent_from_ambient)
 
-
-def angle_of(p):
-    return math.atan2(p.ambient[1], p.ambient[0])
+from conftest import angle_of
 
 
 CATALOG = [Euclidean(2), Circle(), Sphere(), Torus(), RotationGroup()]
@@ -66,27 +64,9 @@ class TestRiemannian:
                 back = add.theta_inverse(p, q)
                 assert float(np.max(np.abs(back.vel - xi))) < 1e-10
 
-
-class TestLieGroup:
-    def test_circle_group_exponential(self):
-        c = Circle()
-        add = lie_group_local_addition(c)
-        e = c.point_at_angle(0.0)
-        q = add.sigma(Tangent(e, np.array([0.8])))
-        assert angle_of(q) == pytest.approx(0.8, abs=1e-14)
-
-    def test_zero_tangent(self):
-        c = Circle()
-        add = lie_group_local_addition(c)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            p = c.point_from_ambient(c.sample(rng))
-            q = add.sigma(Tangent(p, np.zeros(1)))
-            assert float(c.distance(q.ambient, p.ambient)) < 1e-14
-
     def test_so3_against_matrix_exponential(self):
         g = RotationGroup()
-        add = lie_group_local_addition(g)
+        add = riemannian_local_addition(g)
         rng = np.random.default_rng(3)
         for _ in range(25):
             R = g.sample(rng).reshape(3, 3)
@@ -100,19 +80,28 @@ class TestLieGroup:
             q = add.sigma(t)
             assert float(np.max(np.abs(q.ambient - expected.reshape(9)))) < 1e-12
 
-    def test_agrees_with_riemannian_on_circle(self):
-        c = Circle()
-        grp = lie_group_local_addition(c)
-        rie = riemannian_local_addition(c)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            p = c.point_from_ambient(c.sample(rng))
-            xi = rng.normal(size=1)
-            if not grp.contains(Tangent(p, xi)):
-                continue
-            a = grp.sigma(Tangent(p, xi))
-            b = rie.sigma(Tangent(p, xi))
-            assert float(c.distance(a.ambient, b.ambient)) < 1e-10
+    @pytest.mark.parametrize("m", [Circle(), RotationGroup()],
+                             ids=lambda m: m.name)
+    def test_is_the_left_translated_group_exponential(self, m):
+        # sigma(g, v) = g . sigma(e, g^-1 v): on a group with a bi-invariant
+        # metric the geodesic exponential is the Lie-group local addition
+        add = riemannian_local_addition(m)
+        rng = np.random.default_rng(13)
+        g = m.sample(rng, 200)
+        xi = rng.uniform(-1.0, 1.0, size=(200, m.dim))
+        if m.dim == 1:
+            hat = [0.0 * xi[:, 0], xi[:, 0]]
+        else:
+            x, y, z = xi.T
+            hat = [0.0 * x, -z, y, z, 0.0 * x, -x, -y, x, 0.0 * x]
+        v = merge_components(m.mul(split_components(g), hat))
+        e = np.broadcast_to(m.identity, g.shape)
+        g_inv_v = m.mul(m.invert(split_components(g)), split_components(v))
+        at_e = add.sigma_batch(e, merge_components(g_inv_v))
+        lhs = add.sigma_batch(g, v)
+        rhs = merge_components(m.mul(split_components(g),
+                                     split_components(at_e)))
+        assert float(np.max(np.abs(lhs - rhs))) < 1e-12
 
 
 def scaled_circle_addition(factor=2.0):
@@ -189,21 +178,19 @@ class TestNormalize:
 
     def test_unnormalized_group_chart_gets_normalized(self):
         # sigma(v) = g . psi(omega(v)) with psi(s) = e^{i(2s + s^3)}, a chart
-        # diffeomorphism but not exp: its fiber derivative at zero is 2
+        # diffeomorphism but not exp: its fiber derivative at zero is 2; the
+        # circle's Maurer-Cartan form is omega(v) = g0 v1 - g1 v0
         c = Circle()
         from currentgpd import ad
-        grp = c
 
-        def psi(xi):
-            s = xi[0]
-            return [ad.cos(2.0 * s + s * (s * s)),
-                    ad.sin(2.0 * s + s * (s * s))]
+        def sigma_fn(comps):
+            g0, g1, v0, v1 = comps
+            s = g0 * v1 - g1 * v0
+            return c.mul([g0, g1], [ad.cos(2.0 * s + s * (s * s)),
+                                    ad.sin(2.0 * s + s * (s * s))])
 
-        add = LocalAddition(
-            c,
-            lambda comps: grp.mul(list(comps[:2]),
-                                  psi(grp.omega(comps[:2], comps[2:]))),
-            riemannian_local_addition(c).domain_fn, name="psi")
+        add = LocalAddition(c, sigma_fn,
+                            riemannian_local_addition(c).domain_fn, name="psi")
         fixed = normalize(add)
         rng = np.random.default_rng(8)
         for _ in range(30):

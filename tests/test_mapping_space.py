@@ -7,19 +7,17 @@ import pytest
 from currentgpd.ad import fd_jacobian
 from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
                                 Torus, catalog_maps, exp_cover)
-from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
-                               GraphOutsideDomain, NotInDomainU,
+from currentgpd.errors import (BranchAmbiguity, CoherenceLost, NotInDomainU,
                                NotInThetaImage, OutsideNeighborhood,
                                Unsupported)
-from currentgpd.gridmaps import (GridMap, GridSection, GridSpec,
-                                 SuperpositionMap, chart_phi,
+from currentgpd.gridmaps import (GridMap, GridSection, GridSpec, chart_phi,
                                  chart_phi_inverse, circle_winding_loop,
                                  classify_pushforward,
                                  constant_grid_map, degree, gridmap_to_csv,
                                  local_diffeo_inverse, pushforward,
                                  pushforward_tangent, random_grid_map,
                                  random_section, section_from_chart_coeffs,
-                                 seminorm_distance, superposition)
+                                 seminorm_distance)
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.localadd import riemannian_local_addition
 from currentgpd.manifolds import (DiscreteManifold, SmoothMap,
@@ -167,36 +165,6 @@ class TestPushforward:
         assert np.array_equal(lhs.ambient, rhs.ambient)
 
 
-class TestSuperposition:
-    def test_ignoring_the_parameter_is_pushforward(self):
-        g = MAPS["circle-rotate"]
-        sup = SuperpositionMap(CIRCLE, CIRCLE,
-                               lambda x, comps: g.fn(comps))
-        rng = np.random.default_rng(2)
-        loop = random_grid_map(GRID, CIRCLE, rng)
-        assert np.allclose(superposed := superposition(sup, loop).ambient,
-                           pushforward(g, loop).ambient)
-
-    def test_projection_returns_input(self):
-        sup = SuperpositionMap(CIRCLE, CIRCLE, lambda x, comps: list(comps))
-        loop = circle_winding_loop(GRID, CIRCLE, 1)
-        assert np.allclose(superposition(sup, loop).ambient, loop.ambient)
-
-    def test_domain_violation_reports_node(self):
-        bad_node = 11
-        xs = GRID.params()
-
-        def domain(x, amb):
-            return abs(x - xs[bad_node]) > 1e-12
-
-        sup = SuperpositionMap(CIRCLE, CIRCLE,
-                               lambda x, comps: list(comps), domain=domain)
-        loop = circle_winding_loop(GRID, CIRCLE, 1)
-        with pytest.raises(GraphOutsideDomain) as err:
-            superposition(sup, loop)
-        assert err.value.index == bad_node
-
-
 class TestChartPhi:
     def setup_method(self):
         self.add = riemannian_local_addition(CIRCLE)
@@ -264,8 +232,10 @@ class TestPushforwardTangent:
 
     def test_so3_exponential_matches_nodewise_tangent_map(self):
         # ad.where on dual arrays: node 0 sits at xi = 0, on the series branch
+        # of the exponential chart at the identity
         space = Euclidean(3)
-        f = SmoothMap(space, RotationGroup(), RotationGroup.exp_chart)
+        so3 = RotationGroup()
+        f = SmoothMap(space, so3, so3.charts[0].inv)
         th = 2 * math.pi * np.arange(16) / 16
         amb = 0.6 * np.stack([np.sin(th), 1 - np.cos(th), np.sin(2 * th)], -1)
         gamma = GridMap(GridSpec("circle", 16), space, amb)
