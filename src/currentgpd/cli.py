@@ -3,13 +3,16 @@
 Reports are deterministic for a fixed (config, seed) up to the wall-time
 fields: each suite draws from its own derived seed, so neither their order,
 their selection nor the process that runs them changes any result.  The
-suites run in a pool of worker processes forked from this one, one worker
-per usable CPU and at most one per suite.
+suites run as tasks in a pool of worker processes forked from this one, one
+worker per usable CPU and at most one per task.  A suite that checks each
+catalog instance (``PER_INSTANCE``) is one task per instance, since its
+seeds derive from the instance's name; any other suite is one task.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +23,8 @@ from .errors import ConfigError, UnknownId
 from .gridmaps import (GridSpec, circle_winding_loop, constant_grid_map,
                        gridmap_to_csv)
 from .groupoids import GROUPOIDS
-from .suites import SAMPLE_COUNTS, SUITES, SuiteContext, run_suite
+from .suites import (PER_INSTANCE, SAMPLE_COUNTS, SUITES, SuiteContext,
+                     run_suite)
 from .tolerances import DEFAULT, TOLERANCE_KEYS
 
 _CONFIG_KEYS = {"suites", "grid", "tolerances", "seed", "instances",
@@ -44,6 +48,13 @@ def _id_list(raw, key, known):
     val = raw.get(key, sorted(known))
     if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
         raise ConfigError(f"'{key}' must be a list of ids")
+    return val
+
+
+def _out_path(val):
+    """The report path: a non-empty string, or None for stdout."""
+    if val is not None and (not isinstance(val, str) or not val):
+        raise ConfigError("'out' must be a non-empty path string or null")
     return val
 
 
@@ -95,9 +106,6 @@ def load_config(path) -> dict:
                               f"may set {sorted(SAMPLE_COUNTS)}")
         if not _typed(val, int) or val <= 0:
             raise ConfigError(f"sample count for {key} must be a positive int")
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("'out' must be a path string or null")
     return {
         "suites": list(suites),
         "grid": {"kind": grid.get("kind", "circle"),
@@ -106,7 +114,7 @@ def load_config(path) -> dict:
         "seed": raw["seed"],
         "instances": list(instances),
         "samples": dict(samples),
-        "out": out,
+        "out": _out_path(raw.get("out")),
     }
 
 
@@ -129,20 +137,28 @@ def suite_context(config: dict) -> SuiteContext:
 def execute(config: dict) -> dict:
     """The report of a loaded config, its suites run in worker processes.
 
-    The workers are forked, so they inherit the imported package, and a
-    suite's exception is raised here; no worker outlives the call."""
+    Each suite is one task, and each suite of ``PER_INSTANCE`` one task per
+    configured instance, run on a context that lists only that instance.
+    The tasks go to one worker per usable CPU, at most one per task.  The
+    workers are forked, so they inherit the imported package, and a task's
+    exception is raised here; no worker outlives the call."""
     # Imported here, as they add about 20 ms to every import of this module.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     ctx = suite_context(config)
-    sids = sorted(set(config["suites"]))
-    workers = max(1, min(len(sids), len(os.sched_getaffinity(0))))
+    tasks = []
+    for sid in sorted(set(config["suites"])):
+        if sid in PER_INSTANCE:
+            tasks += [(sid, dataclasses.replace(ctx, instances=[name]))
+                      for name in ctx.instances]
+        else:
+            tasks.append((sid, ctx))
+    workers = max(1, min(len(tasks), len(os.sched_getaffinity(0))))
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        records = [r for suite in pool.map(run_suite, sids,
-                                           [ctx] * len(sids))
-                   for r in suite]
+        records = [r for part in pool.map(run_suite, *zip(*tasks))
+                   for r in part]
     records.sort(key=lambda r: r.check_name)
     overall = all(r.status in ("pass", "obstructed-as-expected")
                   for r in records)
@@ -237,7 +253,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         if args.out is not None:
-            config["out"] = args.out
+            config["out"] = _out_path(args.out)
         if args.suite:
             for sid in args.suite:
                 if sid not in SUITES:

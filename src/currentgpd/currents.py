@@ -60,7 +60,7 @@ class CurrentGroupoid:
         if not gap < tol:  # a NaN gap is not composable either
             raise NotComposable(
                 f"{self.name}: endpoint gap {gap:.3e} "
-                f"at node {int(np.argmax(gaps))}")
+                f"at node {int(np.argmax(gaps)) % self.grid.n}")
         b_amb = self.base_gpd.project_to_beta(b.ambient, aa)
         return self._wrap_arrow(self.base_gpd.mu_batch(a.ambient, b_amb))
 
@@ -120,6 +120,24 @@ def build_current(gpd: LieGroupoid, grid: GridSpec) -> CurrentGroupoid:
 # structural isomorphisms
 # ---------------------------------------------------------------------------
 
+def _composable_draws(cur: CurrentGroupoid, n_samples, rng, objects=False):
+    """Seeded composable grid-arrow pairs (a, b), and object maps when
+    asked, each stacked over the samples as one stacked GridMap.
+
+    The samples are drawn one by one, in the order of the draws of
+    ``sample_arrow``, ``sample_with_beta`` and ``sample_object``; the
+    structure maps then run once over each stack, with each node's bits.
+    """
+    draws = []
+    for _ in range(n_samples):
+        a = cur.sample_arrow(rng)
+        b = cur.sample_with_beta(cur.alpha_star(a), rng)
+        obj = (cur.sample_object(rng),) if objects else ()
+        draws.append([gm.ambient for gm in (a, b, *obj)])
+    wraps = (cur._wrap_arrow, cur._wrap_arrow, cur._wrap_obj)
+    return [wrap(np.stack(d)) for wrap, d in zip(wraps, zip(*draws))]
+
+
 def pair_iso(grid: GridSpec, m, n_samples=100, seed=0,
              tol=DEFAULT.tol_chart) -> float:
     """Grid maps into M x M versus pairs of grid maps into M.
@@ -130,28 +148,22 @@ def pair_iso(grid: GridSpec, m, n_samples=100, seed=0,
     gpd = pair_groupoid(m)
     cur = build_current(gpd, grid)
     am = m.ambient_dim
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        a = cur.sample_arrow(rng)
-        b = cur.sample_with_beta(cur.alpha_star(a), rng)
-        first = lambda gm: gm.ambient[:, :am]
-        second = lambda gm: gm.ambient[:, am:]
-        obj = cur.sample_object(rng)
-        worst = worst_residual(
-            worst,
-            # source/target under reindexing
-            cur.alpha_star(a).ambient - second(a),
-            cur.beta_star(a).ambient - first(a),
-            # multiplication: (f1, f2) . (f2, f3) = (f1, f3)
-            cur.mu_star(a, b, tol=tol).ambient
-            - np.concatenate([first(a), second(b)], axis=-1),
-            # inversion and units
-            cur.iota_star(a).ambient
-            - np.concatenate([second(a), first(a)], axis=-1),
-            cur.unit_star(obj).ambient
-            - np.concatenate([obj.ambient, obj.ambient], axis=-1))
-    return worst
+    a, b, obj = _composable_draws(cur, n_samples,
+                                  np.random.default_rng(seed), objects=True)
+    first = lambda gm: gm.ambient[..., :am]
+    second = lambda gm: gm.ambient[..., am:]
+    return worst_residual(
+        # source/target under reindexing
+        cur.alpha_star(a).ambient - second(a),
+        cur.beta_star(a).ambient - first(a),
+        # multiplication: (f1, f2) . (f2, f3) = (f1, f3)
+        cur.mu_star(a, b, tol=tol).ambient
+        - np.concatenate([first(a), second(b)], axis=-1),
+        # inversion and units
+        cur.iota_star(a).ambient
+        - np.concatenate([second(a), first(a)], axis=-1),
+        cur.unit_star(obj).ambient
+        - np.concatenate([obj.ambient, obj.ambient], axis=-1))
 
 
 def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
@@ -162,25 +174,19 @@ def action_iso(grid: GridSpec, action_gpd: LieGroupoid, n_samples=100,
     cur = build_current(action_gpd, grid)
     group = action_gpd.group
     ag = group.ambient_dim
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    gm_part = lambda gm: gm.ambient[:, :ag]
-    m_part = lambda gm: gm.ambient[:, ag:]
-    for _ in range(n_samples):
-        a = cur.sample_arrow(rng)
-        b = cur.sample_with_beta(cur.alpha_star(a), rng)
-        # multiplication: group parts multiply pointwise, base from the right
-        lifted_g = merge_components(group.mul(split_components(gm_part(a)),
-                                              split_components(gm_part(b))))
-        worst = worst_residual(
-            worst,
-            # source / target match the pointwise action picture
-            cur.alpha_star(a).ambient - m_part(a),
-            cur.beta_star(a).ambient
-            - action_gpd.act_batch(gm_part(a), m_part(a)),
-            cur.mu_star(a, b, tol=tol).ambient
-            - np.concatenate([lifted_g, m_part(b)], axis=-1))
-    return worst
+    a, b = _composable_draws(cur, n_samples, np.random.default_rng(seed))
+    gm_part = lambda gm: gm.ambient[..., :ag]
+    m_part = lambda gm: gm.ambient[..., ag:]
+    # multiplication: group parts multiply pointwise, base from the right
+    lifted_g = merge_components(group.mul(split_components(gm_part(a)),
+                                          split_components(gm_part(b))))
+    return worst_residual(
+        # source / target match the pointwise action picture
+        cur.alpha_star(a).ambient - m_part(a),
+        cur.beta_star(a).ambient
+        - action_gpd.act_batch(gm_part(a), m_part(a)),
+        cur.mu_star(a, b, tol=tol).ambient
+        - np.concatenate([lifted_g, m_part(b)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -311,38 +317,34 @@ def proper_etale_fiber_bound(gpd: LieGroupoid, grid: GridSpec, n_pairs=200,
     with its source map, so at most |Gamma| arrows lie over any object pair;
     they are enumerated and matched against the target at orbit level, and
     exactly against the target for the anchor fiber itself.
+
+    The pairs are drawn one by one, in the order of their draws; every
+    translate, gap and match is then taken once over the stack of them,
+    with the bits each node gets alone.
     """
     grp = gpd.finite_group
     if grp is None:
         raise Unsupported(f"{gpd.name}: needs a finite structure group")
     rng = np.random.default_rng(seed)
     m = gpd.base
-    counts = []
-    exact_counts = []
-    worst_res = 0.0
+    srcs, rhos, others = [], [], {}
     for trial in range(n_pairs):
-        src = m.sample_path(grid.params(), rng, grid.closed)
-        rho = int(rng.integers(len(grp)))
-        if trial % 5 == 4:
-            tgt = m.sample_path(grid.params(), rng, grid.closed)  # other orbit
-        else:
-            tgt = grp.elements[rho].act(src)
-        lifts = []
-        exact = []
-        for gi, el in enumerate(grp.elements):
-            img = el.act(src)
-            orbit_gap = np.min(np.stack(
-                [np.max(np.abs(e.act(img) - tgt), axis=-1)
-                 for e in grp.elements]), axis=0)
-            if float(np.max(orbit_gap)) < tol:
-                lifts.append(gi)
-                worst_res = worst_residual(worst_res, orbit_gap)
-            if float(np.max(np.abs(img - tgt))) < tol:
-                exact.append(gi)
-        counts.append(len(lifts))
-        exact_counts.append(len(exact))
-    counts = np.asarray(counts)
-    exact_counts = np.asarray(exact_counts)
+        srcs.append(m.sample_path(grid.params(), rng, grid.closed))
+        rhos.append(int(rng.integers(len(grp))))
+        if trial % 5 == 4:  # a target in another orbit
+            others[trial] = m.sample_path(grid.params(), rng, grid.closed)
+    # imgs[gi, trial] is element gi applied to the trial's source path
+    imgs = np.stack([el.act(np.stack(srcs)) for el in grp.elements])
+    tgt = imgs[rhos, np.arange(n_pairs)]
+    for trial, path in others.items():
+        tgt[trial] = path
+    orbit_gap = np.min(np.stack([np.max(np.abs(e.act(imgs) - tgt), axis=-1)
+                                 for e in grp.elements]), axis=0)
+    lifts = np.max(orbit_gap, axis=-1) < tol
+    worst_res = worst_residual(orbit_gap[lifts])
+    counts = np.sum(lifts, axis=0)
+    exact_counts = np.sum(np.max(np.abs(imgs - tgt), axis=(-2, -1)) < tol,
+                          axis=0)
     verdict = "bounded" if int(counts.max(initial=0)) <= len(grp) else "violated"
     return Certificate(
         kind="finite-fiber-bound",

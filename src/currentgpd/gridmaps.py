@@ -57,14 +57,19 @@ class GridSpec:
 
 
 class GridMap:
-    """A map from the grid into a manifold, stored as stacked ambient rows."""
+    """A map from the grid into a manifold, stored as stacked ambient rows.
+
+    The ambient array is (n, m) for one map; a stack of maps drawn on one
+    grid is (..., n, m), and the coherence check runs over every map of
+    the stack at once.
+    """
 
     def __init__(self, grid: GridSpec, target: ChartedManifold, ambient,
                  delta_coh=None):
         self.grid = grid
         self.target = target
         self.ambient = np.asarray(ambient, dtype=float)
-        if self.ambient.shape != (grid.n, target.ambient_dim):
+        if self.ambient.shape[-2:] != (grid.n, target.ambient_dim):
             raise ValueError("ambient array has the wrong shape")
         self.delta_coh = target.coherence_bound() if delta_coh is None else delta_coh
         self.check_coherence()
@@ -76,18 +81,16 @@ class GridMap:
         step = float(np.max(steps))
         if not step < self.delta_coh:  # a NaN step is not coherent either
             raise CoherenceLost(
-                f"step {step:.3f} at node {int(np.argmax(steps))} exceeds "
-                f"coherence bound {self.delta_coh:.3f}")
+                f"step {step:.3f} at node {np.argmax(steps) % self.grid.n} "
+                f"exceeds coherence bound {self.delta_coh:.3f}")
 
     def step_sizes(self):
         a = self.ambient
         if self.grid.closed:
-            b = np.roll(a, -1, axis=0)
+            b = np.roll(a, -1, axis=-2)
             return np.asarray(self.target.geodesic_distance(a, b))
-        return np.asarray(self.target.geodesic_distance(a[:-1], a[1:]))
-
-    def point(self, i) -> Point:
-        return self.target.point_from_ambient(self.ambient[i])
+        return np.asarray(self.target.geodesic_distance(a[..., :-1, :],
+                                                        a[..., 1:, :]))
 
     def close_to(self, other, tol=DEFAULT.tol_chart):
         return float(np.max(self.target.distance(self.ambient, other.ambient))) < tol
@@ -115,7 +118,8 @@ def random_grid_map(grid, target, rng) -> GridMap:
 
 
 class GridSection:
-    """A section of the pulled-back tangent bundle along a grid map."""
+    """A section of the pulled-back tangent bundle along a grid map; over a
+    stack of maps, a stack of sections."""
 
     def __init__(self, base: GridMap, vel_ambient):
         self.base = base
@@ -128,27 +132,35 @@ class GridSection:
 
 
 def section_from_chart_coeffs(gm: GridMap, coeffs) -> GridSection:
-    """Build a section from per-node chart velocities."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    rows = []
-    for i in range(gm.grid.n):
-        p = gm.point(i)
-        rows.append(Tangent(p, coeffs[i]).ambient_vel())
-    return GridSection(gm, np.stack(rows))
+    """Build a section from per-node chart velocities, (..., n, d).
+
+    Each node is read in its best chart, and the nodes of one chart, over
+    every map of a stack, push their velocities to the embedding in one
+    dual pass (:meth:`~currentgpd.manifolds.ChartedManifold.points_by_chart`):
+    node i gets the bits of ``Tangent(p, coeffs[i]).ambient_vel()`` for
+    ``p = gm.target.point_from_ambient(gm.ambient[i])`` alone.
+    """
+    m = gm.target
+    amb = gm.ambient.reshape(-1, m.ambient_dim)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, m.dim)
+    vel = np.empty_like(amb)
+    for rows, p in m.points_by_chart(amb):
+        vel[rows] = Tangent(p, coeffs[rows]).ambient_vel()
+    return GridSection(gm, vel.reshape(gm.ambient.shape))
 
 
-def random_section(gm: GridMap, rng, scale=0.1) -> GridSection:
-    d = gm.target.dim
-    n = gm.grid.n
-    x = gm.grid.params()
-    coeffs = np.zeros((n, d))
-    for j in range(d):
+def random_chart_coeffs(grid: GridSpec, dim, rng, scale=0.1):
+    """Random smooth per-node chart velocities, (n, dim), for
+    :func:`section_from_chart_coeffs`: three normals per component."""
+    x = grid.params()
+    coeffs = np.zeros((grid.n, dim))
+    for j in range(dim):
         c = rng.normal(size=3) * scale
-        if gm.grid.closed:
+        if grid.closed:
             coeffs[:, j] = c[0] + c[1] * np.cos(x) + c[2] * np.sin(x)
         else:
             coeffs[:, j] = c[0] + c[1] * x + c[2] * x * x
-    return section_from_chart_coeffs(gm, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +256,9 @@ def chart_phi_inverse(sigma: LocalAddition, f: GridMap, g: GridMap,
                 raise NotInThetaImage(f"node {i}: residual {float(res[i]):.2e}")
         return GridSection(f, vel)
     rows = []
-    for i in range(f.grid.n):
-        t = sigma.theta_inverse(f.point(i), g.point(i), tol=tol)
-        rows.append(t.ambient_vel())
+    for a, b in zip(f.ambient, g.ambient):
+        p, q = m.point_from_ambient(a), m.point_from_ambient(b)
+        rows.append(sigma.theta_inverse(p, q, tol=tol).ambient_vel())
     return GridSection(f, np.stack(rows))
 
 
@@ -299,47 +311,56 @@ def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
     supply `preimage_branches(target_ambient, near_ambient) -> [ambient, ...]`
     and `branch_separation`, the least distance between two preimages of a
     point; a lift steps at most half of it from node to node.
+
+    The branch walk is sequential; the residuals |f(lift) - eta| of the
+    nodes it reached are then taken in one push-forward, with each node's
+    bits.  The first node that fails names the error, as node by node: a
+    residual at an earlier node fails before the walk's own error.
     """
     if f.preimage_branches is None:
         raise Unsupported(f"{f.name}: no preimage branches to choose from")
     m = f.source
-    n = eta.grid.n
+    dist = m.geodesic_distance
     max_step = 0.5 * f.branch_separation
     ambiguity_gap = m.coherence_bound()
     if not np.isfinite(ambiguity_gap):
         ambiguity_gap = max_step
     prev = np.asarray(start.ambient if start is not None else gamma0.ambient[0],
                       dtype=float)
-    rows = []
-    for i in range(n):
-        target_amb = eta.ambient[i]
-        cand = [np.atleast_1d(np.asarray(a, dtype=float))
-                for a in f.preimage_branches(target_amb, prev)]
-        if not cand:
-            raise OutsideNeighborhood(i, f"no local preimage at node {i}")
-        dists = [float(m.geodesic_distance(c, prev)) for c in cand]
-        order = np.argsort(dists)
-        best = cand[int(order[0])]
-        if len(order) > 1:
-            second = cand[int(order[1])]
-            gap = float(m.geodesic_distance(best, second))
-            if gap < ambiguity_gap / 4.0 and dists[int(order[1])] < max_step:
+    rows, fault = [], None
+    try:
+        for i, target_amb in enumerate(eta.ambient):
+            branches = f.preimage_branches(target_amb, prev)
+            if not branches:
+                raise OutsideNeighborhood(i, f"no local preimage at node {i}")
+            cand = np.reshape(np.asarray(branches, dtype=float),
+                              (len(branches), -1))
+            dists = dist(cand, prev)
+            order = np.argsort(dists)
+            best = cand[order[0]]
+            if len(order) > 1 and dists[order[1]] < max_step and float(
+                    dist(best, cand[order[1]])) < ambiguity_gap / 4.0:
                 raise BranchAmbiguity(i)
-        if dists[int(order[0])] > max_step and i > 0:
-            raise OutsideNeighborhood(i)
-        res = float(f.target.distance(
-            merge_components(f.fn(split_components(best))), target_amb))
-        if res > tol:
-            raise OutsideNeighborhood(i, f"residual {res:.2e} at node {i}")
-        rows.append(best)
-        prev = best
+            if dists[order[0]] > max_step and i > 0:
+                raise OutsideNeighborhood(i)
+            rows.append(best)
+            prev = best
+    except (OutsideNeighborhood, BranchAmbiguity) as err:
+        fault = err  # raised below, unless an earlier node's residual fails
+    lift = np.reshape(rows, (len(rows), m.ambient_dim))
+    res = f.target.distance(f.apply_batch(lift), eta.ambient[:len(rows)])
+    bad = np.flatnonzero(res > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise OutsideNeighborhood(i, f"residual {res[i]:.2e} at node {i}")
+    if fault is not None:
+        raise fault
     if eta.grid.closed:
-        closure = float(m.geodesic_distance(rows[-1], rows[0]))
+        closure = float(dist(lift[-1], lift[0]))
         if closure > max_step:
             raise OutsideNeighborhood(
                 0, f"lift does not close up (gap {closure:.3f})")
-    return GridMap(eta.grid, m, np.stack(rows),
-                   delta_coh=max_step * (1.0 + 1e-9))
+    return GridMap(eta.grid, m, lift, delta_coh=max_step * (1.0 + 1e-9))
 
 
 # ---------------------------------------------------------------------------

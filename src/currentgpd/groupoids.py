@@ -397,7 +397,6 @@ def reflection_group_1d() -> FiniteGroup:
 
 @dataclass
 class IsotropyGroup:
-    point: Point
     element_indices: list
     table: np.ndarray
 
@@ -415,7 +414,7 @@ def isotropy_group(gpd: LieGroupoid, x: Point,
            if float(np.max(np.abs(e.act(x.ambient) - x.ambient))) < tol]
     pos = {g: n for n, g in enumerate(idx)}
     table = np.asarray([[pos[int(grp.table[i, j])] for j in idx] for i in idx])
-    return IsotropyGroup(x, idx, table)
+    return IsotropyGroup(idx, table)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,13 @@ class LocalAddition:
         self.name = name
 
     # -- evaluation ---------------------------------------------------------
-    def contains(self, t: Tangent) -> bool:
-        return bool(self.domain_fn(t.base.ambient, t.ambient_vel()))
+    def contains(self, t: Tangent):
+        """Whether t lies in U; a stacked t gives one bool per row."""
+        vel = t.ambient_vel()
+        if vel.ndim == 1:
+            return bool(self.domain_fn(t.base.ambient, vel))
+        return np.array([bool(self.domain_fn(p, v))
+                         for p, v in zip(t.base.ambient, vel)])
 
     def sigma(self, t: Tangent) -> Point:
         if not self.contains(t):
@@ -55,16 +60,9 @@ class LocalAddition:
     # -- inversion ------------------------------------------------------------
     def theta_inverse(self, p: Point, q: Point,
                       tol=DEFAULT.tol_theta) -> Tangent:
-        m = self.manifold
         if self.closed_log is not None:
-            v = merge_components(self.closed_log(list(p.ambient), list(q.ambient)))
-            if not self.domain_fn(p.ambient, v):
-                raise NotInThetaImage(f"{self.name}: log outside domain U")
-            t = tangent_from_ambient(m, p.ambient, v, p.chart_id)
-            res = float(m.distance(self.sigma_batch(p.ambient, v), q.ambient))
-            if res > tol:
-                raise NotInThetaImage(f"{self.name}: closed-form residual {res:.2e}")
-            return t
+            return self.log(p, q.ambient, tol=tol)
+        m = self.manifold
         chart = m.charts[p.chart_id]
         x = list(p.coords)
         qc = m.charts[q.chart_id]
@@ -84,6 +82,28 @@ class LocalAddition:
         if not self.domain_fn(p.ambient, v):
             raise NotInThetaImage(f"{self.name}: Newton left domain U")
         return Tangent(p, np.asarray(w, dtype=float))
+
+    def log(self, p: Point, q_amb, tol=DEFAULT.tol_theta) -> Tangent:
+        """theta_inverse through the closed-form log, with q given by its
+        ambient rows.
+
+        A stacked p (rows of one chart) and (..., m) rows q_amb run the log,
+        the chart velocities and sigma once over all rows; each row gets the
+        bits it gets alone.  It raises NotInThetaImage if a row's log leaves
+        U or misses its q by more than tol.
+        """
+        m = self.manifold
+        v = merge_components(self.closed_log(split_components(p.ambient),
+                                             split_components(q_amb)))
+        am = m.ambient_dim
+        if not all(map(self.domain_fn, np.reshape(p.ambient, (-1, am)),
+                       np.reshape(v, (-1, am)))):
+            raise NotInThetaImage(f"{self.name}: log outside domain U")
+        t = tangent_from_ambient(m, p.ambient, v, p.chart_id)
+        res = m.distance(self.sigma_batch(p.ambient, v), q_amb)
+        if np.any(res > tol):
+            raise NotInThetaImage(f"{self.name}: closed-form residual {np.max(res):.2e}")
+        return t
 
 
 def _radius_domain(manifold, radius):

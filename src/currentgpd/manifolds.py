@@ -199,17 +199,38 @@ class ChartedManifold:
 
     # -- point construction -------------------------------------------------
     def point_from_ambient(self, amb, chart_id=None):
+        """The point amb, in its best chart or in chart ``chart_id``.
+
+        Stacked (..., m) rows make one stacked :class:`Point`; they need a
+        ``chart_id`` that holds them all (see :meth:`points_by_chart`).
+        """
         amb = np.asarray(amb, dtype=float)
         if chart_id is None:
             chart_id = self.best_chart(amb)
-        elif value(self.chart_margin(chart_id, amb)) <= 0.0:
+        elif np.any(value(self.chart_margin(chart_id, amb)) <= 0.0):
             raise OutOfChart(f"{self.name}: point outside chart {chart_id}")
         coords = merge_components(self.charts[chart_id].fwd(split_components(amb)))
         return Point(self, int(chart_id), coords, amb)
 
+    def points_by_chart(self, amb):
+        """Stacked (n, m) ambient rows as (rows, Point) pairs, one per chart.
+
+        Each row is read in its best chart, as :meth:`point_from_ambient`
+        reads it alone, and the rows of one chart make one stacked Point,
+        in the order in which their chart first occurs.  A chart map then
+        runs once over its rows and, on the one rounding path of
+        :mod:`currentgpd.ad`, gives each row the bits it gets alone.
+        """
+        amb = np.asarray(amb, dtype=float)
+        batches = {}
+        for row, cid in enumerate(self.best_chart(amb).tolist()):
+            batches.setdefault(cid, []).append(row)
+        return [(rows, self.point_from_ambient(amb[rows], cid))
+                for cid, rows in batches.items()]
+
     def point_from_coords(self, chart_id, coords):
         coords = np.asarray(coords, dtype=float)
-        amb = merge_components(self.charts[chart_id].inv(list(coords)))
+        amb = merge_components(self.charts[chart_id].inv(split_components(coords)))
         return Point(self, int(chart_id), coords, amb)
 
     # -- metric helpers ------------------------------------------------------
@@ -255,6 +276,9 @@ class ChartedManifold:
 
 @dataclass(frozen=True)
 class Point:
+    """A point in one chart; coords (d,) and ambient (m,), or stacked
+    (..., d) and (..., m) for points that share the chart."""
+
     manifold: ChartedManifold
     chart_id: int
     coords: np.ndarray
@@ -270,6 +294,8 @@ class Point:
 
 @dataclass(frozen=True)
 class Tangent:
+    """A chart velocity at a point; stacked along with a stacked point."""
+
     base: Point
     vel: np.ndarray
 
@@ -279,8 +305,9 @@ class Tangent:
     def ambient_vel(self):
         """Push the chart velocity to the embedding: d(inv)(coords) . vel."""
         chart = self.base.manifold.charts[self.base.chart_id]
-        _, eps = ad.jvp(chart.inv, list(self.base.coords), list(self.vel))
-        return np.asarray([value(e) for e in eps], dtype=float)
+        _, eps = ad.jvp(chart.inv, split_components(self.base.coords),
+                        split_components(self.vel))
+        return merge_components(eps)
 
     def __repr__(self):
         return f"Tangent({self.base!r}, vel={np.round(self.vel, 6)})"
@@ -290,10 +317,9 @@ def tangent_from_ambient(manifold, amb, amb_vel, chart_id=None):
     """Build a tangent from ambient position and ambient velocity."""
     p = manifold.point_from_ambient(amb, chart_id)
     chart = manifold.charts[p.chart_id]
-    _, eps = ad.jvp(chart.fwd, list(np.asarray(amb, dtype=float)),
-                    list(np.asarray(amb_vel, dtype=float)))
-    vel = np.asarray([value(e) for e in eps], dtype=float)
-    return Tangent(p, vel)
+    _, eps = ad.jvp(chart.fwd, split_components(p.ambient),
+                    split_components(amb_vel))
+    return Tangent(p, merge_components(eps))
 
 
 @dataclass(frozen=True)
@@ -355,15 +381,18 @@ class SmoothMap:
 
 
 def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
-    """First-order pushforward computed with one dual-number pass."""
+    """First-order pushforward computed with one dual-number pass.
+
+    A stacked tangent needs a ``target_chart`` that holds all its images.
+    """
     p = v.base
     q_amb = merge_components(f.fn(split_components(p.ambient)))
     cj = f.target.best_chart(q_amb) if target_chart is None else target_chart
     rep = f.local(p.chart_id, cj)
-    vals, eps = ad.jvp(rep, list(p.coords), list(v.vel))
-    q = Point(f.target, int(cj), np.asarray([value(x) for x in vals], dtype=float),
-              q_amb)
-    return Tangent(q, np.asarray([value(e) for e in eps], dtype=float))
+    vals, eps = ad.jvp(rep, split_components(p.coords),
+                       split_components(v.vel))
+    q = Point(f.target, int(cj), merge_components(vals), q_amb)
+    return Tangent(q, merge_components(eps))
 
 
 def map_jacobian(f: SmoothMap, amb):
@@ -428,14 +457,16 @@ class TangentBundleManifold(ChartedManifold):
 
     def sample(self, rng, n=None):
         # a single draw is row 0 of a batch of one: numpy draws the same
-        # numbers for a size-1 draw as for a scalar one
+        # numbers for a size-1 draw as for a scalar one; the velocities of
+        # one chart's rows then push forward in one pass, with each row's bits
         base = self.base_manifold
         amb = base.sample(rng, 1 if n is None else n)
         xi = rng.normal(size=(len(amb), base.dim))
-        rows = np.stack([np.concatenate(
-            [a, Tangent(base.point_from_ambient(a), v).ambient_vel()])
-            for a, v in zip(amb, xi)])
-        return rows[0] if n is None else rows
+        vel = np.empty_like(amb)
+        for rows, p in base.points_by_chart(amb):
+            vel[rows] = Tangent(p, xi[rows]).ambient_vel()
+        out = np.concatenate([amb, vel], axis=-1)
+        return out[0] if n is None else out
 
 
 class ProductManifold(ChartedManifold):

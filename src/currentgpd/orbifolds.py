@@ -140,39 +140,42 @@ def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
     nearest to the current lift; near fixed points (competing translates
     closer than a quarter of the coherence bound) lifting errors out
     rather than guessing.
+
+    Every translate of every node, and every distance the walk may read,
+    are taken first in one pass over all nodes, with the bits each gets
+    alone; the walk then only picks one translate per node.
     """
     grp = gpd.finite_group
     if grp is None:
         raise Unsupported(f"{gpd.name}: needs a finite structure group")
     m = gpd.base
-    reps = path.representatives
     n = path.grid.n
     delta = m.coherence_bound()
     if not np.isfinite(delta):
         delta = 1.0
-    cands0 = np.stack([e.act(reps[0]) for e in grp.elements])
-    d0 = np.linalg.norm(cands0 - start_lift.ambient, axis=-1)
+    # cands[i, k] is element k applied to node i's representative
+    cands = np.stack([e.act(path.representatives) for e in grp.elements],
+                     axis=1)
+    d0 = np.linalg.norm(cands[0] - start_lift.ambient, axis=-1)
     if float(np.min(d0)) > tol:
         raise StartNotInOrbit(
             f"start lift is {float(np.min(d0)):.3e} from the first orbit")
-    current = cands0[int(np.argmin(d0))]
-    rows = [current]
+    # steps[i - 1, j, k]: from translate k at node i - 1 to translate j at
+    # node i; seps[i, j, k]: between translates j and k of node i
+    steps = np.linalg.norm(cands[1:, :, None] - cands[:-1, None], axis=-1)
+    seps = np.linalg.norm(cands[:, :, None] - cands[:, None], axis=-1)
+    k = int(np.argmin(d0))
+    picks = [k]
     for i in range(1, n):
-        cands = np.stack([e.act(reps[i]) for e in grp.elements])
-        dists = np.linalg.norm(cands - current, axis=-1)
+        dists = steps[i - 1, :, k]
         order = np.argsort(dists)
-        best = cands[int(order[0])]
-        for j in order[1:]:
-            sep = float(np.linalg.norm(cands[int(j)] - best))
-            if sep < 0.25 * delta:
-                raise BranchAmbiguity(i)
-            break
-        if float(dists[int(order[0])]) >= delta:
-            raise CoherenceLost(
-                f"orbit gap {float(dists[int(order[0])]):.3f} at node {i}")
-        rows.append(best)
-        current = best
-    out = np.stack(rows)
+        k = int(order[0])
+        if len(order) > 1 and seps[i, order[1], k] < 0.25 * delta:
+            raise BranchAmbiguity(i)
+        if dists[k] >= delta:
+            raise CoherenceLost(f"orbit gap {dists[k]:.3f} at node {i}")
+        picks.append(k)
+    out = cands[np.arange(n), picks]
     if path.grid.closed:
         gap = float(np.linalg.norm(out[-1] - out[0]))
         if gap >= delta:

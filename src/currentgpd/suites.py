@@ -28,7 +28,8 @@ from .errors import (BranchAmbiguity, FrameProjectionError,
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        classify_pushforward, constant_grid_map,
                        local_diffeo_inverse, pushforward, pushforward_tangent,
-                       random_grid_map, random_section, seminorm_distance)
+                       random_chart_coeffs, random_grid_map,
+                       section_from_chart_coeffs, seminorm_distance)
 from .groupoids import GROUPOIDS, check_axioms, make_groupoid
 from .localadd import (LocalAddition, fiber_derivative, normalize,
                        riemannian_local_addition, tangent_local_addition)
@@ -111,6 +112,12 @@ def suite_current_groupoid_axioms(ctx: SuiteContext):
 
 
 def suite_flip_identities(ctx: SuiteContext):
+    """The flip is an involution and intertwines the two projections.
+
+    Each manifold's points and chart slots are drawn first, point by point
+    in the order of the draws; the second tangents of one chart are then
+    checked as one stack, each with the bits it gets alone.
+    """
     rng = np.random.default_rng(ctx.seed_for("flip-identities"))
     manifolds = [Circle(), Euclidean(2), Sphere(), RotationGroup()]
     worst_proj = 0.0
@@ -118,28 +125,29 @@ def suite_flip_identities(ctx: SuiteContext):
     n_total = 0
     for m in manifolds:
         vecs = 1000 // len(manifolds)
-        for _ in range(vecs):
-            p = m.point_from_ambient(m.sample(rng))
-            s = SecondTangent(m, p.chart_id, np.asarray(p.coords),
-                              rng.normal(size=m.dim), rng.normal(size=m.dim),
-                              rng.normal(size=m.dim))
+        amb, y, z, w = map(np.stack, zip(*[
+            (m.sample(rng), *(rng.normal(size=m.dim) for _ in "yzw"))
+            for _ in range(vecs)]))
+        tm = m.tangent_bundle()
+        proj = SmoothMap(tm, m, lambda c, k=m.ambient_dim: list(c[:k]),
+                         name="bundle-projection")
+        for rows, p in m.points_by_chart(amb):
+            s = SecondTangent(m, p.chart_id, p.coords, y[rows], z[rows],
+                              w[rows])
             ss = canonical_flip(canonical_flip(s))
             exact = exact and all(
                 np.array_equal(a, b) for a, b in zip(s.tuple4(), ss.tuple4()))
             # bundle projection = (tangent of the projection) after the flip
-            tm = m.tangent_bundle()
-            proj = SmoothMap(tm, m, lambda c, k=m.ambient_dim: list(c[:k]),
-                             name="bundle-projection")
             fl = canonical_flip(s)
-            base = tm.point_from_coords(fl.chart_id,
-                                        np.concatenate([fl.x, fl.y]))
-            t = Tangent(base, np.concatenate([fl.z, fl.w]))
+            base = tm.point_from_coords(
+                fl.chart_id, np.concatenate([fl.x, fl.y], axis=-1))
+            t = Tangent(base, np.concatenate([fl.z, fl.w], axis=-1))
             lhs = second_tangent_projection(s)
             rhs = tangent_map(proj, t, target_chart=s.chart_id)
             worst_proj = worst_residual(
                 worst_proj, lhs.vel - rhs.vel,
                 m.distance(lhs.base.ambient, rhs.base.ambient))
-            n_total += 1
+            n_total += len(rows)
     status = "pass" if exact and worst_proj <= 1e-12 else "fail"
     return [_record("flip-identities", "canonical flip", status, worst_proj,
                     n_total, ctx.seed_for("flip-identities"),
@@ -160,19 +168,22 @@ def suite_local_addition(ctx: SuiteContext):
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
+    # each manifold's 100 draws first, in their order; then one round trip
+    # per chart over the draws inside U, each with the bits it gets alone
     for name, (m, add) in adds.items():
-        for _ in range(100):
-            p = m.point_from_ambient(m.sample(rng))
-            xi = rng.normal(size=m.dim) * 0.4
-            t = Tangent(p, xi)
-            if not add.contains(t):
-                continue
-            q = add.sigma(t)
-            back = add.theta_inverse(p, q, tol=ctx.tol.tol_theta)
-            z = add.sigma(Tangent(p, np.zeros(m.dim)))
-            worst = worst_residual(worst, back.vel - xi,
-                                   m.distance(z.ambient, p.ambient))
-            checked += 1
+        amb, xi = map(np.stack, zip(*[
+            (m.sample(rng), rng.normal(size=m.dim) * 0.4) for _ in range(100)]))
+        for rows, p in m.points_by_chart(amb):
+            t = Tangent(p, xi[rows])
+            inside = add.contains(t)
+            p = m.point_from_ambient(p.ambient[inside], p.chart_id)
+            x = xi[rows][inside]
+            q = add.sigma_batch(p.ambient, t.ambient_vel()[inside])
+            back = add.log(p, q, tol=ctx.tol.tol_theta)
+            z = add.sigma_batch(p.ambient,
+                                Tangent(p, np.zeros_like(x)).ambient_vel())
+            worst = worst_residual(worst, back.vel - x, m.distance(z, p.ambient))
+            checked += len(x)
     status = "pass" if worst <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/round-trip", "local addition",
                            status, worst, checked, seed))
@@ -211,25 +222,33 @@ def suite_local_addition(ctx: SuiteContext):
                            "local addition", status, worst_nrt, 100,
                            nrt_seed))
 
-    # tangent lift: zero tangents map to their foot point
+    # tangent lift: zero tangents lie in U and map to their foot point; the
+    # 50 draws first, then one lift per chart
     worst_lift = 0.0
+    inside = True
     for name in ("circle", "real2"):
         m, add = adds[name]
         lifted = tangent_local_addition(add)
         tm = m.tangent_bundle()
-        for _ in range(50):
-            v = tm.point_from_ambient(tm.sample(rng))
-            z = lifted.sigma(Tangent(v, np.zeros(tm.dim)))
-            worst_lift = worst_residual(worst_lift,
-                                        tm.distance(z.ambient, v.ambient))
-    status = "pass" if worst_lift <= ctx.tol.tol_theta else "fail"
+        draws = np.stack([tm.sample(rng) for _ in range(50)])
+        for _, v in tm.points_by_chart(draws):
+            zero = Tangent(v, np.zeros_like(v.coords))
+            inside = inside and bool(np.all(lifted.contains(zero)))
+            z = lifted.sigma_batch(v.ambient, zero.ambient_vel())
+            worst_lift = worst_residual(worst_lift, tm.distance(z, v.ambient))
+    status = "pass" if worst_lift <= ctx.tol.tol_theta and inside else "fail"
     records.append(_record("local-addition/tangent-lift", "local addition",
                            status, worst_lift, 100, seed))
     return records
 
 
 def suite_tangent_diagram(ctx: SuiteContext):
-    """Derivative of the push-forward = nodewise tangent map."""
+    """Derivative of the push-forward = nodewise tangent map.
+
+    Each map's grid maps and chart velocities are drawn first, in their
+    order; the sections, the push-forward and the dual pass then run once
+    over the stack of them, each node with the bits it gets alone.
+    """
     maps = catalog_maps()
     chosen = ["circle-square", "circle-rotate", "exp-cover"]
     seed = ctx.seed_for("tangent-diagram")
@@ -242,18 +261,21 @@ def suite_tangent_diagram(ctx: SuiteContext):
     for name in chosen:
         f = maps[name]
         add = riemannian_local_addition(f.source)
-        for _ in range(reps):
-            gamma = random_grid_map(grid, f.source, rng)
-            tau = random_section(gamma, rng, scale=0.2)
-            direct = pushforward_tangent(f, gamma, tau)
-            # derivative of t -> f(sigma(t tau)) at 0, one dual pass per node
-            base = split_components(gamma.ambient)
-            vel = split_components(tau.vel_ambient)
-            _, eps = ad.jvp(lambda c: f.fn(add.sigma_fn(c)),
-                            base + [0.0 * c for c in vel],
-                            [0.0 * c for c in base] + vel)
-            worst = worst_residual(worst, merge_components(eps)
-                                   - direct.vel_ambient)
+        amb, coeffs = map(np.stack, zip(*[
+            (random_grid_map(grid, f.source, rng).ambient,
+             random_chart_coeffs(grid, f.source.dim, rng, scale=0.2))
+            for _ in range(reps)]))
+        gamma = GridMap(grid, f.source, amb)
+        tau = section_from_chart_coeffs(gamma, coeffs)
+        direct = pushforward_tangent(f, gamma, tau)
+        # derivative of t -> f(sigma(t tau)) at 0, one dual pass for all nodes
+        base = split_components(gamma.ambient)
+        vel = split_components(tau.vel_ambient)
+        _, eps = ad.jvp(lambda c: f.fn(add.sigma_fn(c)),
+                        base + [0.0 * c for c in vel],
+                        [0.0 * c for c in base] + vel)
+        worst = worst_residual(worst, merge_components(eps)
+                               - direct.vel_ambient)
     status = "pass" if worst <= ctx.tol.tol_fd else "fail"
     return [_record("tangent-diagram", "tangent identification", status,
                     worst, len(chosen) * reps, seed)]
@@ -491,6 +513,7 @@ def suite_path_lifting(ctx: SuiteContext):
     equein = 0.0
     coherent = True
     count = ctx.count("path-lifting")
+    nodes = np.arange(grid.n)
     for _ in range(count):
         # fixed-point-free path: radius bounded away from the origin
         t = grid.params()
@@ -498,9 +521,10 @@ def suite_path_lifting(ctx: SuiteContext):
         a = rng.uniform(0, 2 * math.pi) + 0.9 * np.sin(
             2 * math.pi * t + rng.uniform(0, 6))
         pts = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
-        reps = pts.copy()
-        for i in range(grid.n):
-            reps[i] = grp.elements[int(rng.integers(4))].act(reps[i])
+        # each node's representative is a random translate: the elements
+        # are drawn node by node, then applied to all nodes at once
+        picks = [int(rng.integers(4)) for _ in nodes]
+        reps = np.stack([e.act(pts) for e in grp.elements])[picks, nodes]
         path = OrbitSpacePath(grid, reps)
         start = gpd.base.point_from_ambient(pts[0])
         lift = path_lift(gpd, path, start, tol=ctx.tol.tol_chart)
@@ -579,6 +603,11 @@ SAMPLE_COUNTS = {
     "theorem-D-pointwise-bracket": 50,
     "path-lifting": 100,
 }
+
+
+# The suites that loop over ctx.instances; each instance's records depend
+# only on its own name, so a run may split them into one task per instance.
+PER_INSTANCE = ("groupoid-axioms", "current-groupoid-axioms")
 
 
 SUITES = {

@@ -22,6 +22,9 @@ from currentgpd.report import CheckRecord
 from currentgpd.suites import SUITES, SuiteContext, derived_seed, run_suite
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "seed-7.json"
+
+
 def write_config(tmp_path, **kwargs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kwargs))
@@ -57,13 +60,17 @@ class TestConfigValidation:
                ({"tolerances": {"tol_chart": math.inf}}, "tol_chart"),
                ({"out": 3.5}, "out"),
                ({"out": ["a"]}, "out"),
-               ({"out": True}, "out")]
+               ({"out": True}, "out"),
+               ({"out": ""}, "out")]
         for change, named in bad:
             cfg = write_config(tmp_path, **{"seed": 1,
                                             "suites": ["flip-identities"],
                                             **change})
             assert main(["run", "--config", cfg]) == 2, change
             assert named in capsys.readouterr().err, change
+        cfg = write_config(tmp_path, seed=1, suites=["flip-identities"])
+        assert main(["run", "--config", cfg, "--out", ""]) == 2
+        assert "out" in capsys.readouterr().err
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
@@ -288,6 +295,23 @@ class TestWorkers:
             execute(cfg)
         assert err.value.residual == 1e-3
         assert not multiprocessing.active_children()
+
+    def test_instance_suites_run_one_task_per_instance(self, tmp_path):
+        """The two suites that loop over the instances run as one task per
+        instance and write the golden records of exactly those instances."""
+        sids = ["current-groupoid-axioms", "groupoid-axioms"]
+        names = ["pair-real1", "unit-circle"]
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, seed=7, suites=sids, instances=names,
+                           out=str(out))
+        assert main(["run", "--config", cfg]) == 0
+        assert not multiprocessing.active_children()
+        got = json.loads(out.read_text())["records"]
+        golden = json.loads(GOLDEN.read_text())["records"]
+        want = [r for r in golden if r["check_name"].split("/")[:2] in
+                [[sid, name] for sid in sids for name in names]]
+        assert len(want) == 8
+        assert [{**r, "wall_time_ms": 0} for r in got] == want
 
     def test_no_suites_make_an_empty_pass(self, tmp_path):
         report = execute(load_config(write_config(tmp_path, seed=7,

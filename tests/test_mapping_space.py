@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -15,12 +16,12 @@ from currentgpd.gridmaps import (GridMap, GridSection, GridSpec, chart_phi,
                                  classify_pushforward,
                                  constant_grid_map, degree, gridmap_to_csv,
                                  local_diffeo_inverse, pushforward,
-                                 pushforward_tangent, random_grid_map,
-                                 random_section, section_from_chart_coeffs,
+                                 pushforward_tangent, random_chart_coeffs,
+                                 random_grid_map, section_from_chart_coeffs,
                                  seminorm_distance)
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.localadd import riemannian_local_addition
-from currentgpd.manifolds import (DiscreteManifold, SmoothMap,
+from currentgpd.manifolds import (DiscreteManifold, SmoothMap, Tangent,
                                   tangent_from_ambient, tangent_map)
 
 
@@ -59,7 +60,7 @@ class TestGridMap:
     def test_evaluation_nodes(self):
         loop = circle_winding_loop(GRID, CIRCLE, 1)
         k = 13
-        p = loop.point(k)
+        p = loop.target.point_from_ambient(loop.ambient[k])
         assert math.atan2(p.ambient[1], p.ambient[0]) == pytest.approx(
             2 * math.pi * k / GRID.n)
 
@@ -186,7 +187,8 @@ class TestChartPhi:
     def test_round_trip_random_sections(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            tau = random_section(self.loop, rng, scale=0.3)
+            tau = section_from_chart_coeffs(
+                self.loop, random_chart_coeffs(GRID, 1, rng, scale=0.3))
             g = chart_phi(self.add, self.loop, tau)
             back = chart_phi_inverse(self.add, self.loop, g)
             assert float(np.max(np.abs(back.vel_ambient
@@ -206,10 +208,37 @@ class TestChartPhi:
             chart_phi_inverse(self.add, self.loop, far)
 
 
+def z_rotation_loop(grid):
+    """SO(3)-valued loop of rotations about the z axis by the grid angle."""
+    th = grid.params()
+    c, s, o = np.cos(th), np.sin(th), np.zeros_like(th)
+    rows = [c, -s, o, s, c, o, o, o, o + 1.0]
+    return GridMap(grid, RotationGroup(), np.stack(rows, axis=-1))
+
+
+class TestSectionFromChartCoeffs:
+    @pytest.mark.parametrize("loop", [
+        lambda: circle_winding_loop(GRID, CIRCLE, 1),
+        lambda: z_rotation_loop(GRID)], ids=["circle", "so3"])
+    def test_keeps_the_per_node_bits(self, loop):
+        """The batched section, one dual pass per chart, gives each node the
+        bits of its own tangent; the nodes lie in more than one chart."""
+        gm = loop()
+        coeffs = np.random.default_rng(12).normal(size=(GRID.n,
+                                                        gm.target.dim))
+        nodes = [gm.target.point_from_ambient(a) for a in gm.ambient]
+        assert len({p.chart_id for p in nodes}) >= 2
+        want = np.stack([Tangent(p, c).ambient_vel()
+                         for p, c in zip(nodes, coeffs)])
+        got = section_from_chart_coeffs(gm, coeffs).vel_ambient
+        assert np.array_equal(got, want)
+
+
 class TestPushforwardTangent:
     def test_identity(self):
         loop = circle_winding_loop(GRID, CIRCLE, 1)
-        tau = random_section(loop, np.random.default_rng(4))
+        tau = section_from_chart_coeffs(
+            loop, random_chart_coeffs(GRID, 1, np.random.default_rng(4)))
         out = pushforward_tangent(SmoothMap(CIRCLE, CIRCLE,
                                             lambda c: list(c)), loop, tau)
         assert np.allclose(out.vel_ambient, tau.vel_ambient)
@@ -239,7 +268,8 @@ class TestPushforwardTangent:
         th = 2 * math.pi * np.arange(16) / 16
         amb = 0.6 * np.stack([np.sin(th), 1 - np.cos(th), np.sin(2 * th)], -1)
         gamma = GridMap(GridSpec("circle", 16), space, amb)
-        tau = random_section(gamma, np.random.default_rng(9))
+        tau = section_from_chart_coeffs(gamma, random_chart_coeffs(
+            gamma.grid, 3, np.random.default_rng(9)))
         out = pushforward_tangent(f, gamma, tau)
         for i in range(16):
             t = tangent_map(f, tangent_from_ambient(space, amb[i],
@@ -366,6 +396,46 @@ class TestLocalDiffeoInverse:
                       (0.1 * np.sin(GRID.params()))[:, None])
         with pytest.raises(BranchAmbiguity):
             local_diffeo_inverse(f, self.gamma0, eta)
+
+
+    @staticmethod
+    def faulty_cover(wrong=None, far=None):
+        """exp_cover whose branches are off by 0.5 at node ``wrong``, a
+        wrong preimage in reach, and lie 4 away at node ``far``, out of
+        reach; the walk asks once per node, in node order."""
+        cover = exp_cover(CIRCLE)
+        node = itertools.count()
+
+        def branches(target, near):
+            i = next(node)
+            if i == far:
+                return [np.asarray(near) + 4.0]
+            shift = 0.5 if i == wrong else 0.0
+            return [b + shift for b in cover.preimage_branches(target, near)]
+
+        f = SmoothMap(cover.source, CIRCLE, cover.fn,
+                      preimage_branches=branches)
+        f.branch_separation = cover.branch_separation
+        return f
+
+    def test_the_first_failing_node_names_the_error(self):
+        """A residual fault before a step fault is the error; a step fault
+        alone names its own node."""
+        grid = GridSpec("interval", 16)
+        truth = GridMap(grid, self.line, (0.3 * grid.params())[:, None])
+        eta = pushforward(self.f, truth)
+        gamma0 = GridMap(grid, self.line, np.zeros((grid.n, 1)))
+        f = self.faulty_cover(wrong=4, far=9)
+        with pytest.raises(OutsideNeighborhood,
+                           match=r"^residual .* at node 4$") as err:
+            local_diffeo_inverse(f, gamma0, eta)
+        assert err.value.index == 4
+        f = self.faulty_cover(far=9)
+        with pytest.raises(OutsideNeighborhood,
+                           match=r"^lift leaves its neighborhood at node 9$"
+                           ) as err:
+            local_diffeo_inverse(f, gamma0, eta)
+        assert err.value.index == 9
 
 
 class TestDegree:

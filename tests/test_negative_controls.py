@@ -119,6 +119,21 @@ def half_turn_lift(monkeypatch):
     monkeypatch.setattr(suites, "path_lift", jumped)
 
 
+def nan_lift(monkeypatch):
+    """Lifts with NaN in one entry, at their middle node."""
+    lift = suites.path_lift
+
+    def holed(*args, **kwargs):
+        out = lift(*args, **kwargs)
+        amb = out.ambient.copy()
+        amb[len(amb) // 2, 0] = np.nan
+        bad = GridMap(out.grid, out.target, amb, delta_coh=np.inf)
+        bad.delta_coh = out.delta_coh
+        return bad
+
+    monkeypatch.setattr(suites, "path_lift", holed)
+
+
 def lopsided_flip(monkeypatch):
     """A canonical flip that also scales the last slot by 1.001, so flipping
     twice is no longer the identity."""
@@ -199,20 +214,20 @@ RARE_VELOCITY = 0.8
 
 
 def rarely_wrong_inverse(monkeypatch):
-    """Local additions whose theta_inverse is off by 1e-6 in every velocity
-    component where the first one exceeds RARE_VELOCITY."""
+    """Local additions whose closed-form log is off by 1e-6 in every velocity
+    component of each point where the first one exceeds RARE_VELOCITY."""
     make = suites.riemannian_local_addition
 
     def broken(m):
         add = make(m)
-        inverse = add.theta_inverse
+        log = add.log
 
         def off(p, q, **kwargs):
-            t = inverse(p, q, **kwargs)
-            shift = 1e-6 if t.vel[0] > RARE_VELOCITY else 0.0
+            t = log(p, q, **kwargs)
+            shift = np.where(t.vel[..., :1] > RARE_VELOCITY, 1e-6, 0.0)
             return Tangent(t.base, t.vel + shift)
 
-        add.theta_inverse = off
+        add.log = off
         return add
 
     monkeypatch.setattr(suites, "riemannian_local_addition", broken)
@@ -306,7 +321,7 @@ CONTROLS = {
 # drops it (max(0.0, nan) is 0.0) and keeps ``pass``.
 NAN_CONTROLS = {
     "pair-action-iso": (nan_action, {"pair-action-iso"}, None),
-    "path-lifting": (nan_quarter_turn, {"path-lifting"}, 5),
+    "path-lifting": (nan_lift, {"path-lifting"}, 5),
     "local-action-form": (nan_quarter_turn, {"local-action-form"}, None),
 }
 
