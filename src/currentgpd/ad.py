@@ -274,7 +274,11 @@ def jacobian(fn, xs):
 
 
 def fd_jacobian(fn, xs, h):
-    """Central finite-difference Jacobian, the standard cross-check for AD."""
+    """Central finite-difference Jacobian, the standard cross-check for AD.
+
+    As for :func:`jacobian`, the result is an (..., m, k) array: xs is k
+    floats or k arrays of one shape (...), or fn stacks its outputs.
+    """
     k = len(xs)
     cols = []
     for j in range(k):
@@ -286,9 +290,11 @@ def fd_jacobian(fn, xs, h):
         fm = [value(c) for c in fn(xm)]
         cols.append([(a - b) / (2.0 * h) for a, b in zip(fp, fm)])
     m = len(cols[0]) if cols else 0
-    out = np.zeros((m, k))
+    out = np.zeros(np.broadcast_shapes(*(np.shape(e) for col in cols
+                                         for e in col)) + (m, k))
     for j, col in enumerate(cols):
-        out[:, j] = col
+        for i, e in enumerate(col):
+            out[..., i, j] = e
     return out
 
 

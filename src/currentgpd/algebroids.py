@@ -9,8 +9,8 @@ nested (Jacobi) and evaluated inside other derivatives.
 Sections and brackets also evaluate on many base points at once: each
 ambient component then carries a trailing node axis.  The nodes share
 every operation except the chart maps, which gather the nodes of each
-chart, map them and scatter them back (:func:`_node_chart`), so a node
-gets the bits it gets alone.  A polynomial section's coefficients may
+chart, map them and scatter them back (:func:`manifolds.node_chart`), so a
+node gets the bits it gets alone.  A polynomial section's coefficients may
 carry the same node axis (:meth:`LieAlgebroid.polynomial_section`), so
 that the nodes of many samples, each with its own section, form one
 batch: S grid maps of n nodes give S n nodes, sample-major
@@ -33,37 +33,10 @@ from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid, group_groupoid
 from .linalg import (dot_list, gram_schmidt, linsolve, matmul,
                      numerical_ranks)
-from .manifolds import (Chart, Point, ProductManifold, SmoothMap,
-                        map_jacobian, merge_components, split_components)
+from .manifolds import (Point, ProductManifold, SmoothMap, map_jacobian,
+                        merge_components, node_chart, split_components)
 from .report import worst_residual
 from .tolerances import DEFAULT
-
-
-def _node_chart(m, ids):
-    """The chart of each node, as one chart of m.
-
-    ids is a chart id, or an array of chart ids along a trailing node axis.
-    Where the nodes lie in several charts, a chart map gathers the nodes of
-    each chart (:func:`ad.take`), maps them together and scatters the
-    results back (:func:`ad.scatter`).
-    """
-    if isinstance(ids, int):
-        return m.charts[ids]
-    groups = np.unique(ids)
-    if groups.size == 1:
-        return m.charts[int(groups[0])]
-    rows = [np.flatnonzero(ids == c) for c in groups]
-    charts = [m.charts[int(c)] for c in groups]
-
-    def per_node(which):
-        def fn(comps):
-            outs = [getattr(chart, which)([ad.take(c, r) for c in comps])
-                    for chart, r in zip(charts, rows)]
-            return [ad.scatter(parts, rows, len(ids)) for parts in zip(*outs)]
-
-        return fn
-
-    return Chart("per-node", None, per_node("fwd"), per_node("inv"))
 
 
 def _chart_commutator(chart, V, W, u):
@@ -137,8 +110,8 @@ class LieAlgebroid:
 
     def _alpha_rep(self, cg, cm):
         g = self.gpd
-        chart_g = _node_chart(g.arrows, cg)
-        chart_m = _node_chart(g.base, cm)
+        chart_g = node_chart(g.arrows, cg)
+        chart_m = node_chart(g.base, cm)
 
         def rep(w):
             return chart_m.fwd(g.alpha.fn(chart_g.inv(w)))
@@ -148,7 +121,7 @@ class LieAlgebroid:
     def _unit_coords(self, x_comps, cg):
         g = self.gpd
         u_amb = g.unit.fn(list(x_comps))
-        return _node_chart(g.arrows, cg).fwd(u_amb)
+        return node_chart(g.arrows, cg).fwd(u_amb)
 
     def kernel_projector(self, u_coords, cg, cm):
         """P = I - J^T (J J^T)^(-1) J for the source Jacobian at the unit.
@@ -238,7 +211,7 @@ class LieAlgebroid:
             vel_chart = [0.0] * self.gpd.arrows.dim
             for c, f in zip(cs, frame):
                 vel_chart = [a + c * b for a, b in zip(vel_chart, f)]
-            _, vel_amb = ad.jvp(_node_chart(self.gpd.arrows, cg).inv,
+            _, vel_amb = ad.jvp(node_chart(self.gpd.arrows, cg).inv,
                                 list(u), vel_chart)
             return vel_amb
 
@@ -324,7 +297,7 @@ class LieAlgebroid:
 
         def vector_fn(x_comps):
             cg, cm = self._unit_chart_context(x_comps)
-            chart = _node_chart(g.arrows, cg)
+            chart = node_chart(g.arrows, cg)
             u = self._unit_coords(x_comps, cg)
             b = _chart_commutator(chart, fX, fY, u)
             # project onto the kernel; the out-of-kernel residual must be noise
@@ -394,7 +367,7 @@ def vector_field_bracket(m, V_fn, W_fn):
     """
 
     def out_fn(x_comps):
-        chart = _node_chart(m, m.best_chart(merge_components(x_comps)))
+        chart = node_chart(m, m.best_chart(merge_components(x_comps)))
         u = chart.fwd(list(x_comps))
         b = _chart_commutator(chart, V_fn, W_fn, u)
         _, vel_amb = ad.jvp(chart.inv, list(u), b)

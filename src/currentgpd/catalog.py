@@ -67,9 +67,6 @@ class Euclidean(ChartedManifold):
     def log_amb(self, p, q):
         return [qi - pi for pi, qi in zip(p, q)]
 
-    def speed(self, p, v):
-        return math.sqrt(sum(value(x) ** 2 for x in v))
-
     def sample(self, rng, n=None):
         shape = (self.dim,) if n is None else (n, self.dim)
         return rng.uniform(-self.box, self.box, size=shape)
@@ -137,9 +134,6 @@ class Circle(ChartedManifold):
     def log_amb(self, p, q):
         s = ad.atan2(p[0] * q[1] - p[1] * q[0], p[0] * q[0] + p[1] * q[1])
         return [-s * p[1], s * p[0]]
-
-    def speed(self, p, v):
-        return math.sqrt(sum(value(x) ** 2 for x in v))
 
     def geodesic_distance(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -229,9 +223,6 @@ class Sphere(ChartedManifold):
         r = ad.sqrt(ssafe)
         g = where(small, 1.0, ad.atan2(r, c) / r)
         return [g * ui for ui in u]
-
-    def speed(self, p, v):
-        return math.sqrt(sum(value(x) ** 2 for x in v))
 
     def geodesic_distance(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -357,8 +348,9 @@ class RotationGroup(ChartedManifold):
         hat = [0.0 * x, -z, y, z, 0.0 * x, -x, -y, x, 0.0 * x]
         return _mat9_mul(list(p), hat)
 
-    def speed(self, p, v):
-        return math.sqrt(sum(value(c) ** 2 for c in v)) / math.sqrt(2.0)
+    def speed(self, p_amb, v_amb):
+        # the bi-invariant metric <A, B> = tr(A^T B) / 2
+        return super().speed(p_amb, v_amb) / math.sqrt(2.0)
 
     def geodesic_distance(self, a, b):
         a = np.asarray(a, dtype=float)

@@ -45,14 +45,6 @@ class CoherenceLost(GeometryError):
     """Consecutive grid values are too far apart to resolve the map."""
 
 
-class NotInDomainU(GeometryError):
-    """A section value lies outside the local addition's domain."""
-
-    def __init__(self, index):
-        super().__init__(f"section leaves the sigma domain at node {index}")
-        self.index = index
-
-
 class OutsideNeighborhood(GeometryError):
     """Node-by-node lifting left the declared neighborhood."""
 

@@ -1,4 +1,4 @@
-"""Discretized mapping spaces: grid maps, sections, charts, classifiers.
+"""Discretized mapping spaces: grid maps, sections, classifiers.
 
 A map from a compact 1-dimensional source (circle or interval) into a
 manifold is sampled on a uniform grid.  Coherence (consecutive samples
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .errors import (BranchAmbiguity, CoherenceLost, NotInDomainU,
-                     NotInThetaImage, OutsideNeighborhood, Unsupported)
+from .errors import (BranchAmbiguity, CoherenceLost, OutsideNeighborhood,
+                     Unsupported)
 from .linalg import numerical_ranks
-from .localadd import LocalAddition
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
                         map_jacobian, merge_components, split_components)
 from .tolerances import DEFAULT
@@ -224,42 +223,6 @@ def pushforward_tangent(f: SmoothMap, gamma: GridMap,
                        split_components(tau.vel_ambient))
     return GridSection(GridMap(gamma.grid, f.target, merge_components(vals)),
                        merge_components(eps))
-
-
-# ---------------------------------------------------------------------------
-# manifold charts for the mapping space
-# ---------------------------------------------------------------------------
-
-def chart_phi(sigma: LocalAddition, f: GridMap, tau: GridSection) -> GridMap:
-    """The mapping-space chart: apply sigma to a section over f."""
-    if tau.base is not f and not tau.base.close_to(f):
-        raise ValueError("section must be based over f")
-    for i in range(f.grid.n):
-        if not sigma.domain_fn(f.ambient[i], tau.vel_ambient[i]):
-            raise NotInDomainU(i)
-    out = sigma.sigma_batch(f.ambient, tau.vel_ambient)
-    return GridMap(f.grid, sigma.manifold, out)
-
-
-def chart_phi_inverse(sigma: LocalAddition, f: GridMap, g: GridMap,
-                      tol=DEFAULT.tol_theta) -> GridSection:
-    """Inverse chart: recover the section with sigma(tau_i) = g_i."""
-    m = sigma.manifold
-    if sigma.closed_log is not None:
-        vel = merge_components(sigma.closed_log(split_components(f.ambient),
-                                                split_components(g.ambient)))
-        res = m.distance(sigma.sigma_batch(f.ambient, vel), g.ambient)
-        for i in range(f.grid.n):
-            if not sigma.domain_fn(f.ambient[i], vel[i]):
-                raise NotInThetaImage(f"node {i}: log outside domain")
-            if float(res[i]) > tol:
-                raise NotInThetaImage(f"node {i}: residual {float(res[i]):.2e}")
-        return GridSection(f, vel)
-    rows = []
-    for a, b in zip(f.ambient, g.ambient):
-        p, q = m.point_from_ambient(a), m.point_from_ambient(b)
-        rows.append(sigma.theta_inverse(p, q, tol=tol).ambient_vel())
-    return GridSection(f, np.stack(rows))
 
 
 # ---------------------------------------------------------------------------

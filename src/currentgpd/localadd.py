@@ -2,11 +2,19 @@
 
 A local addition is a smooth map ``sigma`` from a neighborhood U of the zero
 section of TM to M with sigma(0_p) = p such that (projection, sigma) is a
-diffeomorphism onto a neighborhood of the diagonal.  Constructions here:
-closed-form geodesic exponentials for catalog manifolds, a normalization pass
-that makes the fiber derivative at zero the identity, and the lift of a local
-addition to TM.  The catalog Lie groups carry bi-invariant metrics, so on
-them the geodesic exponential is also the left-translated group exponential.
+diffeomorphism onto a neighborhood of the diagonal.  The chart of the
+mapping space at a grid map f is phi_f(tau) = sigma(tau): ``sigma`` applied
+to the rows of f and of a section tau over it.
+
+Everything here works on stacked ambient rows: a base point, a velocity or
+a value is an (..., m) array, and one call evaluates all rows.  Each row
+gets the bits it gets alone, so the chart maps that read a row in its best
+chart gather the rows of each chart (:func:`manifolds.node_chart`).
+Constructions: closed-form geodesic exponentials for catalog manifolds, a
+normalization that makes the fiber derivative at zero the identity, and
+the lift of a local addition to TM.  The catalog Lie groups carry
+bi-invariant metrics, so on them the geodesic exponential is also the
+left-translated group exponential.
 """
 
 from __future__ import annotations
@@ -19,97 +27,87 @@ from .errors import (DomainViolation, NotInThetaImage, SingularNormalization,
                      Unsupported)
 from .linalg import linsolve, newton, numerical_ranks
 from .manifolds import (ChartedManifold, Point, ProductManifold, Tangent,
-                        merge_components, split_components,
+                        merge_components, node_chart, split_components,
                         tangent_from_ambient)
 from .tolerances import DEFAULT
 
 
 class LocalAddition:
-    """The pair (U, sigma) with theta = (projection, sigma)."""
+    """The pair (U, sigma) with theta = (projection, sigma), on rows.
+
+    ``sigma_fn`` maps the ambient components of (p, v) to those of
+    sigma(v); ``domain_fn`` maps (..., m) rows p and v to one bool per row,
+    whether v lies in U; ``closed_log`` maps the components of p and q to
+    those of the velocity that sigma takes to q, where a closed form exists.
+    """
 
     def __init__(self, manifold, sigma_fn, domain_fn, closed_log=None,
                  name="sigma"):
         self.manifold = manifold
-        self.sigma_fn = sigma_fn              # TM-ambient comps -> M-ambient comps
-        self.domain_fn = domain_fn            # (p_amb, v_amb float arrays) -> bool
-        self.closed_log = closed_log          # (p comps, q comps) -> v_amb comps
+        self.sigma_fn = sigma_fn
+        self.domain_fn = domain_fn
+        self.closed_log = closed_log
         self.name = name
 
-    # -- evaluation ---------------------------------------------------------
-    def contains(self, t: Tangent):
-        """Whether t lies in U; a stacked t gives one bool per row."""
-        vel = t.ambient_vel()
-        if vel.ndim == 1:
-            return bool(self.domain_fn(t.base.ambient, vel))
-        return np.array([bool(self.domain_fn(p, v))
-                         for p, v in zip(t.base.ambient, vel)])
+    def sigma(self, base_amb, vel_amb):
+        """sigma of (..., m) rows of points and velocities, as (..., m) rows.
 
-    def sigma(self, t: Tangent) -> Point:
-        if not self.contains(t):
+        Raises DomainViolation if a row lies outside U.
+        """
+        base_amb = np.asarray(base_amb, dtype=float)
+        vel_amb = np.asarray(vel_amb, dtype=float)
+        if not np.all(self.domain_fn(base_amb, vel_amb)):
             raise DomainViolation(f"{self.name}: tangent outside domain U")
-        comps = list(t.base.ambient) + list(t.ambient_vel())
-        out = merge_components(self.sigma_fn(comps))
-        return self.manifold.point_from_ambient(out)
+        return merge_components(self.sigma_fn(split_components(base_amb)
+                                              + split_components(vel_amb)))
 
-    def sigma_batch(self, base_amb, vel_amb):
-        """Vectorized sigma on stacked ambient positions and velocities."""
-        comps = split_components(np.asarray(base_amb, dtype=float)) + \
-            split_components(np.asarray(vel_amb, dtype=float))
-        return merge_components(self.sigma_fn(comps))
+    def theta_inverse(self, p: Point, q_amb, tol=DEFAULT.tol_theta) -> Tangent:
+        """The tangents at p that sigma maps to the (..., m) rows q_amb.
 
-    # -- inversion ------------------------------------------------------------
-    def theta_inverse(self, p: Point, q: Point,
-                      tol=DEFAULT.tol_theta) -> Tangent:
-        if self.closed_log is not None:
-            return self.log(p, q.ambient, tol=tol)
-        m = self.manifold
-        chart = m.charts[p.chart_id]
-        x = list(p.coords)
-        qc = m.charts[q.chart_id]
-        q_target = [float(c) for c in q.coords]
-
-        def residual(w):
-            _, v = ad.jvp(chart.inv, x, w)
-            out = self.sigma_fn(list(chart.inv(x)) + list(v))
-            yc = qc.fwd(out)
-            return [a - b for a, b in zip(yc, q_target)]
-
-        w = newton(residual, [0.0] * m.dim, tol, 50, 1e6)
-        if w is None:
-            raise NotInThetaImage(f"{self.name}: Newton did not converge")
-        _, v = ad.jvp(chart.inv, x, w)
-        v = np.asarray([value(c) for c in v], dtype=float)
-        if not self.domain_fn(p.ambient, v):
-            raise NotInThetaImage(f"{self.name}: Newton left domain U")
-        return Tangent(p, np.asarray(w, dtype=float))
-
-    def log(self, p: Point, q_amb, tol=DEFAULT.tol_theta) -> Tangent:
-        """theta_inverse through the closed-form log, with q given by its
-        ambient rows.
-
-        A stacked p (rows of one chart) and (..., m) rows q_amb run the log,
-        the chart velocities and sigma once over all rows; each row gets the
-        bits it gets alone.  It raises NotInThetaImage if a row's log leaves
-        U or misses its q by more than tol.
+        p is a stacked Point of one chart.  The closed-form log runs once
+        over all rows and must meet each q within tol; without one, each
+        row gets its own Newton solve in p's chart, against q read in its
+        best chart.  Raises NotInThetaImage if a row's tangent misses its q
+        or leaves U.
         """
         m = self.manifold
-        v = merge_components(self.closed_log(split_components(p.ambient),
-                                             split_components(q_amb)))
-        am = m.ambient_dim
-        if not all(map(self.domain_fn, np.reshape(p.ambient, (-1, am)),
-                       np.reshape(v, (-1, am)))):
-            raise NotInThetaImage(f"{self.name}: log outside domain U")
-        t = tangent_from_ambient(m, p.ambient, v, p.chart_id)
-        res = m.distance(self.sigma_batch(p.ambient, v), q_amb)
-        if np.any(res > tol):
-            raise NotInThetaImage(f"{self.name}: closed-form residual {np.max(res):.2e}")
+        q_amb = np.asarray(q_amb, dtype=float)
+        if self.closed_log is not None:
+            v = merge_components(self.closed_log(split_components(p.ambient),
+                                                 split_components(q_amb)))
+            t = tangent_from_ambient(m, p.ambient, v, p.chart_id)
+        else:
+            chart = m.charts[p.chart_id]
+            rows = []
+            for x, q in zip(np.reshape(p.coords, (-1, m.dim)).tolist(),
+                            np.reshape(q_amb, (-1, m.ambient_dim))):
+                qc = m.charts[m.best_chart(q)]
+                q_target = qc.fwd(split_components(q))
+
+                def residual(w):
+                    _, v = ad.jvp(chart.inv, x, w)
+                    yc = qc.fwd(self.sigma_fn(list(chart.inv(x)) + list(v)))
+                    return [a - b for a, b in zip(yc, q_target)]
+
+                w = newton(residual, [0.0] * m.dim, tol, 50, 1e6)
+                if w is None:
+                    raise NotInThetaImage(f"{self.name}: Newton did not converge")
+                rows.append(w)
+            t = Tangent(p, np.reshape(rows, p.coords.shape))
+            v = t.ambient_vel()
+        if not np.all(self.domain_fn(p.ambient, v)):
+            raise NotInThetaImage(f"{self.name}: tangent outside domain U")
+        if self.closed_log is not None:
+            res = m.distance(self.sigma(p.ambient, v), q_amb)
+            if np.any(res > tol):
+                raise NotInThetaImage(
+                    f"{self.name}: closed-form residual {np.max(res):.2e}")
         return t
 
 
 def _radius_domain(manifold, radius):
     def domain(p_amb, v_amb):
-        return manifold.speed(list(np.asarray(p_amb, dtype=float)),
-                              list(np.asarray(v_amb, dtype=float))) < radius
+        return manifold.speed(p_amb, v_amb) < radius
 
     return domain
 
@@ -148,9 +146,10 @@ def product_local_addition(pm: ProductManifold, factor_adds) -> LocalAddition:
     def domain(p_amb, v_amb):
         p_amb = np.asarray(p_amb, dtype=float)
         v_amb = np.asarray(v_amb, dtype=float)
-        return all(add.domain_fn(p_amb[offs[i]:offs[i + 1]],
-                                 v_amb[offs[i]:offs[i + 1]])
-                   for i, add in enumerate(factor_adds))
+        return np.logical_and.reduce([
+            add.domain_fn(p_amb[..., offs[i]:offs[i + 1]],
+                          v_amb[..., offs[i]:offs[i + 1]])
+            for i, add in enumerate(factor_adds)])
 
     closed = None
     if all(a.closed_log is not None for a in factor_adds):
@@ -170,15 +169,16 @@ def fiber_derivative(add: LocalAddition, p: Point, h=DEFAULT.h_fd):
 
     Central differences of w -> chart(sigma(d inv . w)) at w = 0,
     independent of the AD path; the normalization checks are defined against
-    this matrix.
+    this matrix.  A stacked p of one chart gives a (..., d, d) stack.
     """
     m = add.manifold
     chart = m.charts[p.chart_id]
+    x = split_components(p.coords)
 
     def rep(w):
-        _, v = ad.jvp(chart.inv, list(p.coords), w)
-        q = add.sigma_batch(p.ambient, [value(c) for c in v])
-        return chart.fwd(split_components(q))
+        _, v = ad.jvp(chart.inv, x, w)
+        return chart.fwd(split_components(add.sigma(p.ambient,
+                                                    merge_components(v))))
 
     return ad.fd_jacobian(rep, [0.0] * m.dim, h)
 
@@ -187,8 +187,10 @@ def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
     """Post-compose with the inverse fiber derivative at zero.
 
     Returns sigma' = sigma . h with h(v) = (T_0 sigma|fiber)^(-1) v, which is
-    normalized; the fiber domain is shrunk by a factor 0.9 to keep h^(-1)(U)
-    inside the declared neighborhood.
+    normalized; its domain is the set of v with h(v) in U, on which sigma'
+    is as injective as sigma.  h reads each row in its best chart
+    (:func:`manifolds.node_chart`), so the rows of sigma' and of its domain
+    lie along one axis: (n, m) rows, or one (m,) row.
     """
     m = add.manifold
     am = m.ambient_dim
@@ -208,38 +210,35 @@ def normalize(add: LocalAddition, tol_rank=DEFAULT.tol_rank) -> LocalAddition:
             cols.append([o.ep if isinstance(o, Dual) else 0.0 for o in out])
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
-    # precheck invertibility at the chart centers reachable by sampling
-    rng = np.random.default_rng(20240)
-    for _ in range(8):
-        amb = m.sample(rng)
-        pt = m.point_from_ambient(amb)
-        A = alpha_matrix(list(pt.coords), m.charts[pt.chart_id])
-        s = np.linalg.svd([[value(c) for c in row] for row in A],
-                          compute_uv=False)
-        if numerical_ranks(s, tol_rank) < d:
-            raise SingularNormalization(
-                f"{add.name}: fiber derivative singular near {pt}")
-
     def h_fn(comps):
         p = list(comps[:am])
         v = list(comps[am:])
-        pf = np.asarray([value(c) for c in p], dtype=float)
-        cid = int(m.best_chart(pf))
-        chart = m.charts[cid]
+        chart = node_chart(m, m.best_chart(merge_components(p)))
         x = chart.fwd(p)
         A = alpha_matrix(x, chart)
         _, w = ad.jvp(chart.fwd, p, v)
         eta = [row[0] for row in ad.unpack(
             linsolve(ad.pack(A), ad.pack([[c] for c in w])))]
         _, v2 = ad.jvp(chart.inv, x, eta)
-        return list(p) + list(v2)
+        return p + list(v2)
+
+    # precheck invertibility at the chart centers reachable by sampling
+    rng = np.random.default_rng(20240)
+    amb = np.stack([m.sample(rng) for _ in range(8)])
+    chart = node_chart(m, m.best_chart(amb))
+    A = ad.pack(alpha_matrix(chart.fwd(split_components(amb)), chart))
+    singular = numerical_ranks(np.linalg.svd(A, compute_uv=False),
+                               tol_rank) < d
+    if np.any(singular):
+        raise SingularNormalization(f"{add.name}: fiber derivative singular "
+                                    f"near {amb[np.argmax(singular)]}")
 
     def sigma_fn(comps):
         return add.sigma_fn(h_fn(comps))
 
     def domain(p_amb, v_amb):
-        return add.domain_fn(np.asarray(p_amb, dtype=float),
-                             np.asarray(v_amb, dtype=float) / 0.9)
+        comps = h_fn(split_components(p_amb) + split_components(v_amb))
+        return add.domain_fn(p_amb, merge_components(comps[am:]))
 
     return LocalAddition(m, sigma_fn, domain, name=f"norm({add.name})")
 
@@ -268,6 +267,6 @@ def tangent_local_addition(add: LocalAddition) -> LocalAddition:
         # half of the velocity
         p_amb = np.asarray(p_amb, dtype=float)
         v_amb = np.asarray(v_amb, dtype=float)
-        return add.domain_fn(p_amb[:am], v_amb[:am])
+        return add.domain_fn(p_amb[..., :am], v_amb[..., :am])
 
     return LocalAddition(tm, sigma_fn, domain, name=f"T({add.name})")

@@ -165,6 +165,33 @@ def chart_count(m):
     return m.charts.n if isinstance(m.charts, LazyCharts) else len(m.charts)
 
 
+def node_chart(m, ids):
+    """The chart of each node, as one chart of m.
+
+    ids is a chart id, or an array of chart ids along a trailing node axis.
+    Where the nodes lie in several charts, a chart map gathers the nodes of
+    each chart (:func:`ad.take`), maps them together and scatters the
+    results back (:func:`ad.scatter`).
+    """
+    if isinstance(ids, int):
+        return m.charts[ids]
+    groups = np.unique(ids)
+    if groups.size == 1:
+        return m.charts[int(groups[0])]
+    rows = [np.flatnonzero(ids == c) for c in groups]
+    charts = [m.charts[int(c)] for c in groups]
+
+    def per_node(which):
+        def fn(comps):
+            outs = [getattr(chart, which)([ad.take(c, r) for c in comps])
+                    for chart, r in zip(charts, rows)]
+            return [ad.scatter(parts, rows, len(ids)) for parts in zip(*outs)]
+
+        return fn
+
+    return Chart("per-node", None, per_node("fwd"), per_node("inv"))
+
+
 class ChartedManifold:
     """Finite-dimensional manifold with finitely many explicit charts.
 
@@ -246,6 +273,12 @@ class ChartedManifold:
     def geodesic_distance(self, a, b):
         """Intrinsic distance; the default falls back to the ambient one."""
         return self.distance(a, b)
+
+    def speed(self, p_amb, v_amb):
+        """Length of each (..., m) ambient velocity row, one per row; the
+        squares add in component order."""
+        return np.sqrt(functools.reduce(
+            operator.add, [c * c for c in split_components(v_amb)]))
 
     def coherence_bound(self):
         if np.isinf(self.injectivity_radius):

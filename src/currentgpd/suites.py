@@ -174,32 +174,32 @@ def suite_local_addition(ctx: SuiteContext):
         amb, xi = map(np.stack, zip(*[
             (m.sample(rng), rng.normal(size=m.dim) * 0.4) for _ in range(100)]))
         for rows, p in m.points_by_chart(amb):
-            t = Tangent(p, xi[rows])
-            inside = add.contains(t)
+            vel = Tangent(p, xi[rows]).ambient_vel()
+            inside = add.domain_fn(p.ambient, vel)
             p = m.point_from_ambient(p.ambient[inside], p.chart_id)
             x = xi[rows][inside]
-            q = add.sigma_batch(p.ambient, t.ambient_vel()[inside])
-            back = add.log(p, q, tol=ctx.tol.tol_theta)
-            z = add.sigma_batch(p.ambient,
-                                Tangent(p, np.zeros_like(x)).ambient_vel())
+            q = add.sigma(p.ambient, vel[inside])
+            back = add.theta_inverse(p, q, tol=ctx.tol.tol_theta)
+            z = add.sigma(p.ambient, Tangent(p, np.zeros_like(x)).ambient_vel())
             worst = worst_residual(worst, back.vel - x, m.distance(z, p.ambient))
             checked += len(x)
     status = "pass" if worst <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/round-trip", "local addition",
                            status, worst, checked, seed))
 
-    # normalization, including a deliberately scaled input
+    # normalization, including a deliberately scaled input; each addition's
+    # 100 draws first, then one fiber derivative per chart
     circle = Circle()
     base = riemannian_local_addition(circle)
     scaled = LocalAddition(
         circle,
         lambda comps: base.sigma_fn(list(comps[:2]) + [2.0 * c for c in comps[2:]]),
-        base.domain_fn, name="scaled")
+        lambda p, v: base.domain_fn(p, 2.0 * v), name="scaled")
     normed = normalize(scaled, tol_rank=ctx.tol.tol_rank)
     worst_norm = 0.0
     for add in [normed, normalize(base, tol_rank=ctx.tol.tol_rank)]:
-        for _ in range(100):
-            p = circle.point_from_ambient(circle.sample(rng))
+        amb = np.stack([circle.sample(rng) for _ in range(100)])
+        for _, p in circle.points_by_chart(amb):
             D = fiber_derivative(add, p, h=ctx.tol.h_fd)
             worst_norm = worst_residual(worst_norm, D - np.eye(circle.dim))
     status = "pass" if worst_norm <= 1e-6 else "fail"
@@ -207,16 +207,17 @@ def suite_local_addition(ctx: SuiteContext):
                            status, worst_norm, 200, seed))
 
     # a normalized addition has no closed-form log: theta_inverse runs
-    # Newton's method
+    # Newton's method on each row
     nrt_seed = ctx.seed_for("local-addition", "normalized-round-trip")
     nrt_rng = np.random.default_rng(nrt_seed)
     worst_nrt = 0.0
-    for _ in range(100):
-        p = circle.point_from_ambient(circle.sample(nrt_rng))
-        xi = nrt_rng.normal(size=circle.dim) * 0.4
-        back = normed.theta_inverse(p, normed.sigma(Tangent(p, xi)),
-                                    tol=ctx.tol.tol_theta)
-        worst_nrt = worst_residual(worst_nrt, back.vel - xi)
+    amb, xi = map(np.stack, zip(*[
+        (circle.sample(nrt_rng), nrt_rng.normal(size=circle.dim) * 0.4)
+        for _ in range(100)]))
+    for rows, p in circle.points_by_chart(amb):
+        q = normed.sigma(p.ambient, Tangent(p, xi[rows]).ambient_vel())
+        back = normed.theta_inverse(p, q, tol=ctx.tol.tol_theta)
+        worst_nrt = worst_residual(worst_nrt, back.vel - xi[rows])
     status = "pass" if worst_nrt <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/normalized-round-trip",
                            "local addition", status, worst_nrt, 100,
@@ -232,10 +233,12 @@ def suite_local_addition(ctx: SuiteContext):
         tm = m.tangent_bundle()
         draws = np.stack([tm.sample(rng) for _ in range(50)])
         for _, v in tm.points_by_chart(draws):
-            zero = Tangent(v, np.zeros_like(v.coords))
-            inside = inside and bool(np.all(lifted.contains(zero)))
-            z = lifted.sigma_batch(v.ambient, zero.ambient_vel())
-            worst_lift = worst_residual(worst_lift, tm.distance(z, v.ambient))
+            zero = Tangent(v, np.zeros_like(v.coords)).ambient_vel()
+            ok = lifted.domain_fn(v.ambient, zero)
+            inside = inside and bool(np.all(ok))
+            z = lifted.sigma(v.ambient[ok], zero[ok])
+            worst_lift = worst_residual(worst_lift,
+                                        tm.distance(z, v.ambient[ok]))
     status = "pass" if worst_lift <= ctx.tol.tol_theta and inside else "fail"
     records.append(_record("local-addition/tangent-lift", "local addition",
                            status, worst_lift, 100, seed))

@@ -2,6 +2,8 @@ import importlib.util
 import math
 import pathlib
 
+import numpy as np
+
 from currentgpd.tolerances import DEFAULT
 
 NEVER_RUN = pathlib.Path(__file__).resolve().parents[1] / "tools/never_run.py"
@@ -17,6 +19,36 @@ def close_to(p, q, tol=DEFAULT.tol_chart):
 def angle_of(p):
     """The angle of a point of the circle."""
     return math.atan2(p.ambient[1], p.ambient[0])
+
+
+def sigma_rows(add, base, vel):
+    """add.sigma on all rows at once; each row must get the bits it gets
+    alone."""
+    out = add.sigma(base, vel)
+    for b, v, o in zip(base, vel, out):
+        assert np.array_equal(add.sigma(b, v), o)
+    return out
+
+
+def by_chart(m, base, fn, *rows):
+    """fn(p, *rows) once per chart of the (n, m) base rows, as n results in
+    row order; fn takes a stacked Point and the matching rows of each array
+    of rows, and each row must get the bits fn gives it alone."""
+    out = [None] * len(base)
+    for idx, p in m.points_by_chart(base):
+        stacked = fn(p, *(r[idx] for r in rows))
+        for k, i in enumerate(idx):
+            alone = fn(m.point_from_ambient(base[i]), *(r[i] for r in rows))
+            assert np.array_equal(stacked[k], alone)
+            out[i] = stacked[k]
+    return np.stack(out)
+
+
+def inverse_rows(add, base, q):
+    """add.theta_inverse once per chart of the base rows, as ambient
+    velocity rows; each row must get the bits it gets alone."""
+    return by_chart(add.manifold, base,
+                    lambda p, q: add.theta_inverse(p, q).ambient_vel(), q)
 
 
 def load_never_run():

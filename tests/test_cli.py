@@ -16,7 +16,7 @@ from currentgpd.cli import (execute, main, load_config, named_gridmap,
                             suite_context, write_report)
 from currentgpd.errors import (BranchAmbiguity, ConfigError,
                                FrameProjectionError, GeometryError,
-                               NotInDomainU, OutsideNeighborhood, UnknownId)
+                               OutsideNeighborhood, UnknownId)
 from currentgpd.gridmaps import GridSpec
 from currentgpd.report import CheckRecord
 from currentgpd.suites import SUITES, SuiteContext, derived_seed, run_suite
@@ -261,7 +261,6 @@ ERROR_ARGS = {
     FrameProjectionError: [(1e-3,)],
     OutsideNeighborhood: [(3,), (3, "no local preimage at node 3")],
     BranchAmbiguity: [(3,)],
-    NotInDomainU: [(3,)],
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 from currentgpd import ad, algebroids, localadd, suites
 from currentgpd.ad import value
 from currentgpd.algebroids import LieAlgebroid
-from currentgpd.catalog import Euclidean, catalog_maps
+from currentgpd.catalog import Euclidean
 from currentgpd.gridmaps import GridMap
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.manifolds import SecondTangent, SmoothMap, Tangent
@@ -23,115 +23,100 @@ from currentgpd.suites import SuiteContext, run_suite
 INSTANCES = ["pair-real1", "rot-action", "so3-group"]
 
 
-def rarely_wrong(name, thr):
-    """Patch groupoid ``name``: multiplication off by 1e-3 where g[0] > thr."""
+def broken_groupoid(name, change):
+    """A control that passes each groupoid GROUPOIDS[name] makes through
+    change."""
     def patch(monkeypatch):
         make = GROUPOIDS[name]
-
-        def make_broken():
-            gpd = make()
-            mu_fn = gpd.mu_fn
-
-            def broken(g, h):
-                out = mu_fn(g, h)
-                off = np.where(np.asarray(value(g[0])) > thr, 1e-3, 0.0)
-                return [out[0] + off] + list(out[1:])
-
-            gpd.mu_fn = broken
-            return gpd
-
-        monkeypatch.setitem(GROUPOIDS, name, make_broken)
+        monkeypatch.setitem(GROUPOIDS, name, lambda: change(make()))
 
     return patch
 
 
-def shifted_action(monkeypatch):
-    """rot-action's act_batch off by 1e-3 where the angle exceeds 3.5."""
-    make = GROUPOIDS["rot-action"]
+def broken_output(name, change):
+    """A control that passes each result of suites.<name> through change."""
+    def patch(monkeypatch):
+        make = getattr(suites, name)
+        monkeypatch.setattr(suites, name,
+                            lambda *args, **kw: change(make(*args, **kw)))
 
-    def make_broken():
-        gpd = make()
-        act = gpd.act_batch
-        gpd.act_batch = lambda g, x: act(g, x) + np.where(g[..., :1] > 3.5,
-                                                          1e-3, 0.0)
+    return patch
+
+
+def rarely_wrong(name, thr):
+    """Groupoid ``name`` with its multiplication off by 1e-3 where
+    g[0] > thr."""
+    def change(gpd):
+        mu_fn = gpd.mu_fn
+
+        def broken(g, h):
+            out = mu_fn(g, h)
+            off = np.where(np.asarray(value(g[0])) > thr, 1e-3, 0.0)
+            return [out[0] + off] + list(out[1:])
+
+        gpd.mu_fn = broken
         return gpd
 
-    monkeypatch.setitem(GROUPOIDS, "rot-action", make_broken)
+    return broken_groupoid(name, change)
 
 
-def nan_action(monkeypatch):
+def shifted_action(gpd):
+    """rot-action's act_batch off by 1e-3 where the angle exceeds 3.5."""
+    act = gpd.act_batch
+    gpd.act_batch = lambda g, x: act(g, x) + np.where(g[..., :1] > 3.5,
+                                                      1e-3, 0.0)
+    return gpd
+
+
+def nan_action(gpd):
     """rot-action's act_batch NaN in one entry: at the first node whose
     angle exceeds 3.5, the region shifted_action breaks."""
-    make = GROUPOIDS["rot-action"]
+    act = gpd.act_batch
 
-    def make_broken():
-        gpd = make()
-        act = gpd.act_batch
+    def broken(g, x):
+        out = act(g, x)
+        hit = np.argwhere(g[..., 0] > 3.5)
+        if len(hit):
+            out[tuple(hit[0]) + (0,)] = np.nan
+        return out
 
-        def broken(g, x):
-            out = act(g, x)
-            hit = np.argwhere(g[..., 0] > 3.5)
-            if len(hit):
-                out[tuple(hit[0]) + (0,)] = np.nan
-            return out
-
-        gpd.act_batch = broken
-        return gpd
-
-    monkeypatch.setitem(GROUPOIDS, "rot-action", make_broken)
+    gpd.act_batch = broken
+    return gpd
 
 
-def nan_quarter_turn(monkeypatch):
+def nan_quarter_turn(gpd):
     """z4-plane's quarter turn NaN in one entry, at the first node of each
     batch of points it moves; single points move exactly."""
-    make = GROUPOIDS["z4-plane"]
+    turn = gpd.finite_group.elements[1]
+    act = turn.act
 
-    def make_broken():
-        gpd = make()
-        turn = gpd.finite_group.elements[1]
-        act = turn.act
+    def broken(amb):
+        out = act(amb)
+        if out.ndim > 1:
+            out[0, 0] = np.nan
+        return out
 
-        def broken(amb):
-            out = act(amb)
-            if out.ndim > 1:
-                out[0, 0] = np.nan
-            return out
-
-        turn.act = broken
-        return gpd
-
-    monkeypatch.setitem(GROUPOIDS, "z4-plane", make_broken)
+    turn.act = broken
+    return gpd
 
 
-def half_turn_lift(monkeypatch):
+def half_turn_lift(out):
     """Lifts that jump to the half-turned translate -x halfway along: the
     jump stays in the orbits and commutes with z4, so only coherence sees it."""
-    lift = suites.path_lift
-
-    def jumped(*args, **kwargs):
-        out = lift(*args, **kwargs)
-        amb = out.ambient.copy()
-        amb[len(amb) // 2:] *= -1.0
-        bad = GridMap(out.grid, out.target, amb, delta_coh=np.inf)
-        bad.delta_coh = out.delta_coh
-        return bad
-
-    monkeypatch.setattr(suites, "path_lift", jumped)
+    amb = out.ambient.copy()
+    amb[len(amb) // 2:] *= -1.0
+    bad = GridMap(out.grid, out.target, amb, delta_coh=np.inf)
+    bad.delta_coh = out.delta_coh
+    return bad
 
 
-def nan_lift(monkeypatch):
+def nan_lift(out):
     """Lifts with NaN in one entry, at their middle node."""
-    lift = suites.path_lift
-
-    def holed(*args, **kwargs):
-        out = lift(*args, **kwargs)
-        amb = out.ambient.copy()
-        amb[len(amb) // 2, 0] = np.nan
-        bad = GridMap(out.grid, out.target, amb, delta_coh=np.inf)
-        bad.delta_coh = out.delta_coh
-        return bad
-
-    monkeypatch.setattr(suites, "path_lift", holed)
+    amb = out.ambient.copy()
+    amb[len(amb) // 2, 0] = np.nan
+    bad = GridMap(out.grid, out.target, amb, delta_coh=np.inf)
+    bad.delta_coh = out.delta_coh
+    return bad
 
 
 def lopsided_flip(monkeypatch):
@@ -143,69 +128,48 @@ def lopsided_flip(monkeypatch):
     monkeypatch.setattr(suites, "canonical_flip", flip)
 
 
-def lift_on_the_next_sheet(monkeypatch):
+def lift_on_the_next_sheet(out):
     """Lifts through exp_cover moved up one sheet, by 2 pi: the push-forward
     is unchanged, so only the comparison with the true lift sees it."""
-    lift = suites.local_diffeo_inverse
-
-    def shifted(*args, **kwargs):
-        out = lift(*args, **kwargs)
-        return GridMap(out.grid, out.target, out.ambient + 2 * math.pi,
-                       delta_coh=out.delta_coh)
-
-    monkeypatch.setattr(suites, "local_diffeo_inverse", shifted)
+    return GridMap(out.grid, out.target, out.ambient + 2 * math.pi,
+                   delta_coh=out.delta_coh)
 
 
-def repeated_identity(monkeypatch):
+def repeated_identity(gpd):
     """z4-plane's element list with the identity listed twice."""
-    make = GROUPOIDS["z4-plane"]
-
-    def make_broken():
-        gpd = make()
-        grp = gpd.finite_group
-        grp.elements = grp.elements + [grp.elements[grp.identity_index]]
-        return gpd
-
-    monkeypatch.setitem(GROUPOIDS, "z4-plane", make_broken)
+    grp = gpd.finite_group
+    grp.elements = grp.elements + [grp.elements[grp.identity_index]]
+    return gpd
 
 
-def squaring_embedding(monkeypatch):
+def squaring_embedding(maps):
     """The double cover z -> z^2 in place of the circle embedding."""
-    def maps():
-        out = catalog_maps()
-        out["circle-embed"] = out["circle-square"]
-        return out
-
-    monkeypatch.setattr(suites, "catalog_maps", maps)
+    maps["circle-embed"] = maps["circle-square"]
+    return maps
 
 
-def flat_projection(monkeypatch):
+def flat_projection(maps):
     """plane-projection made constant where x > 2.5, so its rank drops there."""
     def fn(comps):
         x = comps[0]
         return [ad.where(np.asarray(value(x)) > 2.5, 2.5, x)]
 
-    def maps():
-        out = catalog_maps()
-        out["plane-projection"] = SmoothMap(Euclidean(2), Euclidean(1), fn,
-                                            name="plane-projection")
-        return out
-
-    monkeypatch.setattr(suites, "catalog_maps", maps)
+    maps["plane-projection"] = SmoothMap(Euclidean(2), Euclidean(1), fn,
+                                         name="plane-projection")
+    return maps
 
 
-def unnormalized_addition(monkeypatch):
-    """Local additions whose velocity is scaled by 1.001."""
-    make = suites.riemannian_local_addition
-
-    def scaled(m):
-        add = make(m)
-        sigma_fn, am = add.sigma_fn, m.ambient_dim
+def scaled_velocities(factor):
+    """Local additions whose velocities are scaled by factor: their fiber
+    derivative at zero is factor times the identity, and theta_inverse
+    inverts the same sigma, so that their round trips still close."""
+    def change(add):
+        sigma_fn, am = add.sigma_fn, add.manifold.ambient_dim
         add.sigma_fn = lambda c: sigma_fn(list(c[:am])
-                                          + [1.001 * v for v in c[am:]])
+                                          + [factor * v for v in c[am:]])
         return add
 
-    monkeypatch.setattr(suites, "riemannian_local_addition", scaled)
+    return change
 
 
 # rarely_wrong_inverse is off where the first chart velocity exceeds this;
@@ -213,24 +177,32 @@ def unnormalized_addition(monkeypatch):
 RARE_VELOCITY = 0.8
 
 
-def rarely_wrong_inverse(monkeypatch):
-    """Local additions whose closed-form log is off by 1e-6 in every velocity
-    component of each point where the first one exceeds RARE_VELOCITY."""
-    make = suites.riemannian_local_addition
+def rarely_wrong_inverse(add):
+    """A local addition whose closed-form theta_inverse is off by 1e-6 in
+    every velocity component of each point where the first one exceeds
+    RARE_VELOCITY."""
+    theta_inverse = add.theta_inverse
 
-    def broken(m):
-        add = make(m)
-        log = add.log
+    def off(p, q, **kwargs):
+        t = theta_inverse(p, q, **kwargs)
+        shift = np.where(t.vel[..., :1] > RARE_VELOCITY, 1e-6, 0.0)
+        return Tangent(t.base, t.vel + shift)
 
-        def off(p, q, **kwargs):
-            t = log(p, q, **kwargs)
-            shift = np.where(t.vel[..., :1] > RARE_VELOCITY, 1e-6, 0.0)
-            return Tangent(t.base, t.vel + shift)
+    add.theta_inverse = off
+    return add
 
-        add.log = off
-        return add
 
-    monkeypatch.setattr(suites, "riemannian_local_addition", broken)
+def displaced_lift(add):
+    """A lifted local addition whose values are 1e-9 off in their first
+    ambient coordinate, at the zero section too."""
+    sigma_fn = add.sigma_fn
+
+    def off(comps):
+        out = sigma_fn(comps)
+        return [out[0] + 1e-9] + out[1:]
+
+    add.sigma_fn = off
+    return add
 
 
 def shifted_newton(monkeypatch):
@@ -244,16 +216,10 @@ def shifted_newton(monkeypatch):
     monkeypatch.setattr(localadd, "newton", off)
 
 
-def forgetful_multiplication(monkeypatch):
+def forgetful_multiplication(gpd):
     """z4-plane composes (g, x) and (h, y) to (g, y), dropping h."""
-    make = GROUPOIDS["z4-plane"]
-
-    def make_broken():
-        gpd = make()
-        gpd.mu_fn = lambda g, h: [g[0]] + list(h[1:])
-        return gpd
-
-    monkeypatch.setitem(GROUPOIDS, "z4-plane", make_broken)
+    gpd.mu_fn = lambda g, h: [g[0]] + list(h[1:])
+    return gpd
 
 
 def negated_nodewise_bracket(monkeypatch):
@@ -294,17 +260,32 @@ CONTROLS = {
     "groupoid-axioms": (rarely_wrong("pair-real1", 1.99), {"pair-real1"}, 400),
     "current-groupoid-axioms": (rarely_wrong("pair-real1", 3.5),
                                 {"pair-real1"}, 200),
-    "proper-etale-lifting": (repeated_identity, {"proper-etale-lifting"}, 20),
-    "embedding": (squaring_embedding, {"embedding"}, None),
+    "proper-etale-lifting": (broken_groupoid("z4-plane", repeated_identity),
+                             {"proper-etale-lifting"}, 20),
+    "embedding": (broken_output("catalog_maps", squaring_embedding),
+                  {"embedding"}, None),
     "flip-identities": (lopsided_flip, {"flip-identities"}, None),
-    "local-inverse": (lift_on_the_next_sheet, {"local-inverse"}, 10),
-    "local-addition": (rarely_wrong_inverse, {"round-trip"}, None),
+    "local-inverse": (broken_output("local_diffeo_inverse",
+                                   lift_on_the_next_sheet),
+                      {"local-inverse"}, 10),
+    "local-addition": (broken_output("riemannian_local_addition",
+                                    rarely_wrong_inverse),
+                       {"round-trip"}, None),
     "local-addition/normalized-round-trip": (
         shifted_newton, {"normalized-round-trip"}, None),
-    "pushforward-classifiers": (flat_projection, {"plane-projection"}, 20),
-    "tangent-diagram": (unnormalized_addition, {"tangent-diagram"}, None),
-    "local-action-form": (forgetful_multiplication, {"local-action-form"},
-                          None),
+    "local-addition/normalization": (
+        broken_output("normalize", scaled_velocities(1.0 + 1e-5)),
+        {"normalization"}, None),
+    "local-addition/tangent-lift": (
+        broken_output("tangent_local_addition", displaced_lift),
+        {"tangent-lift"}, None),
+    "pushforward-classifiers": (broken_output("catalog_maps", flat_projection),
+                                {"plane-projection"}, 20),
+    "tangent-diagram": (broken_output("riemannian_local_addition",
+                                     scaled_velocities(1.001)),
+                        {"tangent-diagram"}, None),
+    "local-action-form": (broken_groupoid("z4-plane", forgetful_multiplication),
+                          {"local-action-form"}, None),
     "theorem-D-pointwise-bracket": (negated_nodewise_bracket,
                                     {"pair-real2", "rot-action"}, 2),
     "theorem-D-pointwise-bracket/perturbed-projector": (
@@ -313,16 +294,20 @@ CONTROLS = {
     "algebroid-laws/perturbed-projector": (
         perturbed_projector, {"pair-real2", "rot-action", "sign-convention"},
         None),
-    "pair-action-iso": (shifted_action, {"pair-action-iso"}, None),
-    "path-lifting": (half_turn_lift, {"path-lifting"}, 5),
+    "pair-action-iso": (broken_groupoid("rot-action", shifted_action),
+                        {"pair-action-iso"}, None),
+    "path-lifting": (broken_output("path_lift", half_turn_lift),
+                     {"path-lifting"}, 5),
 }
 
 # Rows with a single NaN.  A check that folds residuals with Python's max
 # drops it (max(0.0, nan) is 0.0) and keeps ``pass``.
 NAN_CONTROLS = {
-    "pair-action-iso": (nan_action, {"pair-action-iso"}, None),
-    "path-lifting": (nan_lift, {"path-lifting"}, 5),
-    "local-action-form": (nan_quarter_turn, {"local-action-form"}, None),
+    "pair-action-iso": (broken_groupoid("rot-action", nan_action),
+                        {"pair-action-iso"}, None),
+    "path-lifting": (broken_output("path_lift", nan_lift), {"path-lifting"}, 5),
+    "local-action-form": (broken_groupoid("z4-plane", nan_quarter_turn),
+                          {"local-action-form"}, None),
 }
 
 ROWS = ([pytest.param(s.partition("/")[0], *CONTROLS[s], id=s)
@@ -364,7 +349,7 @@ def test_the_local_addition_control_breaks_few_round_trips():
         for _ in range(400):
             p = m.point_from_ambient(m.sample(rng))
             xi = rng.normal(size=m.dim) * 0.4
-            if add.contains(Tangent(p, xi)):
+            if add.domain_fn(p.ambient, Tangent(p, xi).ambient_vel()):
                 drawn += 1
                 reached += bool(xi[0] > RARE_VELOCITY)
     assert 0.005 < reached / drawn < 0.05
@@ -383,6 +368,6 @@ def test_path_lifting_reports_coherence(monkeypatch):
                        samples={"path-lifting": 5})
     record, = run_suite("path-lifting", ctx)
     assert record.details["coherent"] is True
-    half_turn_lift(monkeypatch)
+    broken_output("path_lift", half_turn_lift)(monkeypatch)
     record, = run_suite("path-lifting", ctx)
     assert (record.status, record.details["coherent"]) == ("fail", False)
