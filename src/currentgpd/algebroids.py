@@ -33,8 +33,9 @@ from .gridmaps import GridMap, GridSpec
 from .groupoids import LieGroupoid, group_groupoid
 from .linalg import (dot_list, gram_schmidt, linsolve, matmul,
                      numerical_ranks)
-from .manifolds import (Point, ProductManifold, SmoothMap, map_jacobian,
-                        merge_components, node_chart, split_components)
+from .manifolds import (Point, ProductManifold, SmoothMap, components_first,
+                        map_jacobian, merge_components, node_chart,
+                        split_components)
 from .report import worst_residual
 from .tolerances import DEFAULT
 
@@ -395,7 +396,7 @@ def law_residuals(alg: LieAlgebroid, X, Y, Z, x_comps):
            + at(alg.bracket(Y, alg.bracket(Z, X))))
     f = lambda xc: 0.5 + xc[0] * xc[0] - 0.25 * xc[-1]
     aX = merge_components(alg.anchor_vector(X, x_comps))
-    aXf = ad.jvp(lambda c: [f(c)], x_comps, list(np.moveaxis(aX, -1, 0)))[1][0]
+    aXf = ad.jvp(lambda c: [f(c)], x_comps, list(components_first(aX)))[1][0]
     fx = np.asarray(f(x_comps))[..., None]
     leib = (at(alg.bracket(X, Y.times_function(f)))
             - (fx * at(XY) + np.asarray(aXf)[..., None] * at(Y)))

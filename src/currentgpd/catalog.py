@@ -18,7 +18,8 @@ import numpy as np
 from . import ad
 from .ad import value, where
 from .manifolds import (Chart, ChartedManifold, ProductManifold, SmoothMap,
-                        component_major, merge_components, path_sampler)
+                        component_major, components_first, merge_components,
+                        path_sampler)
 
 TWO_PI = 2.0 * math.pi
 
@@ -363,7 +364,7 @@ class RotationGroup(ChartedManifold):
         shape = (4,) if n is None else (n, 4)
         q = rng.normal(size=shape)
         q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-        w, x, y, z = np.moveaxis(q, -1, 0)
+        w, x, y, z = components_first(q)
         return merge_components([
             1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),

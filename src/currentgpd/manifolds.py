@@ -22,18 +22,28 @@ from .ad import value
 from .errors import OutOfChart
 
 
+def components_first(a):
+    """``np.moveaxis(a, -1, 0)``, the same view, by one transpose."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+def components_last(a):
+    """``np.moveaxis(a, 0, -1)``, the same view, by one transpose."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
 def split_components(arr):
     """(m,) array -> list of floats; (..., m) array -> list of m (...) arrays.
 
     Structure maps and chart maps take and return such lists.  The arrays
-    are views ``a[..., i]``, taken with ``np.moveaxis(a, -1, 0)``:
-    on a component-major array (see :func:`component_major`) each one is a
+    are views ``a[..., i]``, taken with :func:`components_first`: on a
+    component-major array (see :func:`component_major`) each one is a
     contiguous block of memory, on a C-order array a strided column.
     """
     a = np.asarray(arr, dtype=float)
     if a.ndim == 1:
         return [float(x) for x in a]
-    return list(np.moveaxis(a, -1, 0))
+    return list(components_first(a))
 
 
 def merge_components(comps):
@@ -50,8 +60,8 @@ def merge_components(comps):
     shape = np.broadcast_shapes(*[a.shape for a in arrs])
     if shape == ():
         return np.asarray(vals, dtype=float)
-    return np.moveaxis(
-        np.stack([np.broadcast_to(a, shape) for a in arrs], axis=0), 0, -1)
+    return components_last(
+        np.stack([np.broadcast_to(a, shape) for a in arrs], axis=0))
 
 
 def component_major(a):
@@ -63,7 +73,8 @@ def component_major(a):
     already component-major, as every path sampler's draw is, comes back
     uncopied.
     """
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    return components_last(
+        np.ascontiguousarray(components_first(np.asarray(a))))
 
 
 def concat_components(parts):

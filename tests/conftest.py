@@ -6,7 +6,8 @@ import numpy as np
 
 from currentgpd.tolerances import DEFAULT
 
-NEVER_RUN = pathlib.Path(__file__).resolve().parents[1] / "tools/never_run.py"
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+NEVER_RUN = TOOLS / "never_run.py"
 
 ACCEPTANCE_LINES = []
 
@@ -51,13 +52,14 @@ def inverse_rows(add, base, q):
                     lambda p, q: add.theta_inverse(p, q).ambient_vel(), q)
 
 
-def load_never_run():
-    """``tools/never_run.py`` as a module, for its table and its golden
-    report helpers; loading it traces nothing."""
-    spec = importlib.util.spec_from_file_location("never_run", NEVER_RUN)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def load_tool(name):
+    """``tools/<name>.py`` as a module, for its tables and helpers; loading
+    it runs nothing (``never_run`` traces nothing, ``seed_sweep`` sweeps
+    nothing)."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def record_criterion(num, description, ok, residual=None):

@@ -30,7 +30,7 @@ import json
 
 import pytest
 
-from conftest import load_never_run, record_criterion
+from conftest import load_tool, record_criterion
 
 from currentgpd.cli import load_config, main, suite_context, write_report
 from currentgpd.gridmaps import GridSpec
@@ -73,7 +73,8 @@ CRITERIA = [
                  id="11_path_lifting"),
 ]
 
-TRACER = load_never_run()
+TRACER = load_tool("never_run")
+SWEEP = load_tool("seed_sweep")
 CONFIG = TRACER.REPORTS["seed-7"]
 GOLDEN = TRACER.GOLDEN / "seed-7.json"
 REPORT = json.loads(GOLDEN.read_text())
@@ -154,3 +155,24 @@ def test_criterion_12_seed_7_report_is_golden(tmp_path):
         assert not host, f"{name}: host-independent fields differ from " \
                          f"{GOLDEN.name} in {host}"
         assert not diff, f"{name}: differs from {GOLDEN.name} in {diff}"
+
+
+def test_the_seed_sweep_table_covers_the_seed_7_report():
+    """The table of ``tools/seed_sweep.py`` tallies every seed of its sweep
+    for each record of the seed-7 report, seed 7's status and sample count
+    among them; its comparison names a changed status and a lost record."""
+    table = json.loads(SWEEP.TABLE.read_text())
+    first, last = table["seeds"]
+    assert first <= CONFIG["seed"] <= last
+    rows = table["records"]
+    assert sorted(rows) == sorted(r["check_name"] for r in REPORT["records"])
+    for r in REPORT["records"]:
+        row = rows[r["check_name"]]
+        assert all(sum(c.values()) == last - first + 1 for c in row.values())
+        assert row["status"].get(r["status"]), r["check_name"]
+        assert row["n_samples"].get(str(r["n_samples"])), r["check_name"]
+    changed, lost, *rest = REPORT["records"]
+    broken = SWEEP.tally([{"records": [{**changed, "status": "fail"},
+                                       *rest]}])
+    assert SWEEP.differing(broken, SWEEP.tally([REPORT])) == sorted(
+        [changed["check_name"], lost["check_name"]])

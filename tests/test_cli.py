@@ -203,6 +203,20 @@ class TestRun:
         assert all(c != i for c, i in zip(details["circle"],
                                           details["interval"]))
 
+    @pytest.mark.parametrize("count, want", [(None, (1000, 1000, 250)),
+                                             (2, (2, 2, 2)),
+                                             (3000, (3000, 1000, 250))])
+    def test_current_axioms_hold_the_points_per_record(self, count, want):
+        """A Theorem A record on n nodes runs min(count, AXIOM_POINTS // n)
+        samples: a configured count is a cap that the budget lowers further,
+        and n_samples says what ran."""
+        ctx = SuiteContext(seed=7, instances=["z2-line"],
+                           samples={} if count is None
+                           else {"current-groupoid-axioms": count})
+        got = {r.check_name.rpartition("/")[2]: r.n_samples
+               for r in run_suite("current-groupoid-axioms", ctx)}
+        assert got == dict(zip(("n8", "n64", "n256"), want))
+
     def test_each_record_timed_where_it_is_made(self):
         ctx = SuiteContext(seed=1, samples={"groupoid-axioms": 20})
         t0 = time.perf_counter()

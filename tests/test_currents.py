@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from currentgpd import groupoids
 from currentgpd.catalog import Circle
-from currentgpd.currents import (action_iso, build_current,
+from currentgpd.currents import (AXIOM_CHUNK, action_iso, build_current,
                                  current_anchor_rank_nodes,
                                  current_etale_nodes, pair_iso,
                                  proper_etale_fiber_bound,
@@ -51,6 +52,25 @@ class TestBuildCurrent:
             cur = build_current(make_groupoid(name), GridSpec("circle", 16))
             rep = cur.check_axioms(100, seed=2)
             assert rep.max_violation <= 1e-9, (name, rep.violations)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_a_chunk_of_samples_checks_the_first_chunk_of_more(
+            self, seed, monkeypatch):
+        # the suite's records on 256 nodes check AXIOM_CHUNK samples: the
+        # first draw of the stream that a larger check on the seed takes
+        chunks = []
+        violations = groupoids.axiom_violations
+        monkeypatch.setattr(groupoids, "axiom_violations",
+                            lambda *draw: chunks.append(violations(*draw))
+                            or chunks[-1])
+        cur = build_current(make_groupoid("rot-action"), GridSpec("circle", 8))
+        full = cur.check_axioms(n_samples=4 * AXIOM_CHUNK, seed=seed)
+        assert len(chunks) == 4
+        part = cur.check_axioms(n_samples=AXIOM_CHUNK, seed=seed)
+        assert part.violations == chunks[0]
+        assert max(part.violations.values()) > 0
+        assert all(val <= full.violations[law]
+                   for law, val in part.violations.items())
 
     def test_batched_axioms_catch_a_rare_fault(self):
         # mu is wrong only where the first arrow coordinate exceeds 3.5,

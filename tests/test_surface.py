@@ -47,7 +47,7 @@ method that nothing calls is kept when its reason is one of
 import ast
 import pathlib
 
-from conftest import NEVER_RUN, load_never_run
+from conftest import NEVER_RUN, load_tool
 
 import currentgpd
 
@@ -55,7 +55,7 @@ PACKAGE = pathlib.Path(currentgpd.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TESTS = pathlib.Path(__file__).resolve().parent
 
-TRACER = load_never_run()
+TRACER = load_tool("never_run")
 KEEP = TRACER.KEEP
 
 
