@@ -446,14 +446,17 @@ def exp_cover(circle=None):
     """The covering map t -> (cos t, sin t) from the line onto the circle."""
     c = circle or Circle()
     line = Euclidean(1)
+    sheets = np.array([-1.0, 0.0, 1.0])
 
     def fn(comps):
         return [ad.cos(comps[0]), ad.sin(comps[0])]
 
-    def branches(target_amb, near_amb):
-        base = math.atan2(target_amb[1], target_amb[0])
-        k = round((float(near_amb[0]) - base) / TWO_PI)
-        return [np.asarray([base + TWO_PI * (k + d)]) for d in (-1, 0, 1)]
+    def branches(targets, near):
+        # the sheet nearest each row of near, and the sheets on either side;
+        # math.atan2 per row, as numpy's arctan2 may round differently
+        base = np.array([math.atan2(y, x) for x, y in targets.tolist()])[:, None]
+        k = np.round((near[:, :1] - base) / TWO_PI)
+        return (base + TWO_PI * (k + sheets))[..., None]
 
     m = SmoothMap(line, c, fn, name="exp-cover", preimage_branches=branches)
     m.branch_separation = TWO_PI

@@ -18,7 +18,7 @@ from .errors import (BranchAmbiguity, NotComposable, OutsideNeighborhood,
                      Unsupported)
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        constant_grid_map, degree, local_diffeo_inverse,
-                       seminorm_distance)
+                       seminorm_distance, stacked_grid_map)
 from .groupoids import (AxiomReport, LieGroupoid, axiom_report,
                         circle_bundle_groupoid, etale_index, pair_groupoid,
                         rotation_action_groupoid, worst_rank_ratio)
@@ -253,14 +253,15 @@ def transitivity_obstruction(grid: GridSpec, target=None, n_branches=32,
     line = cover.source
     gamma0 = GridMap(grid, line, np.zeros((grid.n, 1)))
     rng = np.random.default_rng(seed)
-    failures = 0
+    starts = []
     for _ in range(n_branches):
         k = int(rng.integers(-8, 9))
-        start = line.point_from_ambient([TWO_PI * k + rng.uniform(-0.1, 0.1)])
-        try:
-            local_diffeo_inverse(cover, gamma0, w_loop, start=start)
-        except (OutsideNeighborhood, BranchAmbiguity):
-            failures += 1
+        starts.append([TWO_PI * k + rng.uniform(-0.1, 0.1)])
+    # every start's walk in one stacked call
+    failures = sum(isinstance(o, (OutsideNeighborhood, BranchAmbiguity))
+                   for o in local_diffeo_inverse(
+                       cover, gamma0, stacked_grid_map(w_loop, n_branches),
+                       start=line.point_from_ambient(starts, chart_id=0)))
     return Certificate(
         kind="anchor-obstruction",
         inputs=inputs,

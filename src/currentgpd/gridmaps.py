@@ -8,6 +8,7 @@ it guarantees unique geodesic interpolation and valid winding increments.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .errors import (BranchAmbiguity, CoherenceLost, OutsideNeighborhood,
-                     Unsupported)
+from .errors import (BranchAmbiguity, CoherenceLost, GeometryError,
+                     OutsideNeighborhood, Unsupported)
 from .linalg import numerical_ranks
 from .manifolds import (ChartedManifold, Point, SmoothMap, Tangent,
                         map_jacobian, merge_components, split_components)
@@ -77,7 +78,7 @@ class GridMap:
         if not np.isfinite(self.delta_coh):
             return
         steps = self.step_sizes()
-        step = float(np.max(steps))
+        step = float(np.max(steps, initial=0.0))  # 0.0 for an empty stack
         if not step < self.delta_coh:  # a NaN step is not coherent either
             raise CoherenceLost(
                 f"step {step:.3f} at node {np.argmax(steps) % self.grid.n} "
@@ -91,6 +92,19 @@ class GridMap:
         return np.asarray(self.target.geodesic_distance(a[..., :-1, :],
                                                         a[..., 1:, :]))
 
+    def unstack(self):
+        """The maps of a stack, (B, n, m), as B grid maps with its bound.
+
+        The stack's own coherence check covers each of them, so they take
+        none of their own.
+        """
+        maps = []
+        for amb in self.ambient:
+            gm = copy.copy(self)
+            gm.ambient = amb
+            maps.append(gm)
+        return maps
+
     def close_to(self, other, tol=DEFAULT.tol_chart):
         return float(np.max(self.target.distance(self.ambient, other.ambient))) < tol
 
@@ -102,6 +116,14 @@ class GridMap:
 def constant_grid_map(grid, p: Point) -> GridMap:
     amb = np.tile(p.ambient, (grid.n, 1))
     return GridMap(grid, p.manifold, amb)
+
+
+def stacked_grid_map(gm: GridMap, count) -> GridMap:
+    """``count`` copies of gm as one stack of maps, (count, n, m), sharing
+    gm's memory and its coherence bound."""
+    return GridMap(gm.grid, gm.target,
+                   np.broadcast_to(gm.ambient, (count,) + gm.ambient.shape),
+                   delta_coh=gm.delta_coh)
 
 
 def circle_winding_loop(grid, circle, k) -> GridMap:
@@ -167,29 +189,32 @@ def random_chart_coeffs(grid: GridSpec, dim, rng, scale=0.1):
 # ---------------------------------------------------------------------------
 
 def _finite_difference(arr, h, order, closed):
+    """Differences along the node axis of (..., n, m) ambient rows."""
     a = np.asarray(arr, dtype=float)
     if order == 0:
         return a
     if closed:
-        fwd = np.roll(a, -1, axis=0)
-        bwd = np.roll(a, 1, axis=0)
+        fwd = np.roll(a, -1, axis=-2)
+        bwd = np.roll(a, 1, axis=-2)
         if order == 1:
             return (fwd - bwd) / (2.0 * h)
         return (fwd - 2.0 * a + bwd) / (h * h)
     out = np.zeros_like(a)
     if order == 1:
-        out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-        out[0] = (a[1] - a[0]) / h
-        out[-1] = (a[-1] - a[-2]) / h
+        out[..., 1:-1, :] = (a[..., 2:, :] - a[..., :-2, :]) / (2.0 * h)
+        out[..., 0, :] = (a[..., 1, :] - a[..., 0, :]) / h
+        out[..., -1, :] = (a[..., -1, :] - a[..., -2, :]) / h
         return out
-    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (h * h)
-    out[0] = out[1]
-    out[-1] = out[-2]
+    out[..., 1:-1, :] = (a[..., 2:, :] - 2.0 * a[..., 1:-1, :]
+                         + a[..., :-2, :]) / (h * h)
+    out[..., 0, :] = out[..., 1, :]
+    out[..., -1, :] = out[..., -2, :]
     return out
 
 
 def seminorm_distance(a: GridMap, b: GridMap) -> tuple:
-    """Sup distances of ambient finite differences of orders 0..ell."""
+    """Sup distances of ambient finite differences of orders 0..ell; for
+    stacks of maps, the sup over every map of the stack."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     h = a.grid.spacing
@@ -235,28 +260,34 @@ class PushforwardClassification:
 
 
 def classify_pushforward(f: SmoothMap, gamma: GridMap,
-                         tol_rank=DEFAULT.tol_rank) -> PushforwardClassification:
+                         tol_rank=DEFAULT.tol_rank):
     """Block classification: the lifted map inherits exactly the per-node ranks.
 
     The tangent map of the push-forward is block diagonal with one Jacobian
     of f per node, so the lifted verdict is the conjunction over blocks.
     The node Jacobians come from one :func:`map_jacobian` call on the whole
     grid map, and their ranks from one stacked SVD.
+
+    A stack of grid maps, gamma.ambient (B, n, m), takes one Jacobian call
+    and one SVD over all its nodes and returns a list of B classifications,
+    one per map; a lone grid map is a stack of one and gets its own.
     """
     dm, dn = f.source.dim, f.target.dim
     s = np.linalg.svd(map_jacobian(f, gamma.ambient), compute_uv=False)
-    ranks = numerical_ranks(s, tol_rank)
-    sub = bool(np.all(ranks == dn))
-    imm = bool(np.all(ranks == dm))
-    if sub and imm and dm == dn:
-        verdict = "local_diffeo_on_trace"
-    elif sub:
-        verdict = "submersion_on_trace"
-    elif imm:
-        verdict = "immersion_on_trace"
-    else:
-        verdict = "neither"
-    return PushforwardClassification(verdict)
+    ranks = numerical_ranks(s, tol_rank).reshape(-1, gamma.grid.n)
+    out = []
+    for sub, imm in zip(np.all(ranks == dn, axis=-1).tolist(),
+                        np.all(ranks == dm, axis=-1).tolist()):
+        if sub and imm and dm == dn:
+            verdict = "local_diffeo_on_trace"
+        elif sub:
+            verdict = "submersion_on_trace"
+        elif imm:
+            verdict = "immersion_on_trace"
+        else:
+            verdict = "neither"
+        out.append(PushforwardClassification(verdict))
+    return out if gamma.ambient.ndim > 2 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +296,27 @@ def classify_pushforward(f: SmoothMap, gamma: GridMap,
 
 def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
                          start: Point | None = None,
-                         tol=DEFAULT.tol_theta) -> GridMap:
+                         tol=DEFAULT.tol_theta):
     """Invert the push-forward of a local diffeomorphism node by node.
 
     Branches are selected by proximity to the previous node's lift (node 0:
     to `start`, default gamma0's first value); a coherent lift must close up
     on circle grids.  Failures report the offending node.  The map must
-    supply `preimage_branches(target_ambient, near_ambient) -> [ambient, ...]`
-    and `branch_separation`, the least distance between two preimages of a
-    point; a lift steps at most half of it from node to node.
+    supply stacked `preimage_branches` and `branch_separation` (see
+    :class:`~currentgpd.manifolds.SmoothMap`); a lift steps at most half of
+    the separation from node to node.
 
-    The branch walk is sequential; the residuals |f(lift) - eta| of the
-    nodes it reached are then taken in one push-forward, with each node's
-    bits.  The first node that fails names the error, as node by node: a
-    residual at an earlier node fails before the walk's own error.
+    A stack of targets, eta.ambient (B, n, m), is B walks, each from its own
+    row of a stacked `start` (or of gamma0's first node), and the call
+    returns a list of B outcomes: a walk's lift, or the error that it raises
+    alone, unraised.  A lone target is a stack of one whose error is raised.
+    The walk is one pass over the nodes: every walk's branch at a node comes
+    from one (B, K, d) candidate array.  The checks then read all nodes of
+    all walks at once, and a walk's outcome is decided at its first faulty
+    node; what the pass steps to after it counts for nothing.  The residuals
+    |f(lift) - eta| are taken in one push-forward.  The first node that
+    fails names the error, as node by node: a residual at an earlier node
+    fails before the walk's own error.
     """
     if f.preimage_branches is None:
         raise Unsupported(f"{f.name}: no preimage branches to choose from")
@@ -288,42 +326,73 @@ def local_diffeo_inverse(f: SmoothMap, gamma0: GridMap, eta: GridMap,
     ambiguity_gap = m.coherence_bound()
     if not np.isfinite(ambiguity_gap):
         ambiguity_gap = max_step
-    prev = np.asarray(start.ambient if start is not None else gamma0.ambient[0],
-                      dtype=float)
-    rows, fault = [], None
-    try:
-        for i, target_amb in enumerate(eta.ambient):
-            branches = f.preimage_branches(target_amb, prev)
-            if not branches:
-                raise OutsideNeighborhood(i, f"no local preimage at node {i}")
-            cand = np.reshape(np.asarray(branches, dtype=float),
-                              (len(branches), -1))
-            dists = dist(cand, prev)
-            order = np.argsort(dists)
-            best = cand[order[0]]
-            if len(order) > 1 and dists[order[1]] < max_step and float(
-                    dist(best, cand[order[1]])) < ambiguity_gap / 4.0:
-                raise BranchAmbiguity(i)
-            if dists[order[0]] > max_step and i > 0:
-                raise OutsideNeighborhood(i)
-            rows.append(best)
-            prev = best
-    except (OutsideNeighborhood, BranchAmbiguity) as err:
-        fault = err  # raised below, unless an earlier node's residual fails
-    lift = np.reshape(rows, (len(rows), m.ambient_dim))
-    res = f.target.distance(f.apply_batch(lift), eta.ambient[:len(rows)])
-    bad = np.flatnonzero(res > tol)
-    if bad.size:
-        i = int(bad[0])
-        raise OutsideNeighborhood(i, f"residual {res[i]:.2e} at node {i}")
-    if fault is not None:
-        raise fault
-    if eta.grid.closed:
-        closure = float(dist(lift[-1], lift[0]))
-        if closure > max_step:
-            raise OutsideNeighborhood(
-                0, f"lift does not close up (gap {closure:.3f})")
-    return GridMap(eta.grid, m, lift, delta_coh=max_step * (1.0 + 1e-9))
+    n = eta.grid.n
+    targets = eta.ambient.reshape(-1, n, f.target.ambient_dim)
+    walks = np.arange(len(targets))
+    prev = np.broadcast_to(
+        start.ambient if start is not None else gamma0.ambient[..., 0, :],
+        (len(targets), m.ambient_dim))
+    # each node's candidates, their distances from the walk's previous
+    # lift, and their order by it
+    cands, dists, orders = [], [], []
+    for i in range(n):
+        cand = f.preimage_branches(targets[:, i], prev)
+        d = dist(cand, prev[:, None])
+        order = np.argsort(d, axis=-1)
+        prev = cand[walks, order[:, 0]]
+        cands.append(cand)
+        dists.append(d)
+        orders.append(order)
+    # the nearest and next nearest branch of each node of each walk; a map
+    # with one branch has none to confuse it with
+    orders = np.stack(orders, axis=1)[..., :2]
+    if orders.shape[-1] == 1:
+        orders = np.concatenate([orders, orders], axis=-1)
+    near = np.take_along_axis(np.stack(dists, axis=1), orders, axis=-1)
+    picks = np.take_along_axis(np.stack(cands, axis=1), orders[..., None],
+                               axis=-2)
+    lift = picks[:, :, 0]
+    # faults[b, i]: no local preimage, an ambiguous branch, a step too far
+    faults = np.stack([
+        np.isnan(near[..., 0]),
+        (orders[..., 1] != orders[..., 0]) & (near[..., 1] < max_step)
+        & (dist(lift, picks[:, :, 1]) < ambiguity_gap / 4.0),
+        near[..., 0] > max_step], axis=-1)
+    faults[:, 0, 2] = False  # node 0 may lie anywhere near the start
+    hit = faults.any(axis=-1)
+    reached = np.where(hit.any(axis=-1), hit.argmax(axis=-1), n)
+    res = f.target.distance(f.apply_batch(lift), targets)
+    bad = (res > tol) & (np.arange(n) < reached[:, None])
+    first_bad = np.where(bad.any(axis=-1), bad.argmax(axis=-1), n)
+    gap = (dist(lift[:, -1], lift[:, 0]) if eta.grid.closed
+           else np.zeros(len(lift)))
+    errors = []
+    for b, (i, j, closure) in enumerate(zip(first_bad.tolist(),
+                                            reached.tolist(), gap.tolist())):
+        if i < n:
+            errors.append(OutsideNeighborhood(
+                i, f"residual {res[b, i]:.2e} at node {i}"))
+        elif j < n:
+            kind = int(faults[b, j].argmax())
+            errors.append(
+                OutsideNeighborhood(j, f"no local preimage at node {j}")
+                if kind == 0 else BranchAmbiguity(j) if kind == 1
+                else OutsideNeighborhood(j))
+        elif closure > max_step:
+            errors.append(OutsideNeighborhood(
+                0, f"lift does not close up (gap {closure:.3f})"))
+        else:
+            errors.append(None)
+    # the lifts of the walks without a fault, coherence-checked as one stack
+    done = [b for b, err in enumerate(errors) if err is None]
+    lifts = iter(GridMap(eta.grid, m, lift[done],
+                         delta_coh=max_step * (1.0 + 1e-9)).unstack())
+    outs = [next(lifts) if err is None else err for err in errors]
+    if eta.ambient.ndim > 2:
+        return outs
+    if isinstance(outs[0], GeometryError):
+        raise outs[0]
+    return outs[0]
 
 
 # ---------------------------------------------------------------------------

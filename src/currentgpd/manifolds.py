@@ -397,6 +397,17 @@ class SmoothMap:
 
     ``fn`` takes and returns component sequences; the chart representative
     in charts (i, j) is fwd_j . fn . inv_i, which is what AD differentiates.
+
+    A local diffeomorphism that :func:`~currentgpd.gridmaps.local_diffeo_inverse`
+    inverts also gives ``preimage_branches(targets, near)`` and a
+    ``branch_separation`` attribute, the least distance between two
+    preimages of a point.  ``preimage_branches`` takes stacked rows, targets
+    (B, m') in the target's ambient space and near (B, m) in the source's,
+    and returns candidates (B, K, m), with the same K >= 1 at every call:
+    row b holds preimages of targets[b] near near[b], one of which a lift
+    from near[b] steps to.  A row whose target has no local preimage is
+    NaN.  Each row is computed on its own, so it has the bits that it gets
+    in a stack of one.
     """
 
     def __init__(self, source, target, fn, name="map",

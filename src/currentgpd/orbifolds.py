@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchAmbiguity, CoherenceLost, DegenerateNeighborhood,
-                     StartNotInOrbit, Unsupported)
+                     GeometryError, StartNotInOrbit, Unsupported)
 from .gridmaps import GridMap, GridSpec
 from .groupoids import FiniteGroup, IsotropyGroup, LieGroupoid, isotropy_group
 from .manifolds import Point
@@ -133,7 +133,7 @@ def local_action_form(gpd: LieGroupoid, x: Point, n_check=500, seed=0,
 
 
 def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
-              tol=DEFAULT.tol_chart) -> GridMap:
+              tol=DEFAULT.tol_chart):
     """Lift an orbit-space path through the quotient map, node by node.
 
     The next node's lift is the group translate of its representative
@@ -141,9 +141,17 @@ def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
     closer than a quarter of the coherence bound) lifting errors out
     rather than guessing.
 
+    A stack of paths, path.representatives (B, n, m), is B lifts, each from
+    its own row of a stacked `start_lift`, and the call returns a list of B
+    outcomes: a path's lift, or the error that it raises alone, unraised.  A
+    lone path is a stack of one whose error is raised.
+
     Every translate of every node, and every distance the walk may read,
-    are taken first in one pass over all nodes, with the bits each gets
-    alone; the walk then only picks one translate per node.
+    are taken first in one pass over all nodes of all paths, with the bits
+    each gets alone.  So is the translate that each one steps to next, and
+    the walk is one table lookup per node for all paths at once.  A path's
+    outcome is decided at its first faulty node; what the walk steps to
+    after it counts for nothing.
     """
     grp = gpd.finite_group
     if grp is None:
@@ -153,39 +161,66 @@ def path_lift(gpd: LieGroupoid, path: OrbitSpacePath, start_lift: Point,
     delta = m.coherence_bound()
     if not np.isfinite(delta):
         delta = 1.0
-    # cands[i, k] is element k applied to node i's representative
+    # cands[b, i, k] is element k applied to path b's representative of node i
     cands = np.stack([e.act(path.representatives) for e in grp.elements],
-                     axis=1)
-    d0 = np.linalg.norm(cands[0] - start_lift.ambient, axis=-1)
-    if float(np.min(d0)) > tol:
-        raise StartNotInOrbit(
-            f"start lift is {float(np.min(d0)):.3e} from the first orbit")
-    # steps[i - 1, j, k]: from translate k at node i - 1 to translate j at
-    # node i; seps[i, j, k]: between translates j and k of node i
-    steps = np.linalg.norm(cands[1:, :, None] - cands[:-1, None], axis=-1)
-    seps = np.linalg.norm(cands[:, :, None] - cands[:, None], axis=-1)
-    k = int(np.argmin(d0))
+                     axis=-2).reshape(-1, n, len(grp), m.ambient_dim)
+    walks = np.arange(len(cands))[:, None]
+    d0 = np.linalg.norm(cands[:, 0] - np.reshape(
+        start_lift.ambient, (-1, 1, m.ambient_dim)), axis=-1)
+    # steps[b, i - 1, j, k]: from translate k at node i - 1 to translate j
+    # at node i; seps[b, i, j, k]: between translates j and k of node i
+    steps = np.linalg.norm(cands[:, 1:, :, None] - cands[:, :-1, None],
+                           axis=-1)
+    seps = np.linalg.norm(cands[:, :, :, None] - cands[:, :, None], axis=-1)
+    # from translate k at node i - 1, the nearest and next nearest at node i
+    order = np.argsort(steps, axis=-2)
+    k = np.argmin(d0, axis=-1)
     picks = [k]
-    for i in range(1, n):
-        dists = steps[i - 1, :, k]
-        order = np.argsort(dists)
-        k = int(order[0])
-        if len(order) > 1 and seps[i, order[1], k] < 0.25 * delta:
-            raise BranchAmbiguity(i)
-        if dists[k] >= delta:
-            raise CoherenceLost(f"orbit gap {dists[k]:.3f} at node {i}")
+    for nearest in np.moveaxis(order[:, :, 0], 1, 0):
+        k = nearest[walks[:, 0], k]
         picks.append(k)
-    out = cands[np.arange(n), picks]
-    if path.grid.closed:
-        gap = float(np.linalg.norm(out[-1] - out[0]))
-        if gap >= delta:
-            raise CoherenceLost(f"lift does not close up (gap {gap:.3f})")
-    return GridMap(path.grid, m, out, delta_coh=delta)
+    picks = np.stack(picks, axis=1)
+    prev, nodes = picks[:, :-1], np.arange(1, n)
+    dists = steps[walks, nodes - 1, picks[:, 1:], prev]
+    ambiguous = (seps[walks, nodes, order[walks, nodes - 1, 1, prev],
+                      picks[:, 1:]] < 0.25 * delta
+                 if len(grp) > 1 else np.zeros_like(dists, dtype=bool))
+    hit = ambiguous | (dists >= delta)
+    first = np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, n)
+    out = cands[walks, np.arange(n), picks]
+    gaps = (np.linalg.norm(out[:, -1] - out[:, 0], axis=-1) if path.grid.closed
+            else np.zeros(len(out)))
+    errors = []
+    for b, (start_gap, i, gap) in enumerate(zip(
+            np.min(d0, axis=-1).tolist(), first.tolist(), gaps.tolist())):
+        if start_gap > tol:
+            errors.append(StartNotInOrbit(
+                f"start lift is {start_gap:.3e} from the first orbit"))
+        elif i < n and ambiguous[b, i - 1]:
+            errors.append(BranchAmbiguity(i))
+        elif i < n:
+            errors.append(CoherenceLost(
+                f"orbit gap {dists[b, i - 1]:.3f} at node {i}"))
+        elif gap >= delta:
+            errors.append(CoherenceLost(
+                f"lift does not close up (gap {gap:.3f})"))
+        else:
+            errors.append(None)
+    # the lifts of the paths without a fault, coherence-checked as one stack
+    done = [b for b, err in enumerate(errors) if err is None]
+    lifts = iter(GridMap(path.grid, m, out[done], delta_coh=delta).unstack())
+    outs = [next(lifts) if err is None else err for err in errors]
+    if path.representatives.ndim > 2:
+        return outs
+    if isinstance(outs[0], GeometryError):
+        raise outs[0]
+    return outs[0]
 
 
 def lift_projection_residual(gpd: LieGroupoid, path: OrbitSpacePath,
                              lift: GridMap) -> float:
-    """Max nodewise orbit distance between the lift and the input path."""
+    """Max nodewise orbit distance between the lift and the input path, or
+    over every lift of a stack and its path."""
     return worst_residual(orbit_distance(gpd.finite_group, lift.ambient,
                                          path.representatives))
 

@@ -23,13 +23,14 @@ from .catalog import (Circle, Euclidean, RotationGroup, Sphere, Torus,
 from .currents import (AXIOM_POINTS, build_current, current_etale_nodes,
                        pair_iso, action_iso, proper_etale_fiber_bound,
                        properness_failure_witness, transitivity_obstruction)
-from .errors import (BranchAmbiguity, FrameProjectionError,
+from .errors import (BranchAmbiguity, FrameProjectionError, GeometryError,
                      OutsideNeighborhood, UnknownSuite)
 from .gridmaps import (GridMap, GridSpec, circle_winding_loop,
                        classify_pushforward, constant_grid_map,
                        local_diffeo_inverse, pushforward, pushforward_tangent,
                        random_chart_coeffs, random_grid_map,
-                       section_from_chart_coeffs, seminorm_distance)
+                       section_from_chart_coeffs, seminorm_distance,
+                       stacked_grid_map)
 from .groupoids import GROUPOIDS, check_axioms, make_groupoid
 from .localadd import (LocalAddition, fiber_derivative, normalize,
                        riemannian_local_addition, tangent_local_addition)
@@ -295,6 +296,28 @@ def suite_tangent_diagram(ctx: SuiteContext):
                     worst, len(chosen) * reps, seed)]
 
 
+def _stacked_point(m, rows):
+    """One stacked Point of ambient rows (a list, or a 1-d array of the
+    coordinates of a 1-dimensional m) in m's first chart."""
+    return m.point_from_ambient(np.reshape(rows, (len(rows), -1)), chart_id=0)
+
+
+def _lifts(*outcomes):
+    """The lifts of stacked calls' walks, one stacked grid map per call.
+
+    The first error raises, in the order that lone calls, one draw at a
+    time, met the walks: walk b of every call before walk b + 1.  The
+    stacks take no coherence check of their own.
+    """
+    for walk in zip(*outcomes):
+        for out in walk:
+            if isinstance(out, GeometryError):
+                raise out
+    return [GridMap(outs[0].grid, outs[0].target,
+                    np.stack([lf.ambient for lf in outs]), delta_coh=np.inf)
+            for outs in outcomes]
+
+
 def suite_pushforward_classifiers(ctx: SuiteContext):
     maps = catalog_maps()
     expected = {
@@ -310,11 +333,12 @@ def suite_pushforward_classifiers(ctx: SuiteContext):
     reps = ctx.count("pushforward-classifiers")
     for name, want in expected.items():
         f = maps[name]
-        ok = True
-        for _ in range(reps):
-            gamma = random_grid_map(grid, f.source, rng)
-            got = classify_pushforward(f, gamma, tol_rank=ctx.tol.tol_rank)
-            ok = ok and got.verdict == want
+        # the map's draws in order, then one classification of their stack
+        paths = [f.source.sample_path(grid.params(), rng, grid.closed)
+                 for _ in range(reps)]
+        got = classify_pushforward(f, GridMap(grid, f.source, np.stack(paths)),
+                                   tol_rank=ctx.tol.tol_rank)
+        ok = all(g.verdict == want for g in got)
         records.append(_record(f"pushforward-classifiers/{name}",
                                "Theorem E", "pass" if ok else "fail",
                                0.0, reps, seed, details={"expected": want}))
@@ -327,35 +351,35 @@ def suite_local_inverse(ctx: SuiteContext):
     grid = ctx.grid
     seed = ctx.seed_for("local-inverse")
     rng = np.random.default_rng(seed)
-    worst = 0.0
     x = grid.params()
     gamma0 = GridMap(grid, line, np.zeros((grid.n, 1)))
     count = ctx.count("local-inverse")
+    truths, starts = [], []
     for _ in range(count):
         amp = rng.uniform(0.1, 0.8)
         ph = rng.uniform(0, 2 * math.pi)
         off = rng.uniform(-3, 3)
-        truth = GridMap(grid, line, (off + amp * np.sin(x + ph))[:, None])
-        eta = pushforward(f, truth)
-        start = line.point_from_ambient([off + amp * math.sin(ph)])
-        got = local_diffeo_inverse(f, gamma0, eta, start=start,
-                                   tol=ctx.tol.tol_theta)
-        back = pushforward(f, got)
-        worst = worst_residual(worst, seminorm_distance(back, eta)[0],
-                               got.ambient - truth.ambient)
+        truths.append(off + amp * np.sin(x + ph))
+        starts.append(off + amp * math.sin(ph))
+    # every draw's walk in one stacked call
+    truth = GridMap(grid, line, np.stack(truths)[..., None])
+    eta = pushforward(f, truth)
+    got, = _lifts(local_diffeo_inverse(
+        f, gamma0, eta, start=_stacked_point(line, starts),
+        tol=ctx.tol.tol_theta))
+    back = pushforward(f, got)
+    worst = worst_residual(seminorm_distance(back, eta)[0],
+                           got.ambient - truth.ambient)
     rec_ok = worst <= ctx.tol.tol_theta
     # the winding-1 target admits no lift from any starting branch; a
     # winding number needs a loop, so the control runs on a circle grid
     loop_grid = GridSpec("circle", grid.n, grid.ell)
     idloop = circle_winding_loop(loop_grid, f.target, 1)
     loop0 = GridMap(loop_grid, line, np.zeros((grid.n, 1)))
-    rejections = 0
-    for k in range(32):
-        start = line.point_from_ambient([2 * math.pi * (k - 16)])
-        try:
-            local_diffeo_inverse(f, loop0, idloop, start=start)
-        except (OutsideNeighborhood, BranchAmbiguity):
-            rejections += 1
+    starts = _stacked_point(line, 2 * math.pi * (np.arange(32.0) - 16))
+    rejections = sum(isinstance(o, (OutsideNeighborhood, BranchAmbiguity))
+                     for o in local_diffeo_inverse(
+                         f, loop0, stacked_grid_map(idloop, 32), start=starts))
     status = "pass" if rec_ok and rejections == 32 else "fail"
     return [_record("local-inverse", "Theorem E(c)", status, worst, count + 32,
                     seed, details={"rejections": rejections})]
@@ -523,11 +547,9 @@ def suite_path_lifting(ctx: SuiteContext):
     seed = ctx.seed_for("path-lifting")
     rng = np.random.default_rng(seed)
     grid = GridSpec("interval", max(16, ctx.grid.n // 4))
-    worst = 0.0
-    equein = 0.0
-    coherent = True
     count = ctx.count("path-lifting")
     nodes = np.arange(grid.n)
+    reps, firsts, seconds, turns = [], [], [], []
     for _ in range(count):
         # fixed-point-free path: radius bounded away from the origin
         t = grid.params()
@@ -538,18 +560,24 @@ def suite_path_lifting(ctx: SuiteContext):
         # each node's representative is a random translate: the elements
         # are drawn node by node, then applied to all nodes at once
         picks = [int(rng.integers(4)) for _ in nodes]
-        reps = np.stack([e.act(pts) for e in grp.elements])[picks, nodes]
-        path = OrbitSpacePath(grid, reps)
-        start = gpd.base.point_from_ambient(pts[0])
-        lift = path_lift(gpd, path, start, tol=ctx.tol.tol_chart)
-        worst = worst_residual(worst, lift_projection_residual(gpd, path, lift))
-        g = grp.elements[int(rng.integers(1, 4))]
-        start2 = gpd.base.point_from_ambient(g.act(pts[0]))
-        lift2 = path_lift(gpd, path, start2, tol=ctx.tol.tol_chart)
-        equein = worst_residual(equein, lift2.ambient - g.act(lift.ambient))
-        # a lift that jumps to another translate stays in the orbits
-        coherent = coherent and all(float(np.max(lf.step_sizes()))
-                                    < lf.delta_coh for lf in (lift, lift2))
+        reps.append(np.stack([e.act(pts) for e in grp.elements])[picks, nodes])
+        # the second lift starts at the translate of the first by g
+        turns.append(int(rng.integers(1, 4)))
+        firsts.append(pts[0])
+        seconds.append(grp.elements[turns[-1]].act(pts[0]))
+    # every path's two lifts as two stacked calls
+    path = OrbitSpacePath(grid, np.stack(reps))
+    outcomes = [path_lift(gpd, path, _stacked_point(gpd.base, starts),
+                          tol=ctx.tol.tol_chart)
+                for starts in (firsts, seconds)]
+    lift, lift2 = _lifts(*outcomes)
+    worst = lift_projection_residual(gpd, path, lift)
+    turned = np.stack([e.act(lift.ambient) for e in grp.elements])
+    equein = worst_residual(lift2.ambient - turned[turns, np.arange(count)])
+    # a lift that jumps to another translate stays in the orbits
+    coherent = all(bool(np.all(np.max(lifts.step_sizes(), axis=-1)
+                               < [lf.delta_coh for lf in outs]))
+                   for lifts, outs in zip((lift, lift2), outcomes))
     ok = worst <= ctx.tol.tol_theta and equein <= 1e-12 and coherent
     return [_record("path-lifting", "path lifting", "pass" if ok else "fail",
                     worst, 2 * count, seed,

@@ -176,7 +176,7 @@ class TestRun:
         for sid in config["suites"]:
             run_suite(sid, ctx)
         assert seen == {("local_action_form", "tol"): [3e-9] * 2,
-                        ("path_lift", "tol"): [3e-9] * 4,
+                        ("path_lift", "tol"): [3e-9] * 2,
                         ("pair_iso", "tol"): [3e-9],
                         ("action_iso", "tol"): [3e-9],
                         ("algebroid_of_groupoid", "tol_rank"): [2e-8] * 4,

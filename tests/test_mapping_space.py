@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from currentgpd.ad import fd_jacobian
+from currentgpd import ad
+from currentgpd.ad import fd_jacobian, value
 from currentgpd.catalog import (Circle, Euclidean, RotationGroup, Sphere,
                                 Torus, catalog_maps, exp_cover)
 from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
@@ -333,6 +334,35 @@ class TestClassify:
             assert classify_pushforward(f, gamma).verdict == want, name
 
 
+    def test_a_stack_classifies_as_its_lone_calls(self):
+        """Each map of a stack gets its lone call's verdict.  One map's
+        verdicts are its own kind or "neither" (equal dimensions make a
+        submersion an immersion), so four stacks, each of maps that stay
+        where x <= 2.5 and maps that reach the flat part beyond it, give
+        the four verdicts."""
+        def flat(x):
+            return ad.where(np.asarray(value(x)) > 2.5, 2.5, x)
+
+        e1, e2 = Euclidean(1), Euclidean(2)
+        maps = [SmoothMap(e2, e1, lambda c: [flat(c[0])]),
+                SmoothMap(e1, e2, lambda c: [flat(c[0]), c[0] * 0.0]),
+                SmoothMap(e1, e1, lambda c: [flat(c[0])]),
+                MAPS["circle-constant"]]
+        kinds = ["submersion_on_trace", "immersion_on_trace",
+                 "local_diffeo_on_trace", "neither"]
+        rng = np.random.default_rng(13)
+        for f, kind in zip(maps, kinds):
+            paths = np.stack([f.source.sample_path(GRID.params(), rng, True)
+                              for _ in range(6)])
+            if f.source is not CIRCLE:  # maps 0 and 3 reach x > 2.5
+                paths[[0, 3], :, 0] += 2.2
+            got = classify_pushforward(f, GridMap(GRID, f.source, paths))
+            want = [classify_pushforward(f, GridMap(GRID, f.source, p))
+                    for p in paths]
+            assert [g.verdict for g in got] == [w.verdict for w in want]
+            assert {g.verdict for g in got} == {kind, "neither"}
+
+
 class TestLocalDiffeoInverse:
     def setup_method(self):
         self.f = exp_cover(CIRCLE)
@@ -341,7 +371,7 @@ class TestLocalDiffeoInverse:
 
     def test_identity_map_returns_input(self):
         idm = SmoothMap(self.line, self.line, lambda c: list(c),
-                        preimage_branches=lambda target, near: [target])
+                        preimage_branches=lambda targets, near: targets[:, None])
         idm.branch_separation = 20.0
         eta = GridMap(GRID, self.line,
                       (0.4 * np.sin(GRID.params()))[:, None])
@@ -390,8 +420,8 @@ class TestLocalDiffeoInverse:
     def test_branch_ambiguity_detected(self):
         # a map whose preimage branches collide triggers the error
         f = SmoothMap(self.line, self.line, lambda c: list(c))
-        f.preimage_branches = lambda target, near: [
-            np.asarray([target[0]]), np.asarray([target[0] + 1e-6])]
+        f.preimage_branches = lambda targets, near: (
+            targets[:, None] + np.array([[0.0], [1e-6]]))
         f.branch_separation = 1.0
         eta = GridMap(GRID, self.line,
                       (0.1 * np.sin(GRID.params()))[:, None])
@@ -400,19 +430,29 @@ class TestLocalDiffeoInverse:
 
 
     @staticmethod
-    def faulty_cover(wrong=None, far=None):
-        """exp_cover whose branches are off by 0.5 at node ``wrong``, a
-        wrong preimage in reach, and lie 4 away at node ``far``, out of
-        reach; the walk asks once per node, in node order."""
+    def faulty_cover(faults):
+        """exp_cover whose branches go wrong in walk w of a stack at the
+        nodes of faults[w], {node: kind}: off by 0.5 at a "wrong" node, a
+        wrong preimage in reach; 4 away at a "far" node, out of reach; with
+        a twin 1e-6 from the nearest one at a "twin" node; NaN, none, at a
+        "gone" node.  The walk asks once per node, in node order."""
         cover = exp_cover(CIRCLE)
         node = itertools.count()
 
-        def branches(target, near):
+        def branches(targets, near):
             i = next(node)
-            if i == far:
-                return [np.asarray(near) + 4.0]
-            shift = 0.5 if i == wrong else 0.0
-            return [b + shift for b in cover.preimage_branches(target, near)]
+            out = cover.preimage_branches(targets, near)
+            for w, at in faults.items():
+                kind = at.get(i)
+                if kind == "wrong":
+                    out[w] += 0.5
+                elif kind == "far":
+                    out[w] = near[w] + 4.0
+                elif kind == "twin":
+                    out[w, 0] = out[w, 1] + 1e-6
+                elif kind == "gone":
+                    out[w] = np.nan
+            return out
 
         f = SmoothMap(cover.source, CIRCLE, cover.fn,
                       preimage_branches=branches)
@@ -426,18 +466,61 @@ class TestLocalDiffeoInverse:
         truth = GridMap(grid, self.line, (0.3 * grid.params())[:, None])
         eta = pushforward(self.f, truth)
         gamma0 = GridMap(grid, self.line, np.zeros((grid.n, 1)))
-        f = self.faulty_cover(wrong=4, far=9)
+        f = self.faulty_cover({0: {4: "wrong", 9: "far"}})
         with pytest.raises(OutsideNeighborhood,
                            match=r"^residual .* at node 4$") as err:
             local_diffeo_inverse(f, gamma0, eta)
         assert err.value.index == 4
-        f = self.faulty_cover(far=9)
+        f = self.faulty_cover({0: {9: "far"}})
         with pytest.raises(OutsideNeighborhood,
                            match=r"^lift leaves its neighborhood at node 9$"
                            ) as err:
             local_diffeo_inverse(f, gamma0, eta)
         assert err.value.index == 9
 
+
+    @pytest.mark.parametrize("kind", ["circle", "interval"])
+    def test_a_stack_walks_as_its_lone_calls(self, kind):
+        """Each walk of a stack gets its lone call's lift bits, or its
+        error's type, message and node: good walks next to one walk for each
+        fault, which stops none of the others."""
+        grid = GridSpec(kind, 32)
+        rng = np.random.default_rng(12)
+        x = grid.params()
+        truth = np.stack([rng.uniform(-3, 3) + 0.5 * np.sin(x + rng.uniform(0, 6))
+                          for _ in range(8)])[..., None]
+        eta = pushforward(self.f, GridMap(grid, self.line, truth)).ambient
+        faults = {1: {5: "wrong"}, 2: {7: "far"}, 3: {9: "twin"},
+                  4: {11: "gone"}, 6: {3: "wrong", 20: "far"},
+                  7: {20: "wrong", 3: "far"}}
+        starts = truth[:, 0].copy()
+        if grid.closed:  # walk 5 lifts the winding-1 loop: it cannot close
+            eta[5] = circle_winding_loop(grid, CIRCLE, 1).ambient
+            starts[5] = 0.0
+        gamma0 = GridMap(grid, self.line, np.zeros((grid.n, 1)))
+        got = local_diffeo_inverse(
+            self.faulty_cover(faults), gamma0, GridMap(grid, CIRCLE, eta),
+            start=self.line.point_from_ambient(starts, chart_id=0))
+        # each walk's lift, or the start of its error's message
+        want_kinds = ["lift", "residual", "lift leaves", "ambiguous",
+                      "no local preimage",
+                      "lift does not close up" if grid.closed else "lift",
+                      "residual", "lift leaves"]
+        assert len(got) == len(want_kinds)
+        for w, (out, kind) in enumerate(zip(got, want_kinds)):
+            alone = self.faulty_cover({0: faults[w]} if w in faults else {})
+            try:
+                want = local_diffeo_inverse(
+                    alone, gamma0, GridMap(grid, CIRCLE, eta[w]),
+                    start=self.line.point_from_ambient(starts[w]))
+            except (OutsideNeighborhood, BranchAmbiguity) as err:
+                assert type(out) is type(err), w
+                assert (str(out), out.index) == (str(err), err.index), w
+                assert str(err).startswith(kind), w
+            else:
+                assert kind == "lift" and isinstance(out, GridMap), w
+                assert np.array_equal(out.ambient, want.ambient), w
+                assert out.delta_coh == want.delta_coh, w
 
 class TestDegree:
     def test_identity_loop(self):

@@ -5,7 +5,7 @@ import pytest
 
 from currentgpd.errors import (BranchAmbiguity, CoherenceLost,
                                StartNotInOrbit, Unsupported)
-from currentgpd.gridmaps import GridSpec
+from currentgpd.gridmaps import GridMap, GridSpec
 from currentgpd.groupoids import make_groupoid
 from currentgpd.orbifolds import (OrbitSpacePath,
                                   atlas_connectivity_negative_test,
@@ -142,6 +142,58 @@ class TestPathLift:
         path = OrbitSpacePath(grid, reps)
         with pytest.raises(CoherenceLost):
             path_lift(Z4, path, Z4.base.point_from_ambient([1.0, 0.0]))
+
+
+    @pytest.mark.parametrize("kind", ["circle", "interval"])
+    def test_a_stack_lifts_as_its_lone_calls(self, kind):
+        """Each path of a stack gets its lone call's lift bits, or its
+        error's type and message: good paths next to one path for each
+        fault, which stops none of the others."""
+        grid = GridSpec(kind, 16)
+        rng = np.random.default_rng(14)
+        t = grid.params() if grid.closed else 2 * math.pi * grid.params()
+        paths, starts, want_kinds = [], [], []
+
+        def add(pts, start, want):
+            reps = pts.copy()
+            for i in range(grid.n):
+                reps[i] = Z4.finite_group.elements[
+                    int(rng.integers(4))].act(reps[i])
+            paths.append(reps)
+            starts.append(start)
+            want_kinds.append(want)
+
+        # loops around (2, 0), and the same loops from other translates
+        for g in range(4):
+            pts = np.stack([2 + 0.5 * np.cos(t), 0.5 * np.sin(t)], axis=-1)
+            add(pts, Z4.finite_group.elements[g].act(pts[0]), "lift")
+        add(pts, pts[0] + 0.1, "start lift is")
+        # a small loop through the fixed point 0
+        small = 0.1 * np.stack([1 - np.cos(t), np.sin(t)], axis=-1)
+        add(small, small[0], "ambiguous")
+        jump = pts.copy()
+        jump[9] = [30.0, 0.0]
+        add(jump, pts[0], "orbit gap")
+        # a quarter turn about 0 closes up in the orbits, not in the plane
+        quarter = np.stack([np.cos(t / 4), np.sin(t / 4)], axis=-1)
+        add(quarter, quarter[0],
+            "lift does not close up" if grid.closed else "lift")
+        got = path_lift(Z4, OrbitSpacePath(grid, np.stack(paths)),
+                        Z4.base.point_from_ambient(np.stack(starts),
+                                                   chart_id=0))
+        assert len(got) == len(paths)
+        for b, (out, want_kind) in enumerate(zip(got, want_kinds)):
+            try:
+                want = path_lift(Z4, OrbitSpacePath(grid, paths[b]),
+                                 Z4.base.point_from_ambient(starts[b]))
+            except (StartNotInOrbit, BranchAmbiguity, CoherenceLost) as err:
+                assert type(out) is type(err), b
+                assert str(out) == str(err), b
+                assert str(err).startswith(want_kind), b
+            else:
+                assert want_kind == "lift" and isinstance(out, GridMap), b
+                assert np.array_equal(out.ambient, want.ambient), b
+                assert out.delta_coh == want.delta_coh, b
 
 
 class TestOrbitDistance:
