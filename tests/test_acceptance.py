@@ -159,18 +159,28 @@ def test_criterion_12_seed_7_report_is_golden(tmp_path):
 
 def test_the_seed_sweep_table_covers_the_seed_7_report():
     """The table of ``tools/seed_sweep.py`` tallies every seed of its sweep
-    for each record of the seed-7 report, seed 7's status and sample count
-    among them; its comparison names a changed status and a lost record."""
+    for each record of the seed-7 report, on the circle grid of that report
+    and on the interval grid, seed 7's circle status and sample count among
+    them; its comparison names a changed status and a lost record."""
     table = json.loads(SWEEP.TABLE.read_text())
     first, last = table["seeds"]
     assert first <= CONFIG["seed"] <= last
-    rows = table["records"]
-    assert sorted(rows) == sorted(r["check_name"] for r in REPORT["records"])
-    for r in REPORT["records"]:
-        row = rows[r["check_name"]]
-        assert all(sum(c.values()) == last - first + 1 for c in row.values())
-        assert row["status"].get(r["status"]), r["check_name"]
-        assert row["n_samples"].get(str(r["n_samples"])), r["check_name"]
+    assert sorted(table["records"]) == sorted(SWEEP.GRIDS)
+    names = sorted(r["check_name"] for r in REPORT["records"])
+    for kind_rows in table["records"].values():
+        assert sorted(kind_rows) == names
+        assert all(sum(c.values()) == last - first + 1
+                   for row in kind_rows.values() for c in row.values())
+    # the interval sweep runs the config of the interval-ell2 golden file
+    interval = json.loads((GOLDEN.parent / "interval-ell2.json").read_text())
+    assert interval["grid"] == {"n": 64, "ell": 1, **SWEEP.GRIDS["interval"]}
+    for kind, report in (("circle", REPORT), ("interval", interval)):
+        rows = table["records"][kind]
+        for r in report["records"]:
+            row = rows[r["check_name"]]
+            assert row["status"].get(r["status"]), (kind, r["check_name"])
+            assert row["n_samples"].get(str(r["n_samples"])), \
+                (kind, r["check_name"])
     changed, lost, *rest = REPORT["records"]
     broken = SWEEP.tally([{"records": [{**changed, "status": "fail"},
                                        *rest]}])

@@ -1,13 +1,17 @@
-"""Verdicts over many seeds: the default report at seeds 1-30.
+"""Verdicts over many seeds: the default report at seeds 1-30, on both
+grid kinds.
 
-Runs ``cli.execute`` on ``{"seed": s}`` for each seed of ``SEEDS`` and
-tallies, record by record, the statuses and the sample counts of the
-reports: the fields that no host's floating point can move.  The tally is
-compared with the committed table ``tests/golden/seed-sweep.json``; the
-script names each record whose tallies differ, or that only one of them
-has, and exits 1 if there is one, otherwise 0.  With ``--write`` it writes
-the table instead.  It also prints the worst residual of each record over
-the seeds, which the table does not hold.  It takes under a minute on two
+Runs ``cli.execute`` on ``{"seed": s, "grid": g}`` for each seed of
+``SEEDS`` and each grid ``g`` of ``GRIDS``: the default circle grid, and
+the interval grid at ell 2 of ``tests/golden/interval-ell2.json``.  For
+each grid it tallies, record by record, the statuses and the sample
+counts of the reports: the fields that no host's floating point can move.
+The tallies are compared with the committed table
+``tests/golden/seed-sweep.json``, which holds one per grid; the script
+names each record whose tallies differ, or that only one of them has, and
+exits 1 if there is one, otherwise 0.  With ``--write`` it writes the
+table instead.  It also prints the worst residual of each record over the
+seeds, which the table does not hold.  It takes about a minute on two
 CPUs.
 
 A change that moves the random stream cites the table's diff: statuses
@@ -30,6 +34,9 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "golden" / "seed-sweep.json"
 SEEDS = range(1, 31)
+# The grid of each sweep, as the "grid" entry of its configs.
+GRIDS = {"circle": {"kind": "circle"},
+         "interval": {"kind": "interval", "ell": 2}}
 
 
 def tally(reports):
@@ -53,25 +60,28 @@ def differing(got, want):
 
 
 def sweep(seeds):
-    """(table, {check_name: (worst residual, its seed)}) over the seeds."""
+    """(table, {(grid, check_name): (worst residual, its seed)}) over the
+    seeds, with one tally per grid of ``GRIDS``."""
     sys.path.insert(0, str(ROOT / "src"))
     from currentgpd import cli
-    reports, worst = [], {}
+    tallies, worst = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
-            path = pathlib.Path(tmp) / f"seed-{seed}.json"
-            path.write_text(json.dumps({"seed": seed}))
-            report = cli.execute(cli.load_config(path))
-            reports.append(report)
-            for r in report["records"]:
-                name = r["check_name"]
-                # NaN residuals rank first, as their records fail
-                res = r["max_residual"]
-                res = float("inf") if res != res else float(res)
-                if res > worst.get(name, (-1.0, None))[0]:
-                    worst[name] = (res, seed)
-    return {"seeds": [min(seeds), max(seeds)],
-            "records": tally(reports)}, worst
+        for kind, grid in GRIDS.items():
+            reports = []
+            for seed in seeds:
+                path = pathlib.Path(tmp) / f"{kind}-{seed}.json"
+                path.write_text(json.dumps({"seed": seed, "grid": grid}))
+                report = cli.execute(cli.load_config(path))
+                reports.append(report)
+                for r in report["records"]:
+                    key = (kind, r["check_name"])
+                    # NaN residuals rank first, as their records fail
+                    res = r["max_residual"]
+                    res = float("inf") if res != res else float(res)
+                    if res > worst.get(key, (-1.0, None))[0]:
+                        worst[key] = (res, seed)
+            tallies[kind] = tally(reports)
+    return {"seeds": [min(seeds), max(seeds)], "records": tallies}, worst
 
 
 def main(argv=None):
@@ -80,23 +90,28 @@ def main(argv=None):
                         help=f"write the table to {TABLE.relative_to(ROOT)}")
     args = parser.parse_args(argv)
     table, worst = sweep(SEEDS)
-    for name, (res, seed) in sorted(worst.items()):
-        print(f"{name}: worst residual {res:.3e} at seed {seed}")
+    for (kind, name), (res, seed) in sorted(worst.items()):
+        print(f"{kind} {name}: worst residual {res:.3e} at seed {seed}")
     if args.write:
         TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
         print(f"wrote {TABLE.relative_to(ROOT)}")
         return 0
     want = json.loads(TABLE.read_text())
-    names = differing(table["records"], want["records"])
-    for name in names:
-        print(f"{name}: {table['records'].get(name)} at seeds "
-              f"{table['seeds']}, the table says {want['records'].get(name)} "
-              f"at seeds {want['seeds']}")
+    differ = 0
+    for kind in sorted(set(table["records"]) | set(want["records"])):
+        got_rows = table["records"].get(kind, {})
+        want_rows = want["records"].get(kind, {})
+        names = differing(got_rows, want_rows)
+        for name in names:
+            print(f"{kind} {name}: {got_rows.get(name)} at seeds "
+                  f"{table['seeds']}, the table says {want_rows.get(name)} "
+                  f"at seeds {want['seeds']}")
+        print(f"{kind}: {len(got_rows)} records over seeds {table['seeds']}; "
+              f"{len(names)} differ from {TABLE.relative_to(ROOT)}")
+        differ += len(names)
     if table["seeds"] != want["seeds"]:
         print(f"seeds {table['seeds']}, the table says {want['seeds']}")
-    print(f"{len(table['records'])} records over seeds {table['seeds']}; "
-          f"{len(names)} differ from {TABLE.relative_to(ROOT)}")
-    return 1 if names or table["seeds"] != want["seeds"] else 0
+    return 1 if differ or table["seeds"] != want["seeds"] else 0
 
 
 if __name__ == "__main__":
