@@ -296,12 +296,6 @@ def suite_tangent_diagram(ctx: SuiteContext):
                     worst, len(chosen) * reps, seed)]
 
 
-def _stacked_point(m, rows):
-    """One stacked Point of ambient rows (a list, or a 1-d array of the
-    coordinates of a 1-dimensional m) in m's first chart."""
-    return m.point_from_ambient(np.reshape(rows, (len(rows), -1)), chart_id=0)
-
-
 def _lifts(*outcomes):
     """The lifts of stacked calls' walks, one stacked grid map per call.
 
@@ -360,12 +354,12 @@ def suite_local_inverse(ctx: SuiteContext):
         ph = rng.uniform(0, 2 * math.pi)
         off = rng.uniform(-3, 3)
         truths.append(off + amp * np.sin(x + ph))
-        starts.append(off + amp * math.sin(ph))
+        starts.append([off + amp * math.sin(ph)])
     # every draw's walk in one stacked call
     truth = GridMap(grid, line, np.stack(truths)[..., None])
     eta = pushforward(f, truth)
     got, = _lifts(local_diffeo_inverse(
-        f, gamma0, eta, start=_stacked_point(line, starts),
+        f, gamma0, eta, start=line.point_from_ambient(starts, chart_id=0),
         tol=ctx.tol.tol_theta))
     back = pushforward(f, got)
     # the lift inverts in every seminorm that the grid's ell tracks
@@ -377,7 +371,8 @@ def suite_local_inverse(ctx: SuiteContext):
     loop_grid = GridSpec("circle", grid.n, grid.ell)
     idloop = circle_winding_loop(loop_grid, f.target, 1)
     loop0 = GridMap(loop_grid, line, np.zeros((grid.n, 1)))
-    starts = _stacked_point(line, 2 * math.pi * (np.arange(32.0) - 16))
+    starts = line.point_from_ambient(
+        2 * math.pi * (np.arange(32.0) - 16)[:, None], chart_id=0)
     rejections = sum(isinstance(o, (OutsideNeighborhood, BranchAmbiguity))
                      for o in local_diffeo_inverse(
                          f, loop0, stacked_grid_map(idloop, 32), start=starts))
@@ -568,7 +563,8 @@ def suite_path_lifting(ctx: SuiteContext):
         seconds.append(grp.elements[turns[-1]].act(pts[0]))
     # every path's two lifts as two stacked calls
     path = OrbitSpacePath(grid, np.stack(reps))
-    outcomes = [path_lift(gpd, path, _stacked_point(gpd.base, starts),
+    outcomes = [path_lift(gpd, path,
+                          gpd.base.point_from_ambient(starts, chart_id=0),
                           tol=ctx.tol.tol_chart)
                 for starts in (firsts, seconds)]
     lift, lift2 = _lifts(*outcomes)
