@@ -155,18 +155,16 @@ class GridSection:
 def section_from_chart_coeffs(gm: GridMap, coeffs) -> GridSection:
     """Build a section from per-node chart velocities, (..., n, d).
 
-    Each node is read in its best chart, and the nodes of one chart, over
-    every map of a stack, push their velocities to the embedding in one
-    dual pass (:meth:`~currentgpd.manifolds.ChartedManifold.points_by_chart`):
-    node i gets the bits of ``Tangent(p, coeffs[i]).ambient_vel()`` for
+    Each node is read in its best chart, and the nodes of every map of a
+    stack push their velocities to the embedding in one dual pass, as one
+    stacked :class:`~currentgpd.manifolds.Point`: node i gets the bits of
+    ``Tangent(p, coeffs[i]).ambient_vel()`` for
     ``p = gm.target.point_from_ambient(gm.ambient[i])`` alone.
     """
     m = gm.target
     amb = gm.ambient.reshape(-1, m.ambient_dim)
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, m.dim)
-    vel = np.empty_like(amb)
-    for rows, p in m.points_by_chart(amb):
-        vel[rows] = Tangent(p, coeffs[rows]).ambient_vel()
+    vel = Tangent(m.point_from_ambient(amb), coeffs).ambient_vel()
     return GridSection(gm, vel.reshape(gm.ambient.shape))
 
 

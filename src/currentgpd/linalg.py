@@ -14,7 +14,6 @@ import numpy as np
 
 from .ad import Dual, jacobian, sqrt, value
 from .errors import RankDrop, SingularNormalization
-from .report import worst_residual
 
 
 def matmul(A, B):
@@ -61,25 +60,30 @@ def _solve(A, B):
 
 
 def newton(residual, x0, tol, max_iter, bound):
-    """Newton's method for residual(x) = 0 from x0, with AD Jacobians.
+    """Newton's method for residual(x) = 0 on (B, d) rows from x0.
 
-    Returns the first iterate whose residual is below tol in max norm, or
-    None if a step is singular, an iterate leaves the box |x_i| <= bound
-    or is NaN, or max_iter steps do not converge.  A NaN residual is never
-    below tol.
+    residual maps the d components of the rows, (B,) arrays, to the d
+    components of their residuals, row by row; Jacobians come from AD.
+    A row stops at its first iterate whose residual is below tol in max
+    norm, so it takes the iterates of its lone solve, and only the rows
+    that have not stopped take a step.  Returns the (B, d) stopped rows, or
+    None if any row's step is singular, an iterate leaves the box
+    |x_i| <= bound or is NaN, or max_iter steps do not converge.  A NaN
+    residual is never below tol.
     """
-    x = list(x0)
+    x = np.array(x0, dtype=float)
     for _ in range(max_iter):
-        r = [value(c) for c in residual(x)]
-        if worst_residual(*r) < tol:
+        r = np.stack([value(c) for c in residual(list(x.T))], axis=-1)
+        todo = ~(np.max(np.abs(r), axis=-1, initial=0.0) < tol)
+        if not todo.any():
             return x
-        J = jacobian(residual, x)
+        J = jacobian(residual, list(x.T))[todo]
         try:
-            step = linsolve(J, np.array(r)[:, None])[:, 0].tolist()
+            step = linsolve(J, r[todo][..., None])[..., 0]
         except SingularNormalization:
             return None
-        x = [xi - si for xi, si in zip(x, step)]
-        if not worst_residual(*x) <= bound:
+        x[todo] -= step
+        if not np.all(np.abs(x[todo]) <= bound):
             return None
     return None
 

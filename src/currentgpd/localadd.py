@@ -64,36 +64,34 @@ class LocalAddition:
     def theta_inverse(self, p: Point, q_amb, tol=DEFAULT.tol_theta) -> Tangent:
         """The tangents at p that sigma maps to the (..., m) rows q_amb.
 
-        p is a stacked Point of one chart.  The closed-form log runs once
-        over all rows and must meet each q within tol; without one, each
-        row gets its own Newton solve in p's chart, against q read in its
-        best chart.  Raises NotInThetaImage if a row's tangent misses its q
-        or leaves U.
+        p is a Point, stacked along with q_amb.  The closed-form log runs
+        once over all rows and must meet each q within tol; without one, one
+        Newton call solves all rows, each in p's chart of its row against q
+        read in its best chart, and each row takes the iterates of its lone
+        solve.  Raises NotInThetaImage if a row's tangent misses its q or
+        leaves U.
         """
         m = self.manifold
         q_amb = np.asarray(q_amb, dtype=float)
         if self.closed_log is not None:
             v = merge_components(self.closed_log(split_components(p.ambient),
                                                  split_components(q_amb)))
-            t = tangent_from_ambient(m, p.ambient, v, p.chart_id)
+            t = tangent_from_ambient(p, v)
         else:
-            chart = m.charts[p.chart_id]
-            rows = []
-            for x, q in zip(np.reshape(p.coords, (-1, m.dim)).tolist(),
-                            np.reshape(q_amb, (-1, m.ambient_dim))):
-                qc = m.charts[m.best_chart(q)]
-                q_target = qc.fwd(split_components(q))
+            x = split_components(np.reshape(p.coords, (-1, m.dim)))
+            q = np.reshape(q_amb, (-1, m.ambient_dim))
+            chart, qc = p.chart, node_chart(m, m.best_chart(q))
+            q_target = qc.fwd(split_components(q))
 
-                def residual(w):
-                    _, v = ad.jvp(chart.inv, x, w)
-                    yc = qc.fwd(self.sigma_fn(list(chart.inv(x)) + list(v)))
-                    return [a - b for a, b in zip(yc, q_target)]
+            def residual(w):
+                _, v = ad.jvp(chart.inv, x, w)
+                yc = qc.fwd(self.sigma_fn(list(chart.inv(x)) + list(v)))
+                return [a - b for a, b in zip(yc, q_target)]
 
-                w = newton(residual, [0.0] * m.dim, tol, 50, 1e6)
-                if w is None:
-                    raise NotInThetaImage(f"{self.name}: Newton did not converge")
-                rows.append(w)
-            t = Tangent(p, np.reshape(rows, p.coords.shape))
+            w = newton(residual, np.zeros((len(q), m.dim)), tol, 50, 1e6)
+            if w is None:
+                raise NotInThetaImage(f"{self.name}: Newton did not converge")
+            t = Tangent(p, w.reshape(p.coords.shape))
             v = t.ambient_vel()
         if not np.all(self.domain_fn(p.ambient, v)):
             raise NotInThetaImage(f"{self.name}: tangent outside domain U")
@@ -169,10 +167,11 @@ def fiber_derivative(add: LocalAddition, p: Point, h=DEFAULT.h_fd):
 
     Central differences of w -> chart(sigma(d inv . w)) at w = 0,
     independent of the AD path; the normalization checks are defined against
-    this matrix.  A stacked p of one chart gives a (..., d, d) stack.
+    this matrix.  A stacked p gives an (n, d, d) stack, each row in its
+    own chart with the bits it gets alone.
     """
     m = add.manifold
-    chart = m.charts[p.chart_id]
+    chart = p.chart
     x = split_components(p.coords)
 
     def rep(w):

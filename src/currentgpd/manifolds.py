@@ -219,9 +219,6 @@ class ChartedManifold:
         self._tangent_bundle = None
 
     # -- chart bookkeeping -------------------------------------------------
-    def chart_margin(self, chart_id, amb):
-        return self.charts[chart_id].margin(split_components(amb))
-
     def best_chart(self, amb):
         comps = split_components(amb)
         margins = [np.asarray(c.margin(comps), dtype=float) for c in self.charts]
@@ -239,37 +236,23 @@ class ChartedManifold:
     def point_from_ambient(self, amb, chart_id=None):
         """The point amb, in its best chart or in chart ``chart_id``.
 
-        Stacked (..., m) rows make one stacked :class:`Point`; they need a
-        ``chart_id`` that holds them all (see :meth:`points_by_chart`).
+        Stacked (n, m) rows make one stacked :class:`Point`, each row in its
+        best chart, or all of them in chart ``chart_id``.
         """
         amb = np.asarray(amb, dtype=float)
         if chart_id is None:
             chart_id = self.best_chart(amb)
-        elif np.any(value(self.chart_margin(chart_id, amb)) <= 0.0):
+        elif np.any(self.charts[chart_id].margin(split_components(amb)) <= 0):
             raise OutOfChart(f"{self.name}: point outside chart {chart_id}")
-        coords = merge_components(self.charts[chart_id].fwd(split_components(amb)))
-        return Point(self, int(chart_id), coords, amb)
-
-    def points_by_chart(self, amb):
-        """Stacked (n, m) ambient rows as (rows, Point) pairs, one per chart.
-
-        Each row is read in its best chart, as :meth:`point_from_ambient`
-        reads it alone, and the rows of one chart make one stacked Point,
-        in the order in which their chart first occurs.  A chart map then
-        runs once over its rows and, on the one rounding path of
-        :mod:`currentgpd.ad`, gives each row the bits it gets alone.
-        """
-        amb = np.asarray(amb, dtype=float)
-        batches = {}
-        for row, cid in enumerate(self.best_chart(amb).tolist()):
-            batches.setdefault(cid, []).append(row)
-        return [(rows, self.point_from_ambient(amb[rows], cid))
-                for cid, rows in batches.items()]
+        coords = merge_components(
+            node_chart(self, chart_id).fwd(split_components(amb)))
+        return Point(self, chart_id, coords, amb)
 
     def point_from_coords(self, chart_id, coords):
         coords = np.asarray(coords, dtype=float)
-        amb = merge_components(self.charts[chart_id].inv(split_components(coords)))
-        return Point(self, int(chart_id), coords, amb)
+        amb = merge_components(
+            node_chart(self, chart_id).inv(split_components(coords)))
+        return Point(self, chart_id, coords, amb)
 
     # -- metric helpers ------------------------------------------------------
     def distance(self, a, b):
@@ -320,17 +303,26 @@ class ChartedManifold:
 
 @dataclass(frozen=True)
 class Point:
-    """A point in one chart; coords (d,) and ambient (m,), or stacked
-    (..., d) and (..., m) for points that share the chart."""
+    """A point in a chart: coords (d,) and ambient (m,) with one chart id.
+
+    A stacked point has (n, d) coords and (n, m) ambient rows, and one chart
+    id for all rows or an (n,) array of chart ids, one per row.  Its chart
+    reads each row in the row's own chart (:func:`node_chart`), so each row
+    gets the bits it gets alone.
+    """
 
     manifold: ChartedManifold
-    chart_id: int
+    chart_id: int | np.ndarray
     coords: np.ndarray
     ambient: np.ndarray
 
     def __post_init__(self):
         self.coords.setflags(write=False)
         self.ambient.setflags(write=False)
+
+    @property
+    def chart(self):
+        return node_chart(self.manifold, self.chart_id)
 
     def __repr__(self):
         return f"Point({self.manifold.name}#{self.chart_id}, {np.round(self.ambient, 6)})"
@@ -348,8 +340,8 @@ class Tangent:
 
     def ambient_vel(self):
         """Push the chart velocity to the embedding: d(inv)(coords) . vel."""
-        chart = self.base.manifold.charts[self.base.chart_id]
-        _, eps = ad.jvp(chart.inv, split_components(self.base.coords),
+        _, eps = ad.jvp(self.base.chart.inv,
+                        split_components(self.base.coords),
                         split_components(self.vel))
         return merge_components(eps)
 
@@ -357,21 +349,20 @@ class Tangent:
         return f"Tangent({self.base!r}, vel={np.round(self.vel, 6)})"
 
 
-def tangent_from_ambient(manifold, amb, amb_vel, chart_id=None):
-    """Build a tangent from ambient position and ambient velocity."""
-    p = manifold.point_from_ambient(amb, chart_id)
-    chart = manifold.charts[p.chart_id]
-    _, eps = ad.jvp(chart.fwd, split_components(p.ambient),
+def tangent_from_ambient(p: Point, amb_vel):
+    """The tangent at p with ambient velocity amb_vel, in p's chart."""
+    _, eps = ad.jvp(p.chart.fwd, split_components(p.ambient),
                     split_components(amb_vel))
     return Tangent(p, merge_components(eps))
 
 
 @dataclass(frozen=True)
 class SecondTangent:
-    """Element of T(TM) in one chart, as the 4-tuple (x, y, z, w)."""
+    """Element of T(TM) in a chart, as the 4-tuple (x, y, z, w); stacked
+    rows carry chart ids as a stacked :class:`Point` does."""
 
     manifold: ChartedManifold
-    chart_id: int
+    chart_id: int | np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -423,8 +414,8 @@ class SmoothMap:
         return merge_components(self.fn(split_components(np.asarray(amb, dtype=float))))
 
     def local(self, ci, cj):
-        src_chart = self.source.charts[ci]
-        tgt_chart = self.target.charts[cj]
+        src_chart = node_chart(self.source, ci)
+        tgt_chart = node_chart(self.target, cj)
 
         def rep(coords):
             return tgt_chart.fwd(self.fn(src_chart.inv(coords)))
@@ -438,7 +429,8 @@ class SmoothMap:
 def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
     """First-order pushforward computed with one dual-number pass.
 
-    A stacked tangent needs a ``target_chart`` that holds all its images.
+    Each image is read in its best target chart, or in ``target_chart``: a
+    chart id, or one per row of a stacked tangent.
     """
     p = v.base
     q_amb = merge_components(f.fn(split_components(p.ambient)))
@@ -446,7 +438,7 @@ def tangent_map(f: SmoothMap, v: Tangent, target_chart=None) -> Tangent:
     rep = f.local(p.chart_id, cj)
     vals, eps = ad.jvp(rep, split_components(p.coords),
                        split_components(v.vel))
-    q = Point(f.target, int(cj), merge_components(vals), q_amb)
+    q = Point(f.target, cj, merge_components(vals), q_amb)
     return Tangent(q, merge_components(eps))
 
 
@@ -454,19 +446,15 @@ def map_jacobian(f: SmoothMap, amb):
     """Chart Jacobians of f at stacked source points, (..., m) -> (..., n, k).
 
     Points are read in their best source chart and their images in their
-    best target chart, as in :func:`tangent_map`.  The points of one
-    (source chart, target chart) pair are one batch for :func:`ad.jacobian`.
+    best target chart, as in :func:`tangent_map`; one :func:`ad.jacobian`
+    takes all points, each with the bits it gets alone.
     """
     flat = np.reshape(amb, (-1, f.source.ambient_dim))
-    pairs = zip(f.source.best_chart(flat).tolist(),
-                f.target.best_chart(f.apply_batch(flat)).tolist())
-    batches = {}
-    for row, pair in enumerate(pairs):
-        batches.setdefault(pair, []).append(row)
+    ci = f.source.best_chart(flat)
+    cj = f.target.best_chart(f.apply_batch(flat))
+    coords = node_chart(f.source, ci).fwd(split_components(flat))
     out = np.empty((len(flat), f.target.dim, f.source.dim))
-    for (i, j), rows in batches.items():
-        coords = f.source.charts[i].fwd(split_components(flat[rows]))
-        out[rows] = ad.jacobian(f.local(i, j), coords)
+    out[...] = ad.jacobian(f.local(ci, cj), coords)
     return out.reshape(np.shape(amb)[:-1] + out.shape[1:])
 
 
@@ -512,14 +500,12 @@ class TangentBundleManifold(ChartedManifold):
 
     def sample(self, rng, n=None):
         # a single draw is row 0 of a batch of one: numpy draws the same
-        # numbers for a size-1 draw as for a scalar one; the velocities of
-        # one chart's rows then push forward in one pass, with each row's bits
+        # numbers for a size-1 draw as for a scalar one; the velocities
+        # then push forward in one pass, with each row's bits
         base = self.base_manifold
         amb = base.sample(rng, 1 if n is None else n)
         xi = rng.normal(size=(len(amb), base.dim))
-        vel = np.empty_like(amb)
-        for rows, p in base.points_by_chart(amb):
-            vel[rows] = Tangent(p, xi[rows]).ambient_vel()
+        vel = Tangent(base.point_from_ambient(amb), xi).ambient_vel()
         out = np.concatenate([amb, vel], axis=-1)
         return out[0] if n is None else out
 

@@ -249,13 +249,11 @@ def atlas_connectivity_negative_test(grid: GridSpec, chart_margin=0.4,
     covered = bool(np.all(in_a | in_b))
     # greedy labeling of the identity loop: component A where valid, else B
     labels = np.where(in_a, 0.0, 1.0)
-    valid = np.where(labels == 0.0, in_a, in_b)
     # coherence in the disjoint union: label switches jump by the offset
     switches = np.flatnonzero(np.roll(labels, -1) != labels)
     a_missing = int(np.flatnonzero(~in_a)[0]) if np.any(~in_a) else None
     b_missing = int(np.flatnonzero(~in_b)[0]) if np.any(~in_b) else None
-    obstructed = (bool(np.all(valid)) and covered
-                  and len(switches) >= 2
+    obstructed = (covered and len(switches) >= 2
                   and a_missing is not None and b_missing is not None)
     # positive control: a short arc stays in one component coherently
     arc_ok = bool(np.all(np.abs(np.linspace(-1.0, 1.0, grid.n))

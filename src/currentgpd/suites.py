@@ -127,8 +127,8 @@ def suite_flip_identities(ctx: SuiteContext):
     """The flip is an involution and intertwines the two projections.
 
     Each manifold's points and chart slots are drawn first, point by point
-    in the order of the draws; the second tangents of one chart are then
-    checked as one stack, each with the bits it gets alone.
+    in the order of the draws; its second tangents are then checked as one
+    stack, each in its point's chart with the bits it gets alone.
     """
     rng = np.random.default_rng(ctx.seed_for("flip-identities"))
     manifolds = [Circle(), Euclidean(2), Sphere(), RotationGroup()]
@@ -143,23 +143,22 @@ def suite_flip_identities(ctx: SuiteContext):
         tm = m.tangent_bundle()
         proj = SmoothMap(tm, m, lambda c, k=m.ambient_dim: list(c[:k]),
                          name="bundle-projection")
-        for rows, p in m.points_by_chart(amb):
-            s = SecondTangent(m, p.chart_id, p.coords, y[rows], z[rows],
-                              w[rows])
-            ss = canonical_flip(canonical_flip(s))
-            exact = exact and all(
-                np.array_equal(a, b) for a, b in zip(s.tuple4(), ss.tuple4()))
-            # bundle projection = (tangent of the projection) after the flip
-            fl = canonical_flip(s)
-            base = tm.point_from_coords(
-                fl.chart_id, np.concatenate([fl.x, fl.y], axis=-1))
-            t = Tangent(base, np.concatenate([fl.z, fl.w], axis=-1))
-            lhs = second_tangent_projection(s)
-            rhs = tangent_map(proj, t, target_chart=s.chart_id)
-            worst_proj = worst_residual(
-                worst_proj, lhs.vel - rhs.vel,
-                m.distance(lhs.base.ambient, rhs.base.ambient))
-            n_total += len(rows)
+        p = m.point_from_ambient(amb)
+        s = SecondTangent(m, p.chart_id, p.coords, y, z, w)
+        ss = canonical_flip(canonical_flip(s))
+        exact = exact and all(
+            np.array_equal(a, b) for a, b in zip(s.tuple4(), ss.tuple4()))
+        # bundle projection = (tangent of the projection) after the flip
+        fl = canonical_flip(s)
+        base = tm.point_from_coords(
+            fl.chart_id, np.concatenate([fl.x, fl.y], axis=-1))
+        t = Tangent(base, np.concatenate([fl.z, fl.w], axis=-1))
+        lhs = second_tangent_projection(s)
+        rhs = tangent_map(proj, t, target_chart=s.chart_id)
+        worst_proj = worst_residual(
+            worst_proj, lhs.vel - rhs.vel,
+            m.distance(lhs.base.ambient, rhs.base.ambient))
+        n_total += len(amb)
     status = "pass" if exact and worst_proj <= 1e-12 else "fail"
     return [_record("flip-identities", "canonical flip", status, worst_proj,
                     n_total, ctx.seed_for("flip-identities"),
@@ -181,26 +180,25 @@ def suite_local_addition(ctx: SuiteContext):
     worst = 0.0
     checked = 0
     # each manifold's 100 draws first, in their order; then one round trip
-    # per chart over the draws inside U, each with the bits it gets alone
+    # over the draws inside U, each with the bits it gets alone
     for name, (m, add) in adds.items():
         amb, xi = map(np.stack, zip(*[
             (m.sample(rng), rng.normal(size=m.dim) * 0.4) for _ in range(100)]))
-        for rows, p in m.points_by_chart(amb):
-            vel = Tangent(p, xi[rows]).ambient_vel()
-            inside = add.domain_fn(p.ambient, vel)
-            p = m.point_from_ambient(p.ambient[inside], p.chart_id)
-            x = xi[rows][inside]
-            q = add.sigma(p.ambient, vel[inside])
-            back = add.theta_inverse(p, q, tol=ctx.tol.tol_theta)
-            z = add.sigma(p.ambient, Tangent(p, np.zeros_like(x)).ambient_vel())
-            worst = worst_residual(worst, back.vel - x, m.distance(z, p.ambient))
-            checked += len(x)
+        vel = Tangent(m.point_from_ambient(amb), xi).ambient_vel()
+        inside = add.domain_fn(amb, vel)
+        p = m.point_from_ambient(amb[inside])
+        x = xi[inside]
+        q = add.sigma(p.ambient, vel[inside])
+        back = add.theta_inverse(p, q, tol=ctx.tol.tol_theta)
+        z = add.sigma(p.ambient, Tangent(p, np.zeros_like(x)).ambient_vel())
+        worst = worst_residual(worst, back.vel - x, m.distance(z, p.ambient))
+        checked += len(x)
     status = "pass" if worst <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/round-trip", "local addition",
                            status, worst, checked, seed))
 
     # normalization, including a deliberately scaled input; each addition's
-    # 100 draws first, then one fiber derivative per chart
+    # 100 draws first, then one stacked fiber derivative
     circle = Circle()
     base = riemannian_local_addition(circle)
     scaled = LocalAddition(
@@ -211,32 +209,32 @@ def suite_local_addition(ctx: SuiteContext):
     worst_norm = 0.0
     for add in [normed, normalize(base, tol_rank=ctx.tol.tol_rank)]:
         amb = np.stack([circle.sample(rng) for _ in range(100)])
-        for _, p in circle.points_by_chart(amb):
-            D = fiber_derivative(add, p, h=ctx.tol.h_fd)
-            worst_norm = worst_residual(worst_norm, D - np.eye(circle.dim))
+        D = fiber_derivative(add, circle.point_from_ambient(amb),
+                             h=ctx.tol.h_fd)
+        worst_norm = worst_residual(worst_norm, D - np.eye(circle.dim))
     status = "pass" if worst_norm <= 1e-6 else "fail"
     records.append(_record("local-addition/normalization", "local addition",
                            status, worst_norm, 200, seed))
 
     # a normalized addition has no closed-form log: theta_inverse runs
-    # Newton's method on each row
+    # Newton's method on all rows
     nrt_seed = ctx.seed_for("local-addition", "normalized-round-trip")
     nrt_rng = np.random.default_rng(nrt_seed)
     worst_nrt = 0.0
     amb, xi = map(np.stack, zip(*[
         (circle.sample(nrt_rng), nrt_rng.normal(size=circle.dim) * 0.4)
         for _ in range(100)]))
-    for rows, p in circle.points_by_chart(amb):
-        q = normed.sigma(p.ambient, Tangent(p, xi[rows]).ambient_vel())
-        back = normed.theta_inverse(p, q, tol=ctx.tol.tol_theta)
-        worst_nrt = worst_residual(worst_nrt, back.vel - xi[rows])
+    p = circle.point_from_ambient(amb)
+    q = normed.sigma(p.ambient, Tangent(p, xi).ambient_vel())
+    back = normed.theta_inverse(p, q, tol=ctx.tol.tol_theta)
+    worst_nrt = worst_residual(worst_nrt, back.vel - xi)
     status = "pass" if worst_nrt <= ctx.tol.tol_theta else "fail"
     records.append(_record("local-addition/normalized-round-trip",
                            "local addition", status, worst_nrt, 100,
                            nrt_seed))
 
     # tangent lift: zero tangents lie in U and map to their foot point; the
-    # 50 draws first, then one lift per chart
+    # 50 draws first, then one stacked lift
     worst_lift = 0.0
     inside = True
     for name in ("circle", "real2"):
@@ -244,13 +242,12 @@ def suite_local_addition(ctx: SuiteContext):
         lifted = tangent_local_addition(add)
         tm = m.tangent_bundle()
         draws = np.stack([tm.sample(rng) for _ in range(50)])
-        for _, v in tm.points_by_chart(draws):
-            zero = Tangent(v, np.zeros_like(v.coords)).ambient_vel()
-            ok = lifted.domain_fn(v.ambient, zero)
-            inside = inside and bool(np.all(ok))
-            z = lifted.sigma(v.ambient[ok], zero[ok])
-            worst_lift = worst_residual(worst_lift,
-                                        tm.distance(z, v.ambient[ok]))
+        v = tm.point_from_ambient(draws)
+        zero = Tangent(v, np.zeros_like(v.coords)).ambient_vel()
+        ok = lifted.domain_fn(draws, zero)
+        inside = inside and bool(np.all(ok))
+        z = lifted.sigma(draws[ok], zero[ok])
+        worst_lift = worst_residual(worst_lift, tm.distance(z, draws[ok]))
     status = "pass" if worst_lift <= ctx.tol.tol_theta and inside else "fail"
     records.append(_record("local-addition/tangent-lift", "local addition",
                            status, worst_lift, 100, seed))

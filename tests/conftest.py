@@ -31,25 +31,21 @@ def sigma_rows(add, base, vel):
     return out
 
 
-def by_chart(m, base, fn, *rows):
-    """fn(p, *rows) once per chart of the (n, m) base rows, as n results in
-    row order; fn takes a stacked Point and the matching rows of each array
-    of rows, and each row must get the bits fn gives it alone."""
-    out = [None] * len(base)
-    for idx, p in m.points_by_chart(base):
-        stacked = fn(p, *(r[idx] for r in rows))
-        for k, i in enumerate(idx):
-            alone = fn(m.point_from_ambient(base[i]), *(r[i] for r in rows))
-            assert np.array_equal(stacked[k], alone)
-            out[i] = stacked[k]
-    return np.stack(out)
+def stacked_rows(m, base, fn, *rows):
+    """fn(p, *rows) once on the stacked Point p of the (n, m) base rows, as
+    n results; each row must get the bits fn gives it alone."""
+    out = fn(m.point_from_ambient(base), *rows)
+    for i, o in enumerate(out):
+        alone = fn(m.point_from_ambient(base[i]), *(r[i] for r in rows))
+        assert np.array_equal(o, alone)
+    return out
 
 
 def inverse_rows(add, base, q):
-    """add.theta_inverse once per chart of the base rows, as ambient
-    velocity rows; each row must get the bits it gets alone."""
-    return by_chart(add.manifold, base,
-                    lambda p, q: add.theta_inverse(p, q).ambient_vel(), q)
+    """add.theta_inverse once on all base rows, as ambient velocity rows;
+    each row must get the bits it gets alone."""
+    return stacked_rows(add.manifold, base,
+                        lambda p, q: add.theta_inverse(p, q).ambient_vel(), q)
 
 
 def load_tool(name):

@@ -166,10 +166,24 @@ def test_jacobian_columns_of_constant_outputs_and_no_directions():
 
 
 def test_newton_does_not_accept_a_nan_residual():
-    # at x0 the residual is [0, nan]; a NaN after the first entry is no root
-    residual = lambda x: [x[0] - 1.0, x[1] + math.nan]
-    assert newton(residual, [1.0, 0.0], 1e-12, 20, 1e8) is None
-    assert newton(lambda x: [x[0] - 1.0], [0.0], 1e-12, 20, 1e8) == [1.0]
+    # at x0 the residual of row 1 is [0, nan]; a NaN after the first entry
+    # is no root, and one such row makes the stacked call None
+    residual = lambda x: [x[0] - 1.0, x[1] + np.array([0.0, math.nan])]
+    assert newton(residual, np.ones((2, 2)), 1e-12, 20, 1e8) is None
+
+
+def test_newton_rows_take_the_iterates_of_their_lone_solves():
+    # x1 = x0 / 2 and x0^3 = c: the rows stop after different numbers of
+    # steps, and a stopped row must not move while the others step on
+    res = lambda c: lambda x: [x[1] - 0.5 * x[0], x[0] * x[0] * x[0] - c]
+    c = np.array([1.0, 1.5, 8.0, 100.0, -27.0])
+    x0 = np.tile([1.0, 0.5], (len(c), 1))
+    got, steps = newton(res(c), x0, 1e-9, 50, 1e8), set()
+    for i in range(len(c)):
+        lone = lambda k: newton(res(c[i:i + 1]), x0[:1], 1e-9, k, 1e8)
+        assert np.array_equal(got[i:i + 1], lone(50))
+        steps.add(min(k for k in range(51) if lone(k) is not None))
+    assert len(steps) >= 3
 
 
 def test_linsolve_pivots_and_differentiates_packed_duals():

@@ -13,7 +13,7 @@ from currentgpd.localadd import (LocalAddition, fiber_derivative, normalize,
                                  tangent_local_addition)
 from currentgpd.manifolds import Tangent, merge_components, split_components
 
-from conftest import by_chart, inverse_rows, sigma_rows
+from conftest import inverse_rows, sigma_rows, stacked_rows
 
 
 CATALOG = [Euclidean(2), Circle(), Sphere(), Torus(), RotationGroup()]
@@ -24,11 +24,8 @@ def draws(m, rng, n, scale):
     velocities of chart speed about scale."""
     amb = np.stack([m.sample(rng) for _ in range(n)])
     assert len(np.unique(m.best_chart(amb))) >= min(2, len(m.charts))
-    vel = np.empty_like(amb)
-    for rows, p in m.points_by_chart(amb):
-        vel[rows] = Tangent(p, rng.normal(size=(len(rows), m.dim))
-                            * scale).ambient_vel()
-    return amb, vel
+    xi = rng.normal(size=(n, m.dim)) * scale
+    return amb, Tangent(m.point_from_ambient(amb), xi).ambient_vel()
 
 
 class TestRiemannian:
@@ -119,8 +116,8 @@ def scaled_circle_addition(factor=2.0):
 
 
 def fiber_rows(add, amb):
-    """The fiber derivatives at the rows amb, one call per chart."""
-    return by_chart(add.manifold, amb, lambda p: fiber_derivative(add, p))
+    """The fiber derivatives at the rows amb, in one call."""
+    return stacked_rows(add.manifold, amb, lambda p: fiber_derivative(add, p))
 
 
 def off_identity(add, amb):

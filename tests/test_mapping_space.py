@@ -21,7 +21,7 @@ from currentgpd.gridmaps import (GridMap, GridSection, GridSpec,
                                  seminorm_distance)
 from currentgpd.groupoids import GROUPOIDS
 from currentgpd.localadd import riemannian_local_addition
-from currentgpd.manifolds import (DiscreteManifold, SmoothMap, Tangent,
+from currentgpd.manifolds import (DiscreteManifold, SmoothMap,
                                   tangent_from_ambient, tangent_map)
 
 from conftest import inverse_rows, sigma_rows
@@ -205,35 +205,9 @@ class TestChartPhi:
             self.add.sigma(self.loop.ambient, tau.vel_ambient)
 
     def test_inverse_rejects_antipodes(self):
-        for _, p in CIRCLE.points_by_chart(self.loop.ambient):
-            with pytest.raises(NotInThetaImage):
-                self.add.theta_inverse(p, -p.ambient)
-
-
-def z_rotation_loop(grid):
-    """SO(3)-valued loop of rotations about the z axis by the grid angle."""
-    th = grid.params()
-    c, s, o = np.cos(th), np.sin(th), np.zeros_like(th)
-    rows = [c, -s, o, s, c, o, o, o, o + 1.0]
-    return GridMap(grid, RotationGroup(), np.stack(rows, axis=-1))
-
-
-class TestSectionFromChartCoeffs:
-    @pytest.mark.parametrize("loop", [
-        lambda: circle_winding_loop(GRID, CIRCLE, 1),
-        lambda: z_rotation_loop(GRID)], ids=["circle", "so3"])
-    def test_keeps_the_per_node_bits(self, loop):
-        """The batched section, one dual pass per chart, gives each node the
-        bits of its own tangent; the nodes lie in more than one chart."""
-        gm = loop()
-        coeffs = np.random.default_rng(12).normal(size=(GRID.n,
-                                                        gm.target.dim))
-        nodes = [gm.target.point_from_ambient(a) for a in gm.ambient]
-        assert len({p.chart_id for p in nodes}) >= 2
-        want = np.stack([Tangent(p, c).ambient_vel()
-                         for p, c in zip(nodes, coeffs)])
-        got = section_from_chart_coeffs(gm, coeffs).vel_ambient
-        assert np.array_equal(got, want)
+        p = CIRCLE.point_from_ambient(self.loop.ambient)
+        with pytest.raises(NotInThetaImage):
+            self.add.theta_inverse(p, -p.ambient)
 
 
 class TestPushforwardTangent:
@@ -274,8 +248,8 @@ class TestPushforwardTangent:
             gamma.grid, 3, np.random.default_rng(9)))
         out = pushforward_tangent(f, gamma, tau)
         for i in range(16):
-            t = tangent_map(f, tangent_from_ambient(space, amb[i],
-                                                    tau.vel_ambient[i]))
+            t = tangent_map(f, tangent_from_ambient(
+                space.point_from_ambient(amb[i]), tau.vel_ambient[i]))
             assert np.max(np.abs(out.base.ambient[i] - t.base.ambient)) < 1e-12
             assert np.max(np.abs(out.vel_ambient[i] - t.ambient_vel())) < 1e-12
 
@@ -313,7 +287,7 @@ class TestClassify:
 
     def test_matches_rank_oracle(self):
         # numpy matrix rank of finite-difference chart Jacobians as the
-        # oracle, node by node
+        # oracle, each node in its own charts
         rng = np.random.default_rng(8)
         verdicts = {(True, True): "local_diffeo_on_trace",
                     (True, False): "submersion_on_trace",
@@ -323,13 +297,10 @@ class TestClassify:
                      "circle-constant", "circle-square"):
             f = MAPS[name]
             gamma = random_grid_map(GRID, f.source, rng)
-            ranks = set()
-            for a in gamma.ambient:
-                i = f.source.best_chart(a)
-                j = f.target.best_chart(f.apply_batch(a[None])[0])
-                x = [float(c) for c in f.source.charts[i].fwd(list(a))]
-                J = fd_jacobian(f.local(i, j), x, 1e-6)
-                ranks.add(int(np.linalg.matrix_rank(J, tol=1e-6)))
+            p = f.source.point_from_ambient(gamma.ambient)
+            cj = f.target.best_chart(f.apply_batch(p.ambient))
+            J = fd_jacobian(f.local(p.chart_id, cj), list(p.coords.T), 1e-6)
+            ranks = set(np.linalg.matrix_rank(J, tol=1e-6).tolist())
             want = verdicts[ranks == {f.target.dim}, ranks == {f.source.dim}]
             assert classify_pushforward(f, gamma).verdict == want, name
 
